@@ -1,0 +1,8 @@
+"""``python -m blochpulse``: the same entry point as the ``blochpulse`` script."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

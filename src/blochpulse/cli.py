@@ -6,8 +6,9 @@ Verbs:
   verify       synthesize, simulate, and print tracking and sanity reports
   preset       list bundled scenarios or run one end to end
 
-Exit codes: 0 success, 2 invalid input or configuration, 3 numerical failure
-(singular prescription, carrier singularity, integrator breakdown).
+Exit codes: 0 success, 2 invalid input or configuration (including files that
+cannot be read or written), 3 numerical failure (singular prescription,
+carrier singularity, integrator breakdown).
 """
 
 from __future__ import annotations
@@ -180,7 +181,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
+    except OSError as exc:  # unreadable config, unwritable output path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

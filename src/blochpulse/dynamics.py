@@ -12,14 +12,18 @@ Pictures:
                             the carrier-resolved field.
   * effective Bloch      -- the damped component equations themselves.
 
-Control channels are interpolated with node-exact cubic splines. Density
-matrices are re-symmetrized after every accepted step. Step sizes are capped
-by the fastest carrier scale so oscillations stay resolved.
-Times in ps, angular frequencies in rad/ps.
+Every picture is one affine equation for the Bloch vector r = (u, v, w),
+dr/dt = b(t) x r - (G, G, Gamma_1) r + (0, 0, -2 Gamma), with H = b . sigma / 2,
+G and Gamma_1 the transverse and inversion decay rates and Gamma the thermal
+rate; only the field b(t) differs. One propagator integrates it and forms the
+density matrices from r. Control channels are interpolated with node-exact
+cubic splines. Step sizes are capped by the fastest carrier scale so
+oscillations stay resolved. Times in ps, angular frequencies in rad/ps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +31,7 @@ from scipy.interpolate import CubicSpline
 
 from .errors import ValidationError
 from .odeint import IntegrationStats, integrate_adaptive
-from .rates import Rates
+from .rates import Rates, inversion_decay_rate, transverse_rate
 from .states import (
     SIGMA_MINUS,
     SIGMA_PLUS,
@@ -123,37 +127,63 @@ def _prepare_grid(grid) -> tuple[np.ndarray, bool]:
     return t, zero_span
 
 
-def _check_window(ctrl: ControlInterpolant, t: np.ndarray) -> None:
+# Fields b(t) with H = b . sigma / 2, as plain floats: the right-hand side
+# runs thousands of times per picture and numpy scalars would dominate it.
+
+def _lab_field(ctrl: ControlInterpolant, t: float) -> tuple[float, float, float]:
+    drive = 2.0 * float(ctrl.omega_r(t)) * math.cos(float(ctrl.phi(t)))
+    return drive, 0.0, float(ctrl.omega0(t))
+
+
+def _carrier_field(ctrl: ControlInterpolant, t: float) -> tuple[float, float, float]:
+    om_r, two_phi = float(ctrl.omega_r(t)), 2.0 * float(ctrl.phi(t))
+    return om_r * (1.0 + math.cos(two_phi)), -om_r * math.sin(two_phi), -float(ctrl.delta(t))
+
+
+def _rwa_field(ctrl: ControlInterpolant, t: float) -> tuple[float, float, float]:
+    return float(ctrl.omega_r(t)), 0.0, -float(ctrl.delta(t))
+
+
+def _design_field(ctrl: ControlInterpolant, t: float) -> tuple[float, float, float]:
+    return float(ctrl.omega(t)), 0.0, -float(ctrl.delta(t))
+
+
+def _propagate(picture: str, field: ControlField, field_at, rates: Rates,
+               r0: np.ndarray, grid, rtol: float, atol: float) -> SimResult:
+    """Integrate dr/dt = b x r - (G, G, Gamma_1) r + (0, 0, -2 Gamma) on ``grid``.
+
+    ``field_at(ctrl, t)`` gives b(t); density matrices are formed from r.
+    """
+    ctrl = ControlInterpolant(field)
+    t, zero_span = _prepare_grid(grid)
     if t[0] < ctrl.t0 - 1e-12 or t[-1] > ctrl.t1 + 1e-12:
         raise ValidationError(
             f"sample grid [{t[0]:g}, {t[-1]:g}] leaves the control window "
             f"[{ctrl.t0:g}, {ctrl.t1:g}]")
+    g_t, g_1, pump = transverse_rate(rates), inversion_decay_rate(rates), -2.0 * rates.thermal
 
+    def rhs(tt, r):
+        u, v, w = r
+        bx, by, bz = field_at(ctrl, tt)
+        return np.array([
+            by * w - bz * v - g_t * u,
+            bz * u - bx * w - g_t * v,
+            bx * v - by * u - g_1 * w + pump,
+        ])
 
-def _hermitize(y: np.ndarray) -> np.ndarray:
-    rho = y.reshape(2, 2)
-    return (0.5 * (rho + rho.conj().T)).ravel()
-
-
-def _max_step(ctrl: ControlInterpolant, span: float) -> float:
-    scale = ctrl.fastest_scale()
-    if scale <= 0.0:
-        return span / 8.0
-    return min(PHASE_PER_STEP / scale, span / 8.0)
-
-
-def _run_density(picture, rhs, ctrl, rho0, grid, rtol, atol) -> SimResult:
-    t, zero_span = _prepare_grid(grid)
-    rho0 = validate_density(rho0)
-    _check_window(ctrl, t)
     if zero_span:
-        states = np.broadcast_to(rho0, (t.size, 2, 2)).copy()
-        return SimResult(picture=picture, t=t, states=states, stats=None)
-    ys, stats = integrate_adaptive(
-        rhs, (t[0], t[-1]), rho0.ravel(), t, rtol=rtol, atol=atol,
-        max_step=_max_step(ctrl, t[-1] - t[0]), project=_hermitize,
-    )
-    return SimResult(picture=picture, t=t, states=ys.reshape(-1, 2, 2), stats=stats)
+        bloch, stats = np.broadcast_to(r0, (t.size, 3)), None
+    else:
+        span, scale = t[-1] - t[0], ctrl.fastest_scale()
+        max_step = min(PHASE_PER_STEP / scale, span / 8.0) if scale > 0.0 else span / 8.0
+        bloch, stats = integrate_adaptive(rhs, (t[0], t[-1]), r0, t, rtol=rtol, atol=atol,
+                                          max_step=max_step)
+    states = np.empty((t.size, 2, 2), dtype=complex)
+    states[:, 0, 0] = 0.5 * (1.0 + bloch[:, 2])
+    states[:, 1, 1] = 0.5 * (1.0 - bloch[:, 2])
+    states[:, 0, 1] = 0.5 * (bloch[:, 0] - 1.0j * bloch[:, 1])
+    states[:, 1, 0] = np.conj(states[:, 0, 1])
+    return SimResult(picture=picture, t=t, states=states, stats=stats)
 
 
 def dissipator_action(rho: np.ndarray, rates: Rates) -> np.ndarray:
@@ -161,7 +191,8 @@ def dissipator_action(rho: np.ndarray, rates: Rates) -> np.ndarray:
 
     Pure dephasing at rate ``dephasing`` plus a thermal channel at rate
     ``thermal`` with mean occupation ``occupancy``: emission weight
-    (occupancy + 1), absorption weight occupancy.
+    (occupancy + 1), absorption weight occupancy. The propagators use the
+    closed-form constants in ``rates``; this is their independent reference.
     """
     occ = rates.occupancy
     out = 0.5 * rates.dephasing * (SIGMA_Z @ rho @ SIGMA_Z - rho)
@@ -180,16 +211,8 @@ def integrate_lab(field: ControlField, rho0, grid, *,
     state is taken as already expressed in the lab frame; use
     ``frame_transform`` to move a co-rotating state there first.
     """
-    ctrl = ControlInterpolant(field)
-
-    def rhs(t, y):
-        rho = y.reshape(2, 2)
-        half0 = 0.5 * ctrl.omega0(t)
-        drive = ctrl.omega_r(t) * np.cos(ctrl.phi(t))  # full weight on sigma_x
-        h = np.array([[half0, drive], [drive, -half0]], dtype=complex)
-        return (-1j * (h @ rho - rho @ h)).ravel()
-
-    return _run_density("lab", rhs, ctrl, rho0, grid, rtol, atol)
+    r0 = bloch_from_density(validate_density(rho0))
+    return _propagate("lab", field, _lab_field, Rates(), r0, grid, rtol, atol)
 
 
 def integrate_interaction(field: ControlField, rho0, grid, *,
@@ -202,17 +225,10 @@ def integrate_interaction(field: ControlField, rho0, grid, *,
     oscillating term is dropped (Omega_c = Omega_R), which is the
     rotating-wave approximation of this drive.
     """
-    ctrl = ControlInterpolant(field)
-
-    def rhs(t, y):
-        rho = y.reshape(2, 2)
-        om_c = ctrl.omega_r(t) * (1.0 if rwa else 1.0 + np.exp(-2.0j * ctrl.phi(t)))
-        half_d = 0.5 * ctrl.delta(t)
-        h = np.array([[-half_d, 0.5 * np.conj(om_c)], [0.5 * om_c, half_d]], dtype=complex)
-        return (-1j * (h @ rho - rho @ h)).ravel()
-
-    return _run_density("interaction-rwa" if rwa else "interaction",
-                        rhs, ctrl, rho0, grid, rtol, atol)
+    r0 = bloch_from_density(validate_density(rho0))
+    if rwa:
+        return _propagate("interaction-rwa", field, _rwa_field, Rates(), r0, grid, rtol, atol)
+    return _propagate("interaction", field, _carrier_field, Rates(), r0, grid, rtol, atol)
 
 
 def integrate_lindblad(field: ControlField, rates: Rates, rho0, grid, *,
@@ -233,20 +249,9 @@ def integrate_lindblad(field: ControlField, rates: Rates, rho0, grid, *,
     """
     if hamiltonian not in ("design", "field"):
         raise ValidationError(f"hamiltonian must be 'design' or 'field', got {hamiltonian!r}")
-    ctrl = ControlInterpolant(field)
-
-    def rhs(t, y):
-        rho = y.reshape(2, 2)
-        half_d = 0.5 * ctrl.delta(t)
-        if hamiltonian == "design":
-            half_om = 0.5 * ctrl.omega(t)
-            h = np.array([[-half_d, half_om], [half_om, half_d]], dtype=complex)
-        else:
-            om_c = ctrl.omega_r(t) * (1.0 + np.exp(-2.0j * ctrl.phi(t)))
-            h = np.array([[-half_d, 0.5 * np.conj(om_c)], [0.5 * om_c, half_d]], dtype=complex)
-        return ((-1j * (h @ rho - rho @ h)) + dissipator_action(rho, rates)).ravel()
-
-    return _run_density("lindblad", rhs, ctrl, rho0, grid, rtol, atol)
+    r0 = bloch_from_density(validate_density(rho0))
+    field_at = _design_field if hamiltonian == "design" else _carrier_field
+    return _propagate("lindblad", field, field_at, rates, r0, grid, rtol, atol)
 
 
 def integrate_bloch_effective(field: ControlField, rates: Rates, r0, grid, *,
@@ -260,42 +265,12 @@ def integrate_bloch_effective(field: ControlField, rates: Rates, r0, grid, *,
     with G the transverse rate. This is the model the synthesis inverts, so
     tracking error here isolates numerical error alone.
     """
-    ctrl = ControlInterpolant(field)
-    t, zero_span = _prepare_grid(grid)
-    _check_window(ctrl, t)
     r0 = np.asarray(r0, dtype=float)
     if r0.shape != (3,):
         raise ValidationError(f"initial Bloch vector must have shape (3,), got {r0.shape}")
     if np.linalg.norm(r0) > 1.0 + 1e-9:
         raise ValidationError("initial Bloch vector leaves the unit ball")
-
-    g_t = rates.dephasing + rates.thermal * (2.0 * rates.occupancy + 1.0)
-    gam_th, occ = rates.thermal, rates.occupancy
-
-    def rhs(tt, r):
-        u, v, w = r
-        om, de = ctrl.omega(tt), ctrl.delta(tt)
-        return np.array([
-            de * v - g_t * u,
-            -de * u - om * w - g_t * v,
-            om * v - 2.0 * gam_th * (1.0 + w + 2.0 * occ * w),
-        ])
-
-    if zero_span:
-        bloch = np.broadcast_to(r0, (t.size, 3)).copy()
-        stats = None
-    else:
-        bloch, stats = integrate_adaptive(
-            rhs, (t[0], t[-1]), r0, t, rtol=rtol, atol=atol,
-            max_step=_max_step(ctrl, t[-1] - t[0]),
-        )
-        bloch = bloch.real
-    states = np.empty((t.size, 2, 2), dtype=complex)
-    states[:, 0, 0] = 0.5 * (1.0 + bloch[:, 2])
-    states[:, 1, 1] = 0.5 * (1.0 - bloch[:, 2])
-    states[:, 0, 1] = 0.5 * (bloch[:, 0] - 1.0j * bloch[:, 1])
-    states[:, 1, 0] = np.conj(states[:, 0, 1])
-    return SimResult(picture="effective-bloch", t=t, states=states, stats=stats)
+    return _propagate("effective-bloch", field, _design_field, rates, r0, grid, rtol, atol)
 
 
 def frame_transform(states, phi, direction: str = "to_interaction") -> np.ndarray:

@@ -1,10 +1,9 @@
 """Adaptive Dormand-Prince 5(4) integrator with dense output.
 
-A small explicit Runge-Kutta core shared by every simulation picture. It
-integrates flat real or complex state vectors, emits the solution on a caller
-grid through a quartic dense interpolant, counts accepted and rejected steps,
-and can re-project the state after every accepted step (used to keep density
-matrices exactly Hermitian). Times are in ps.
+A small explicit Runge-Kutta core shared by every simulation picture and by
+the open-system v-completion. It integrates flat real or complex state
+vectors, emits the solution on a caller grid through a quartic dense
+interpolant, and counts accepted and rejected steps. Times are in ps.
 """
 
 from __future__ import annotations
@@ -75,7 +74,6 @@ def integrate_adaptive(
     rtol: float = 1e-10,
     atol: float = 1e-12,
     max_step: float = np.inf,
-    project: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, IntegrationStats]:
     """Integrate dy/dt = rhs(t, y) and sample the result on ``t_eval``.
 
@@ -95,9 +93,6 @@ def integrate_adaptive(
     max_step : float
         Upper bound on the step size, e.g. a fraction of the fastest carrier
         period so oscillations stay resolved.
-    project : callable, optional
-        Applied to the state after every accepted step and to every emitted
-        sample (e.g. Hermitian symmetrization). Must preserve shape.
 
     Returns
     -------
@@ -112,7 +107,8 @@ def integrate_adaptive(
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (np.isfinite(t0) and np.isfinite(t1)) or t1 <= t0:
         raise ValidationError(f"integration span must be finite with t1 > t0, got ({t0}, {t1})")
-    y = np.atleast_1d(np.asarray(y0)).astype(np.result_type(y0, np.float64), copy=True)
+    y0 = np.asarray(y0)
+    y = np.atleast_1d(y0).astype(np.result_type(y0, np.float64), copy=True)
     if y.ndim != 1:
         raise ValidationError("initial state must flatten to a 1-D vector")
     teval = np.asarray(t_eval, dtype=float)
@@ -129,13 +125,10 @@ def integrate_adaptive(
     out = np.empty((teval.size, n), dtype=y.dtype)
     stats = IntegrationStats()
 
-    def emit(idx: int, value: np.ndarray) -> None:
-        out[idx] = project(value) if project is not None else value
-
     # emit any samples sitting exactly at the start
     next_emit = 0
     while next_emit < teval.size and teval[next_emit] <= t0:
-        emit(next_emit, y)
+        out[next_emit] = y
         next_emit += 1
 
     span = t1 - t0
@@ -172,16 +165,11 @@ def integrate_adaptive(
             while next_emit < teval.size and teval[next_emit] <= t + h + 1e-14 * max(abs(t), 1.0):
                 theta = min(max((teval[next_emit] - t) / h, 0.0), 1.0)
                 p = np.array([theta, theta**2, theta**3, theta**4])
-                emit(next_emit, y + h * (dense @ p))
+                out[next_emit] = y + h * (dense @ p)
                 next_emit += 1
             t += h
             y = y_new
-            if project is not None:
-                y = project(y)
-                k[0] = rhs(t, y)
-                stats.rhs_evals += 1
-            else:
-                k[0] = k[6]
+            k[0] = k[6]
             stats.accepted += 1
             stats.max_error_ratio = max(stats.max_error_ratio, ratio)
             factor = _SAFETY * ratio ** -0.2 if ratio > 0.0 else _MAX_FACTOR
@@ -193,7 +181,5 @@ def integrate_adaptive(
             grow_cap = 1.0  # no growth right after a rejection
 
     # samples at t1 within roundoff
-    while next_emit < teval.size:
-        emit(next_emit, y)
-        next_emit += 1
+    out[next_emit:] = y
     return out, stats

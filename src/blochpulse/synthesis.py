@@ -37,6 +37,7 @@ __all__ = [
     "DENOM_MIN",
     "omega_delta_from_components",
     "phase_from_detuning",
+    "pulse_from_components",
     "rabi_from_phase",
     "synthesize_pulse",
 ]
@@ -167,6 +168,40 @@ def rabi_from_phase(omega, phi, times=None, *, denom_min: float = DENOM_MIN) -> 
     return omega / denom
 
 
+def pulse_from_components(
+    samples: TrajectorySamples,
+    v,
+    rates: Rates,
+    omega0,
+    *,
+    v_min: float = V_MIN,
+    denom_min: float = DENOM_MIN,
+    phase_zero: float | str = "center",
+) -> ControlField:
+    """Drive realizing trajectory samples whose transverse component ``v`` is known.
+
+    Inverts the Bloch equations for Omega and Delta, accumulates the carrier
+    phase, and forms the physical envelope. ``samples`` and ``v`` share the
+    grid ``samples.t``; the keywords are those of ``synthesize_pulse``.
+    """
+    t = samples.t
+    omega, delta = omega_delta_from_components(
+        samples.u, samples.w, samples.du, samples.dw, v, rates, v_min=v_min)
+    if phase_zero == "center":
+        zero_time = 0.5 * (t[0] + t[-1])
+    elif phase_zero == "start":
+        zero_time = t[0]
+    else:
+        zero_time = float(phase_zero)
+    omega0_arr = np.broadcast_to(np.asarray(omega0, dtype=float), t.shape).copy()
+    if not np.all(np.isfinite(omega0_arr)):
+        raise ValidationError("omega0 contains non-finite values")
+    phi = phase_from_detuning(omega0_arr, delta, t, zero_time=zero_time)
+    omega_r = rabi_from_phase(omega, phi, times=t, denom_min=denom_min)
+    return ControlField(t=t, omega=omega, delta=delta, phi=phi,
+                        omega_r=omega_r, omega0=omega0_arr)
+
+
 def synthesize_pulse(
     spec: TrajectorySpec,
     rates: Rates,
@@ -181,9 +216,9 @@ def synthesize_pulse(
     """Reverse-engineer the drive that steers the system along ``spec``.
 
     Pipeline: evaluate the trajectory, complete v (purity closure for a
-    closed system, consistency integration when rates are present), invert
-    the Bloch equations for Omega and Delta, accumulate the carrier phase,
-    and form the physical envelope.
+    closed system, consistency integration when rates are present), then
+    ``pulse_from_components``: invert the Bloch equations for Omega and
+    Delta, accumulate the carrier phase, and form the physical envelope.
 
     Parameters
     ----------
@@ -212,18 +247,5 @@ def synthesize_pulse(
         v = complete_v_closed(samples, v_min=v_min)
     else:
         v = solve_consistent_v_open(samples, rates, v0=v0, v_min=v_min)
-    omega, delta = omega_delta_from_components(
-        samples.u, samples.w, samples.du, samples.dw, v, rates, v_min=v_min)
-    if phase_zero == "center":
-        zero_time = 0.5 * (t[0] + t[-1])
-    elif phase_zero == "start":
-        zero_time = t[0]
-    else:
-        zero_time = float(phase_zero)
-    omega0_arr = np.broadcast_to(np.asarray(omega0, dtype=float), t.shape).copy()
-    if not np.all(np.isfinite(omega0_arr)):
-        raise ValidationError("omega0 contains non-finite values")
-    phi = phase_from_detuning(omega0_arr, delta, t, zero_time=zero_time)
-    omega_r = rabi_from_phase(omega, phi, times=t, denom_min=denom_min)
-    return ControlField(t=t, omega=omega, delta=delta, phi=phi,
-                        omega_r=omega_r, omega0=omega0_arr)
+    return pulse_from_components(samples, v, rates, omega0, v_min=v_min,
+                                 denom_min=denom_min, phase_zero=phase_zero)

@@ -3,11 +3,14 @@
 Each failure class maps to a frozen exit code: 2 for configuration problems
 (including missing files), 3 for numerical failures such as a carrier
 singularity. Most tests call main() in-process; one subprocess test proves
-the installed console script dispatches at all.
+the declared console-script entry point dispatches at all.
 """
 
 import json
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +23,8 @@ from blochpulse import (
     save_scenario,
 )
 from blochpulse.cli import main
+
+_ROOT = Path(__file__).resolve().parents[1]
 
 _MINI = ScenarioConfig(
     name="mini",
@@ -100,6 +105,14 @@ def test_missing_config_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_out_dir_that_is_a_file_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "occupied"
+    blocker.write_text("not a directory", encoding="utf-8")
+    assert main(["preset", "run", "fig1_L1", "--out-dir", str(blocker),
+                 "--pictures", "effective-bloch"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_invalid_config_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     data = {"name": "bad",
@@ -134,7 +147,17 @@ def test_open_scenario_rejects_lab_picture(capsys):
 
 
 def test_console_script_dispatches():
-    proc = subprocess.run(["blochpulse", "preset", "list"],
-                          capture_output=True, text=True, timeout=60)
+    # the declared console script points at main; running the package as a
+    # module in a fresh interpreter proves that entry point dispatches
+    import tomllib  # Python >= 3.11
+
+    with open(_ROOT / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts["blochpulse"] == "blochpulse.cli:main"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(_ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "blochpulse", "preset", "list"],
+                          capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0
     assert "fig4" in proc.stdout

@@ -1,13 +1,17 @@
 """Propagators: analytic rotations, picture cross-checks, dissipator algebra.
 
-Oracles: free precession and resonant Rabi flopping in closed form, and two
-exact reductions with all rates off: the master equation driven by the design
-coupling collapses onto the damped component equations, and the one driven by
-the carrier-resolved coupling collapses onto the co-rotating propagator.
+Oracles: free precession and resonant Rabi flopping in closed form, two
+exact reductions with all rates off (the master equation driven by the design
+coupling collapses onto the damped component equations, the one driven by the
+carrier-resolved coupling onto the co-rotating propagator), and an
+independent density-matrix reference: each picture's 2x2 Hamiltonian built
+from the Pauli matrices plus the matrix dissipator, integrated by scipy.
 """
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
+from scipy.interpolate import CubicSpline
 
 from blochpulse import (
     ControlField,
@@ -15,6 +19,7 @@ from blochpulse import (
     Rates,
     Transfer,
     ValidationError,
+    bloch_from_density,
     complete_v_closed,
     density_from_bloch,
     dissipator_action,
@@ -24,8 +29,10 @@ from blochpulse import (
     integrate_interaction,
     integrate_lab,
     integrate_lindblad,
+    preset,
     synthesize_pulse,
 )
+from blochpulse.states import SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Z
 
 
 def _constant_field(t, omega=0.0, delta=0.0, phi=0.0, omega_r=0.0, omega0=0.0):
@@ -112,6 +119,49 @@ def test_field_lindblad_without_rates_matches_interaction():
     master = integrate_lindblad(field, Rates(), rho0, _GRID, hamiltonian="field")
     rotating = integrate_interaction(field, rho0, _GRID)
     assert np.max(np.abs(master.states - rotating.states)) < 1e-12
+
+
+def _master_equation_reference(hamiltonian, rates, rho0, t):
+    """Bloch vectors from d rho/dt = -i [H, rho] + D(rho), solved by DOP853."""
+    def rhs(tt, y):
+        rho = y.reshape(2, 2)
+        h = hamiltonian(tt)
+        return (-1j * (h @ rho - rho @ h) + dissipator_action(rho, rates)).ravel()
+
+    sol = solve_ivp(rhs, (t[0], t[-1]), rho0.ravel().astype(complex), method="DOP853",
+                    t_eval=t, rtol=1e-12, atol=1e-14)
+    assert sol.success
+    return np.array([bloch_from_density(y.reshape(2, 2)) for y in sol.y.T])
+
+
+def test_pictures_match_density_matrix_reference():
+    cfg = preset("fig1_L3")
+    t = cfg.window.grid()
+    field = synthesize_pulse(cfg.trajectory, Rates(), cfg.transition.values(t), t)
+    omega, delta, phi, omega_r, omega0 = (
+        CubicSpline(t, x) for x in (field.omega, field.delta, field.phi,
+                                    field.omega_r, field.omega0))
+    open_rates = Rates(dephasing=2e-3, thermal=1e-3, occupancy=0.5)
+    _, rho0 = _start_state()
+
+    def carrier(tt, rwa=False):
+        om_c = omega_r(tt) * (1.0 if rwa else 1.0 + np.exp(-2.0j * phi(tt)))
+        return 0.5 * (-delta(tt) * SIGMA_Z + om_c * SIGMA_MINUS + np.conj(om_c) * SIGMA_PLUS)
+
+    cases = [
+        (integrate_lab(field, rho0, t), Rates(),
+         lambda tt: 0.5 * omega0(tt) * SIGMA_Z + omega_r(tt) * np.cos(phi(tt)) * SIGMA_X),
+        (integrate_interaction(field, rho0, t), Rates(), carrier),
+        (integrate_interaction(field, rho0, t, rwa=True), Rates(),
+         lambda tt: carrier(tt, rwa=True)),
+        (integrate_lindblad(field, open_rates, rho0, t), open_rates,
+         lambda tt: 0.5 * (-delta(tt) * SIGMA_Z + omega(tt) * SIGMA_X)),
+        (integrate_lindblad(field, open_rates, rho0, t, hamiltonian="field"), open_rates,
+         carrier),
+    ]
+    for res, rates, hamiltonian in cases:
+        ref = _master_equation_reference(hamiltonian, rates, rho0, t)
+        assert np.max(np.abs(res.bloch - ref)) < 1e-8, res.picture
 
 
 def test_lindblad_rejects_unknown_hamiltonian():

@@ -64,15 +64,13 @@ def test_rejections_are_counted():
     assert stats.rhs_evals > 6 * stats.accepted
 
 
-def test_projection_hook_applies_to_outputs():
-    def project(y):
-        return y / np.abs(y[0])
-
-    t = np.linspace(0.0, 5.0, 301)
-    ys, _ = integrate_adaptive(lambda tt, y: 1j * y, (0.0, 5.0),
-                               np.array([1.0 + 0.0j]), t, rtol=1e-6, atol=1e-8,
-                               project=project)
-    assert np.max(np.abs(np.abs(ys[:, 0]) - 1.0)) < 1e-14
+def test_list_initial_state_matches_array():
+    t = np.linspace(0.0, 2.0, 21)
+    a = np.array([[0.0, 1.0], [-1.0, -0.1]])
+    from_list, _ = integrate_adaptive(lambda tt, y: a @ y, (0.0, 2.0), [1.0, 0.0], t)
+    from_array, _ = integrate_adaptive(lambda tt, y: a @ y, (0.0, 2.0),
+                                       np.array([1.0, 0.0]), t)
+    assert np.array_equal(from_list, from_array)
 
 
 def test_emits_endpoints_and_interior():

@@ -7,6 +7,7 @@ freeze the CSV header bytes and require byte-identical files across fresh
 pipeline runs.
 """
 
+import dataclasses
 import json
 import xml.etree.ElementTree as ET
 
@@ -27,6 +28,7 @@ from blochpulse import (
     export_field_csv,
     export_svg,
     load_scenario,
+    omega_delta_from_components,
     preset,
     preset_names,
     preset_note,
@@ -226,6 +228,16 @@ def test_run_scenario_populates_everything(mini_run):
     u, v, w = mini_run.prescribed
     assert u.shape == v.shape == w.shape == (201,)
     assert mini_run.reports["effective-bloch"].sup < 1e-6
+
+
+def test_open_run_drive_comes_from_the_reported_v():
+    # the tracking report compares against run.v, so the drive must be
+    # synthesized from that same completion, not from a second one
+    run = run_scenario(dataclasses.replace(preset("fig3"), pictures=()))
+    s = run.samples
+    omega, delta = omega_delta_from_components(s.u, s.w, s.du, s.dw, run.v, run.config.rates)
+    for got, want in ((omega, run.field.omega), (delta, run.field.delta)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_csv_export_deterministic(tmp_path):
