@@ -32,7 +32,7 @@ from .scenario import (
     preset_note,
     run_scenario,
 )
-from .states import purity, validate_density
+from .states import validate_density
 from .synthesis import synthesize_pulse
 
 __all__ = ["main"]
@@ -69,8 +69,7 @@ def _cmd_synthesize(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _apply_overrides(load_scenario(args.config), args)
+def _run_and_export(cfg: ScenarioConfig, args) -> int:
     run = run_scenario(cfg)
     written = export_all(run, args.out_dir, svg=args.svg)
     for pic in cfg.pictures:
@@ -80,16 +79,21 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _cmd_simulate(args) -> int:
+    return _run_and_export(_apply_overrides(load_scenario(args.config), args), args)
+
+
 def _print_sanity(run) -> None:
     for pic, res in run.results.items():
-        worst_trace = max(abs(s[0, 0].real + s[1, 1].real - 1.0) for s in res.states)
-        worst_herm = max(float(np.max(np.abs(s - s.conj().T))) for s in res.states)
-        validate_density(res.states[-1])
+        states = res.states
+        worst_trace = np.max(np.abs(states[:, 0, 0].real + states[:, 1, 1].real - 1.0))
+        worst_herm = np.max(np.abs(states - np.conj(np.swapaxes(states, 1, 2))))
+        validate_density(states[-1])
         line = (f"[{pic}] trace defect {worst_trace:.2e}, Hermiticity defect "
                 f"{worst_herm:.2e}")
         if run.config.rates.closed:
-            worst_purity = max(abs(purity(s) - 1.0) for s in res.states)
-            line += f", purity defect {worst_purity:.2e}"
+            purity = np.einsum("nij,nji->n", states, states).real  # Tr(rho^2)
+            line += f", purity defect {np.max(np.abs(purity - 1.0)):.2e}"
         if res.stats is not None:
             line += (f"; steps {res.stats.accepted} (+{res.stats.rejected} rejected), "
                      f"rhs evals {res.stats.rhs_evals}")
@@ -112,14 +116,7 @@ def _cmd_preset(args) -> int:
         for name in preset_names():
             print(f"{name:10s} {preset_note(name)}")
         return 0
-    cfg = _apply_overrides(preset(args.name), args)
-    run = run_scenario(cfg)
-    written = export_all(run, args.out_dir, svg=args.svg)
-    for pic in cfg.pictures:
-        print(run.reports[pic].summary())
-    for path in written:
-        print(f"wrote {path}")
-    return 0
+    return _run_and_export(_apply_overrides(preset(args.name), args), args)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -15,9 +15,10 @@ Pictures:
 Every picture is one affine equation for the Bloch vector r = (u, v, w),
 dr/dt = b(t) x r - (G, G, Gamma_1) r + (0, 0, -2 Gamma), with H = b . sigma / 2,
 G and Gamma_1 the transverse and inversion decay rates and Gamma the thermal
-rate; only the field b(t) differs. One propagator integrates it and forms the
-density matrices from r. Control channels are interpolated with node-exact
-cubic splines. Step sizes are capped by the fastest carrier scale so
+rate; only the field b(t) differs. Every integrator takes the initial state as
+a Bloch vector, and one propagator integrates it and stores r; density
+matrices are derived from r on demand. Control channels are interpolated with
+node-exact cubic splines. Step sizes are capped by the fastest carrier scale so
 oscillations stay resolved. Times in ps, angular frequencies in rad/ps.
 """
 
@@ -32,13 +33,7 @@ from scipy.interpolate import CubicSpline
 from .errors import ValidationError
 from .odeint import IntegrationStats, integrate_adaptive
 from .rates import Rates, inversion_decay_rate, transverse_rate
-from .states import (
-    SIGMA_MINUS,
-    SIGMA_PLUS,
-    SIGMA_Z,
-    bloch_from_density,
-    validate_density,
-)
+from .states import SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, _checked_bloch, _density, validate_grid
 from .synthesis import ControlField
 
 __all__ = [
@@ -63,28 +58,27 @@ _PROJ_GG = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)  # sigma_- sigma_+
 class SimResult:
     """One simulated evolution on a sample grid.
 
-    ``states`` holds density matrices of shape (n, 2, 2) in whichever frame
-    the picture evolves; ``bloch`` exposes the Pauli expectation values.
+    ``bloch`` holds the Pauli expectation values (u, v, w), shape (n, 3), in
+    whichever frame the picture evolves. The density matrices and populations
+    are derived from it and never validated: a loose-tolerance run may graze
+    the sphere.
     """
 
     picture: str
     t: np.ndarray
-    states: np.ndarray
+    bloch: np.ndarray
     stats: IntegrationStats | None = None
 
     @property
-    def bloch(self) -> np.ndarray:
-        """Bloch components, shape (n, 3) with columns (u, v, w)."""
-        out = np.empty((self.states.shape[0], 3))
-        out[:, 0] = 2.0 * self.states[:, 0, 1].real
-        out[:, 1] = -2.0 * self.states[:, 0, 1].imag
-        out[:, 2] = (self.states[:, 0, 0] - self.states[:, 1, 1]).real
-        return out
+    def states(self) -> np.ndarray:
+        """Density matrices, shape (n, 2, 2)."""
+        return _density(self.bloch)
 
     @property
     def populations(self) -> np.ndarray:
         """Excited and ground populations, shape (n, 2)."""
-        return np.stack([self.states[:, 0, 0].real, self.states[:, 1, 1].real], axis=1)
+        w = self.bloch[:, 2]
+        return np.stack([0.5 * (1.0 + w), 0.5 * (1.0 - w)], axis=1)
 
 
 class ControlInterpolant:
@@ -113,20 +107,6 @@ class ControlInterpolant:
         return float(max(rates))
 
 
-def _prepare_grid(grid) -> tuple[np.ndarray, bool]:
-    t = np.atleast_1d(np.asarray(grid, dtype=float))
-    if t.ndim != 1 or t.size == 0:
-        raise ValidationError("sample grid must be a non-empty 1-D array")
-    if not np.all(np.isfinite(t)):
-        raise ValidationError("sample grid contains non-finite values")
-    if np.any(np.diff(t) < 0.0):
-        raise ValidationError("sample grid must be non-decreasing")
-    zero_span = t[-1] - t[0] == 0.0
-    if not zero_span and np.any(np.diff(t) == 0.0):
-        raise ValidationError("sample grid must be strictly increasing")
-    return t, zero_span
-
-
 # Fields b(t) with H = b . sigma / 2, as plain floats: the right-hand side
 # runs thousands of times per picture and numpy scalars would dominate it.
 
@@ -149,13 +129,16 @@ def _design_field(ctrl: ControlInterpolant, t: float) -> tuple[float, float, flo
 
 
 def _propagate(picture: str, field: ControlField, field_at, rates: Rates,
-               r0: np.ndarray, grid, rtol: float, atol: float) -> SimResult:
+               r0, grid, rtol: float, atol: float) -> SimResult:
     """Integrate dr/dt = b x r - (G, G, Gamma_1) r + (0, 0, -2 Gamma) on ``grid``.
 
-    ``field_at(ctrl, t)`` gives b(t); density matrices are formed from r.
+    ``field_at(ctrl, t)`` gives b(t); ``r0`` is the Bloch vector at ``grid[0]``.
     """
+    r0 = _checked_bloch(r0)
+    if r0.shape != (3,):
+        raise ValidationError(f"initial Bloch vector must have shape (3,), got {r0.shape}")
     ctrl = ControlInterpolant(field)
-    t, zero_span = _prepare_grid(grid)
+    t = validate_grid(grid)
     if t[0] < ctrl.t0 - 1e-12 or t[-1] > ctrl.t1 + 1e-12:
         raise ValidationError(
             f"sample grid [{t[0]:g}, {t[-1]:g}] leaves the control window "
@@ -171,19 +154,11 @@ def _propagate(picture: str, field: ControlField, field_at, rates: Rates,
             bx * v - by * u - g_1 * w + pump,
         ])
 
-    if zero_span:
-        bloch, stats = np.broadcast_to(r0, (t.size, 3)), None
-    else:
-        span, scale = t[-1] - t[0], ctrl.fastest_scale()
-        max_step = min(PHASE_PER_STEP / scale, span / 8.0) if scale > 0.0 else span / 8.0
-        bloch, stats = integrate_adaptive(rhs, (t[0], t[-1]), r0, t, rtol=rtol, atol=atol,
-                                          max_step=max_step)
-    states = np.empty((t.size, 2, 2), dtype=complex)
-    states[:, 0, 0] = 0.5 * (1.0 + bloch[:, 2])
-    states[:, 1, 1] = 0.5 * (1.0 - bloch[:, 2])
-    states[:, 0, 1] = 0.5 * (bloch[:, 0] - 1.0j * bloch[:, 1])
-    states[:, 1, 0] = np.conj(states[:, 0, 1])
-    return SimResult(picture=picture, t=t, states=states, stats=stats)
+    span, scale = t[-1] - t[0], ctrl.fastest_scale()
+    max_step = min(PHASE_PER_STEP / scale, span / 8.0) if scale > 0.0 else span / 8.0
+    bloch, stats = integrate_adaptive(rhs, (t[0], t[-1]), r0, t, rtol=rtol, atol=atol,
+                                      max_step=max_step)
+    return SimResult(picture=picture, t=t, bloch=bloch, stats=stats)
 
 
 def dissipator_action(rho: np.ndarray, rates: Rates) -> np.ndarray:
@@ -203,19 +178,18 @@ def dissipator_action(rho: np.ndarray, rates: Rates) -> np.ndarray:
     return out
 
 
-def integrate_lab(field: ControlField, rho0, grid, *,
+def integrate_lab(field: ControlField, r0, grid, *,
                   rtol: float = 1e-10, atol: float = 1e-12) -> SimResult:
     """Closed-system evolution under the physical lab-frame Hamiltonian.
 
     H(t) = (omega0 / 2) sigma_z + Omega_R(t) cos(phi(t)) sigma_x. The initial
-    state is taken as already expressed in the lab frame; use
+    Bloch vector is taken as already expressed in the lab frame; use
     ``frame_transform`` to move a co-rotating state there first.
     """
-    r0 = bloch_from_density(validate_density(rho0))
     return _propagate("lab", field, _lab_field, Rates(), r0, grid, rtol, atol)
 
 
-def integrate_interaction(field: ControlField, rho0, grid, *,
+def integrate_interaction(field: ControlField, r0, grid, *,
                           rtol: float = 1e-10, atol: float = 1e-12,
                           rwa: bool = False) -> SimResult:
     """Closed-system evolution in the carrier co-rotating frame.
@@ -223,21 +197,23 @@ def integrate_interaction(field: ControlField, rho0, grid, *,
     The coupling keeps its counter-rotating part exactly:
     Omega_c(t) = Omega_R (1 + exp(-2 i phi)). With ``rwa=True`` the
     oscillating term is dropped (Omega_c = Omega_R), which is the
-    rotating-wave approximation of this drive.
+    rotating-wave approximation of this drive. ``r0`` is the initial Bloch
+    vector in the co-rotating frame.
     """
-    r0 = bloch_from_density(validate_density(rho0))
     if rwa:
         return _propagate("interaction-rwa", field, _rwa_field, Rates(), r0, grid, rtol, atol)
     return _propagate("interaction", field, _carrier_field, Rates(), r0, grid, rtol, atol)
 
 
-def integrate_lindblad(field: ControlField, rates: Rates, rho0, grid, *,
+def integrate_lindblad(field: ControlField, rates: Rates, r0, grid, *,
                        rtol: float = 1e-10, atol: float = 1e-12,
                        hamiltonian: str = "design") -> SimResult:
     """Open-system evolution under the master equation.
 
     Parameters
     ----------
+    r0 : array_like
+        Initial Bloch vector (u, v, w) in the co-rotating frame.
     hamiltonian : "design" | "field"
         "design" (default) uses the real coupling the synthesis inverted,
         H = (1/2) [[-Delta, Omega], [Omega, Delta]]; the master equation then
@@ -249,7 +225,6 @@ def integrate_lindblad(field: ControlField, rates: Rates, rho0, grid, *,
     """
     if hamiltonian not in ("design", "field"):
         raise ValidationError(f"hamiltonian must be 'design' or 'field', got {hamiltonian!r}")
-    r0 = bloch_from_density(validate_density(rho0))
     field_at = _design_field if hamiltonian == "design" else _carrier_field
     return _propagate("lindblad", field, field_at, rates, r0, grid, rtol, atol)
 
@@ -265,11 +240,6 @@ def integrate_bloch_effective(field: ControlField, rates: Rates, r0, grid, *,
     with G the transverse rate. This is the model the synthesis inverts, so
     tracking error here isolates numerical error alone.
     """
-    r0 = np.asarray(r0, dtype=float)
-    if r0.shape != (3,):
-        raise ValidationError(f"initial Bloch vector must have shape (3,), got {r0.shape}")
-    if np.linalg.norm(r0) > 1.0 + 1e-9:
-        raise ValidationError("initial Bloch vector leaves the unit ball")
     return _propagate("effective-bloch", field, _design_field, rates, r0, grid, rtol, atol)
 
 

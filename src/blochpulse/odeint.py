@@ -8,6 +8,7 @@ interpolant, and counts accepted and rejected steps. Times are in ps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -84,7 +85,7 @@ def integrate_adaptive(
     t_span : (float, float)
         Integration window (t0, t1) with t1 > t0, in ps.
     y0 : array_like
-        Initial state, flattened to 1-D. Real or complex.
+        Initial state, flattened to 1-D. Real or complex, and finite.
     t_eval : array_like
         Non-decreasing sample times inside ``t_span``. The solution at these
         points comes from the dense interpolant, not from forcing steps.
@@ -102,7 +103,8 @@ def integrate_adaptive(
     Raises
     ------
     IntegrationError
-        If the step size underflows or the step budget is exhausted.
+        If the step size underflows, the step budget is exhausted, or the
+        right-hand side yields a non-finite error estimate.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (np.isfinite(t0) and np.isfinite(t1)) or t1 <= t0:
@@ -111,6 +113,8 @@ def integrate_adaptive(
     y = np.atleast_1d(y0).astype(np.result_type(y0, np.float64), copy=True)
     if y.ndim != 1:
         raise ValidationError("initial state must flatten to a 1-D vector")
+    if not np.all(np.isfinite(y)):
+        raise ValidationError("initial state contains non-finite values")
     teval = np.asarray(t_eval, dtype=float)
     if teval.ndim != 1 or teval.size == 0:
         raise ValidationError("t_eval must be a non-empty 1-D array")
@@ -158,6 +162,8 @@ def integrate_adaptive(
         err = h * (_E @ k)
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
         ratio = _rms_norm(err / scale)
+        if not math.isfinite(ratio):
+            raise IntegrationError(f"non-finite local error estimate at t = {t:.6g} ps")
 
         if ratio <= 1.0:
             # dense interpolant over [t, t + h]: y(t + theta h) = y + h K^T P p(theta)

@@ -39,7 +39,7 @@ from .dynamics import (
 )
 from .errors import ValidationError
 from .rates import Rates
-from .states import density_from_bloch
+from .states import bloch_from_density, density_from_bloch
 # synthesize_pulse is unused here but stays importable from this module: the
 # benchmark tracer in perfbench/ wraps scenario.synthesize_pulse by name.
 from .synthesis import ControlField, pulse_from_components, synthesize_pulse  # noqa: F401
@@ -513,7 +513,6 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
     norm0 = np.linalg.norm(r0)
     if norm0 > 1.0:  # grazes the sphere by roundoff at most
         r0 = r0 / norm0
-    rho0 = density_from_bloch(r0)
 
     results: dict[str, SimResult] = {}
     reports: dict[str, TrackingReport] = {}
@@ -524,16 +523,18 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
             comparable = res
         elif pic == "interaction":
             if cfg.rates.closed:
-                res = integrate_interaction(field, rho0, grid, rtol=cfg.rtol, atol=cfg.atol)
+                res = integrate_interaction(field, r0, grid, rtol=cfg.rtol, atol=cfg.atol)
             else:
-                res = integrate_lindblad(field, cfg.rates, rho0, grid,
+                res = integrate_lindblad(field, cfg.rates, r0, grid,
                                          rtol=cfg.rtol, atol=cfg.atol)
             comparable = res
         else:  # "lab", closed only (enforced by the config)
-            rho_lab0 = frame_transform(rho0, field.phi[0], "to_lab")
-            res = integrate_lab(field, rho_lab0, grid, rtol=cfg.rtol, atol=cfg.atol)
+            rho_lab0 = frame_transform(density_from_bloch(r0), field.phi[0], "to_lab")
+            res = integrate_lab(field, bloch_from_density(rho_lab0), grid,
+                                rtol=cfg.rtol, atol=cfg.atol)
             rotated = frame_transform(res.states, field.phi, "to_interaction")
-            comparable = SimResult(picture="lab", t=res.t, states=rotated, stats=res.stats)
+            comparable = SimResult(picture="lab", t=res.t, bloch=bloch_from_density(rotated),
+                                   stats=res.stats)
         results[pic] = res
         reports[pic] = tracking_error(comparable, samples.u, v, samples.w)
 

@@ -83,43 +83,60 @@ def validate_density(rho, herm_tol: float = 1e-12, trace_tol: float = 1e-10) -> 
     tr = abs(rho[0, 0].real + rho[1, 1].real - 1.0)
     if tr > trace_tol:
         raise ValidationError(f"density matrix trace deviates from 1 by {tr:.3e}")
-    r = bloch_from_density(rho)
-    norm = float(np.linalg.norm(r))
-    if norm > 1.0 + BLOCH_NORM_SLACK:
-        raise ValidationError(f"Bloch vector length {norm:.12f} exceeds 1")
+    _checked_bloch(bloch_from_density(rho))
     return rho
 
 
 def bloch_from_density(rho) -> np.ndarray:
-    """Bloch vector (u, v, w) of a 2x2 density matrix.
+    """Bloch vectors (u, v, w) of 2x2 density matrices, shape (..., 2, 2) -> (..., 3).
 
     u = 2 Re rho_eg, v = -2 Im rho_eg, w = rho_ee - rho_gg.
     """
     rho = np.asarray(rho, dtype=complex)
-    u = 2.0 * rho[0, 1].real
-    v = -2.0 * rho[0, 1].imag
-    w = (rho[0, 0] - rho[1, 1]).real
-    return np.array([u, v, w])
+    if rho.shape[-2:] != (2, 2):
+        raise ValidationError(f"density matrices must have shape (..., 2, 2), got {rho.shape}")
+    coh = rho[..., 0, 1]
+    return np.stack([2.0 * coh.real, -2.0 * coh.imag, (rho[..., 0, 0] - rho[..., 1, 1]).real],
+                    axis=-1)
+
+
+def _checked_bloch(r) -> np.ndarray:
+    """Bloch vectors along the last axis as floats; ValidationError unless each is
+    finite and inside the unit ball up to roundoff."""
+    r = np.asarray(r, dtype=float)
+    if r.ndim == 0 or r.shape[-1] != 3:
+        raise ValidationError(f"Bloch vectors must have shape (..., 3), got {r.shape}")
+    if not np.all(np.isfinite(r)):
+        raise ValidationError("Bloch vector contains non-finite values")
+    norm = float(np.max(np.linalg.norm(r, axis=-1), initial=0.0))
+    if norm > 1.0 + BLOCH_NORM_SLACK:
+        raise ValidationError(f"Bloch vector length {norm:.12f} exceeds 1")
+    return r
 
 
 def density_from_bloch(r) -> np.ndarray:
-    """Density matrix rho = (I + u sigma_x + v sigma_y + w sigma_z) / 2.
+    """Density matrices rho = (I + u sigma_x + v sigma_y + w sigma_z) / 2.
+
+    ``r`` holds Bloch vectors along its last axis: shape (..., 3) -> (..., 2, 2).
 
     Raises
     ------
     ValidationError
-        If the Bloch vector leaves the unit ball by more than roundoff.
+        If a Bloch vector is not finite or leaves the unit ball by more than
+        roundoff.
     """
-    r = np.asarray(r, dtype=float)
-    if r.shape != (3,):
-        raise ValidationError(f"Bloch vector must have shape (3,), got {r.shape}")
-    norm = float(np.linalg.norm(r))
-    if norm > 1.0 + BLOCH_NORM_SLACK:
-        raise ValidationError(f"Bloch vector length {norm:.12f} exceeds 1")
-    u, v, w = r
-    return 0.5 * np.array(
-        [[1.0 + w, u - 1.0j * v], [u + 1.0j * v, 1.0 - w]], dtype=complex
-    )
+    return _density(_checked_bloch(r))
+
+
+def _density(r: np.ndarray) -> np.ndarray:
+    """``density_from_bloch`` without the checks, for vectors already in hand."""
+    u, v, w = r[..., 0], r[..., 1], r[..., 2]
+    rho = np.empty(r.shape[:-1] + (2, 2), dtype=complex)
+    rho[..., 0, 0] = 0.5 * (1.0 + w)
+    rho[..., 1, 1] = 0.5 * (1.0 - w)
+    rho[..., 0, 1] = 0.5 * (u - 1.0j * v)
+    rho[..., 1, 0] = 0.5 * (u + 1.0j * v)
+    return rho
 
 
 def purity(rho) -> float:

@@ -20,7 +20,9 @@ import numpy as np
 from .dynamics import SimResult, dissipator_action, integrate_interaction
 from .errors import ValidationError
 from .rates import Rates
-from .states import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, bloch_from_density, fidelity, trace_distance
+from .states import (
+    IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, bloch_from_density, density_from_bloch, fidelity,
+)
 from .synthesis import ControlField
 
 __all__ = [
@@ -91,7 +93,7 @@ def tracking_error(result: SimResult, u, v, w) -> TrackingReport:
     norm_end = np.linalg.norm(r_end)
     if norm_end > 1.0:  # prescribed endpoint may graze the sphere by roundoff
         r_end = r_end / norm_end
-    target = 0.5 * (IDENTITY + r_end[0] * SIGMA_X + r_end[1] * SIGMA_Y + r_end[2] * SIGMA_Z)
+    target = density_from_bloch(r_end)
     return TrackingReport(
         picture=result.picture,
         sup_u=float(du.max()), sup_v=float(dv.max()), sup_w=float(dw.max()),
@@ -103,23 +105,23 @@ def tracking_error(result: SimResult, u, v, w) -> TrackingReport:
     )
 
 
-def rwa_deviation(field: ControlField, rho0, grid, *, scale: float = 1.0,
+def rwa_deviation(field: ControlField, r0, grid, *, scale: float = 1.0,
                   rtol: float = 1e-10, atol: float = 1e-12) -> float:
     """Distance between the full and rotating-wave evolutions of a drive.
 
     The drive amplitude is multiplied by ``scale`` (the carrier phase is
     untouched), both the carrier-resolved and the rotating-wave evolutions
-    are run from ``rho0``, and the largest trace distance over the grid is
-    returned. Weak drives make this small; strong drives do not.
+    are run from the Bloch vector ``r0``, and the largest trace distance over
+    the grid is returned. For qubits the trace distance is exactly half the
+    Euclidean distance between Bloch vectors. Weak drives make this small;
+    strong drives do not.
     """
     if scale <= 0.0:
         raise ValidationError("scale must be > 0")
     scaled = field.scaled(scale)
-    full = integrate_interaction(scaled, rho0, grid, rtol=rtol, atol=atol, rwa=False)
-    rwa = integrate_interaction(scaled, rho0, grid, rtol=rtol, atol=atol, rwa=True)
-    return max(
-        trace_distance(a, b) for a, b in zip(full.states, rwa.states)
-    )
+    full = integrate_interaction(scaled, r0, grid, rtol=rtol, atol=atol, rwa=False)
+    rwa = integrate_interaction(scaled, r0, grid, rtol=rtol, atol=atol, rwa=True)
+    return float(0.5 * np.max(np.linalg.norm(full.bloch - rwa.bloch, axis=1)))
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ from blochpulse import (
     Rates,
     Window,
     complete_v_closed,
-    density_from_bloch,
     equilibrium_inversion,
     eval_components,
     export_csv,
@@ -92,11 +91,11 @@ def _zero_field(t_end, samples):
 
 
 def test_criterion_04_free_relaxation_closed_forms():
-    rho0 = density_from_bloch([0.6, 0.0, 0.8])
+    r0 = [0.6, 0.0, 0.8]
 
     gamma = 2e-3
     t, field = _zero_field(5.0 / gamma, 501)  # five transverse decay times
-    res = integrate_lindblad(field, Rates(dephasing=gamma), rho0, t)
+    res = integrate_lindblad(field, Rates(dephasing=gamma), r0, t)
     u, v, w = res.bloch.T
     assert np.max(np.abs(u - 0.6 * np.exp(-gamma * t))) <= 1e-8
     assert np.max(np.abs(v)) <= 1e-8
@@ -104,7 +103,7 @@ def test_criterion_04_free_relaxation_closed_forms():
 
     gam = 1e-3
     t, field = _zero_field(5.0 / (2.0 * gam), 501)  # five inversion decay times
-    res = integrate_lindblad(field, Rates(thermal=gam), rho0, t)
+    res = integrate_lindblad(field, Rates(thermal=gam), r0, t)
     u, v, w = res.bloch.T
     assert np.max(np.abs(w - (-1.0 + 1.8 * np.exp(-2.0 * gam * t)))) <= 1e-8
     assert np.max(np.abs(u - 0.6 * np.exp(-gam * t))) <= 1e-8
@@ -135,8 +134,8 @@ def test_criterion_07_rwa_gap_scales_down_with_drive():
     samples = eval_components(cfg.trajectory, grid)
     v = complete_v_closed(samples)
     r0 = np.array([samples.u[0], v[0], samples.w[0]])
-    rho0 = density_from_bloch(r0 / max(1.0, np.linalg.norm(r0)))
-    devs = [rwa_deviation(field, rho0, grid, scale=s) for s in (1.0, 0.25, 0.025)]
+    r0 = r0 / max(1.0, np.linalg.norm(r0))
+    devs = [rwa_deviation(field, r0, grid, scale=s) for s in (1.0, 0.25, 0.025)]
     assert devs[0] > devs[1] > devs[2], f"deviations not decreasing: {devs}"
     assert devs[2] <= 1e-2, f"weak-drive deviation {devs[2]:.3e} exceeds 1e-2"
     assert devs[0] >= 10.0 * devs[2], f"no clear separation: {devs}"

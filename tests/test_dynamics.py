@@ -17,6 +17,7 @@ from blochpulse import (
     ControlField,
     ControlInterpolant,
     Rates,
+    SimResult,
     Transfer,
     ValidationError,
     bloch_from_density,
@@ -72,7 +73,7 @@ def test_frame_transform_rejects_bad_direction():
 def test_free_precession_lab_frame():
     t = np.linspace(0.0, 20.0, 201)
     field = _constant_field(t, omega0=0.7)
-    res = integrate_lab(field, density_from_bloch([0.8, 0.0, 0.6]), t)
+    res = integrate_lab(field, [0.8, 0.0, 0.6], t)
     u, v, w = res.bloch.T
     assert np.max(np.abs(u - 0.8 * np.cos(0.7 * t))) < 1e-9
     assert np.max(np.abs(v - 0.8 * np.sin(0.7 * t))) < 1e-9
@@ -83,13 +84,13 @@ def test_resonant_rabi_under_rwa():
     t = np.linspace(0.0, 100.0, 401)
     # nonzero carrier phase must be irrelevant once the oscillating term is dropped
     field = _constant_field(t, omega_r=0.05, phi=0.3)
-    res = integrate_interaction(field, density_from_bloch([0.0, 0.0, 1.0]), t, rwa=True)
+    res = integrate_interaction(field, [0.0, 0.0, 1.0], t, rwa=True)
     u, v, w = res.bloch.T
     assert np.max(np.abs(w - np.cos(0.05 * t))) < 1e-9
     assert np.max(np.abs(v + np.sin(0.05 * t))) < 1e-9
     assert np.max(np.abs(u)) < 1e-10
     assert res.picture == "interaction-rwa"
-    full = integrate_interaction(field, density_from_bloch([0.0, 0.0, 1.0]), t)
+    full = integrate_interaction(field, [0.0, 0.0, 1.0], t)
     assert np.max(np.abs(full.bloch - res.bloch)) > 1e-3
 
 
@@ -101,23 +102,22 @@ _GRID = np.linspace(-120.0, 120.0, 601)
 def _start_state():
     samples = eval_components(_SPEC, _GRID)
     v = complete_v_closed(samples)
-    r0 = np.array([samples.u[0], v[0], samples.w[0]])
-    return r0, density_from_bloch(r0)
+    return np.array([samples.u[0], v[0], samples.w[0]])
 
 
 def test_design_lindblad_without_rates_matches_effective():
     field = synthesize_pulse(_SPEC, Rates(), 5e-3, _GRID)
-    r0, rho0 = _start_state()
-    master = integrate_lindblad(field, Rates(), rho0, _GRID)
+    r0 = _start_state()
+    master = integrate_lindblad(field, Rates(), r0, _GRID)
     effective = integrate_bloch_effective(field, Rates(), r0, _GRID)
     assert np.max(np.abs(master.bloch - effective.bloch)) < 1e-8
 
 
 def test_field_lindblad_without_rates_matches_interaction():
     field = synthesize_pulse(_SPEC, Rates(), 5e-3, _GRID)
-    _, rho0 = _start_state()
-    master = integrate_lindblad(field, Rates(), rho0, _GRID, hamiltonian="field")
-    rotating = integrate_interaction(field, rho0, _GRID)
+    r0 = _start_state()
+    master = integrate_lindblad(field, Rates(), r0, _GRID, hamiltonian="field")
+    rotating = integrate_interaction(field, r0, _GRID)
     assert np.max(np.abs(master.states - rotating.states)) < 1e-12
 
 
@@ -142,33 +142,32 @@ def test_pictures_match_density_matrix_reference():
         CubicSpline(t, x) for x in (field.omega, field.delta, field.phi,
                                     field.omega_r, field.omega0))
     open_rates = Rates(dephasing=2e-3, thermal=1e-3, occupancy=0.5)
-    _, rho0 = _start_state()
+    r0 = _start_state()
 
     def carrier(tt, rwa=False):
         om_c = omega_r(tt) * (1.0 if rwa else 1.0 + np.exp(-2.0j * phi(tt)))
         return 0.5 * (-delta(tt) * SIGMA_Z + om_c * SIGMA_MINUS + np.conj(om_c) * SIGMA_PLUS)
 
     cases = [
-        (integrate_lab(field, rho0, t), Rates(),
+        (integrate_lab(field, r0, t), Rates(),
          lambda tt: 0.5 * omega0(tt) * SIGMA_Z + omega_r(tt) * np.cos(phi(tt)) * SIGMA_X),
-        (integrate_interaction(field, rho0, t), Rates(), carrier),
-        (integrate_interaction(field, rho0, t, rwa=True), Rates(),
+        (integrate_interaction(field, r0, t), Rates(), carrier),
+        (integrate_interaction(field, r0, t, rwa=True), Rates(),
          lambda tt: carrier(tt, rwa=True)),
-        (integrate_lindblad(field, open_rates, rho0, t), open_rates,
+        (integrate_lindblad(field, open_rates, r0, t), open_rates,
          lambda tt: 0.5 * (-delta(tt) * SIGMA_Z + omega(tt) * SIGMA_X)),
-        (integrate_lindblad(field, open_rates, rho0, t, hamiltonian="field"), open_rates,
+        (integrate_lindblad(field, open_rates, r0, t, hamiltonian="field"), open_rates,
          carrier),
     ]
     for res, rates, hamiltonian in cases:
-        ref = _master_equation_reference(hamiltonian, rates, rho0, t)
+        ref = _master_equation_reference(hamiltonian, rates, density_from_bloch(r0), t)
         assert np.max(np.abs(res.bloch - ref)) < 1e-8, res.picture
 
 
 def test_lindblad_rejects_unknown_hamiltonian():
     field = synthesize_pulse(_SPEC, Rates(), 5e-3, _GRID)
-    _, rho0 = _start_state()
     with pytest.raises(ValidationError):
-        integrate_lindblad(field, Rates(), rho0, _GRID, hamiltonian="bogus")
+        integrate_lindblad(field, Rates(), _start_state(), _GRID, hamiltonian="bogus")
 
 
 def test_dissipator_frozen_rates():
@@ -194,23 +193,33 @@ def test_dissipator_preserves_trace_and_hermiticity():
         assert np.max(np.abs(out - out.conj().T)) < 1e-14
 
 
-def test_single_point_grid_returns_initial_state():
+def test_single_point_grid_rejected():
     t = np.linspace(0.0, 10.0, 11)
     field = _constant_field(t, omega_r=0.05, omega0=0.7)
-    rho0 = density_from_bloch([0.6, 0.0, 0.8])
-    res = integrate_lab(field, rho0, [5.0])
-    assert res.stats is None
-    assert np.max(np.abs(res.states[0] - rho0)) == 0.0
-    eff = integrate_bloch_effective(field, Rates(), [0.6, 0.0, 0.8], [5.0])
-    assert np.max(np.abs(eff.bloch[0] - [0.6, 0.0, 0.8])) == 0.0
+    with pytest.raises(ValidationError):
+        integrate_lab(field, [0.6, 0.0, 0.8], [5.0])
+    with pytest.raises(ValidationError):
+        integrate_bloch_effective(field, Rates(), [0.6, 0.0, 0.8], [5.0])
 
 
 def test_grid_outside_control_window_rejected():
     t = np.linspace(0.0, 10.0, 11)
     field = _constant_field(t, omega_r=0.05)
-    rho0 = density_from_bloch([0.0, 0.0, 1.0])
     with pytest.raises(ValidationError):
-        integrate_lab(field, rho0, np.linspace(0.0, 12.0, 13))
+        integrate_lab(field, [0.0, 0.0, 1.0], np.linspace(0.0, 12.0, 13))
+
+
+@pytest.mark.parametrize("r0", [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0],
+                                [0.8, 0.8, 0.8], [0.0, 1.0], np.eye(2) / 2])
+def test_bad_initial_state_rejected_before_integrating(r0):
+    t = np.linspace(0.0, 10.0, 11)
+    field = _constant_field(t, omega_r=0.05, omega0=0.7)
+    for integrate in (lambda r: integrate_bloch_effective(field, Rates(), r, t),
+                      lambda r: integrate_lab(field, r, t),
+                      lambda r: integrate_interaction(field, r, t),
+                      lambda r: integrate_lindblad(field, Rates(), r, t)):
+        with pytest.raises(ValidationError):
+            integrate(r0)
 
 
 def test_control_interpolant_node_exact():
@@ -224,7 +233,7 @@ def test_control_interpolant_node_exact():
 def test_stats_reported_and_within_tolerance():
     t = np.linspace(0.0, 100.0, 401)
     field = _constant_field(t, omega_r=0.05)
-    res = integrate_interaction(field, density_from_bloch([0.0, 0.0, 1.0]), t, rwa=True)
+    res = integrate_interaction(field, [0.0, 0.0, 1.0], t, rwa=True)
     assert res.stats is not None
     assert res.stats.accepted > 0
     assert res.stats.rhs_evals > res.stats.accepted
@@ -234,7 +243,16 @@ def test_stats_reported_and_within_tolerance():
 def test_populations_and_bloch_views_agree():
     t = np.linspace(0.0, 50.0, 201)
     field = _constant_field(t, omega_r=0.05)
-    res = integrate_interaction(field, density_from_bloch([0.0, 0.0, 1.0]), t)
+    res = integrate_interaction(field, [0.0, 0.0, 1.0], t)
     pops = res.populations
     assert np.max(np.abs(pops.sum(axis=1) - 1.0)) < 1e-12
     assert np.max(np.abs((pops[:, 0] - pops[:, 1]) - res.bloch[:, 2])) < 1e-12
+
+
+def test_derived_views_never_validate():
+    # a loose-tolerance run may leave the sphere by more than roundoff
+    bloch = np.array([[0.0, 0.0, 1.0 + 1e-6], [0.6, 0.0, 0.8]])
+    res = SimResult(picture="test", t=np.array([0.0, 1.0]), bloch=bloch)
+    assert res.states.shape == (2, 2, 2)
+    assert np.max(np.abs(bloch_from_density(res.states) - bloch)) < 1e-15
+    assert res.populations[0, 0] > 1.0

@@ -5,6 +5,8 @@ random linear system is cross-checked against scipy's solve_ivp at much
 tighter tolerance.
 """
 
+import time
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -107,3 +109,17 @@ def test_input_validation(bad_kwargs):
 def test_stats_dataclass_defaults():
     s = IntegrationStats()
     assert s.accepted == 0 and s.rejected == 0 and s.rhs_evals == 0
+
+
+def test_non_finite_error_estimate_stops_at_once():
+    t0 = time.perf_counter()
+    with pytest.raises(IntegrationError, match=r"non-finite .* t = 0 ps"):
+        integrate_adaptive(lambda tt, y: y * np.nan, (0.0, 1.0), np.array([1.0]),
+                           np.array([0.0, 1.0]))
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("y0", [[np.nan], [1.0, np.inf]])
+def test_non_finite_initial_state_rejected(y0):
+    with pytest.raises(ValidationError):
+        integrate_adaptive(lambda tt, y: -y, (0.0, 1.0), y0, np.array([0.0, 1.0]))

@@ -125,6 +125,24 @@ def test_density_from_bloch_rejects_long_vector():
         density_from_bloch([0.8, 0.8, 0.8])
 
 
+@pytest.mark.parametrize("r", [[np.nan, 0.0, 0.0], [0.0, 0.0, np.inf],
+                               [[0.0, 0.0, 1.0], [0.0, np.nan, 0.0]], [0.0, 1.0]])
+def test_density_from_bloch_rejects_non_finite_or_misshapen(r):
+    with pytest.raises(ValidationError):
+        density_from_bloch(r)
+
+
+def test_conversions_accept_stacks_along_the_last_axis():
+    rng = np.random.default_rng(14)
+    r = np.array([[random_bloch(rng) for _ in range(3)] for _ in range(4)])
+    rho = density_from_bloch(r)
+    assert rho.shape == (4, 3, 2, 2)
+    for idx in np.ndindex(4, 3):
+        assert np.array_equal(rho[idx], density_from_bloch(r[idx]))
+        assert np.array_equal(bloch_from_density(rho)[idx], bloch_from_density(rho[idx]))
+    assert np.max(np.abs(bloch_from_density(rho) - r)) < 1e-15
+
+
 def test_validate_grid():
     g = validate_grid([0.0, 1.0, 2.5])
     assert g.dtype == np.float64

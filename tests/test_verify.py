@@ -14,11 +14,12 @@ from blochpulse import (
     Rates,
     SimResult,
     ValidationError,
-    density_from_bloch,
     equilibrium_inversion,
     generator_oracle,
     inversion_decay_rate,
+    integrate_interaction,
     rwa_deviation,
+    trace_distance,
     tracking_error,
     transverse_rate,
 )
@@ -26,8 +27,7 @@ from blochpulse import (
 
 def _result_from_bloch(vectors, picture="test"):
     t = np.arange(float(len(vectors)))
-    states = np.stack([density_from_bloch(r) for r in vectors])
-    return SimResult(picture=picture, t=t, states=states)
+    return SimResult(picture=picture, t=t, bloch=np.array(vectors, dtype=float))
 
 
 def test_tracking_error_frozen_arithmetic():
@@ -77,19 +77,27 @@ def _carrier_field():
 
 def test_rwa_deviation_shrinks_with_drive():
     field = _carrier_field()
-    rho0 = density_from_bloch([0.0, 0.0, 1.0])
+    r0 = [0.0, 0.0, 1.0]
     grid = field.t
-    strong = rwa_deviation(field, rho0, grid, scale=1.0)
-    weak = rwa_deviation(field, rho0, grid, scale=0.05)
+    strong = rwa_deviation(field, r0, grid, scale=1.0)
+    weak = rwa_deviation(field, r0, grid, scale=0.05)
     assert weak < strong
     assert strong > 1e-3
 
 
+def test_rwa_deviation_is_the_largest_trace_distance():
+    field = _carrier_field()
+    r0 = [0.6, 0.0, 0.8]
+    full = integrate_interaction(field, r0, field.t)
+    rwa = integrate_interaction(field, r0, field.t, rwa=True)
+    reference = max(trace_distance(a, b) for a, b in zip(full.states, rwa.states))
+    assert rwa_deviation(field, r0, field.t) == pytest.approx(reference, abs=1e-14)
+
+
 def test_rwa_deviation_rejects_bad_scale():
     field = _carrier_field()
-    rho0 = density_from_bloch([0.0, 0.0, 1.0])
     with pytest.raises(ValidationError):
-        rwa_deviation(field, rho0, field.t, scale=0.0)
+        rwa_deviation(field, [0.0, 0.0, 1.0], field.t, scale=0.0)
 
 
 def test_generator_oracle_frozen_case():
