@@ -82,57 +82,57 @@ class SimResult:
 
 
 class ControlInterpolant:
-    """Cubic-spline views of a ControlField's channels, exact at the nodes."""
+    """One cubic-spline table over a ControlField's channels, exact at the nodes.
+
+    Calling it at ``t`` (with derivative order ``nu``) gives the channels
+    (omega, delta, phi, omega_r, omega0) along the last axis.
+    """
 
     def __init__(self, field: ControlField):
         t = field.t
         self.t0 = float(t[0])
         self.t1 = float(t[-1])
-        self.omega = CubicSpline(t, field.omega)
-        self.delta = CubicSpline(t, field.delta)
-        self.phi = CubicSpline(t, field.phi)
-        self.omega_r = CubicSpline(t, field.omega_r)
-        self.omega0 = CubicSpline(t, field.omega0)
+        self._table = CubicSpline(t, np.column_stack(
+            [field.omega, field.delta, field.phi, field.omega_r, field.omega0]))
+
+    def __call__(self, t, nu: int = 0) -> np.ndarray:
+        return self._table(t, nu)
 
     def fastest_scale(self) -> float:
         """Largest angular rate among the channels, for step capping."""
-        grids = np.linspace(self.t0, self.t1, 4 * len(self.phi.x))
-        rates = [
-            np.max(np.abs(self.omega0(grids))),
-            np.max(np.abs(self.phi(grids, 1))),
-            np.max(np.abs(self.omega(grids))),
-            np.max(np.abs(self.delta(grids))),
-            np.max(np.abs(self.omega_r(grids))),
-        ]
-        return float(max(rates))
+        grids = np.linspace(self.t0, self.t1, 4 * len(self._table.x))
+        peaks = np.max(np.abs(self._table(grids)), axis=0)
+        peaks[2] = np.max(np.abs(self._table(grids, 1)[:, 2]))  # the carrier rate dphi/dt
+        return float(np.max(peaks))
 
 
-# Fields b(t) with H = b . sigma / 2, as plain floats: the right-hand side
-# runs thousands of times per picture and numpy scalars would dominate it.
+# Fields b(t) with H = b . sigma / 2, from one row of channels as plain floats:
+# the right-hand side runs thousands of times per picture and numpy scalars
+# would dominate it.
 
-def _lab_field(ctrl: ControlInterpolant, t: float) -> tuple[float, float, float]:
-    drive = 2.0 * float(ctrl.omega_r(t)) * math.cos(float(ctrl.phi(t)))
-    return drive, 0.0, float(ctrl.omega0(t))
-
-
-def _carrier_field(ctrl: ControlInterpolant, t: float) -> tuple[float, float, float]:
-    om_r, two_phi = float(ctrl.omega_r(t)), 2.0 * float(ctrl.phi(t))
-    return om_r * (1.0 + math.cos(two_phi)), -om_r * math.sin(two_phi), -float(ctrl.delta(t))
+def _lab_field(omega, delta, phi, omega_r, omega0) -> tuple[float, float, float]:
+    return 2.0 * omega_r * math.cos(phi), 0.0, omega0
 
 
-def _rwa_field(ctrl: ControlInterpolant, t: float) -> tuple[float, float, float]:
-    return float(ctrl.omega_r(t)), 0.0, -float(ctrl.delta(t))
+def _carrier_field(omega, delta, phi, omega_r, omega0) -> tuple[float, float, float]:
+    two_phi = 2.0 * phi
+    return omega_r * (1.0 + math.cos(two_phi)), -omega_r * math.sin(two_phi), -delta
 
 
-def _design_field(ctrl: ControlInterpolant, t: float) -> tuple[float, float, float]:
-    return float(ctrl.omega(t)), 0.0, -float(ctrl.delta(t))
+def _rwa_field(omega, delta, phi, omega_r, omega0) -> tuple[float, float, float]:
+    return omega_r, 0.0, -delta
+
+
+def _design_field(omega, delta, phi, omega_r, omega0) -> tuple[float, float, float]:
+    return omega, 0.0, -delta
 
 
 def _propagate(picture: str, field: ControlField, field_at, rates: Rates,
                r0, grid, rtol: float, atol: float) -> SimResult:
     """Integrate dr/dt = b x r - (G, G, Gamma_1) r + (0, 0, -2 Gamma) on ``grid``.
 
-    ``field_at(ctrl, t)`` gives b(t); ``r0`` is the Bloch vector at ``grid[0]``.
+    ``field_at(*channels)`` gives b(t) from one row of the ``ControlInterpolant``;
+    ``r0`` is the Bloch vector at ``grid[0]``.
     """
     r0 = _checked_bloch(r0)
     if r0.shape != (3,):
@@ -147,7 +147,7 @@ def _propagate(picture: str, field: ControlField, field_at, rates: Rates,
 
     def rhs(tt, r):
         u, v, w = r
-        bx, by, bz = field_at(ctrl, tt)
+        bx, by, bz = field_at(*ctrl(tt).tolist())
         return np.array([
             by * w - bz * v - g_t * u,
             bz * u - bx * w - g_t * v,

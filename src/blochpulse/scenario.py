@@ -4,7 +4,23 @@ A scenario bundles everything needed to synthesize and check one pulse: a
 trajectory family, decoherence rates, the transition-frequency profile, the
 time window, integration tolerances, and which pictures to simulate.
 Scenarios serialize to JSON with unit-tagged quantities; all values are
-converted to internal units (ps, rad/ps) on load.
+converted to internal units (ps, rad/ps) on load. Besides "name" and
+"pictures", a scenario has one object per section, each described once in
+``_SCHEMA``:
+
+  section     selected by  fields (quantity kind)
+  trajectory  family       transfer, oscillatory, rabi_decay: the fields of
+                           Transfer, Oscillatory, RabiDecay (dimensionless,
+                           rate, time, angular frequency or curvature)
+  rates       -            dephasing, thermal (rate), occupancy (dimensionless)
+  transition  kind         constant: value; ramp: start, stop (angular frequency)
+  window      -            start, stop (time), samples (integer, at most
+                           1,000,000)
+  tolerances  -            rtol, atol (dimensionless)
+
+A quantity is a bare number in internal units or a {"value", "unit"} object.
+Fields with defaults may be omitted, and so may "rates" and "tolerances".
+Any malformed entry raises ValidationError.
 
 Pictures:
   * "effective-bloch" -- damped component equations (any rates);
@@ -21,7 +37,7 @@ picture.
 
 from __future__ import annotations
 
-import dataclasses
+import inspect
 import json
 import math
 from dataclasses import dataclass
@@ -91,37 +107,8 @@ _UNIT_SCALES = {
 _INTERNAL_UNIT = {"angular_frequency": "rad/ps", "rate": "1/ps", "time": "ps",
                   "curvature": "1/ps^2"}
 
-
-def _parse_quantity(obj, kind: str | None, name: str) -> float:
-    """A bare number is taken to be in internal units; dicts carry a unit tag."""
-    if isinstance(obj, bool):
-        raise ValidationError(f"{name}: expected a number, got a boolean")
-    if isinstance(obj, (int, float)):
-        return float(obj)
-    if isinstance(obj, dict):
-        extra = set(obj) - {"value", "unit"}
-        if extra or "value" not in obj:
-            raise ValidationError(f"{name}: quantity must be {{'value', 'unit'}}, got {sorted(obj)}")
-        value = obj["value"]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValidationError(f"{name}: 'value' must be a number")
-        unit = obj.get("unit")
-        if unit is None:
-            return float(value)
-        if kind is None:
-            raise ValidationError(f"{name} is dimensionless; drop the unit {unit!r}")
-        scales = _UNIT_SCALES[kind]
-        if unit not in scales:
-            raise ValidationError(
-                f"{name}: unknown {kind} unit {unit!r}; known: {sorted(scales)}")
-        return float(value) * scales[unit]
-    raise ValidationError(f"{name}: expected a number or a value/unit object")
-
-
-def _tag(value: float, kind: str | None):
-    if kind is None:
-        return value
-    return {"value": value, "unit": _INTERNAL_UNIT[kind]}
+# largest sample grid a window may ask for; bounds the allocation a config can request
+_MAX_SAMPLES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -170,8 +157,8 @@ class Window:
             raise ValidationError("window bounds must be finite")
         if self.stop <= self.start:
             raise ValidationError("window stop must exceed start")
-        if not isinstance(self.samples, int) or self.samples < 2:
-            raise ValidationError("window samples must be an integer >= 2")
+        if not isinstance(self.samples, int) or not 2 <= self.samples <= _MAX_SAMPLES:
+            raise ValidationError(f"window samples must be an integer in [2, {_MAX_SAMPLES}]")
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.samples)
@@ -204,133 +191,139 @@ class ScenarioConfig:
             raise ValidationError("tolerances must lie in (0, 1)")
 
 
-# trajectory family registry: config key -> (class, {field: quantity kind})
-_FAMILIES: dict[str, tuple[type, dict[str, str | None]]] = {
-    "transfer": (Transfer, {
-        "inversion_start": None, "inversion_stop": None, "switch_rate": "rate",
-        "coherence_peak": None, "peak_width": "time", "peak_time": "time"}),
-    "oscillatory": (Oscillatory, {
-        "inversion_start": None, "inversion_stop": None, "switch_rate": "rate",
-        "coherence_peak": None, "peak_width": "time", "ripple_amplitude": None,
-        "ripple_frequency": "angular_frequency", "peak_time": "time"}),
-    "rabi_decay": (RabiDecay, {
-        "inversion_amplitude": None, "decay_curvature": "curvature",
-        "inversion_frequency": "angular_frequency", "chirp_rate": "curvature",
-        "coherence_amplitude": None, "coherence_frequency": "angular_frequency"}),
+def _parse_quantity(obj, kind: str | None, name: str):
+    """Turn one JSON value into a number: the only place the schema does so.
+
+    ``kind`` is a key of ``_UNIT_SCALES``, ``None`` for a dimensionless float,
+    or ``"count"`` for a bare integer. A bare number is taken to be in
+    internal units; a ``{"value", "unit"}`` object is converted from its unit.
+    """
+    if kind == "count":
+        if isinstance(obj, bool) or not isinstance(obj, int):
+            raise ValidationError(f"{name} must be an integer")
+        return obj
+    unit = None
+    if isinstance(obj, dict):
+        if set(obj) - {"value", "unit"} or "value" not in obj:
+            raise ValidationError(f"{name}: quantity must be {{'value', 'unit'}}, "
+                                  f"got keys {sorted(obj, key=str)}")
+        obj, unit = obj["value"], obj.get("unit")
+    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
+        raise ValidationError(f"{name}: expected a number or a value/unit object")
+    scale = 1.0
+    if unit is not None:
+        if kind is None:
+            raise ValidationError(f"{name} is dimensionless; drop its unit")
+        scales = _UNIT_SCALES[kind]
+        if not isinstance(unit, str):
+            raise ValidationError(f"{name}: unit must be a string")
+        if unit not in scales:
+            raise ValidationError(
+                f"{name}: unknown {kind} unit {unit!r}; known: {sorted(scales)}")
+        scale = scales[unit]
+    try:
+        return float(obj) * scale
+    except OverflowError:
+        raise ValidationError(f"{name}: integer too large for a float") from None
+
+
+def _tolerances(rtol: float = ScenarioConfig.rtol, atol: float = ScenarioConfig.atol) -> dict:
+    """The tolerances section as ScenarioConfig keyword arguments."""
+    return {"rtol": rtol, "atol": atol}
+
+
+_AF = "angular_frequency"
+
+# The JSON schema: section -> (discriminator key or None, {variant: (constructor,
+# {field: quantity kind})}). Required fields are the constructor's parameters
+# without defaults. The dumper reads each field back as the attribute of the
+# same name; _ATTRIBUTE lists the one exception.
+_SCHEMA = {
+    "trajectory": ("family", {
+        "transfer": (Transfer, {
+            "inversion_start": None, "inversion_stop": None, "switch_rate": "rate",
+            "coherence_peak": None, "peak_width": "time", "peak_time": "time"}),
+        "oscillatory": (Oscillatory, {
+            "inversion_start": None, "inversion_stop": None, "switch_rate": "rate",
+            "coherence_peak": None, "peak_width": "time", "ripple_amplitude": None,
+            "ripple_frequency": _AF, "peak_time": "time"}),
+        "rabi_decay": (RabiDecay, {
+            "inversion_amplitude": None, "decay_curvature": "curvature",
+            "inversion_frequency": _AF, "chirp_rate": "curvature",
+            "coherence_amplitude": None, "coherence_frequency": _AF}),
+    }),
+    "rates": (None, {None: (Rates, {"dephasing": "rate", "thermal": "rate", "occupancy": None})}),
+    "transition": ("kind", {
+        "constant": (TransitionSpec.constant, {"value": _AF}),
+        "ramp": (TransitionSpec.ramp, {"start": _AF, "stop": _AF}),
+    }),
+    "window": (None, {None: (Window, {"start": "time", "stop": "time", "samples": "count"})}),
+    "tolerances": (None, {None: (_tolerances, {"rtol": None, "atol": None})}),
 }
-_FAMILY_KEY = {cls: key for key, (cls, _) in _FAMILIES.items()}
+_ATTRIBUTE = {"value": "start"}  # a constant transition keeps its value as start (== stop)
 
 
-def _trajectory_from_dict(d: dict) -> TrajectorySpec:
-    if not isinstance(d, dict) or "family" not in d:
-        raise ValidationError("trajectory must be an object with a 'family' key")
-    family = d["family"]
-    if family not in _FAMILIES:
-        raise ValidationError(f"unknown trajectory family {family!r}; known: {sorted(_FAMILIES)}")
-    cls, kinds = _FAMILIES[family]
-    extra = set(d) - set(kinds) - {"family"}
+def _load_section(section: str, d):
+    """Build one section's object from its JSON dict, rejecting any malformed entry."""
+    key, variants = _SCHEMA[section]
+    if not isinstance(d, dict):
+        raise ValidationError(f"{section} must be an object")
+    variant = None
+    if key is not None:
+        if key not in d:
+            raise ValidationError(f"{section} must have a '{key}' key")
+        variant = d[key]
+        if not isinstance(variant, str):
+            raise ValidationError(f"{section}: '{key}' must be a string")
+        if variant not in variants:
+            raise ValidationError(
+                f"unknown {section} {key} {variant!r}; known: {sorted(variants)}")
+    make, fields = variants[variant]
+    extra = set(d) - set(fields) - {key}
     if extra:
-        raise ValidationError(f"trajectory: unknown keys {sorted(extra)}")
-    required = {f.name for f in dataclasses.fields(cls)
-                if f.default is dataclasses.MISSING}
-    missing = required - set(d)
+        raise ValidationError(f"{section}: unknown keys {sorted(extra, key=str)}")
+    params = inspect.signature(make).parameters
+    missing = [f for f in fields if f not in d and params[f].default is inspect.Parameter.empty]
     if missing:
-        raise ValidationError(f"trajectory: missing keys {sorted(missing)}")
-    kwargs = {key: _parse_quantity(d[key], kind, f"trajectory.{key}")
-              for key, kind in kinds.items() if key in d}
-    return cls(**kwargs)
+        raise ValidationError(f"{section}: missing keys {missing}")
+    return make(**{f: _parse_quantity(d[f], kind, f"{section}.{f}")
+                   for f, kind in fields.items() if f in d})
 
 
-def _trajectory_to_dict(spec: TrajectorySpec) -> dict:
-    key = _FAMILY_KEY.get(type(spec))
-    if key is None:
-        raise ValidationError(f"unknown trajectory family: {type(spec).__name__}")
-    kinds = _FAMILIES[key][1]
-    out: dict = {"family": key}
-    for field in dataclasses.fields(spec):
-        out[field.name] = _tag(getattr(spec, field.name), kinds[field.name])
-    return out
+def _dump_section(section: str, obj) -> dict:
+    """The JSON dict of one section's object, quantities tagged with internal units."""
+    key, variants = _SCHEMA[section]
+    for variant, (make, fields) in variants.items():
+        if variant is None or make is type(obj) or variant == getattr(obj, key, None):
+            out = {} if key is None else {key: variant}
+            for f, kind in fields.items():
+                value = getattr(obj, _ATTRIBUTE.get(f, f))
+                out[f] = value if kind in (None, "count") else \
+                    {"value": value, "unit": _INTERNAL_UNIT[kind]}
+            return out
+    raise ValidationError(f"{section}: cannot serialize {type(obj).__name__}")
 
 
 def scenario_from_dict(d: dict) -> ScenarioConfig:
     """Build a ScenarioConfig from a plain JSON-style dict.
 
-    Unknown keys anywhere raise ValidationError so typos fail loudly.
+    Unknown keys anywhere raise ValidationError so typos fail loudly; so does
+    every other malformed entry.
     """
     if not isinstance(d, dict):
         raise ValidationError("scenario must be a JSON object")
-    known = {"name", "trajectory", "rates", "transition", "window", "tolerances", "pictures"}
-    extra = set(d) - known
+    extra = set(d) - {"name", "pictures", *_SCHEMA}
     if extra:
-        raise ValidationError(f"scenario: unknown keys {sorted(extra)}")
+        raise ValidationError(f"scenario: unknown keys {sorted(extra, key=str)}")
     for key in ("name", "trajectory", "transition", "window"):
         if key not in d:
             raise ValidationError(f"scenario: missing key '{key}'")
-
-    rates_d = d.get("rates", {})
-    if not isinstance(rates_d, dict):
-        raise ValidationError("rates must be an object")
-    extra = set(rates_d) - {"dephasing", "thermal", "occupancy"}
-    if extra:
-        raise ValidationError(f"rates: unknown keys {sorted(extra)}")
-    rates = Rates(
-        dephasing=_parse_quantity(rates_d.get("dephasing", 0.0), "rate", "rates.dephasing"),
-        thermal=_parse_quantity(rates_d.get("thermal", 0.0), "rate", "rates.thermal"),
-        occupancy=_parse_quantity(rates_d.get("occupancy", 0.0), None, "rates.occupancy"),
-    )
-
-    tr_d = d["transition"]
-    if not isinstance(tr_d, dict) or "kind" not in tr_d:
-        raise ValidationError("transition must be an object with a 'kind' key")
-    if tr_d["kind"] == "constant":
-        extra = set(tr_d) - {"kind", "value"}
-        if extra or "value" not in tr_d:
-            raise ValidationError("constant transition needs exactly a 'value' quantity")
-        value = _parse_quantity(tr_d["value"], "angular_frequency", "transition.value")
-        transition = TransitionSpec.constant(value)
-    elif tr_d["kind"] == "ramp":
-        extra = set(tr_d) - {"kind", "start", "stop"}
-        if extra or "start" not in tr_d or "stop" not in tr_d:
-            raise ValidationError("ramp transition needs exactly 'start' and 'stop' quantities")
-        transition = TransitionSpec.ramp(
-            _parse_quantity(tr_d["start"], "angular_frequency", "transition.start"),
-            _parse_quantity(tr_d["stop"], "angular_frequency", "transition.stop"),
-        )
-    else:
-        raise ValidationError(f"transition kind must be 'constant' or 'ramp', got {tr_d['kind']!r}")
-
-    win_d = d["window"]
-    if not isinstance(win_d, dict):
-        raise ValidationError("window must be an object")
-    extra = set(win_d) - {"start", "stop", "samples"}
-    if extra:
-        raise ValidationError(f"window: unknown keys {sorted(extra)}")
-    if "samples" not in win_d or isinstance(win_d["samples"], bool) \
-            or not isinstance(win_d["samples"], int):
-        raise ValidationError("window.samples must be an integer")
-    window = Window(
-        start=_parse_quantity(win_d.get("start"), "time", "window.start"),
-        stop=_parse_quantity(win_d.get("stop"), "time", "window.stop"),
-        samples=win_d["samples"],
-    )
-
-    tol_d = d.get("tolerances", {})
-    if not isinstance(tol_d, dict) or set(tol_d) - {"rtol", "atol"}:
-        raise ValidationError("tolerances must be an object with keys 'rtol'/'atol'")
-    pictures = d.get("pictures", ["effective-bloch", "interaction"])
+    pictures = d.get("pictures", ScenarioConfig.pictures)
     if not isinstance(pictures, (list, tuple)):
         raise ValidationError("pictures must be a list")
-
-    return ScenarioConfig(
-        name=d["name"],
-        trajectory=_trajectory_from_dict(d["trajectory"]),
-        rates=rates,
-        transition=transition,
-        window=window,
-        rtol=_parse_quantity(tol_d.get("rtol", 1e-10), None, "tolerances.rtol"),
-        atol=_parse_quantity(tol_d.get("atol", 1e-12), None, "tolerances.atol"),
-        pictures=tuple(pictures),
-    )
+    sections = {s: _load_section(s, d.get(s, {})) for s in _SCHEMA}
+    tolerances = sections.pop("tolerances")
+    return ScenarioConfig(name=d["name"], pictures=tuple(pictures), **sections, **tolerances)
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
@@ -338,27 +331,12 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
 
     Round-trips exactly: scenario_from_dict(scenario_to_dict(cfg)) == cfg.
     """
-    if cfg.transition.kind == "constant":
-        transition = {"kind": "constant", "value": _tag(cfg.transition.start, "angular_frequency")}
-    else:
-        transition = {"kind": "ramp",
-                      "start": _tag(cfg.transition.start, "angular_frequency"),
-                      "stop": _tag(cfg.transition.stop, "angular_frequency")}
-    return {
-        "name": cfg.name,
-        "trajectory": _trajectory_to_dict(cfg.trajectory),
-        "rates": {
-            "dephasing": _tag(cfg.rates.dephasing, "rate"),
-            "thermal": _tag(cfg.rates.thermal, "rate"),
-            "occupancy": cfg.rates.occupancy,
-        },
-        "transition": transition,
-        "window": {"start": _tag(cfg.window.start, "time"),
-                   "stop": _tag(cfg.window.stop, "time"),
-                   "samples": cfg.window.samples},
-        "tolerances": {"rtol": cfg.rtol, "atol": cfg.atol},
-        "pictures": list(cfg.pictures),
-    }
+    out = {"name": cfg.name}
+    for section in _SCHEMA:
+        out[section] = _dump_section(section, cfg if section == "tolerances"
+                                     else getattr(cfg, section))
+    out["pictures"] = list(cfg.pictures)
+    return out
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -366,7 +344,8 @@ def load_scenario(path) -> ScenarioConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        # ValueError covers bad JSON, bad UTF-8 and integers too long to parse
+        except (ValueError, RecursionError) as exc:
             raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
     return scenario_from_dict(data)
 
@@ -546,10 +525,15 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
 # exports
 
 _CSV_HEADER = "t_ps,u,v,w,sx,sy,sz,omega_R,phi,omega0,delta"
+_FIELD_CSV_HEADER = "t_ps,omega,delta,phi,omega_R,omega0"
 
 
-def _g17(x: float) -> str:
-    return f"{x:.17g}"
+def _write_csv(path, header: str, columns) -> None:
+    """Write the header, then one row per sample of 17-significant-digit fields."""
+    row = ",".join(["{:.17g}"] * len(columns))
+    lines = [header] + [row.format(*values) for values in zip(*(c.tolist() for c in columns))]
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def export_csv(run: ScenarioRun, path) -> None:
@@ -560,35 +544,18 @@ def export_csv(run: ScenarioRun, path) -> None:
     same scenario produce byte-identical files. With no pictures requested
     only the header line is written.
     """
-    lines = [_CSV_HEADER]
+    columns = []
     if run.config.pictures:
-        first = run.results[run.config.pictures[0]]
-        sim = first.bloch
-        u, v, w = run.prescribed
+        sim = run.results[run.config.pictures[0]].bloch
         f = run.field
-        for i in range(run.grid.size):
-            lines.append(",".join([
-                _g17(run.grid[i]), _g17(u[i]), _g17(v[i]), _g17(w[i]),
-                _g17(sim[i, 0]), _g17(sim[i, 1]), _g17(sim[i, 2]),
-                _g17(f.omega_r[i]), _g17(f.phi[i]), _g17(f.omega0[i]), _g17(f.delta[i]),
-            ]))
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-_FIELD_CSV_HEADER = "t_ps,omega,delta,phi,omega_R,omega0"
+        columns = [run.grid, *run.prescribed, *sim.T, f.omega_r, f.phi, f.omega0, f.delta]
+    _write_csv(path, _CSV_HEADER, columns)
 
 
 def export_field_csv(field: ControlField, path) -> None:
     """Write just the synthesized control channels as deterministic CSV."""
-    lines = [_FIELD_CSV_HEADER]
-    for i in range(field.t.size):
-        lines.append(",".join([
-            _g17(field.t[i]), _g17(field.omega[i]), _g17(field.delta[i]),
-            _g17(field.phi[i]), _g17(field.omega_r[i]), _g17(field.omega0[i]),
-        ]))
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(path, _FIELD_CSV_HEADER,
+               [field.t, field.omega, field.delta, field.phi, field.omega_r, field.omega0])
 
 
 def export_svg(run: ScenarioRun, kind: str, path) -> None:

@@ -265,14 +265,11 @@ def solve_consistent_v_open(
 
     g_t = transverse_rate(rates)
     gam_th, occ = rates.thermal, rates.occupancy
-    fu = CubicSpline(t, samples.u)
-    fw = CubicSpline(t, samples.w)
-    fdu = CubicSpline(t, samples.du)
-    fdw = CubicSpline(t, samples.dw)
+    table = CubicSpline(t, np.column_stack([samples.u, samples.w, samples.du, samples.dw]))
 
     def rhs(tt, s):
-        u, w = fu(tt), fw(tt)
-        drive = (fdu(tt) + g_t * u) * u + (fdw(tt) + 2.0 * gam_th * (1.0 + w + 2.0 * occ * w)) * w
+        u, w, du, dw = table(tt).tolist()
+        drive = (du + g_t * u) * u + (dw + 2.0 * gam_th * (1.0 + w + 2.0 * occ * w)) * w
         return -2.0 * g_t * s - 2.0 * drive
 
     sol, _ = integrate_adaptive(

@@ -115,13 +115,15 @@ def test_out_dir_that_is_a_file_exits_2(tmp_path, capsys):
 
 def test_invalid_config_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    data = {"name": "bad",
-            "trajectory": {"family": "spiral"},
-            "transition": {"kind": "constant", "value": 5e-3},
-            "window": {"start": 0.0, "stop": 10.0, "samples": 11}}
-    path.write_text(json.dumps(data), encoding="utf-8")
-    assert main(["verify", "--config", str(path)]) == 2
-    assert "unknown trajectory family" in capsys.readouterr().err
+    for family, message in (("spiral", "unknown trajectory family"),
+                            (["transfer"], "error:")):
+        data = {"name": "bad",
+                "trajectory": {"family": family},
+                "transition": {"kind": "constant", "value": 5e-3},
+                "window": {"start": 0.0, "stop": 10.0, "samples": 11}}
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["verify", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_carrier_singularity_exits_3(tmp_path, capsys):

@@ -225,9 +225,17 @@ def test_bad_initial_state_rejected_before_integrating(r0):
 def test_control_interpolant_node_exact():
     field = synthesize_pulse(_SPEC, Rates(), 5e-3, _GRID)
     ctrl = ControlInterpolant(field)
-    assert np.max(np.abs(ctrl.omega(_GRID) - field.omega)) < 1e-14
-    assert np.max(np.abs(ctrl.phi(_GRID) - field.phi)) < 1e-14
+    assert np.max(np.abs(ctrl(_GRID)[:, 0] - field.omega)) < 1e-14
+    assert np.max(np.abs(ctrl(_GRID)[:, 2] - field.phi)) < 1e-14
     assert ctrl.fastest_scale() >= np.max(np.abs(field.omega0))
+    # the one table matches a spline per channel exactly, values and slopes
+    off_node = 0.5 * (_GRID[1:] + _GRID[:-1])
+    channels = (field.omega, field.delta, field.phi, field.omega_r, field.omega0)
+    for col, channel in enumerate(channels):
+        alone = CubicSpline(_GRID, channel)
+        for nu in (0, 1):
+            assert np.max(np.abs(ctrl(off_node, nu)[:, col] - alone(off_node, nu))) == 0.0
+            assert ctrl(off_node[7], nu)[col] == alone(off_node[7], nu)
 
 
 def test_stats_reported_and_within_tolerance():

@@ -7,12 +7,15 @@ freeze the CSV header bytes and require byte-identical files across fresh
 pipeline runs.
 """
 
+import copy
 import dataclasses
 import json
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blochpulse import (
     Oscillatory,
@@ -108,9 +111,14 @@ def test_file_round_trip(tmp_path):
 
 def test_load_rejects_malformed_json(tmp_path):
     path = tmp_path / "broken.json"
-    path.write_text("{not json", encoding="utf-8")
-    with pytest.raises(ValidationError):
-        load_scenario(path)
+    valid = json.dumps(_base_dict())
+    for data in (b"{not json",
+                 valid.replace("201", "1" * 5000).encode(),  # past int parsing limits
+                 valid.replace("201", "[" * 100_000 + "]" * 100_000).encode(),
+                 valid.replace("unit_case", "\u00e9").encode("latin-1")):
+        path.write_bytes(data)
+        with pytest.raises(ValidationError):
+            load_scenario(path)
 
 
 def test_unit_conversion_frozen():
@@ -157,12 +165,69 @@ def test_curvature_unit_frozen():
         coherence_peak={"value": 0.4, "unit": "GHz"}),
     lambda d: d["trajectory"].update(
         switch_rate={"value": 0.01, "unit": "parsec"}),
+    lambda d: d["trajectory"].update(family=["transfer"]),
+    lambda d: d["trajectory"].update(family={}),
+    lambda d: d["trajectory"].update(
+        switch_rate={"value": 0.01, "unit": ["1/ns"]}),
+    lambda d: d["trajectory"].update(peak_width=10**400),
+    lambda d: d["window"].update(start={"value": -10**400, "unit": "ps"}),
+    lambda d: d.update(tolerances={"rtol": 10**400}),
+    lambda d: d["window"].update(samples=10**12),
+    lambda d: d["window"].update(samples=10**400),
 ])
 def test_bad_scenario_dicts_rejected(mutate):
     d = _base_dict()
     mutate(d)
     with pytest.raises(ValidationError):
         scenario_from_dict(d)
+
+
+# JSON-like values: hostile scalars and containers half the time, arbitrary trees otherwise
+_JSON_VALUES = st.one_of(
+    st.sampled_from([10**400, -10**400, 10**12, float("nan"), float("inf"), True, None, "",
+                     "GHz", [], {}, ["transfer"], {"value": 10**400}, {"unit": "ns"}]),
+    st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.sampled_from(["value", "unit", "family", "kind"]) | st.text(max_size=6),
+                          inner, max_size=3),
+        max_leaves=6),
+)
+
+
+def _entries(node, out):
+    """Every (container, key) in a JSON tree, plus one unknown key per object."""
+    if isinstance(node, dict):
+        out.append((node, "x"))
+    for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+        out.append((node, key))
+        if isinstance(child, (dict, list)):
+            _entries(child, out)
+    return out
+
+
+def _full_dict():
+    d = _base_dict()
+    d["trajectory"]["peak_width"] = {"value": 0.1, "unit": "ns"}
+    d["rates"] = {"dephasing": {"value": 1e9, "unit": "s^-1"}, "occupancy": 0.5}
+    d["transition"] = {"kind": "ramp", "start": {"value": 1.0, "unit": "GHz"}, "stop": 5e-3}
+    d["tolerances"] = {"rtol": 1e-10, "atol": 1e-12}
+    d["pictures"] = ["effective-bloch", "interaction"]
+    return d
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_malformed_scenario_dicts_raise_only_validation_error(data):
+    d = _full_dict()
+    for _ in range(data.draw(st.integers(1, 3))):
+        node, key = data.draw(st.sampled_from(_entries(d, [])))
+        node[key] = copy.deepcopy(data.draw(_JSON_VALUES))  # never share or nest itself
+    try:
+        cfg = scenario_from_dict(d)
+    except ValidationError:
+        return
+    assert isinstance(cfg, ScenarioConfig)
 
 
 def test_lab_picture_requires_closed_rates():
@@ -202,6 +267,8 @@ def test_window_validation():
         Window(0.0, 0.0, 100)
     with pytest.raises(ValidationError):
         Window(0.0, 10.0, 1)
+    with pytest.raises(ValidationError):  # rejected before any grid is allocated
+        Window(0.0, 1.0, 10**12)
     assert Window(0.0, 10.0, 2).grid().tolist() == [0.0, 10.0]
 
 
