@@ -16,22 +16,23 @@ Every picture is one affine equation for the Bloch vector r = (u, v, w),
 dr/dt = b(t) x r - (G, G, Gamma_1) r + (0, 0, -2 Gamma), with H = b . sigma / 2,
 G and Gamma_1 the transverse and inversion decay rates and Gamma the thermal
 rate; only the field b(t) differs. Every integrator takes the initial state as
-a Bloch vector, and one propagator integrates it and stores r; density
-matrices are derived from r on demand. Control channels are interpolated with
-node-exact cubic splines. Step sizes are capped by the fastest carrier scale so
-oscillations stay resolved. Times in ps, angular frequencies in rad/ps.
+a Bloch vector, and one propagator integrates it with the Bloch step kernel of
+``odeint`` and stores r; density matrices are derived from r on demand.
+Control channels are interpolated with one node-exact cubic-spline table, read
+once per step at all six new stage times. Step sizes are capped by the fastest
+carrier scale so oscillations stay resolved. Times in ps, angular frequencies
+in rad/ps.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import ValidationError
-from .odeint import IntegrationStats, integrate_adaptive
+from .odeint import IntegrationStats, integrate_bloch
 from .rates import Rates, inversion_decay_rate, transverse_rate
 from .states import SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, _checked_bloch, _density, validate_grid
 from .synthesis import ControlField
@@ -106,32 +107,32 @@ class ControlInterpolant:
         return float(np.max(peaks))
 
 
-# Fields b(t) with H = b . sigma / 2, from one row of channels as plain floats:
-# the right-hand side runs thousands of times per picture and numpy scalars
-# would dominate it.
+# Fields b(t) with H = b . sigma / 2, from the channel arrays of the
+# ControlInterpolant; each component is an array over the same times.
 
-def _lab_field(omega, delta, phi, omega_r, omega0) -> tuple[float, float, float]:
-    return 2.0 * omega_r * math.cos(phi), 0.0, omega0
+def _lab_field(omega, delta, phi, omega_r, omega0):
+    return 2.0 * omega_r * np.cos(phi), np.zeros(phi.shape), omega0
 
 
-def _carrier_field(omega, delta, phi, omega_r, omega0) -> tuple[float, float, float]:
+def _carrier_field(omega, delta, phi, omega_r, omega0):
     two_phi = 2.0 * phi
-    return omega_r * (1.0 + math.cos(two_phi)), -omega_r * math.sin(two_phi), -delta
+    return omega_r * (1.0 + np.cos(two_phi)), -omega_r * np.sin(two_phi), -delta
 
 
-def _rwa_field(omega, delta, phi, omega_r, omega0) -> tuple[float, float, float]:
-    return omega_r, 0.0, -delta
+def _rwa_field(omega, delta, phi, omega_r, omega0):
+    return omega_r, np.zeros(phi.shape), -delta
 
 
-def _design_field(omega, delta, phi, omega_r, omega0) -> tuple[float, float, float]:
-    return omega, 0.0, -delta
+def _design_field(omega, delta, phi, omega_r, omega0):
+    return omega, np.zeros(phi.shape), -delta
 
 
 def _propagate(picture: str, field: ControlField, field_at, rates: Rates,
                r0, grid, rtol: float, atol: float) -> SimResult:
     """Integrate dr/dt = b x r - (G, G, Gamma_1) r + (0, 0, -2 Gamma) on ``grid``.
 
-    ``field_at(*channels)`` gives b(t) from one row of the ``ControlInterpolant``;
+    ``field_at(*channels)`` gives b from the ``ControlInterpolant``'s channel
+    arrays; the Bloch kernel reads it once per step, at all six stage times.
     ``r0`` is the Bloch vector at ``grid[0]``.
     """
     r0 = _checked_bloch(r0)
@@ -143,21 +144,12 @@ def _propagate(picture: str, field: ControlField, field_at, rates: Rates,
         raise ValidationError(
             f"sample grid [{t[0]:g}, {t[-1]:g}] leaves the control window "
             f"[{ctrl.t0:g}, {ctrl.t1:g}]")
-    g_t, g_1, pump = transverse_rate(rates), inversion_decay_rate(rates), -2.0 * rates.thermal
-
-    def rhs(tt, r):
-        u, v, w = r
-        bx, by, bz = field_at(*ctrl(tt).tolist())
-        return np.array([
-            by * w - bz * v - g_t * u,
-            bz * u - bx * w - g_t * v,
-            bx * v - by * u - g_1 * w + pump,
-        ])
+    decay = transverse_rate(rates), inversion_decay_rate(rates), -2.0 * rates.thermal
 
     span, scale = t[-1] - t[0], ctrl.fastest_scale()
     max_step = min(PHASE_PER_STEP / scale, span / 8.0) if scale > 0.0 else span / 8.0
-    bloch, stats = integrate_adaptive(rhs, (t[0], t[-1]), r0, t, rtol=rtol, atol=atol,
-                                      max_step=max_step)
+    bloch, stats = integrate_bloch(lambda ts: field_at(*ctrl(ts).T), decay, (t[0], t[-1]),
+                                   r0, t, rtol=rtol, atol=atol, max_step=max_step)
     return SimResult(picture=picture, t=t, bloch=bloch, stats=stats)
 
 

@@ -1,9 +1,18 @@
 """Adaptive Dormand-Prince 5(4) integrator with dense output.
 
-A small explicit Runge-Kutta core shared by every simulation picture and by
-the open-system v-completion. It integrates flat real or complex state
-vectors, emits the solution on a caller grid through a quartic dense
-interpolant, and counts accepted and rejected steps. Times are in ps.
+One step controller, shared by every simulation picture and by the open-system
+v-completion, drives one of two step kernels:
+
+  * a generic numpy kernel for dy/dt = rhs(t, y) on flat real or complex
+    state vectors (``integrate_adaptive``);
+  * a Bloch kernel for dr/dt = b(t) x r - (G, G, Gamma_1) r + (0, 0, pump)
+    (``integrate_bloch``). It reads the field once per step, at all six new
+    stage times, and runs the stages on plain floats.
+
+The controller owns input validation, the step budget, the underflow and
+non-finite checks, accept/reject and step-size control. It records every
+accepted step; one vectorised pass then emits the solution on the caller grid
+through the quartic dense interpolant. Times are in ps.
 """
 
 from __future__ import annotations
@@ -16,10 +25,11 @@ import numpy as np
 
 from .errors import IntegrationError, ValidationError
 
-__all__ = ["IntegrationStats", "integrate_adaptive"]
+__all__ = ["IntegrationStats", "integrate_adaptive", "integrate_bloch", "step_floor"]
 
-# Dormand-Prince 5(4) tableau. The scheme is first-same-as-last: stage 7 of an
-# accepted step is stage 1 of the next.
+# Dormand-Prince 5(4) tableau (Dormand & Prince, J. Comput. Appl. Math. 6
+# (1980) 19). The scheme is first-same-as-last: stage 7 of an accepted step is
+# stage 1 of the next.
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _A = (
     np.array([], dtype=float),
@@ -50,6 +60,12 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _MAX_STEPS = 1_000_000
+_FLOOR = 16.0 * np.finfo(float).eps
+
+
+def step_floor(t: float) -> float:
+    """Smallest step the integrator takes at time ``t``; below it, it gives up."""
+    return _FLOOR * max(abs(t), 1.0)
 
 
 @dataclass
@@ -58,12 +74,186 @@ class IntegrationStats:
 
     accepted: int = 0
     rejected: int = 0
-    rhs_evals: int = 0
+    rhs_evals: int = 0  # stage evaluations: 1 + 6 per attempted step
     max_error_ratio: float = 0.0  # largest accepted local error, in tolerance units
 
 
-def _rms_norm(x: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(np.abs(x) ** 2)))
+# A kernel is a pair of functions over its own state representation:
+#   start(t, y) -> (state, k1)   state and first stage from the validated y0
+#   step(t, h, state, k1) -> (new state, k7, stages K (7 x n), error ratio)
+# where the error ratio is the RMS local error in tolerance units.
+
+
+def _numpy_kernel(rhs, rtol: float, atol: float):
+    def start(t, y):
+        return y, rhs(t, y)
+
+    def step(t, h, y, k1):
+        k = np.empty((7, y.size), dtype=y.dtype)
+        k[0] = k1
+        for i in range(1, 7):
+            k[i] = rhs(t + _C[i] * h, y + h * (_A[i] @ k[:i]))
+        y_new = y + h * (_B @ k)
+        err = h * (_E @ k)
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        ratio = float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
+        return y_new, k[6], k, ratio
+
+    return start, step
+
+
+def _bloch_kernel(field, decay: tuple[float, float, float], rtol: float, atol: float):
+    """The DP5 step for dr/dt = b x r - (G, G, Gamma_1) r + (0, 0, pump), on floats.
+
+    ``field(ts)`` gives (bx, by, bz), each an array over the times ``ts``.
+    """
+    g_t, g_1, pump = decay
+    ((a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
+     (a61, a62, a63, a64, a65)) = (a.tolist() for a in _A[1:6])
+    b1, _, b3, b4, b5, b6, _ = _B.tolist()
+    e1, _, e3, e4, e5, e6, e7 = _E.tolist()
+
+    def rhs(bx, by, bz, u, v, w):
+        return (by * w - bz * v - g_t * u,
+                bz * u - bx * w - g_t * v,
+                bx * v - by * u - g_1 * w + pump)
+
+    def start(t, y):
+        if y.shape != (3,):
+            raise ValidationError(f"the Bloch kernel integrates a 3-vector, got shape {y.shape}")
+        r = tuple(y.tolist())
+        b = [c.tolist()[0] for c in field(np.array([t]))]
+        return r, rhs(*b, *r)
+
+    def step(t, h, r, k1):
+        bx, by, bz = (c.tolist() for c in field(t + _C[1:] * h))
+        u, v, w = r
+        k1u, k1v, k1w = k1
+        k2u, k2v, k2w = rhs(bx[0], by[0], bz[0],
+                            u + h * (a21 * k1u),
+                            v + h * (a21 * k1v),
+                            w + h * (a21 * k1w))
+        k3u, k3v, k3w = rhs(bx[1], by[1], bz[1],
+                            u + h * (a31 * k1u + a32 * k2u),
+                            v + h * (a31 * k1v + a32 * k2v),
+                            w + h * (a31 * k1w + a32 * k2w))
+        k4u, k4v, k4w = rhs(bx[2], by[2], bz[2],
+                            u + h * (a41 * k1u + a42 * k2u + a43 * k3u),
+                            v + h * (a41 * k1v + a42 * k2v + a43 * k3v),
+                            w + h * (a41 * k1w + a42 * k2w + a43 * k3w))
+        k5u, k5v, k5w = rhs(bx[3], by[3], bz[3],
+                            u + h * (a51 * k1u + a52 * k2u + a53 * k3u + a54 * k4u),
+                            v + h * (a51 * k1v + a52 * k2v + a53 * k3v + a54 * k4v),
+                            w + h * (a51 * k1w + a52 * k2w + a53 * k3w + a54 * k4w))
+        k6u, k6v, k6w = rhs(bx[4], by[4], bz[4],
+                            u + h * (a61 * k1u + a62 * k2u + a63 * k3u + a64 * k4u + a65 * k5u),
+                            v + h * (a61 * k1v + a62 * k2v + a63 * k3v + a64 * k4v + a65 * k5v),
+                            w + h * (a61 * k1w + a62 * k2w + a63 * k3w + a64 * k4w + a65 * k5w))
+        # the 5th-order update is also the input of stage 7 (first-same-as-last)
+        un = u + h * (b1 * k1u + b3 * k3u + b4 * k4u + b5 * k5u + b6 * k6u)
+        vn = v + h * (b1 * k1v + b3 * k3v + b4 * k4v + b5 * k5v + b6 * k6v)
+        wn = w + h * (b1 * k1w + b3 * k3w + b4 * k4w + b5 * k5w + b6 * k6w)
+        k7 = k7u, k7v, k7w = rhs(bx[5], by[5], bz[5], un, vn, wn)
+        eu = h * (e1 * k1u + e3 * k3u + e4 * k4u + e5 * k5u + e6 * k6u + e7 * k7u)
+        ev = h * (e1 * k1v + e3 * k3v + e4 * k4v + e5 * k5v + e6 * k6v + e7 * k7v)
+        ew = h * (e1 * k1w + e3 * k3w + e4 * k4w + e5 * k5w + e6 * k6w + e7 * k7w)
+        eu /= atol + rtol * max(abs(u), abs(un))
+        ev /= atol + rtol * max(abs(v), abs(vn))
+        ew /= atol + rtol * max(abs(w), abs(wn))
+        ratio = math.sqrt((eu * eu + ev * ev + ew * ew) / 3.0)
+        stages = (k1u, k1v, k1w, k2u, k2v, k2w, k3u, k3v, k3w, k4u, k4v, k4w,
+                  k5u, k5v, k5w, k6u, k6v, k6w, k7u, k7v, k7w)
+        return (un, vn, wn), k7, stages, ratio
+
+    return start, step
+
+
+def _integrate(kernel, t_span, y0, t_eval, max_step) -> tuple[np.ndarray, IntegrationStats]:
+    """The step controller: validate, step with ``kernel``, then emit on ``t_eval``."""
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    if not (np.isfinite(t0) and np.isfinite(t1)) or t1 <= t0:
+        raise ValidationError(f"integration span must be finite with t1 > t0, got ({t0}, {t1})")
+    y0 = np.asarray(y0)
+    y = np.atleast_1d(y0).astype(np.result_type(y0, np.float64), copy=True)
+    if y.ndim != 1:
+        raise ValidationError("initial state must flatten to a 1-D vector")
+    if not np.all(np.isfinite(y)):
+        raise ValidationError("initial state contains non-finite values")
+    teval = np.asarray(t_eval, dtype=float)
+    if teval.ndim != 1 or teval.size == 0:
+        raise ValidationError("t_eval must be a non-empty 1-D array")
+    if np.any(np.diff(teval) < 0.0):
+        raise ValidationError("t_eval must be non-decreasing")
+    if teval[0] < t0 - 1e-12 or teval[-1] > t1 + 1e-12:
+        raise ValidationError("t_eval must lie within t_span")
+    max_step = float(max_step)
+    if not max_step > 0.0:  # also rejects NaN
+        raise ValidationError("max_step must be positive")
+
+    start, attempt = kernel
+    stats = IntegrationStats()
+    state, k1 = start(t0, y)
+    stats.rhs_evals += 1
+    steps = []  # (t, h, state, stages) of every accepted step
+    span = t1 - t0
+    h = min(max_step, span / 100.0, span)
+    t = t0
+    grow_cap = _MAX_FACTOR
+
+    while t < t1:
+        if stats.accepted + stats.rejected >= _MAX_STEPS:
+            raise IntegrationError(
+                f"step budget exhausted at t = {t:.6g} ps; tolerances may be unreachable"
+            )
+        if h < step_floor(t):
+            raise IntegrationError(f"step size underflow at t = {t:.6g} ps")
+        h = min(h, t1 - t)
+
+        new_state, k7, stages, ratio = attempt(t, h, state, k1)
+        stats.rhs_evals += 6
+        if not math.isfinite(ratio):
+            raise IntegrationError(f"non-finite local error estimate at t = {t:.6g} ps")
+
+        if ratio <= 1.0:
+            steps.append((t, h, state, stages))
+            t += h
+            state, k1 = new_state, k7
+            stats.accepted += 1
+            stats.max_error_ratio = max(stats.max_error_ratio, ratio)
+            factor = _SAFETY * ratio ** -0.2 if ratio > 0.0 else _MAX_FACTOR
+            h = min(h * min(grow_cap, max(factor, _MIN_FACTOR)), max_step)
+            grow_cap = _MAX_FACTOR
+        else:
+            stats.rejected += 1
+            h *= max(_SAFETY * ratio ** -0.2, _MIN_FACTOR)
+            grow_cap = 1.0  # no growth right after a rejection
+
+    return _dense_output(teval, t0, y, state, steps), stats
+
+
+def _dense_output(teval, t0, y0, y_end, steps) -> np.ndarray:
+    """Emit every sample from the accepted steps' quartic interpolants at once.
+
+    A sample belongs to the first step whose end, plus 1e-14 max(|t|, 1) of
+    roundoff slack, reaches it. Samples at or before t0 get y0, samples past
+    the last step the final state.
+    """
+    ts, hs, ys, ks = (np.array(col) for col in zip(*steps))
+    ks = ks.reshape(len(steps), 7, y0.size)
+    # a running maximum, so searchsorted finds the first end that reaches a sample
+    ends = np.maximum.accumulate(ts + hs + 1e-14 * np.maximum(np.abs(ts), 1.0))
+    idx = np.searchsorted(ends, teval, side="left")
+    inside = (teval > t0) & (idx < len(steps))
+    j = idx[inside]
+    theta = np.clip((teval[inside] - ts[j]) / hs[j], 0.0, 1.0)
+    powers = np.stack([theta, theta**2, theta**3, theta**4], axis=1)
+    # y(t + theta h) = y + h K^T P (theta, theta^2, theta^3, theta^4)
+    dense = np.swapaxes(ks, 1, 2) @ _P
+    out = np.empty((teval.size, y0.size), dtype=y0.dtype)
+    out[teval <= t0] = y0
+    out[idx >= len(steps)] = y_end
+    out[inside] = ys[j] + hs[j, None] * (dense[j] @ powers[:, :, None])[:, :, 0]
+    return out
 
 
 def integrate_adaptive(
@@ -106,86 +296,26 @@ def integrate_adaptive(
         If the step size underflows, the step budget is exhausted, or the
         right-hand side yields a non-finite error estimate.
     """
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if not (np.isfinite(t0) and np.isfinite(t1)) or t1 <= t0:
-        raise ValidationError(f"integration span must be finite with t1 > t0, got ({t0}, {t1})")
-    y0 = np.asarray(y0)
-    y = np.atleast_1d(y0).astype(np.result_type(y0, np.float64), copy=True)
-    if y.ndim != 1:
-        raise ValidationError("initial state must flatten to a 1-D vector")
-    if not np.all(np.isfinite(y)):
-        raise ValidationError("initial state contains non-finite values")
-    teval = np.asarray(t_eval, dtype=float)
-    if teval.ndim != 1 or teval.size == 0:
-        raise ValidationError("t_eval must be a non-empty 1-D array")
-    if np.any(np.diff(teval) < 0.0):
-        raise ValidationError("t_eval must be non-decreasing")
-    if teval[0] < t0 - 1e-12 or teval[-1] > t1 + 1e-12:
-        raise ValidationError("t_eval must lie within t_span")
-    if max_step <= 0.0:
-        raise ValidationError("max_step must be positive")
+    return _integrate(_numpy_kernel(rhs, rtol, atol), t_span, y0, t_eval, max_step)
 
-    n = y.size
-    out = np.empty((teval.size, n), dtype=y.dtype)
-    stats = IntegrationStats()
 
-    # emit any samples sitting exactly at the start
-    next_emit = 0
-    while next_emit < teval.size and teval[next_emit] <= t0:
-        out[next_emit] = y
-        next_emit += 1
+def integrate_bloch(
+    field: Callable[[np.ndarray], tuple],
+    decay: tuple[float, float, float],
+    t_span: tuple[float, float],
+    r0,
+    t_eval,
+    *,
+    rtol: float = 1e-10,
+    atol: float = 1e-12,
+    max_step: float = np.inf,
+) -> tuple[np.ndarray, IntegrationStats]:
+    """Integrate dr/dt = b(t) x r - (G, G, Gamma_1) r + (0, 0, pump) for a Bloch vector.
 
-    span = t1 - t0
-    h = min(max_step, span / 100.0, span)
-    t = t0
-    k = np.empty((7, n), dtype=y.dtype)
-    k[0] = rhs(t, y)
-    stats.rhs_evals += 1
-    grow_cap = _MAX_FACTOR
-
-    while t < t1:
-        if stats.accepted + stats.rejected >= _MAX_STEPS:
-            raise IntegrationError(
-                f"step budget exhausted at t = {t:.6g} ps; tolerances may be unreachable"
-            )
-        if h < 16.0 * np.finfo(float).eps * max(abs(t), 1.0):
-            raise IntegrationError(f"step size underflow at t = {t:.6g} ps")
-        h = min(h, t1 - t)
-
-        for i in range(1, 7):
-            ti = t + _C[i] * h
-            yi = y + h * (_A[i] @ k[:i])
-            k[i] = rhs(ti, yi)
-        stats.rhs_evals += 6
-        y_new = y + h * (_B @ k)
-
-        err = h * (_E @ k)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        ratio = _rms_norm(err / scale)
-        if not math.isfinite(ratio):
-            raise IntegrationError(f"non-finite local error estimate at t = {t:.6g} ps")
-
-        if ratio <= 1.0:
-            # dense interpolant over [t, t + h]: y(t + theta h) = y + h K^T P p(theta)
-            dense = k.T @ _P
-            while next_emit < teval.size and teval[next_emit] <= t + h + 1e-14 * max(abs(t), 1.0):
-                theta = min(max((teval[next_emit] - t) / h, 0.0), 1.0)
-                p = np.array([theta, theta**2, theta**3, theta**4])
-                out[next_emit] = y + h * (dense @ p)
-                next_emit += 1
-            t += h
-            y = y_new
-            k[0] = k[6]
-            stats.accepted += 1
-            stats.max_error_ratio = max(stats.max_error_ratio, ratio)
-            factor = _SAFETY * ratio ** -0.2 if ratio > 0.0 else _MAX_FACTOR
-            h = min(h * min(grow_cap, max(factor, _MIN_FACTOR)), max_step)
-            grow_cap = _MAX_FACTOR
-        else:
-            stats.rejected += 1
-            h *= max(_SAFETY * ratio ** -0.2, _MIN_FACTOR)
-            grow_cap = 1.0  # no growth right after a rejection
-
-    # samples at t1 within roundoff
-    out[next_emit:] = y
-    return out, stats
+    Same controller, tolerances, dense output and statistics as
+    ``integrate_adaptive`` with the equivalent right-hand side. ``field(ts)``
+    returns (bx, by, bz), each an array over the times ``ts``; it is called
+    once at t0 and once per attempted step, at that step's six new stage
+    times. ``decay`` is (G, Gamma_1, pump) and ``r0`` a real 3-vector.
+    """
+    return _integrate(_bloch_kernel(field, decay, rtol, atol), t_span, r0, t_eval, max_step)

@@ -54,6 +54,7 @@ from .dynamics import (
     integrate_lindblad,
 )
 from .errors import ValidationError
+from .odeint import step_floor
 from .rates import Rates
 from .states import bloch_from_density, density_from_bloch
 # synthesize_pulse is unused here but stays importable from this module: the
@@ -159,6 +160,13 @@ class Window:
             raise ValidationError("window stop must exceed start")
         if not isinstance(self.samples, int) or not 2 <= self.samples <= _MAX_SAMPLES:
             raise ValidationError(f"window samples must be an integer in [2, {_MAX_SAMPLES}]")
+        spacing = (float(self.stop) - float(self.start)) / (self.samples - 1)
+        if not math.isfinite(spacing):
+            raise ValidationError("window span stop - start overflows a float")
+        floor = step_floor(max(abs(self.start), abs(self.stop)))
+        if spacing < floor:
+            raise ValidationError(f"window sample spacing {spacing:g} ps is below the "
+                                  f"integrator's step floor {floor:g} ps")
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.samples)

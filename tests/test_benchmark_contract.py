@@ -2,8 +2,9 @@
 
 The benchmark's tracer replaces functions by (module, name) in every run, and
 its presets check maps the lab picture's density matrices through the frame
-map. A refactor that breaks either crashes or fails the benchmark; these
-tests catch it first.
+map. Its per-layer metrics read ``IntegrationStats.rhs_evals`` as stage
+evaluations. A refactor that breaks any of these crashes or fails the
+benchmark, or changes what a metric means; these tests catch it first.
 """
 
 import importlib
@@ -41,3 +42,13 @@ def test_lab_states_round_trip_through_frame_map():
     assert rotated.shape == states.shape
     assert np.max(np.abs(frame_transform(rotated, phi, "to_lab") - states)) < 1e-15
     assert np.max(np.abs(rotated - run.results["interaction"].states)) < 1e-6
+
+
+def test_rhs_evals_count_stages_of_every_attempted_step():
+    # odeint.*.rhs_evals and dynamics.*.us_per_rhs read stage evaluations,
+    # however often the kernel reads the field
+    run = run_scenario(preset("fig2"))
+    assert set(run.results) == set(run.config.pictures)
+    for pic, res in run.results.items():
+        stats = res.stats
+        assert stats.rhs_evals == 1 + 6 * (stats.accepted + stats.rejected), pic

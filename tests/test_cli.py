@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from blochpulse import (
     TransitionSpec,
     Window,
     save_scenario,
+    scenario_to_dict,
 )
 from blochpulse.cli import main
 
@@ -124,6 +126,21 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         path.write_text(json.dumps(data), encoding="utf-8")
         assert main(["verify", "--config", str(path)]) == 2
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("start, stop", [(-1e308, 1e308), (0.0, 1e-300)])
+def test_window_the_integrator_cannot_resolve_exits_2(tmp_path, capsys, start, stop):
+    # the span overflows a float, or the sample spacing is below the step floor
+    data = scenario_to_dict(_MINI)
+    data["window"].update(start=start, stop=stop)
+    path = tmp_path / "window.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["verify", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "Warning" not in out + err and not caught
 
 
 def test_carrier_singularity_exits_3(tmp_path, capsys):

@@ -5,8 +5,12 @@ exact reductions with all rates off (the master equation driven by the design
 coupling collapses onto the damped component equations, the one driven by the
 carrier-resolved coupling onto the co-rotating propagator), and an
 independent density-matrix reference: each picture's 2x2 Hamiltonian built
-from the Pauli matrices plus the matrix dissipator, integrated by scipy.
+from the Pauli matrices plus the matrix dissipator, integrated by scipy. The
+Bloch step kernel is also checked step for step against the per-call
+right-hand side it replaced, run through the generic integrator.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -26,6 +30,7 @@ from blochpulse import (
     dissipator_action,
     eval_components,
     frame_transform,
+    integrate_adaptive,
     integrate_bloch_effective,
     integrate_interaction,
     integrate_lab,
@@ -33,6 +38,8 @@ from blochpulse import (
     preset,
     synthesize_pulse,
 )
+from blochpulse.dynamics import PHASE_PER_STEP
+from blochpulse.rates import inversion_decay_rate, transverse_rate
 from blochpulse.states import SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Z
 
 
@@ -134,10 +141,14 @@ def _master_equation_reference(hamiltonian, rates, rho0, t):
     return np.array([bloch_from_density(y.reshape(2, 2)) for y in sol.y.T])
 
 
-def test_pictures_match_density_matrix_reference():
+def _fig1_l3_field():
     cfg = preset("fig1_L3")
     t = cfg.window.grid()
-    field = synthesize_pulse(cfg.trajectory, Rates(), cfg.transition.values(t), t)
+    return t, synthesize_pulse(cfg.trajectory, Rates(), cfg.transition.values(t), t)
+
+
+def test_pictures_match_density_matrix_reference():
+    t, field = _fig1_l3_field()
     omega, delta, phi, omega_r, omega0 = (
         CubicSpline(t, x) for x in (field.omega, field.delta, field.phi,
                                     field.omega_r, field.omega0))
@@ -162,6 +173,52 @@ def test_pictures_match_density_matrix_reference():
     for res, rates, hamiltonian in cases:
         ref = _master_equation_reference(hamiltonian, rates, density_from_bloch(r0), t)
         assert np.max(np.abs(res.bloch - ref)) < 1e-8, res.picture
+
+
+# The per-call right-hand side the Bloch kernel replaced: one scalar
+# ControlInterpolant call and one float field per stage, through the public
+# generic integrator.
+_FLOAT_FIELDS = {
+    "lab": lambda om, de, ph, om_r, om0: (2.0 * om_r * math.cos(ph), 0.0, om0),
+    "carrier": lambda om, de, ph, om_r, om0: (om_r * (1.0 + math.cos(2.0 * ph)),
+                                              -om_r * math.sin(2.0 * ph), -de),
+    "rwa": lambda om, de, ph, om_r, om0: (om_r, 0.0, -de),
+    "design": lambda om, de, ph, om_r, om0: (om, 0.0, -de),
+}
+
+
+def _per_call_reference(field, field_at, rates, r0, t):
+    ctrl = ControlInterpolant(field)
+    g_t, g_1, pump = transverse_rate(rates), inversion_decay_rate(rates), -2.0 * rates.thermal
+
+    def rhs(tt, r):
+        u, v, w = r
+        bx, by, bz = field_at(*ctrl(tt).tolist())
+        return np.array([by * w - bz * v - g_t * u,
+                         bz * u - bx * w - g_t * v,
+                         bx * v - by * u - g_1 * w + pump])
+
+    max_step = min(PHASE_PER_STEP / ctrl.fastest_scale(), (t[-1] - t[0]) / 8.0)
+    return integrate_adaptive(rhs, (t[0], t[-1]), r0, t, max_step=max_step)
+
+
+def test_bloch_kernel_matches_per_call_rhs():
+    t, field = _fig1_l3_field()
+    open_rates = Rates(dephasing=2e-3, thermal=1e-3, occupancy=0.5)
+    r0 = _start_state()
+    cases = [
+        (integrate_lab(field, r0, t), "lab", Rates()),
+        (integrate_interaction(field, r0, t), "carrier", Rates()),
+        (integrate_interaction(field, r0, t, rwa=True), "rwa", Rates()),
+        (integrate_lindblad(field, open_rates, r0, t), "design", open_rates),
+        (integrate_lindblad(field, open_rates, r0, t, hamiltonian="field"), "carrier",
+         open_rates),
+    ]
+    for res, name, rates in cases:
+        ref, stats = _per_call_reference(field, _FLOAT_FIELDS[name], rates, r0, t)
+        assert (res.stats.accepted, res.stats.rejected, res.stats.rhs_evals) == (
+            stats.accepted, stats.rejected, stats.rhs_evals), name
+        assert np.max(np.abs(res.bloch - ref)) < 1e-14, name
 
 
 def test_lindblad_rejects_unknown_hamiltonian():

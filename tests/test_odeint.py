@@ -2,7 +2,8 @@
 
 Oracles: exponential decay and complex rotation have exact solutions; a
 random linear system is cross-checked against scipy's solve_ivp at much
-tighter tolerance.
+tighter tolerance; the vectorised dense output is checked against the
+per-sample emission loop it replaced, on the same accepted steps.
 """
 
 import time
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from blochpulse import IntegrationStats, ValidationError, integrate_adaptive
+from blochpulse import IntegrationStats, ValidationError, integrate_adaptive, odeint
 from blochpulse.errors import IntegrationError
 
 
@@ -97,6 +98,7 @@ def test_blowup_underflows_step_size():
     {"t_eval": np.array([0.5, 0.2])},
     {"t_eval": np.array([-1.0, 0.5])},
     {"max_step": 0.0},
+    {"max_step": np.nan},
 ])
 def test_input_validation(bad_kwargs):
     kwargs = {"t_span": (0.0, 1.0), "t_eval": np.array([0.0, 1.0]), "max_step": np.inf}
@@ -123,3 +125,41 @@ def test_non_finite_error_estimate_stops_at_once():
 def test_non_finite_initial_state_rejected(y0):
     with pytest.raises(ValidationError):
         integrate_adaptive(lambda tt, y: -y, (0.0, 1.0), y0, np.array([0.0, 1.0]))
+
+
+def _loop_dense_output(teval, t0, y0, y_end, steps):
+    """The per-sample emission loop: each step emits the samples up to its end."""
+    out = np.empty((teval.size, y0.size), dtype=y0.dtype)
+    i = 0
+    while i < teval.size and teval[i] <= t0:
+        out[i] = y0
+        i += 1
+    for t, h, y, k in steps:
+        dense = np.reshape(k, (7, y0.size)).T @ odeint._P
+        while i < teval.size and teval[i] <= t + h + 1e-14 * max(abs(t), 1.0):
+            theta = min(max((teval[i] - t) / h, 0.0), 1.0)
+            out[i] = y + h * (dense @ np.array([theta, theta**2, theta**3, theta**4]))
+            i += 1
+    out[i:] = y_end
+    return out
+
+
+@pytest.mark.parametrize("a, y0", [
+    (np.array([[0.0, 1.0], [-1.0, -0.1]]), np.array([1.0, 0.0])),
+    (np.array([[0.3j, 1.0], [-1.0, -0.1 + 2.0j]]), np.array([1.0 + 0.5j, 0.0])),
+])
+def test_dense_output_matches_per_sample_loop(monkeypatch, a, y0):
+    calls = []
+    emit = odeint._dense_output
+    monkeypatch.setattr(odeint, "_dense_output", lambda *args: calls.append(args) or emit(*args))
+    integrate_adaptive(lambda tt, y: a @ y, (0.0, 2.0), y0, [0.0, 2.0])
+    ends = [t + h for t, h, _, _ in calls[-1][4]]
+    assert len(ends) > 4 and ends[3] < 2.0
+    # repeated times, t0 twice, samples exactly on step ends and within the
+    # 1e-14 roundoff slack past them, one just past t1
+    teval = np.sort(np.concatenate([[0.0, 0.0, 2.0 + 5e-13], ends[:4], ends[:4],
+                                    np.add(ends[:4], 5e-15), np.linspace(0.0, 2.0, 37)]))
+    ys, _ = integrate_adaptive(lambda tt, y: a @ y, (0.0, 2.0), y0, teval)
+    assert ys.dtype == y0.dtype
+    assert np.array_equal(ys[:2], [y0, y0])
+    assert np.max(np.abs(ys - _loop_dense_output(*calls[-1]))) < 1e-15

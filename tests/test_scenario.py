@@ -269,6 +269,10 @@ def test_window_validation():
         Window(0.0, 10.0, 1)
     with pytest.raises(ValidationError):  # rejected before any grid is allocated
         Window(0.0, 1.0, 10**12)
+    with pytest.raises(ValidationError, match="overflows"):  # stop - start is inf
+        Window(-1e308, 1e308, 11)
+    with pytest.raises(ValidationError, match="step floor"):  # spacing below the integrator's
+        Window(0.0, 1e-300, 11)
     assert Window(0.0, 10.0, 2).grid().tolist() == [0.0, 10.0]
 
 
