@@ -47,7 +47,6 @@ from .synthesis import (
 )
 from .odeint import IntegrationStats, integrate_adaptive
 from .dynamics import (
-    ControlInterpolant,
     SimResult,
     dissipator_action,
     frame_transform,
@@ -95,7 +94,7 @@ __all__ = [
     "ControlField", "omega_delta_from_components", "phase_from_detuning",
     "pulse_from_components", "rabi_from_phase", "synthesize_pulse",
     "IntegrationStats", "integrate_adaptive",
-    "SimResult", "ControlInterpolant", "dissipator_action", "frame_transform",
+    "SimResult", "dissipator_action", "frame_transform",
     "integrate_lab", "integrate_interaction", "integrate_lindblad",
     "integrate_bloch_effective",
     "TrackingReport", "tracking_error", "rwa_deviation",

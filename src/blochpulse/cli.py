@@ -40,12 +40,12 @@ __all__ = ["main"]
 
 def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
     changes = {}
-    if getattr(args, "tol", None) is not None:
+    if args.tol is not None:
         if not 0.0 < args.tol < 1.0:
             raise ValidationError("--tol must lie in (0, 1)")
         changes["rtol"] = args.tol
         changes["atol"] = args.tol
-    if getattr(args, "pictures", None):
+    if args.pictures:
         requested = tuple(p.strip() for p in args.pictures.split(",") if p.strip())
         if not requested:
             raise ValidationError("--pictures must name at least one picture")
@@ -54,7 +54,7 @@ def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
 
 
 def _cmd_synthesize(args) -> int:
-    cfg = _apply_overrides(load_scenario(args.config), args)
+    cfg = load_scenario(args.config)
     grid = cfg.window.grid()
     field = synthesize_pulse(cfg.trajectory, cfg.rates, cfg.transition.values(grid), grid)
     out_dir = Path(args.out_dir)
@@ -126,29 +126,31 @@ def _build_parser() -> argparse.ArgumentParser:
                     "system along prescribed Bloch trajectories.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, pictures_help=True):
+    def add_common(p):
         p.add_argument("--tol", type=float, default=None,
                        help="override both integration tolerances")
-        if pictures_help:
-            p.add_argument("--pictures", default=None,
-                           help=f"comma-separated subset of {','.join(PICTURES)}")
+        p.add_argument("--pictures", default=None,
+                       help=f"comma-separated subset of {','.join(PICTURES)}")
 
     p_syn = sub.add_parser("synthesize", help="build a pulse and write its channels")
+    p_syn.set_defaults(run=_cmd_synthesize)
     p_syn.add_argument("--config", required=True, help="scenario JSON file")
     p_syn.add_argument("--out-dir", default=".", help="output directory")
-    add_common(p_syn, pictures_help=False)
 
     p_sim = sub.add_parser("simulate", help="synthesize, simulate, export CSV/SVG")
+    p_sim.set_defaults(run=_cmd_simulate)
     p_sim.add_argument("--config", required=True, help="scenario JSON file")
     p_sim.add_argument("--out-dir", default=".", help="output directory")
     p_sim.add_argument("--svg", action="store_true", help="also write SVG charts")
     add_common(p_sim)
 
     p_ver = sub.add_parser("verify", help="synthesize, simulate, print reports")
+    p_ver.set_defaults(run=_cmd_verify)
     p_ver.add_argument("--config", required=True, help="scenario JSON file")
     add_common(p_ver)
 
     p_pre = sub.add_parser("preset", help="bundled scenarios")
+    p_pre.set_defaults(run=_cmd_preset)
     pre_sub = p_pre.add_subparsers(dest="preset_cmd", required=True)
     pre_sub.add_parser("list", help="list bundled scenario names")
     p_run = pre_sub.add_parser("run", help="run a bundled scenario end to end")
@@ -160,18 +162,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DISPATCH = {
-    "synthesize": _cmd_synthesize,
-    "simulate": _cmd_simulate,
-    "verify": _cmd_verify,
-    "preset": _cmd_preset,
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        return args.run(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

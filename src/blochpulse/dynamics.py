@@ -18,10 +18,11 @@ G and Gamma_1 the transverse and inversion decay rates and Gamma the thermal
 rate; only the field b(t) differs. Every integrator takes the initial state as
 a Bloch vector, and one propagator integrates it with the Bloch step kernel of
 ``odeint`` and stores r; density matrices are derived from r on demand.
-Control channels are interpolated with one node-exact cubic-spline table, read
-once per step at all six new stage times. Step sizes are capped by the fastest
-carrier scale so oscillations stay resolved. Times in ps, angular frequencies
-in rad/ps.
+The field's own channel table (``ControlField.channels``) is read once per
+step at all six new stage times, and step sizes are capped by its
+``fastest_scale`` so carrier oscillations stay resolved; every picture of one
+field shares the table and the scale. Times in ps, angular frequencies in
+rad/ps.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import ValidationError
 from .odeint import IntegrationStats, integrate_bloch
@@ -39,7 +39,6 @@ from .synthesis import ControlField
 
 __all__ = [
     "SimResult",
-    "ControlInterpolant",
     "dissipator_action",
     "integrate_lab",
     "integrate_interaction",
@@ -82,33 +81,8 @@ class SimResult:
         return np.stack([0.5 * (1.0 + w), 0.5 * (1.0 - w)], axis=1)
 
 
-class ControlInterpolant:
-    """One cubic-spline table over a ControlField's channels, exact at the nodes.
-
-    Calling it at ``t`` (with derivative order ``nu``) gives the channels
-    (omega, delta, phi, omega_r, omega0) along the last axis.
-    """
-
-    def __init__(self, field: ControlField):
-        t = field.t
-        self.t0 = float(t[0])
-        self.t1 = float(t[-1])
-        self._table = CubicSpline(t, np.column_stack(
-            [field.omega, field.delta, field.phi, field.omega_r, field.omega0]))
-
-    def __call__(self, t, nu: int = 0) -> np.ndarray:
-        return self._table(t, nu)
-
-    def fastest_scale(self) -> float:
-        """Largest angular rate among the channels, for step capping."""
-        grids = np.linspace(self.t0, self.t1, 4 * len(self._table.x))
-        peaks = np.max(np.abs(self._table(grids)), axis=0)
-        peaks[2] = np.max(np.abs(self._table(grids, 1)[:, 2]))  # the carrier rate dphi/dt
-        return float(np.max(peaks))
-
-
-# Fields b(t) with H = b . sigma / 2, from the channel arrays of the
-# ControlInterpolant; each component is an array over the same times.
+# Fields b(t) with H = b . sigma / 2, from the channel arrays of
+# ControlField.channels; each component is an array over the same times.
 
 def _lab_field(omega, delta, phi, omega_r, omega0):
     return 2.0 * omega_r * np.cos(phi), np.zeros(phi.shape), omega0
@@ -131,25 +105,24 @@ def _propagate(picture: str, field: ControlField, field_at, rates: Rates,
                r0, grid, rtol: float, atol: float) -> SimResult:
     """Integrate dr/dt = b x r - (G, G, Gamma_1) r + (0, 0, -2 Gamma) on ``grid``.
 
-    ``field_at(*channels)`` gives b from the ``ControlInterpolant``'s channel
-    arrays; the Bloch kernel reads it once per step, at all six stage times.
-    ``r0`` is the Bloch vector at ``grid[0]``.
+    ``field_at(*channels)`` gives b from the arrays of ``field.channels``; the
+    Bloch kernel reads it once per step, at all six stage times. ``r0`` is the
+    Bloch vector at ``grid[0]``.
     """
     r0 = _checked_bloch(r0)
     if r0.shape != (3,):
         raise ValidationError(f"initial Bloch vector must have shape (3,), got {r0.shape}")
-    ctrl = ControlInterpolant(field)
     t = validate_grid(grid)
-    if t[0] < ctrl.t0 - 1e-12 or t[-1] > ctrl.t1 + 1e-12:
+    t0, t1 = field.t[0], field.t[-1]
+    if t[0] < t0 - 1e-12 or t[-1] > t1 + 1e-12:
         raise ValidationError(
-            f"sample grid [{t[0]:g}, {t[-1]:g}] leaves the control window "
-            f"[{ctrl.t0:g}, {ctrl.t1:g}]")
+            f"sample grid [{t[0]:g}, {t[-1]:g}] leaves the control window [{t0:g}, {t1:g}]")
     decay = transverse_rate(rates), inversion_decay_rate(rates), -2.0 * rates.thermal
 
-    span, scale = t[-1] - t[0], ctrl.fastest_scale()
+    span, scale = t[-1] - t[0], field.fastest_scale
     max_step = min(PHASE_PER_STEP / scale, span / 8.0) if scale > 0.0 else span / 8.0
-    bloch, stats = integrate_bloch(lambda ts: field_at(*ctrl(ts).T), decay, (t[0], t[-1]),
-                                   r0, t, rtol=rtol, atol=atol, max_step=max_step)
+    bloch, stats = integrate_bloch(lambda ts: field_at(*field.channels(ts).T), decay,
+                                   (t[0], t[-1]), r0, t, rtol=rtol, atol=atol, max_step=max_step)
     return SimResult(picture=picture, t=t, bloch=bloch, stats=stats)
 
 

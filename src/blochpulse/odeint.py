@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -168,8 +169,9 @@ def _bloch_kernel(field, decay: tuple[float, float, float], rtol: float, atol: f
     return start, step
 
 
-def _integrate(kernel, t_span, y0, t_eval, max_step) -> tuple[np.ndarray, IntegrationStats]:
-    """The step controller: validate, step with ``kernel``, then emit on ``t_eval``."""
+def _integrate(kernel, t_span, y0, t_eval, rtol, atol,
+               max_step) -> tuple[np.ndarray, IntegrationStats]:
+    """The step controller: validate, step with ``kernel(rtol, atol)``, emit on ``t_eval``."""
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (np.isfinite(t0) and np.isfinite(t1)) or t1 <= t0:
         raise ValidationError(f"integration span must be finite with t1 > t0, got ({t0}, {t1})")
@@ -189,8 +191,11 @@ def _integrate(kernel, t_span, y0, t_eval, max_step) -> tuple[np.ndarray, Integr
     max_step = float(max_step)
     if not max_step > 0.0:  # also rejects NaN
         raise ValidationError("max_step must be positive")
+    rtol, atol = float(rtol), float(atol)
+    if not (0.0 <= rtol < math.inf and 0.0 < atol < math.inf):  # also rejects NaN
+        raise ValidationError(f"tolerances need finite rtol >= 0, atol > 0; got {rtol}, {atol}")
 
-    start, attempt = kernel
+    start, attempt = kernel(rtol, atol)
     stats = IntegrationStats()
     state, k1 = start(t0, y)
     stats.rhs_evals += 1
@@ -280,7 +285,7 @@ def integrate_adaptive(
         Non-decreasing sample times inside ``t_span``. The solution at these
         points comes from the dense interpolant, not from forcing steps.
     rtol, atol : float
-        Relative and absolute local-error tolerances.
+        Relative and absolute local-error tolerances; finite, rtol >= 0, atol > 0.
     max_step : float
         Upper bound on the step size, e.g. a fraction of the fastest carrier
         period so oscillations stay resolved.
@@ -292,11 +297,13 @@ def integrate_adaptive(
 
     Raises
     ------
+    ValidationError
+        If the span, initial state, sample times, tolerances or max_step are bad.
     IntegrationError
         If the step size underflows, the step budget is exhausted, or the
         right-hand side yields a non-finite error estimate.
     """
-    return _integrate(_numpy_kernel(rhs, rtol, atol), t_span, y0, t_eval, max_step)
+    return _integrate(partial(_numpy_kernel, rhs), t_span, y0, t_eval, rtol, atol, max_step)
 
 
 def integrate_bloch(
@@ -318,4 +325,5 @@ def integrate_bloch(
     once at t0 and once per attempted step, at that step's six new stage
     times. ``decay`` is (G, Gamma_1, pump) and ``r0`` a real 3-vector.
     """
-    return _integrate(_bloch_kernel(field, decay, rtol, atol), t_span, r0, t_eval, max_step)
+    return _integrate(partial(_bloch_kernel, field, decay), t_span, r0, t_eval, rtol, atol,
+                      max_step)

@@ -160,10 +160,12 @@ class Window:
             raise ValidationError("window stop must exceed start")
         if not isinstance(self.samples, int) or not 2 <= self.samples <= _MAX_SAMPLES:
             raise ValidationError(f"window samples must be an integer in [2, {_MAX_SAMPLES}]")
+        bound = max(abs(float(self.start)), abs(float(self.stop)))
+        # the trajectories and splines square times; this also keeps stop - start finite
+        if not math.isfinite(bound * bound):
+            raise ValidationError("window bound squared overflows a float")
         spacing = (float(self.stop) - float(self.start)) / (self.samples - 1)
-        if not math.isfinite(spacing):
-            raise ValidationError("window span stop - start overflows a float")
-        floor = step_floor(max(abs(self.start), abs(self.stop)))
+        floor = step_floor(bound)
         if spacing < floor:
             raise ValidationError(f"window sample spacing {spacing:g} ps is below the "
                                   f"integrator's step floor {floor:g} ps")

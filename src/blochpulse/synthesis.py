@@ -10,12 +10,15 @@ Inverts the damped Bloch equations. With the transverse component v known,
 where G is the transverse decay rate. The lab-frame drive is then
 Omega_R(t) cos(phi(t)). The carrier factor 1 + cos(2 phi) must stay away
 from zero for the pulse to be realizable; synthesis fails loudly when it
-does not. Angular frequencies in rad/ps, times in ps.
+does not. The resulting ``ControlField`` also holds the drive's one channel
+table and step scale, which every simulated picture of it shares. Angular
+frequencies in rad/ps, times in ps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -50,6 +53,10 @@ DENOM_MIN = 1e-3
 class ControlField:
     """A synthesized drive, sampled on a time grid.
 
+    ``channels``, one cubic-spline table over all five, is built at first use
+    and ``fastest_scale`` computed once; so do not change a field's arrays in
+    place after it is built.
+
     Attributes
     ----------
     t : ndarray
@@ -74,6 +81,7 @@ class ControlField:
     omega0: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "t", validate_grid(self.t))  # the checked float grid
         n = self.t.size
         for name in ("omega", "delta", "phi", "omega_r", "omega0"):
             arr = getattr(self, name)
@@ -81,6 +89,21 @@ class ControlField:
                 raise ValidationError(f"ControlField.{name} must have shape ({n},)")
             if not np.all(np.isfinite(arr)):
                 raise ValidationError(f"ControlField.{name} contains non-finite values")
+
+    @cached_property
+    def channels(self) -> CubicSpline:
+        """Exact-at-the-samples table of (omega, delta, phi, omega_r, omega0) along the
+        last axis: ``channels(t, nu=0)`` reads them, or their nu-th derivatives, at t."""
+        return CubicSpline(self.t, np.column_stack(
+            [self.omega, self.delta, self.phi, self.omega_r, self.omega0]))
+
+    @cached_property
+    def fastest_scale(self) -> float:
+        """Largest angular rate among the channels, for step capping (rad/ps)."""
+        grids = np.linspace(self.t[0], self.t[-1], 4 * self.t.size)
+        peaks = np.max(np.abs(self.channels(grids)), axis=0)
+        peaks[2] = np.max(np.abs(self.channels(grids, 1)[:, 2]))  # the carrier rate dphi/dt
+        return float(np.max(peaks))
 
     def rabi_peak_ratio(self) -> float:
         """max |Omega_R| over max |omega0|; gauges how far beyond weak driving."""
@@ -133,14 +156,26 @@ def phase_from_detuning(omega0, delta, grid, *, zero_time: float | None = None) 
     """
     t = validate_grid(grid)
     delta = np.asarray(delta, dtype=float)
-    omega0_arr = np.broadcast_to(np.asarray(omega0, dtype=float), t.shape)
+    omega0_arr = _per_sample_omega0(omega0, t)
     if delta.shape != t.shape:
         raise ValidationError("delta must match the grid shape")
-    t0 = t[0] if zero_time is None else float(zero_time)
-    if t0 < t[0] or t0 > t[-1]:
+    try:
+        t0 = t[0] if zero_time is None else float(zero_time)
+    except (TypeError, ValueError):
+        raise ValidationError(f"the gauge point must be a time, got {zero_time!r}") from None
+    if not t[0] <= t0 <= t[-1]:  # also rejects NaN
         raise ValidationError(f"zero_time {t0:g} outside the window [{t[0]:g}, {t[-1]:g}]")
     anti = CubicSpline(t, omega0_arr + delta).antiderivative()
     return anti(t) - anti(t0)
+
+
+def _per_sample_omega0(omega0, t: np.ndarray) -> np.ndarray:
+    """omega0, a scalar or one value per sample, as a read-only array over ``t``."""
+    try:
+        return np.broadcast_to(np.asarray(omega0, dtype=float), t.shape)
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"omega0 must be a number or {t.size} numbers, one per sample") from None
 
 
 def rabi_from_phase(omega, phi, times=None, *, denom_min: float = DENOM_MIN) -> np.ndarray:
@@ -187,13 +222,9 @@ def pulse_from_components(
     t = samples.t
     omega, delta = omega_delta_from_components(
         samples.u, samples.w, samples.du, samples.dw, v, rates, v_min=v_min)
-    if phase_zero == "center":
-        zero_time = 0.5 * (t[0] + t[-1])
-    elif phase_zero == "start":
-        zero_time = t[0]
-    else:
-        zero_time = float(phase_zero)
-    omega0_arr = np.broadcast_to(np.asarray(omega0, dtype=float), t.shape).copy()
+    named = {"center": 0.5 * (t[0] + t[-1]), "start": t[0]}
+    zero_time = named.get(phase_zero, phase_zero) if isinstance(phase_zero, str) else phase_zero
+    omega0_arr = _per_sample_omega0(omega0, t).copy()
     if not np.all(np.isfinite(omega0_arr)):
         raise ValidationError("omega0 contains non-finite values")
     phi = phase_from_detuning(omega0_arr, delta, t, zero_time=zero_time)
@@ -231,7 +262,7 @@ def synthesize_pulse(
     grid : array_like
         Strictly increasing sample times (ps).
     v0 : float, optional
-        Initial transverse value for the open-system completion.
+        Initial transverse value for the open-system completion, in [0, 1].
     phase_zero : "center" | "start" | float
         Gauge point for the carrier phase. "center" (default) zeroes phi at
         the window midpoint, which halves the phase excursion and doubles the

@@ -108,22 +108,13 @@ class Oscillatory:
     peak_time: float = 0.0
 
     def __post_init__(self):
-        _check_finite(self, ("inversion_start", "inversion_stop", "switch_rate",
-                             "coherence_peak", "peak_width", "ripple_amplitude",
-                             "ripple_frequency", "peak_time"))
-        if abs(self.inversion_start) > 1.0 or abs(self.inversion_stop) > 1.0:
-            raise ValidationError("inversion levels must lie in [-1, 1]")
-        if self.switch_rate <= 0.0:
-            raise ValidationError("switch_rate must be > 0")
-        if self.peak_width <= 0.0:
-            raise ValidationError("peak_width must be > 0")
+        Transfer.__post_init__(self)  # the fields shared with Transfer
+        _check_finite(self, ("ripple_amplitude", "ripple_frequency"))
         if self.ripple_frequency < 0.0:
             raise ValidationError("ripple_frequency must be >= 0")
 
     def components(self, t: np.ndarray):
-        base = Transfer(self.inversion_start, self.inversion_stop, self.switch_rate,
-                        self.coherence_peak, self.peak_width, self.peak_time)
-        u, w, du, dw = base.components(t)
+        u, w, du, dw = Transfer.components(self, t)
         w = w + self.ripple_amplitude * np.cos(self.ripple_frequency * t)
         dw = dw - self.ripple_amplitude * self.ripple_frequency * np.sin(self.ripple_frequency * t)
         return u, w, du, dw
@@ -246,9 +237,9 @@ def solve_consistent_v_open(
         ds/dt = -2 G s - 2 [ (du + G u) u + (dw + 2 Gamma (1 + w + 2 n w)) w ]
 
     where G is the transverse rate. Integrated with the adaptive core from
-    s(t0) = v0^2; ``v0`` defaults to the closed-sphere completion at the first
-    sample. With both rates zero this reproduces ``complete_v_closed`` since
-    the right side reduces to d(1 - u^2 - w^2)/dt.
+    s(t0) = v0^2; ``v0`` lies in [0, 1] and defaults to the closed-sphere
+    completion at the first sample. With both rates zero this reproduces
+    ``complete_v_closed`` since the right side reduces to d(1 - u^2 - w^2)/dt.
 
     Returns the positive root v(t) on the sample grid.
     """
@@ -259,8 +250,8 @@ def solve_consistent_v_open(
             raise ValidationError("initial point leaves the Bloch sphere")
         s0 = max(s0, 0.0)
     else:
-        if not np.isfinite(v0) or v0 < 0.0:
-            raise ValidationError(f"v0 must be finite and >= 0, got {v0}")
+        if not 0.0 <= v0 <= 1.0:  # also rejects NaN and infinities
+            raise ValidationError(f"v0 must lie in [0, 1], got {v0}")
         s0 = float(v0) ** 2
 
     g_t = transverse_rate(rates)

@@ -80,6 +80,14 @@ def test_synthesize_writes_field_csv(mini_config, tmp_path, capsys):
     assert "carrier-factor floor" in out
 
 
+def test_synthesize_has_no_tolerance_option(mini_config, tmp_path):
+    # synthesis never reads the scenario's tolerances
+    with pytest.raises(SystemExit) as exit_info:
+        main(["synthesize", "--config", str(mini_config), "--out-dir", str(tmp_path),
+              "--tol", "0.5"])
+    assert exit_info.value.code == 2
+
+
 def test_simulate_writes_csv(mini_config, tmp_path, capsys):
     out_dir = tmp_path / "out"
     assert main(["simulate", "--config", str(mini_config),
@@ -128,9 +136,10 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("start, stop", [(-1e308, 1e308), (0.0, 1e-300)])
+@pytest.mark.parametrize("start, stop", [(-1e308, 1e308), (0.0, 1e-300), (-1e300, 1e300)])
 def test_window_the_integrator_cannot_resolve_exits_2(tmp_path, capsys, start, stop):
-    # the span overflows a float, or the sample spacing is below the step floor
+    # the span or a bound squared overflows a float, or the sample spacing is
+    # below the step floor
     data = scenario_to_dict(_MINI)
     data["window"].update(start=start, stop=stop)
     path = tmp_path / "window.json"

@@ -19,7 +19,6 @@ from scipy.interpolate import CubicSpline
 
 from blochpulse import (
     ControlField,
-    ControlInterpolant,
     Rates,
     SimResult,
     Transfer,
@@ -176,7 +175,7 @@ def test_pictures_match_density_matrix_reference():
 
 
 # The per-call right-hand side the Bloch kernel replaced: one scalar
-# ControlInterpolant call and one float field per stage, through the public
+# ControlField.channels call and one float field per stage, through the public
 # generic integrator.
 _FLOAT_FIELDS = {
     "lab": lambda om, de, ph, om_r, om0: (2.0 * om_r * math.cos(ph), 0.0, om0),
@@ -188,17 +187,16 @@ _FLOAT_FIELDS = {
 
 
 def _per_call_reference(field, field_at, rates, r0, t):
-    ctrl = ControlInterpolant(field)
     g_t, g_1, pump = transverse_rate(rates), inversion_decay_rate(rates), -2.0 * rates.thermal
 
     def rhs(tt, r):
         u, v, w = r
-        bx, by, bz = field_at(*ctrl(tt).tolist())
+        bx, by, bz = field_at(*field.channels(tt).tolist())
         return np.array([by * w - bz * v - g_t * u,
                          bz * u - bx * w - g_t * v,
                          bx * v - by * u - g_1 * w + pump])
 
-    max_step = min(PHASE_PER_STEP / ctrl.fastest_scale(), (t[-1] - t[0]) / 8.0)
+    max_step = min(PHASE_PER_STEP / field.fastest_scale, (t[-1] - t[0]) / 8.0)
     return integrate_adaptive(rhs, (t[0], t[-1]), r0, t, max_step=max_step)
 
 
@@ -219,6 +217,13 @@ def test_bloch_kernel_matches_per_call_rhs():
         assert (res.stats.accepted, res.stats.rejected, res.stats.rhs_evals) == (
             stats.accepted, stats.rejected, stats.rhs_evals), name
         assert np.max(np.abs(res.bloch - ref)) < 1e-14, name
+
+
+@pytest.mark.parametrize("rtol, atol", [(0.0, 0.0), (-1.0, -1.0), (np.nan, 1e-12)])
+def test_bad_tolerances_rejected(rtol, atol):
+    t, field = _fig1_l3_field()
+    with pytest.raises(ValidationError, match="tolerances"):
+        integrate_interaction(field, _start_state(), t, rtol=rtol, atol=atol)
 
 
 def test_lindblad_rejects_unknown_hamiltonian():
@@ -279,20 +284,20 @@ def test_bad_initial_state_rejected_before_integrating(r0):
             integrate(r0)
 
 
-def test_control_interpolant_node_exact():
+def test_control_field_channels_node_exact():
     field = synthesize_pulse(_SPEC, Rates(), 5e-3, _GRID)
-    ctrl = ControlInterpolant(field)
-    assert np.max(np.abs(ctrl(_GRID)[:, 0] - field.omega)) < 1e-14
-    assert np.max(np.abs(ctrl(_GRID)[:, 2] - field.phi)) < 1e-14
-    assert ctrl.fastest_scale() >= np.max(np.abs(field.omega0))
+    assert np.max(np.abs(field.channels(_GRID)[:, 0] - field.omega)) < 1e-14
+    assert np.max(np.abs(field.channels(_GRID)[:, 2] - field.phi)) < 1e-14
+    assert field.fastest_scale >= np.max(np.abs(field.omega0))
     # the one table matches a spline per channel exactly, values and slopes
     off_node = 0.5 * (_GRID[1:] + _GRID[:-1])
     channels = (field.omega, field.delta, field.phi, field.omega_r, field.omega0)
     for col, channel in enumerate(channels):
         alone = CubicSpline(_GRID, channel)
         for nu in (0, 1):
-            assert np.max(np.abs(ctrl(off_node, nu)[:, col] - alone(off_node, nu))) == 0.0
-            assert ctrl(off_node[7], nu)[col] == alone(off_node[7], nu)
+            assert np.max(np.abs(field.channels(off_node, nu)[:, col]
+                                 - alone(off_node, nu))) == 0.0
+            assert field.channels(off_node[7], nu)[col] == alone(off_node[7], nu)
 
 
 def test_stats_reported_and_within_tolerance():

@@ -99,13 +99,20 @@ def test_blowup_underflows_step_size():
     {"t_eval": np.array([-1.0, 0.5])},
     {"max_step": 0.0},
     {"max_step": np.nan},
+    {"rtol": 0.0, "atol": 0.0},
+    {"rtol": -1.0, "atol": -1.0},
+    {"rtol": np.nan},
+    {"atol": np.inf},
 ])
 def test_input_validation(bad_kwargs):
     kwargs = {"t_span": (0.0, 1.0), "t_eval": np.array([0.0, 1.0]), "max_step": np.inf}
     kwargs.update(bad_kwargs)
+    span, teval = kwargs.pop("t_span"), kwargs.pop("t_eval")
     with pytest.raises(ValidationError):
-        integrate_adaptive(lambda tt, y: -y, kwargs["t_span"], np.array([1.0]),
-                           kwargs["t_eval"], max_step=kwargs["max_step"])
+        integrate_adaptive(lambda tt, y: -y, span, np.array([1.0]), teval, **kwargs)
+    with pytest.raises(ValidationError):  # the Bloch kernel passes the same checks
+        odeint.integrate_bloch(lambda ts: (np.zeros(ts.shape),) * 3, (1.0, 1.0, 0.0), span,
+                               np.array([0.0, 0.0, 1.0]), teval, **kwargs)
 
 
 def test_stats_dataclass_defaults():

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from blochpulse import (
     Oscillatory,
@@ -273,6 +274,9 @@ def test_window_validation():
         Window(-1e308, 1e308, 11)
     with pytest.raises(ValidationError, match="step floor"):  # spacing below the integrator's
         Window(0.0, 1e-300, 11)
+    for bound in (1e160, 1e300):  # the trajectories and splines square times
+        with pytest.raises(ValidationError, match="squared overflows"):
+            Window(-bound, bound, 11)
     assert Window(0.0, 10.0, 2).grid().tolist() == [0.0, 10.0]
 
 
@@ -299,6 +303,28 @@ def test_run_scenario_populates_everything(mini_run):
     u, v, w = mini_run.prescribed
     assert u.shape == v.shape == w.shape == (201,)
     assert mini_run.reports["effective-bloch"].sup < 1e-6
+
+
+def test_pictures_of_one_run_share_one_channel_table(monkeypatch):
+    built, read = [], []
+    init, call = CubicSpline.__init__, CubicSpline.__call__
+
+    def init_spy(self, x, y, *args, **kwargs):
+        built.append(np.shape(y))
+        init(self, x, y, *args, **kwargs)
+
+    def call_spy(self, x, *args, **kwargs):
+        read.append(np.size(x))
+        return call(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(CubicSpline, "__init__", init_spy)
+    monkeypatch.setattr(CubicSpline, "__call__", call_spy)
+    run = run_scenario(dataclasses.replace(
+        _MINI, pictures=("effective-bloch", "interaction", "lab")))
+    n = _MINI.window.samples
+    assert len(run.results) == 3
+    assert built.count((n, 5)) == 1  # one channel table
+    assert read.count(4 * n) == 2  # one step scale: values and phase slopes on 4n points
 
 
 def test_open_run_drive_comes_from_the_reported_v():

@@ -89,6 +89,11 @@ def test_phase_rejects_bad_inputs():
         phase_from_detuning(0.1, np.zeros(10), t)
     with pytest.raises(ValidationError):
         phase_from_detuning(0.1, np.zeros_like(t), t, zero_time=2.0)
+    for zero_time in ("middle", np.nan):
+        with pytest.raises(ValidationError):
+            phase_from_detuning(0.1, np.zeros_like(t), t, zero_time=zero_time)
+    with pytest.raises(ValidationError, match="omega0"):
+        phase_from_detuning(np.full(5, 0.1), np.zeros_like(t), t)
 
 
 def test_rabi_envelope_frozen_points():
@@ -118,6 +123,11 @@ def test_control_field_validation():
         ControlField(**{**good, "delta": np.zeros(4)})
     with pytest.raises(ValidationError):
         ControlField(**{**good, "omega_r": np.array([1.0, np.nan, 1.0, 1.0, 1.0])})
+    # the field builds its channel spline from t, so t must be a valid grid
+    for bad_t in (np.array([0.0, 0.25, 0.25, 0.75, 1.0]), t[::-1],
+                  np.array([0.0, 0.25, np.nan, 0.75, 1.0]), t[:, None]):
+        with pytest.raises(ValidationError, match="time grid"):
+            ControlField(**{**good, "t": bad_t})
 
 
 def test_control_field_scaled_and_peak_ratio():
@@ -152,6 +162,17 @@ def test_synthesize_numeric_gauge_point():
     grid = np.linspace(-120.0, 120.0, 241)
     field = synthesize_pulse(_SPEC, Rates(), 5e-3, grid, phase_zero=-120.0)
     assert field.phi[0] == pytest.approx(0.0, abs=1e-14)
+
+
+def test_synthesize_rejects_bad_gauge_point_and_omega0():
+    grid = np.linspace(-120.0, 120.0, 241)
+    for kwargs in ({"phase_zero": "middle"}, {"phase_zero": [0.0]},
+                   {"phase_zero": 500.0}, {"phase_zero": np.nan}):
+        with pytest.raises(ValidationError):
+            synthesize_pulse(_SPEC, Rates(), 5e-3, grid, **kwargs)
+    for omega0 in (np.full(5, 5e-3), "fast", [5e-3, "fast"]):
+        with pytest.raises(ValidationError, match="omega0"):
+            synthesize_pulse(_SPEC, Rates(), omega0, grid)
 
 
 def test_synthesize_long_window_hits_carrier_pole():

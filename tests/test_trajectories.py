@@ -138,6 +138,15 @@ def test_open_completion_respects_v0():
     assert v[0] == pytest.approx(0.37, abs=1e-12)
 
 
+@pytest.mark.parametrize("v0", [1e200, -0.1, 1.5, np.nan, np.inf])
+def test_open_completion_rejects_v0_outside_unit_interval(v0):
+    spec = Transfer(inversion_start=-0.5, inversion_stop=-0.5, switch_rate=0.01,
+                    coherence_peak=0.0, peak_width=100.0)
+    samples = eval_components(spec, np.linspace(0.0, 10.0, 11))
+    with pytest.raises(ValidationError, match="v0"):
+        solve_consistent_v_open(samples, Rates(dephasing=1e-4, thermal=1e-4), v0=v0)
+
+
 def test_open_completion_detects_pinch():
     # thermal pumping against a held inversion drives s through zero fast
     spec = Transfer(inversion_start=0.9, inversion_stop=0.9, switch_rate=0.01,
