@@ -41,7 +41,6 @@ from .synthesis import (
     ControlField,
     omega_delta_from_components,
     phase_from_detuning,
-    pulse_from_components,
     rabi_from_phase,
     synthesize_pulse,
 )
@@ -92,7 +91,7 @@ __all__ = [
     "Transfer", "Oscillatory", "RabiDecay", "TrajectorySamples",
     "eval_components", "complete_v_closed", "solve_consistent_v_open",
     "ControlField", "omega_delta_from_components", "phase_from_detuning",
-    "pulse_from_components", "rabi_from_phase", "synthesize_pulse",
+    "rabi_from_phase", "synthesize_pulse",
     "IntegrationStats", "integrate_adaptive",
     "SimResult", "dissipator_action", "frame_transform",
     "integrate_lab", "integrate_interaction", "integrate_lindblad",

@@ -32,7 +32,6 @@ from .scenario import (
     preset_note,
     run_scenario,
 )
-from .states import validate_density
 from .synthesis import synthesize_pulse
 
 __all__ = ["main"]
@@ -85,15 +84,10 @@ def _cmd_simulate(args) -> int:
 
 def _print_sanity(run) -> None:
     for pic, res in run.results.items():
-        states = res.states
-        worst_trace = np.max(np.abs(states[:, 0, 0].real + states[:, 1, 1].real - 1.0))
-        worst_herm = np.max(np.abs(states - np.conj(np.swapaxes(states, 1, 2))))
-        validate_density(states[-1])
-        line = (f"[{pic}] trace defect {worst_trace:.2e}, Hermiticity defect "
-                f"{worst_herm:.2e}")
-        if run.config.rates.closed:
-            purity = np.einsum("nij,nji->n", states, states).real  # Tr(rho^2)
-            line += f", purity defect {np.max(np.abs(purity - 1.0)):.2e}"
+        norm2 = np.einsum("ni,ni->n", res.bloch, res.bloch)  # |r|^2
+        line = f"[{pic}] Bloch-norm excess {max(np.sqrt(np.max(norm2)) - 1.0, 0.0):.2e}"
+        if run.config.rates.closed:  # Tr(rho^2) - 1 = (|r|^2 - 1) / 2
+            line += f", purity defect {np.max(np.abs(norm2 - 1.0)) / 2.0:.2e}"
         if res.stats is not None:
             line += (f"; steps {res.stats.accepted} (+{res.stats.rejected} rejected), "
                      f"rhs evals {res.stats.rhs_evals}")

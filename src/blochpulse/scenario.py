@@ -56,11 +56,12 @@ from .dynamics import (
 from .errors import ValidationError
 from .odeint import step_floor
 from .rates import Rates
-from .states import bloch_from_density, density_from_bloch
-# synthesize_pulse is unused here but stays importable from this module: the
-# benchmark tracer in perfbench/ wraps scenario.synthesize_pulse by name.
-from .synthesis import ControlField, pulse_from_components, synthesize_pulse  # noqa: F401
-from .trajectories import (
+from .states import _onto_sphere, bloch_from_density, density_from_bloch
+# synthesize_pulse, eval_components, complete_v_closed and solve_consistent_v_open
+# are unused here but stay importable from this module: the benchmark tracer in
+# perfbench/ wraps them by name.
+from .synthesis import ControlField, _synthesize, synthesize_pulse  # noqa: F401
+from .trajectories import (  # noqa: F401
     Oscillatory,
     RabiDecay,
     Transfer,
@@ -491,17 +492,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
     the lab picture is rotated into the co-rotating frame first.
     """
     grid = cfg.window.grid()
-    samples = eval_components(cfg.trajectory, grid)
-    if cfg.rates.closed:
-        v = complete_v_closed(samples)
-    else:
-        v = solve_consistent_v_open(samples, cfg.rates)
-    field = pulse_from_components(samples, v, cfg.rates, cfg.transition.values(grid))
-
-    r0 = np.array([samples.u[0], v[0], samples.w[0]])
-    norm0 = np.linalg.norm(r0)
-    if norm0 > 1.0:  # grazes the sphere by roundoff at most
-        r0 = r0 / norm0
+    samples, v, field = _synthesize(cfg.trajectory, cfg.rates, cfg.transition.values(grid), grid)
+    r0 = _onto_sphere(np.array([samples.u[0], v[0], samples.w[0]]))
 
     results: dict[str, SimResult] = {}
     reports: dict[str, TrackingReport] = {}

@@ -114,6 +114,13 @@ def _checked_bloch(r) -> np.ndarray:
     return r
 
 
+def _onto_sphere(r: np.ndarray) -> np.ndarray:
+    """A prescribed Bloch vector, scaled back onto the sphere when roundoff puts
+    it just outside; returned unchanged otherwise."""
+    norm = np.linalg.norm(r)
+    return r / norm if norm > 1.0 else r
+
+
 def density_from_bloch(r) -> np.ndarray:
     """Density matrices rho = (I + u sigma_x + v sigma_y + w sigma_z) / 2.
 

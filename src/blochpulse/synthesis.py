@@ -8,11 +8,12 @@ Inverts the damped Bloch equations. With the transverse component v known,
     Omega_R(t) = Omega / (1 + cos(2 phi))                   physical envelope
 
 where G is the transverse decay rate. The lab-frame drive is then
-Omega_R(t) cos(phi(t)). The carrier factor 1 + cos(2 phi) must stay away
-from zero for the pulse to be realizable; synthesis fails loudly when it
-does not. The resulting ``ControlField`` also holds the drive's one channel
-table and step scale, which every simulated picture of it shares. Angular
-frequencies in rad/ps, times in ps.
+Omega_R(t) cos(phi(t)). Both divisions need a floor: v stays above the
+constant ``V_MIN`` and the carrier factor 1 + cos(2 phi) above ``DENOM_MIN``,
+or synthesis fails loudly at the first offending time. ``synthesize_pulse``
+runs the whole chain; the resulting ``ControlField`` also holds the drive's
+one channel table and step scale, which every simulated picture of it
+shares. Angular frequencies in rad/ps, times in ps.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .rates import Rates, transverse_rate
 from .states import validate_grid
 from .trajectories import (
     V_MIN,
-    TrajectorySamples,
     TrajectorySpec,
     complete_v_closed,
     eval_components,
@@ -40,7 +40,6 @@ __all__ = [
     "DENOM_MIN",
     "omega_delta_from_components",
     "phase_from_detuning",
-    "pulse_from_components",
     "rabi_from_phase",
     "synthesize_pulse",
 ]
@@ -117,19 +116,17 @@ class ControlField:
         return replace(self, omega=self.omega * factor, omega_r=self.omega_r * factor)
 
 
-def omega_delta_from_components(
-    u, w, du, dw, v, rates: Rates, v_min: float = V_MIN
-) -> tuple[np.ndarray, np.ndarray]:
+def omega_delta_from_components(u, w, du, dw, v, rates: Rates) -> tuple[np.ndarray, np.ndarray]:
     """Coupling envelope and detuning from trajectory components.
 
     All arguments are arrays on a common grid; ``v`` comes from one of the
     completion routines. Raises ``SingularPrescriptionError`` if v sits below
-    ``v_min`` (defensive; completions enforce this too).
+    ``V_MIN`` (defensive; completions enforce this too).
     """
     u, w, du, dw, v = map(np.asarray, (u, w, du, dw, v))
-    if np.any(v < v_min):
+    if np.any(v < V_MIN):
         raise SingularPrescriptionError(
-            f"transverse component below {v_min:g}; pulse undefined")
+            f"transverse component below {V_MIN:g}; pulse undefined")
     g_t = transverse_rate(rates)
     omega = (dw + 2.0 * rates.thermal * (1.0 + w + 2.0 * rates.occupancy * w)) / v
     delta = (g_t * u + du) / v
@@ -145,9 +142,9 @@ def phase_from_detuning(omega0, delta, grid, *, zero_time: float | None = None) 
     Parameters
     ----------
     omega0 : float or array_like
-        Transition angular frequency, scalar or per-sample (rad/ps).
+        Transition angular frequency, scalar or per-sample (rad/ps); finite.
     delta : array_like
-        Detuning on the grid (rad/ps).
+        Detuning on the grid (rad/ps); finite.
     grid : array_like
         Sample times (ps).
     zero_time : float, optional
@@ -159,6 +156,8 @@ def phase_from_detuning(omega0, delta, grid, *, zero_time: float | None = None) 
     omega0_arr = _per_sample_omega0(omega0, t)
     if delta.shape != t.shape:
         raise ValidationError("delta must match the grid shape")
+    if not np.all(np.isfinite(delta)):
+        raise ValidationError("delta contains non-finite values")
     try:
         t0 = t[0] if zero_time is None else float(zero_time)
     except (TypeError, ValueError):
@@ -170,67 +169,42 @@ def phase_from_detuning(omega0, delta, grid, *, zero_time: float | None = None) 
 
 
 def _per_sample_omega0(omega0, t: np.ndarray) -> np.ndarray:
-    """omega0, a scalar or one value per sample, as a read-only array over ``t``."""
+    """omega0, a finite scalar or one finite value per sample, as a new array over ``t``."""
     try:
-        return np.broadcast_to(np.asarray(omega0, dtype=float), t.shape)
+        omega0 = np.broadcast_to(np.asarray(omega0, dtype=float), t.shape).copy()
     except (TypeError, ValueError):
         raise ValidationError(
             f"omega0 must be a number or {t.size} numbers, one per sample") from None
+    if not np.all(np.isfinite(omega0)):
+        raise ValidationError("omega0 contains non-finite values")
+    return omega0
 
 
-def rabi_from_phase(omega, phi, times=None, *, denom_min: float = DENOM_MIN) -> np.ndarray:
+def rabi_from_phase(omega, phi, times=None) -> np.ndarray:
     """Physical envelope Omega_R = Omega / (1 + cos(2 phi)).
 
     Raises
     ------
     CarrierSingularityError
-        If the carrier factor dips below ``denom_min`` anywhere: the envelope
-        would diverge and the prescription is not realizable as written.
+        If the carrier factor dips below ``DENOM_MIN``, or is not finite,
+        anywhere: the envelope would diverge and the prescription is not
+        realizable as written.
     """
     omega = np.asarray(omega, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    denom = 1.0 + np.cos(2.0 * phi)
-    low = denom < denom_min
+    with np.errstate(invalid="ignore"):  # cos of an infinite phase is NaN, flagged below
+        denom = 1.0 + np.cos(2.0 * phi)
+    low = ~(denom >= DENOM_MIN)
     if np.any(low):
         idx = int(np.argmax(low))
         t_low = float(np.asarray(times)[idx]) if times is not None else None
         where = f"t = {t_low:.6g} ps" if t_low is not None else f"sample {idx}"
         raise CarrierSingularityError(
-            f"carrier factor 1 + cos(2 phi) below {denom_min:g} at {where}; "
+            f"carrier factor 1 + cos(2 phi) below {DENOM_MIN:g} or not finite at {where}; "
             "pulse envelope diverges (trajectory window too long for this "
             "transition frequency)", t_first=t_low,
         )
     return omega / denom
-
-
-def pulse_from_components(
-    samples: TrajectorySamples,
-    v,
-    rates: Rates,
-    omega0,
-    *,
-    v_min: float = V_MIN,
-    denom_min: float = DENOM_MIN,
-    phase_zero: float | str = "center",
-) -> ControlField:
-    """Drive realizing trajectory samples whose transverse component ``v`` is known.
-
-    Inverts the Bloch equations for Omega and Delta, accumulates the carrier
-    phase, and forms the physical envelope. ``samples`` and ``v`` share the
-    grid ``samples.t``; the keywords are those of ``synthesize_pulse``.
-    """
-    t = samples.t
-    omega, delta = omega_delta_from_components(
-        samples.u, samples.w, samples.du, samples.dw, v, rates, v_min=v_min)
-    named = {"center": 0.5 * (t[0] + t[-1]), "start": t[0]}
-    zero_time = named.get(phase_zero, phase_zero) if isinstance(phase_zero, str) else phase_zero
-    omega0_arr = _per_sample_omega0(omega0, t).copy()
-    if not np.all(np.isfinite(omega0_arr)):
-        raise ValidationError("omega0 contains non-finite values")
-    phi = phase_from_detuning(omega0_arr, delta, t, zero_time=zero_time)
-    omega_r = rabi_from_phase(omega, phi, times=t, denom_min=denom_min)
-    return ControlField(t=t, omega=omega, delta=delta, phi=phi,
-                        omega_r=omega_r, omega0=omega0_arr)
 
 
 def synthesize_pulse(
@@ -240,16 +214,15 @@ def synthesize_pulse(
     grid,
     *,
     v0: float | None = None,
-    v_min: float = V_MIN,
-    denom_min: float = DENOM_MIN,
     phase_zero: float | str = "center",
 ) -> ControlField:
     """Reverse-engineer the drive that steers the system along ``spec``.
 
     Pipeline: evaluate the trajectory, complete v (purity closure for a
-    closed system, consistency integration when rates are present), then
-    ``pulse_from_components``: invert the Bloch equations for Omega and
-    Delta, accumulate the carrier phase, and form the physical envelope.
+    closed system, consistency integration when rates are present), invert
+    the Bloch equations for Omega and Delta, accumulate the carrier phase,
+    and form the physical envelope. Fails at the first time v drops below
+    ``V_MIN`` or the carrier factor below ``DENOM_MIN``.
 
     Parameters
     ----------
@@ -272,11 +245,24 @@ def synthesize_pulse(
     -------
     ControlField
     """
-    t = validate_grid(grid)
-    samples = eval_components(spec, t)
+    return _synthesize(spec, rates, omega0, grid, v0=v0, phase_zero=phase_zero)[2]
+
+
+def _synthesize(spec, rates, omega0, grid, *, v0=None, phase_zero="center"):
+    """``synthesize_pulse``, also returning the trajectory samples and the v it
+    completed: (samples, v, field)."""
+    samples = eval_components(spec, grid)
+    t = samples.t
     if rates.closed:
-        v = complete_v_closed(samples, v_min=v_min)
+        v = complete_v_closed(samples)
     else:
-        v = solve_consistent_v_open(samples, rates, v0=v0, v_min=v_min)
-    return pulse_from_components(samples, v, rates, omega0, v_min=v_min,
-                                 denom_min=denom_min, phase_zero=phase_zero)
+        v = solve_consistent_v_open(samples, rates, v0=v0)
+    omega, delta = omega_delta_from_components(
+        samples.u, samples.w, samples.du, samples.dw, v, rates)
+    named = {"center": 0.5 * (t[0] + t[-1]), "start": t[0]}
+    zero_time = named.get(phase_zero, phase_zero) if isinstance(phase_zero, str) else phase_zero
+    omega0 = _per_sample_omega0(omega0, t)
+    phi = phase_from_detuning(omega0, delta, t, zero_time=zero_time)
+    field = ControlField(t=t, omega=omega, delta=delta, phi=phi,
+                         omega_r=rabi_from_phase(omega, phi, times=t), omega0=omega0)
+    return samples, v, field

@@ -3,7 +3,9 @@
 Each family prescribes the transverse-x and inversion components u(t), w(t)
 in closed form together with exact analytic time derivatives. The remaining
 component v is never prescribed: it is completed from purity (closed system)
-or integrated from a consistency equation (open system). Times in ps,
+or integrated from a consistency equation (open system). Both completions
+fail with a ``SingularPrescriptionError`` at the first time v falls below the
+constant floor ``V_MIN``, since the drive divides by v. Times in ps,
 frequencies in rad/ps.
 """
 
@@ -82,7 +84,8 @@ class Transfer:
             raise ValidationError("peak_width must be > 0")
 
     def components(self, t: np.ndarray):
-        g = 1.0 / (1.0 + np.exp(-self.switch_rate * t))
+        with np.errstate(over="ignore"):  # far tails: exp overflows to inf, and g = 0 exactly
+            g = 1.0 / (1.0 + np.exp(-self.switch_rate * t))
         w = self.inversion_start * (1.0 - g) + self.inversion_stop * g
         dw = (self.inversion_stop - self.inversion_start) * self.switch_rate * g * (1.0 - g)
         x = (t - self.peak_time) / self.peak_width
@@ -193,7 +196,7 @@ def eval_components(spec: TrajectorySpec, grid) -> TrajectorySamples:
     return TrajectorySamples(t=t, u=u, w=w, du=du, dw=dw)
 
 
-def complete_v_closed(samples: TrajectorySamples, v_min: float = V_MIN) -> np.ndarray:
+def complete_v_closed(samples: TrajectorySamples) -> np.ndarray:
     """Transverse-y component from purity, v = +sqrt(1 - u^2 - w^2).
 
     Raises
@@ -201,7 +204,7 @@ def complete_v_closed(samples: TrajectorySamples, v_min: float = V_MIN) -> np.nd
     ValidationError
         If the prescription leaves the Bloch sphere (u^2 + w^2 > 1).
     SingularPrescriptionError
-        If v drops below ``v_min`` anywhere on the grid.
+        If v drops below ``V_MIN`` anywhere on the grid.
     """
     s = 1.0 - samples.u**2 - samples.w**2
     bad = s < -BLOCH_NORM_SLACK
@@ -210,15 +213,7 @@ def complete_v_closed(samples: TrajectorySamples, v_min: float = V_MIN) -> np.nd
         raise ValidationError(
             f"prescription leaves the Bloch sphere (u^2 + w^2 > 1) at t = {t_bad:.6g} ps"
         )
-    v = np.sqrt(np.clip(s, 0.0, None))
-    low = v < v_min
-    if np.any(low):
-        t_low = samples.t[np.argmax(low)]
-        raise SingularPrescriptionError(
-            f"transverse component below {v_min:g} at t = {t_low:.6g} ps; "
-            "the pulse is singular there", t_first=float(t_low)
-        )
-    return v
+    return _root_above_floor(s, samples.t, "transverse component")
 
 
 def solve_consistent_v_open(
@@ -226,9 +221,6 @@ def solve_consistent_v_open(
     rates: Rates,
     *,
     v0: float | None = None,
-    v_min: float = V_MIN,
-    rtol: float = 1e-12,
-    atol: float = 1e-14,
 ) -> np.ndarray:
     """Transverse-y component consistent with the damped Bloch dynamics.
 
@@ -264,15 +256,20 @@ def solve_consistent_v_open(
         return -2.0 * g_t * s - 2.0 * drive
 
     sol, _ = integrate_adaptive(
-        rhs, (t[0], t[-1]), np.array([s0]), t, rtol=rtol, atol=atol,
+        rhs, (t[0], t[-1]), np.array([s0]), t, rtol=1e-12, atol=1e-14,
         max_step=(t[-1] - t[0]) / 8.0,
     )
-    s = sol[:, 0].real
-    low = s < v_min**2
+    return _root_above_floor(sol[:, 0].real, t, "consistent transverse component")
+
+
+def _root_above_floor(s: np.ndarray, t: np.ndarray, what: str) -> np.ndarray:
+    """v = sqrt(s), negative s read as 0; SingularPrescriptionError at the first
+    time ``t`` where v is below ``V_MIN``."""
+    v = np.sqrt(np.clip(s, 0.0, None))
+    low = v < V_MIN
     if np.any(low):
-        t_low = t[np.argmax(low)]
+        t_low = float(t[np.argmax(low)])
         raise SingularPrescriptionError(
-            f"consistent transverse component below {v_min:g} at t = {t_low:.6g} ps; "
-            "the pulse is singular there", t_first=float(t_low)
-        )
-    return np.sqrt(s)
+            f"{what} below {V_MIN:g} at t = {t_low:.6g} ps; the pulse is singular there",
+            t_first=t_low)
+    return v

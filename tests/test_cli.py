@@ -8,6 +8,7 @@ the declared console-script entry point dispatches at all.
 
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -21,6 +22,7 @@ from blochpulse import (
     Transfer,
     TransitionSpec,
     Window,
+    preset,
     save_scenario,
     scenario_to_dict,
 )
@@ -100,7 +102,7 @@ def test_verify_prints_reports_and_sanity(mini_config, capsys):
     assert main(["verify", "--config", str(mini_config)]) == 0
     out = capsys.readouterr().out
     assert "[effective-bloch]" in out
-    assert "trace defect" in out
+    assert "Bloch-norm excess" in out
     assert "purity defect" in out
 
 
@@ -108,6 +110,16 @@ def test_verify_tolerance_override(mini_config, capsys):
     assert main(["verify", "--config", str(mini_config), "--tol", "1e-8"]) == 0
     assert main(["verify", "--config", str(mini_config), "--tol", "2.0"]) == 2
     assert "--tol" in capsys.readouterr().err
+
+
+def test_verify_loose_tolerance_exits_0(tmp_path, capsys):
+    # a loosely integrated run may end a hair outside the Bloch ball; the
+    # sanity line reports that excess instead of rejecting the run
+    path = tmp_path / "fig2.json"
+    save_scenario(preset("fig2"), path)
+    assert main(["verify", "--config", str(path), "--tol", "1e-6"]) == 0
+    out, err = capsys.readouterr()
+    assert "Bloch-norm excess" in out and err == ""
 
 
 def test_missing_config_file(tmp_path, capsys):
@@ -149,6 +161,25 @@ def test_window_the_integrator_cannot_resolve_exits_2(tmp_path, capsys, start, s
         assert main(["verify", "--config", str(path)]) == 2
     out, err = capsys.readouterr()
     assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "Warning" not in out + err and not caught
+
+
+@pytest.mark.parametrize("span", [1e8, 1e100])
+def test_window_past_the_carrier_pole_exits_3(tmp_path, capsys, span):
+    # the sigmoid overflows in the far tails, and at 1e100 ps so does the
+    # phase; either way the run stops at the first time the carrier factor
+    # fails, without a warning
+    data = scenario_to_dict(preset("fig1_L3"))
+    data["window"].update(start=-span, stop=span)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["verify", "--config", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert err.startswith("numerical failure:") and len(err.splitlines()) == 1
+    t_first = float(re.search(r"t = (\S+) ps", err).group(1))
+    assert -span <= t_first <= span
     assert "Warning" not in out + err and not caught
 
 

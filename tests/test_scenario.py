@@ -40,6 +40,7 @@ from blochpulse import (
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
+    synthesize_pulse,
 )
 
 _EXPECTED_PRESETS = ["fig1_L1", "fig1_L2", "fig1_L3", "fig1_L4", "fig1_L5",
@@ -335,6 +336,15 @@ def test_open_run_drive_comes_from_the_reported_v():
     omega, delta = omega_delta_from_components(s.u, s.w, s.du, s.dw, run.v, run.config.rates)
     for got, want in ((omega, run.field.omega), (delta, run.field.delta)):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # and run_scenario builds every preset's drive along synthesize_pulse's one path
+    for name in preset_names():
+        cfg = preset(name)
+        run = run_scenario(dataclasses.replace(cfg, pictures=()))
+        grid = cfg.window.grid()
+        field = synthesize_pulse(cfg.trajectory, cfg.rates, cfg.transition.values(grid), grid)
+        for channel in ("t", "omega", "delta", "phi", "omega_r", "omega0"):
+            assert np.array_equal(getattr(run.field, channel), getattr(field, channel)), \
+                (name, channel)
 
 
 def test_csv_export_deterministic(tmp_path):

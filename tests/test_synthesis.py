@@ -94,6 +94,11 @@ def test_phase_rejects_bad_inputs():
             phase_from_detuning(0.1, np.zeros_like(t), t, zero_time=zero_time)
     with pytest.raises(ValidationError, match="omega0"):
         phase_from_detuning(np.full(5, 0.1), np.zeros_like(t), t)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError, match="omega0"):
+            phase_from_detuning(bad, np.zeros_like(t), t)
+        with pytest.raises(ValidationError, match="delta"):
+            phase_from_detuning(0.1, np.where(t > 0.5, bad, 0.0), t)
 
 
 def test_rabi_envelope_frozen_points():
@@ -112,6 +117,10 @@ def test_rabi_singularity_reports_time():
     assert err.value.t_first == pytest.approx(1.5)
     with pytest.raises(CarrierSingularityError):
         rabi_from_phase(omega, phi)
+    # a phase that overflowed leaves a non-finite carrier factor, not a silent NaN
+    with pytest.raises(CarrierSingularityError) as err:
+        rabi_from_phase(omega, np.array([0.0, np.nan, np.inf]), times=np.array([0.0, 1.5, 3.0]))
+    assert err.value.t_first == pytest.approx(1.5)
 
 
 def test_control_field_validation():
