@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .odeint import IntegrationStats, integrate_bloch
+from .odeint import ATOL, RTOL, SPAN_SLACK, IntegrationStats, integrate_bloch
 from .rates import Rates, inversion_decay_rate, transverse_rate
 from .states import SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, _checked_bloch, _density, validate_grid
 from .synthesis import ControlField
@@ -109,12 +109,10 @@ def _propagate(picture: str, field: ControlField, field_at, rates: Rates,
     Bloch kernel reads it once per step, at all six stage times. ``r0`` is the
     Bloch vector at ``grid[0]``.
     """
-    r0 = _checked_bloch(r0)
-    if r0.shape != (3,):
-        raise ValidationError(f"initial Bloch vector must have shape (3,), got {r0.shape}")
+    r0 = _checked_bloch(r0)  # the Bloch kernel rejects any shape but (3,)
     t = validate_grid(grid)
     t0, t1 = field.t[0], field.t[-1]
-    if t[0] < t0 - 1e-12 or t[-1] > t1 + 1e-12:
+    if t[0] < t0 - SPAN_SLACK or t[-1] > t1 + SPAN_SLACK:
         raise ValidationError(
             f"sample grid [{t[0]:g}, {t[-1]:g}] leaves the control window [{t0:g}, {t1:g}]")
     decay = transverse_rate(rates), inversion_decay_rate(rates), -2.0 * rates.thermal
@@ -144,7 +142,7 @@ def dissipator_action(rho: np.ndarray, rates: Rates) -> np.ndarray:
 
 
 def integrate_lab(field: ControlField, r0, grid, *,
-                  rtol: float = 1e-10, atol: float = 1e-12) -> SimResult:
+                  rtol: float = RTOL, atol: float = ATOL) -> SimResult:
     """Closed-system evolution under the physical lab-frame Hamiltonian.
 
     H(t) = (omega0 / 2) sigma_z + Omega_R(t) cos(phi(t)) sigma_x. The initial
@@ -155,7 +153,7 @@ def integrate_lab(field: ControlField, r0, grid, *,
 
 
 def integrate_interaction(field: ControlField, r0, grid, *,
-                          rtol: float = 1e-10, atol: float = 1e-12,
+                          rtol: float = RTOL, atol: float = ATOL,
                           rwa: bool = False) -> SimResult:
     """Closed-system evolution in the carrier co-rotating frame.
 
@@ -171,7 +169,7 @@ def integrate_interaction(field: ControlField, r0, grid, *,
 
 
 def integrate_lindblad(field: ControlField, rates: Rates, r0, grid, *,
-                       rtol: float = 1e-10, atol: float = 1e-12,
+                       rtol: float = RTOL, atol: float = ATOL,
                        hamiltonian: str = "design") -> SimResult:
     """Open-system evolution under the master equation.
 
@@ -195,7 +193,7 @@ def integrate_lindblad(field: ControlField, rates: Rates, r0, grid, *,
 
 
 def integrate_bloch_effective(field: ControlField, rates: Rates, r0, grid, *,
-                              rtol: float = 1e-10, atol: float = 1e-12) -> SimResult:
+                              rtol: float = RTOL, atol: float = ATOL) -> SimResult:
     """Damped component equations driven by the synthesized (Omega, Delta).
 
         du = Delta v - G u

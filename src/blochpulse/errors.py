@@ -26,17 +26,15 @@ class ValidationError(BlochPulseError):
 
 
 class NumericalError(BlochPulseError):
-    """A computation failed at run time for numerical reasons."""
+    """A computation failed at run time for numerical reasons, first at time
+    ``t_first`` (ps) when known."""
 
-
-class _TimedNumericalError(NumericalError):
-    # carries the first offending sample time, in ps
     def __init__(self, message: str, t_first: float | None = None):
         super().__init__(message)
         self.t_first = t_first
 
 
-class SingularPrescriptionError(_TimedNumericalError):
+class SingularPrescriptionError(NumericalError):
     """The prescribed trajectory pinches the transverse component to zero.
 
     Synthesis divides by v; when v drops below its floor the pulse is not
@@ -44,7 +42,7 @@ class SingularPrescriptionError(_TimedNumericalError):
     """
 
 
-class CarrierSingularityError(_TimedNumericalError):
+class CarrierSingularityError(NumericalError):
     """The carrier factor 1 + cos(2 phi) vanished somewhere in the window.
 
     The physical pulse envelope diverges there, so the prescription is not

@@ -17,6 +17,7 @@ through the quartic dense interpolant. Times are in ps.
 
 from __future__ import annotations
 
+import contextvars
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import IntegrationError, ValidationError
 
-__all__ = ["IntegrationStats", "integrate_adaptive", "integrate_bloch", "step_floor"]
+__all__ = ["ATOL", "RTOL", "IntegrationStats", "integrate_adaptive", "integrate_bloch", "step_floor"]
 
 # Dormand-Prince 5(4) tableau (Dormand & Prince, J. Comput. Appl. Math. 6
 # (1980) 19). The scheme is first-same-as-last: stage 7 of an accepted step is
@@ -63,6 +64,12 @@ _MAX_FACTOR = 10.0
 _MAX_STEPS = 1_000_000
 _FLOOR = 16.0 * np.finfo(float).eps
 
+# default relative and absolute local-error tolerances of every propagator
+RTOL = 1e-10
+ATOL = 1e-12
+# roundoff slack, in ps, by which sample times may overhang the integration span
+SPAN_SLACK = 1e-12
+
 
 def step_floor(t: float) -> float:
     """Smallest step the integrator takes at time ``t``; below it, it gives up."""
@@ -90,14 +97,19 @@ def _numpy_kernel(rhs, rtol: float, atol: float):
         return y, rhs(t, y)
 
     def step(t, h, y, k1):
+        # A huge step may overflow the step's own arithmetic; the controller reports
+        # the non-finite ratio, so numpy need not warn. The rhs runs in the caller's
+        # context, under the caller's numpy error state.
+        caller = contextvars.copy_context()
         k = np.empty((7, y.size), dtype=y.dtype)
         k[0] = k1
-        for i in range(1, 7):
-            k[i] = rhs(t + _C[i] * h, y + h * (_A[i] @ k[:i]))
-        y_new = y + h * (_B @ k)
-        err = h * (_E @ k)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        ratio = float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(1, 7):
+                k[i] = caller.run(rhs, t + _C[i] * h, y + h * (_A[i] @ k[:i]))
+            y_new = y + h * (_B @ k)
+            err = h * (_E @ k)
+            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+            ratio = float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
         return y_new, k[6], k, ratio
 
     return start, step
@@ -186,7 +198,7 @@ def _integrate(kernel, t_span, y0, t_eval, rtol, atol,
         raise ValidationError("t_eval must be a non-empty 1-D array")
     if np.any(np.diff(teval) < 0.0):
         raise ValidationError("t_eval must be non-decreasing")
-    if teval[0] < t0 - 1e-12 or teval[-1] > t1 + 1e-12:
+    if teval[0] < t0 - SPAN_SLACK or teval[-1] > t1 + SPAN_SLACK:
         raise ValidationError("t_eval must lie within t_span")
     max_step = float(max_step)
     if not max_step > 0.0:  # also rejects NaN
@@ -208,16 +220,17 @@ def _integrate(kernel, t_span, y0, t_eval, rtol, atol,
     while t < t1:
         if stats.accepted + stats.rejected >= _MAX_STEPS:
             raise IntegrationError(
-                f"step budget exhausted at t = {t:.6g} ps; tolerances may be unreachable"
-            )
+                f"step budget exhausted at t = {t:.6g} ps; tolerances may be unreachable",
+                t_first=t)
         if h < step_floor(t):
-            raise IntegrationError(f"step size underflow at t = {t:.6g} ps")
+            raise IntegrationError(f"step size underflow at t = {t:.6g} ps", t_first=t)
         h = min(h, t1 - t)
 
         new_state, k7, stages, ratio = attempt(t, h, state, k1)
         stats.rhs_evals += 6
         if not math.isfinite(ratio):
-            raise IntegrationError(f"non-finite local error estimate at t = {t:.6g} ps")
+            raise IntegrationError(f"non-finite local error estimate at t = {t:.6g} ps",
+                                   t_first=t)
 
         if ratio <= 1.0:
             steps.append((t, h, state, stages))
@@ -267,8 +280,8 @@ def integrate_adaptive(
     y0,
     t_eval,
     *,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
+    rtol: float = RTOL,
+    atol: float = ATOL,
     max_step: float = np.inf,
 ) -> tuple[np.ndarray, IntegrationStats]:
     """Integrate dy/dt = rhs(t, y) and sample the result on ``t_eval``.
@@ -313,8 +326,8 @@ def integrate_bloch(
     r0,
     t_eval,
     *,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
+    rtol: float = RTOL,
+    atol: float = ATOL,
     max_step: float = np.inf,
 ) -> tuple[np.ndarray, IntegrationStats]:
     """Integrate dr/dt = b(t) x r - (G, G, Gamma_1) r + (0, 0, pump) for a Bloch vector.

@@ -20,7 +20,8 @@ converted to internal units (ps, rad/ps) on load. Besides "name" and
 
 A quantity is a bare number in internal units or a {"value", "unit"} object.
 Fields with defaults may be omitted, and so may "rates" and "tolerances".
-Any malformed entry raises ValidationError.
+"name" is a printable file stem, not "." or ".." and without "/" or "\\";
+no picture repeats. Any malformed entry raises ValidationError.
 
 Pictures:
   * "effective-bloch" -- damped component equations (any rates);
@@ -54,7 +55,7 @@ from .dynamics import (
     integrate_lindblad,
 )
 from .errors import ValidationError
-from .odeint import step_floor
+from .odeint import ATOL, RTOL, step_floor
 from .rates import Rates
 from .states import _onto_sphere, bloch_from_density, density_from_bloch
 # synthesize_pulse, eval_components, complete_v_closed and solve_consistent_v_open
@@ -115,33 +116,31 @@ _MAX_SAMPLES = 1_000_000
 
 @dataclass(frozen=True)
 class TransitionSpec:
-    """Transition angular frequency along the window: constant or linear ramp."""
+    """Transition angular frequency along the window: a linear ramp, constant if start == stop."""
 
-    kind: str
     start: float
     stop: float
 
     def __post_init__(self):
-        if self.kind not in ("constant", "ramp"):
-            raise ValidationError(f"transition kind must be 'constant' or 'ramp', got {self.kind!r}")
         for val in (self.start, self.stop):
             if not np.isfinite(val):
                 raise ValidationError("transition frequency must be finite")
-        if self.kind == "constant" and self.start != self.stop:
-            raise ValidationError("constant transition must have start == stop")
+
+    @property
+    def kind(self) -> str:
+        """'constant' when start == stop, else 'ramp'."""
+        return "constant" if self.start == self.stop else "ramp"
 
     @classmethod
     def constant(cls, value: float) -> "TransitionSpec":
-        return cls("constant", float(value), float(value))
+        return cls(float(value), float(value))
 
     @classmethod
     def ramp(cls, start: float, stop: float) -> "TransitionSpec":
-        return cls("ramp", float(start), float(stop))
+        return cls(float(start), float(stop))
 
     def values(self, grid: np.ndarray) -> np.ndarray:
-        """omega0 samples; a ramp runs linearly from grid start to grid end."""
-        if self.kind == "constant":
-            return np.full(grid.shape, self.start)
+        """omega0 samples, running linearly from grid start to grid end."""
         frac = (grid - grid[0]) / (grid[-1] - grid[0])
         return self.start + (self.stop - self.start) * frac
 
@@ -184,16 +183,22 @@ class ScenarioConfig:
     rates: Rates
     transition: TransitionSpec
     window: Window
-    rtol: float = 1e-10
-    atol: float = 1e-12
+    rtol: float = RTOL
+    atol: float = ATOL
     pictures: tuple[str, ...] = ("effective-bloch", "interaction")
 
     def __post_init__(self):
-        if not self.name or not isinstance(self.name, str):
-            raise ValidationError("scenario name must be a non-empty string")
+        # the name is the stem of every exported file, so it must not leave the output directory
+        name = self.name
+        if not (isinstance(name, str) and name.isprintable() and name not in ("", ".", "..")
+                and "/" not in name and "\\" not in name):
+            raise ValidationError("scenario name must be a printable file stem without '/' or "
+                                  f"'\\', and not '.' or '..'; got {name!r}")
         for pic in self.pictures:
             if pic not in PICTURES:
                 raise ValidationError(f"unknown picture {pic!r}; known: {list(PICTURES)}")
+        if len(set(self.pictures)) != len(self.pictures):
+            raise ValidationError(f"pictures must not repeat, got {list(self.pictures)}")
         if "lab" in self.pictures and not self.rates.closed:
             raise ValidationError(
                 "the 'lab' picture is defined for closed scenarios only; "

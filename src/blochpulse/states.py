@@ -66,11 +66,11 @@ def validate_grid(t) -> np.ndarray:
     return grid
 
 
-def validate_density(rho, herm_tol: float = 1e-12, trace_tol: float = 1e-10) -> np.ndarray:
+def validate_density(rho) -> np.ndarray:
     """Check that ``rho`` is a physical 2x2 density matrix.
 
-    Hermiticity within ``herm_tol``, unit trace within ``trace_tol``, and a
-    Bloch vector no longer than 1 + 1e-9. Returns the matrix as complex128.
+    Hermiticity within 1e-12, unit trace within 1e-10, and a Bloch vector no
+    longer than 1 + 1e-9. Returns the matrix as complex128.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
@@ -78,10 +78,10 @@ def validate_density(rho, herm_tol: float = 1e-12, trace_tol: float = 1e-10) -> 
     if not np.all(np.isfinite(rho.view(float))):
         raise ValidationError("density matrix contains non-finite entries")
     herm = np.max(np.abs(rho - rho.conj().T))
-    if herm > herm_tol:
+    if herm > 1e-12:
         raise ValidationError(f"density matrix not Hermitian: defect {herm:.3e}")
     tr = abs(rho[0, 0].real + rho[1, 1].real - 1.0)
-    if tr > trace_tol:
+    if tr > 1e-10:
         raise ValidationError(f"density matrix trace deviates from 1 by {tr:.3e}")
     _checked_bloch(bloch_from_density(rho))
     return rho

@@ -180,15 +180,15 @@ def _per_sample_omega0(omega0, t: np.ndarray) -> np.ndarray:
     return omega0
 
 
-def rabi_from_phase(omega, phi, times=None) -> np.ndarray:
-    """Physical envelope Omega_R = Omega / (1 + cos(2 phi)).
+def rabi_from_phase(omega, phi, times) -> np.ndarray:
+    """Physical envelope Omega_R = Omega / (1 + cos(2 phi)) at the sample ``times`` (ps).
 
     Raises
     ------
     CarrierSingularityError
         If the carrier factor dips below ``DENOM_MIN``, or is not finite,
         anywhere: the envelope would diverge and the prescription is not
-        realizable as written.
+        realizable as written. Its ``t_first`` is the first such time.
     """
     omega = np.asarray(omega, dtype=float)
     phi = np.asarray(phi, dtype=float)
@@ -196,14 +196,11 @@ def rabi_from_phase(omega, phi, times=None) -> np.ndarray:
         denom = 1.0 + np.cos(2.0 * phi)
     low = ~(denom >= DENOM_MIN)
     if np.any(low):
-        idx = int(np.argmax(low))
-        t_low = float(np.asarray(times)[idx]) if times is not None else None
-        where = f"t = {t_low:.6g} ps" if t_low is not None else f"sample {idx}"
+        t_low = float(np.asarray(times)[np.argmax(low)])
         raise CarrierSingularityError(
-            f"carrier factor 1 + cos(2 phi) below {DENOM_MIN:g} or not finite at {where}; "
-            "pulse envelope diverges (trajectory window too long for this "
-            "transition frequency)", t_first=t_low,
-        )
+            f"carrier factor 1 + cos(2 phi) below {DENOM_MIN:g} or not finite at "
+            f"t = {t_low:.6g} ps; pulse envelope diverges (trajectory window too long "
+            "for this transition frequency)", t_first=t_low)
     return omega / denom
 
 
@@ -213,7 +210,6 @@ def synthesize_pulse(
     omega0,
     grid,
     *,
-    v0: float | None = None,
     phase_zero: float | str = "center",
 ) -> ControlField:
     """Reverse-engineer the drive that steers the system along ``spec``.
@@ -234,8 +230,6 @@ def synthesize_pulse(
         Transition angular frequency (rad/ps), scalar or per-sample.
     grid : array_like
         Strictly increasing sample times (ps).
-    v0 : float, optional
-        Initial transverse value for the open-system completion, in [0, 1].
     phase_zero : "center" | "start" | float
         Gauge point for the carrier phase. "center" (default) zeroes phi at
         the window midpoint, which halves the phase excursion and doubles the
@@ -245,10 +239,10 @@ def synthesize_pulse(
     -------
     ControlField
     """
-    return _synthesize(spec, rates, omega0, grid, v0=v0, phase_zero=phase_zero)[2]
+    return _synthesize(spec, rates, omega0, grid, phase_zero=phase_zero)[2]
 
 
-def _synthesize(spec, rates, omega0, grid, *, v0=None, phase_zero="center"):
+def _synthesize(spec, rates, omega0, grid, *, phase_zero="center"):
     """``synthesize_pulse``, also returning the trajectory samples and the v it
     completed: (samples, v, field)."""
     samples = eval_components(spec, grid)
@@ -256,7 +250,7 @@ def _synthesize(spec, rates, omega0, grid, *, v0=None, phase_zero="center"):
     if rates.closed:
         v = complete_v_closed(samples)
     else:
-        v = solve_consistent_v_open(samples, rates, v0=v0)
+        v = solve_consistent_v_open(samples, rates)
     omega, delta = omega_delta_from_components(
         samples.u, samples.w, samples.du, samples.dw, v, rates)
     named = {"center": 0.5 * (t[0] + t[-1]), "start": t[0]}
@@ -264,5 +258,5 @@ def _synthesize(spec, rates, omega0, grid, *, v0=None, phase_zero="center"):
     omega0 = _per_sample_omega0(omega0, t)
     phi = phase_from_detuning(omega0, delta, t, zero_time=zero_time)
     field = ControlField(t=t, omega=omega, delta=delta, phi=phi,
-                         omega_r=rabi_from_phase(omega, phi, times=t), omega0=omega0)
+                         omega_r=rabi_from_phase(omega, phi, t), omega0=omega0)
     return samples, v, field

@@ -11,7 +11,7 @@ frequencies in rad/ps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Union
 
 import numpy as np
@@ -38,11 +38,11 @@ __all__ = [
 V_MIN = 1e-6
 
 
-def _check_finite(obj, names):
-    for name in names:
-        val = getattr(obj, name)
+def _check_finite(spec):
+    for f in fields(spec):
+        val = getattr(spec, f.name)
         if not np.isfinite(val):
-            raise ValidationError(f"{type(obj).__name__}.{name} must be finite, got {val}")
+            raise ValidationError(f"{type(spec).__name__}.{f.name} must be finite, got {val}")
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,7 @@ class Transfer:
     peak_time: float = 0.0
 
     def __post_init__(self):
-        _check_finite(self, ("inversion_start", "inversion_stop", "switch_rate",
-                             "coherence_peak", "peak_width", "peak_time"))
+        _check_finite(self)  # every field, the ripple of an Oscillatory too
         if abs(self.inversion_start) > 1.0 or abs(self.inversion_stop) > 1.0:
             raise ValidationError("inversion levels must lie in [-1, 1]")
         if self.switch_rate <= 0.0:
@@ -95,29 +94,23 @@ class Transfer:
 
 
 @dataclass(frozen=True)
-class Oscillatory:
+class Oscillatory(Transfer):
     """Transfer profile with a cosine ripple on the inversion.
 
-    Adds ripple_amplitude * cos(ripple_frequency * t) to the Transfer w(t).
+    Adds ripple_amplitude * cos(ripple_frequency * t) to the Transfer w(t);
+    both ripple fields are keyword-only.
     """
 
-    inversion_start: float
-    inversion_stop: float
-    switch_rate: float
-    coherence_peak: float
-    peak_width: float
-    ripple_amplitude: float
-    ripple_frequency: float
-    peak_time: float = 0.0
+    ripple_amplitude: float = field(kw_only=True)
+    ripple_frequency: float = field(kw_only=True)
 
     def __post_init__(self):
-        Transfer.__post_init__(self)  # the fields shared with Transfer
-        _check_finite(self, ("ripple_amplitude", "ripple_frequency"))
+        super().__post_init__()
         if self.ripple_frequency < 0.0:
             raise ValidationError("ripple_frequency must be >= 0")
 
     def components(self, t: np.ndarray):
-        u, w, du, dw = Transfer.components(self, t)
+        u, w, du, dw = super().components(t)
         w = w + self.ripple_amplitude * np.cos(self.ripple_frequency * t)
         dw = dw - self.ripple_amplitude * self.ripple_frequency * np.sin(self.ripple_frequency * t)
         return u, w, du, dw
@@ -143,8 +136,7 @@ class RabiDecay:
     coherence_frequency: float
 
     def __post_init__(self):
-        _check_finite(self, ("inversion_amplitude", "decay_curvature", "inversion_frequency",
-                             "chirp_rate", "coherence_amplitude", "coherence_frequency"))
+        _check_finite(self)
         if abs(self.inversion_amplitude) > 1.0 or abs(self.coherence_amplitude) > 1.0:
             raise ValidationError("amplitudes must lie in [-1, 1]")
         if self.decay_curvature < 0.0:
@@ -190,7 +182,7 @@ def eval_components(spec: TrajectorySpec, grid) -> TrajectorySamples:
     TrajectorySamples
     """
     t = validate_grid(grid)
-    if not isinstance(spec, (Transfer, Oscillatory, RabiDecay)):
+    if not isinstance(spec, (Transfer, RabiDecay)):
         raise ValidationError(f"unknown trajectory family: {type(spec).__name__}")
     u, w, du, dw = spec.components(t)
     return TrajectorySamples(t=t, u=u, w=w, du=du, dw=dw)

@@ -103,8 +103,7 @@ def tracking_error(result: SimResult, u, v, w) -> TrackingReport:
     )
 
 
-def rwa_deviation(field: ControlField, r0, grid, *, scale: float = 1.0,
-                  rtol: float = 1e-10, atol: float = 1e-12) -> float:
+def rwa_deviation(field: ControlField, r0, grid, *, scale: float = 1.0) -> float:
     """Distance between the full and rotating-wave evolutions of a drive.
 
     The drive amplitude is multiplied by ``scale`` (the carrier phase is
@@ -117,8 +116,8 @@ def rwa_deviation(field: ControlField, r0, grid, *, scale: float = 1.0,
     if scale <= 0.0:
         raise ValidationError("scale must be > 0")
     scaled = field.scaled(scale)
-    full = integrate_interaction(scaled, r0, grid, rtol=rtol, atol=atol, rwa=False)
-    rwa = integrate_interaction(scaled, r0, grid, rtol=rtol, atol=atol, rwa=True)
+    full = integrate_interaction(scaled, r0, grid, rwa=False)
+    rwa = integrate_interaction(scaled, r0, grid, rwa=True)
     return float(0.5 * np.max(np.linalg.norm(full.bloch - rwa.bloch, axis=1)))
 
 

@@ -183,6 +183,46 @@ def test_window_past_the_carrier_pole_exits_3(tmp_path, capsys, span):
     assert "Warning" not in out + err and not caught
 
 
+def test_open_window_past_the_integrator_exits_3(tmp_path, capsys):
+    # the open v-completion overflows its first huge step; the run stops there
+    # with a time and without a numpy warning
+    data = scenario_to_dict(preset("fig3"))
+    data["window"].update(start=-1e100, stop=1e100)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["synthesize", "--config", str(path), "--out-dir", str(tmp_path)]) == 3
+    out, err = capsys.readouterr()
+    assert err.startswith("numerical failure:") and len(err.splitlines()) == 1
+    assert re.search(r"t = \S+ ps", err)
+    assert "Warning" not in out + err and not caught
+
+
+@pytest.mark.parametrize("verb", ["synthesize", "simulate"])
+@pytest.mark.parametrize("name", ["<outside>/x", "../x", ".", "..", "a\\b", "a\x00b"])
+def test_name_that_is_not_a_file_stem_exits_2(tmp_path, capsys, verb, name):
+    # the name is the stem of every exported file, so none may land outside --out-dir
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    data = scenario_to_dict(_MINI)
+    data["name"] = name.replace("<outside>", str(outside))
+    config = tmp_path / "named.json"
+    config.write_text(json.dumps(data), encoding="utf-8")
+    assert main([verb, "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert sorted(tmp_path.rglob("*")) == [config, outside]
+
+
+def test_duplicate_pictures_exit_2(mini_config, capsys):
+    assert main(["verify", "--config", str(mini_config),
+                 "--pictures", "interaction,interaction,effective-bloch"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+    assert "repeat" in err
+
+
 def test_carrier_singularity_exits_3(tmp_path, capsys):
     pole = ScenarioConfig(
         name="pole",
@@ -208,7 +248,10 @@ def test_open_scenario_rejects_lab_picture(capsys):
 def test_console_script_dispatches():
     # the declared console script points at main; running the package as a
     # module in a fresh interpreter proves that entry point dispatches
-    import tomllib  # Python >= 3.11
+    try:
+        import tomllib  # Python >= 3.11
+    except ModuleNotFoundError:  # Python 3.10: the test extra installs tomli
+        import tomli as tomllib
 
     with open(_ROOT / "pyproject.toml", "rb") as fh:
         scripts = tomllib.load(fh)["project"]["scripts"]
@@ -220,3 +263,17 @@ def test_console_script_dispatches():
                           capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0
     assert "fig4" in proc.stdout
+
+
+def test_import_loads_no_heavy_scipy_subpackage():
+    # importing scipy.signal as well raises a fresh process's peak RSS by about 20 MB
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(_ROOT / "src"), env.get("PYTHONPATH")) if p)
+    code = ("import sys, blochpulse; print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'stats'], "
+            "['scipy', 'ndimage'])))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

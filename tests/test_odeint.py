@@ -170,3 +170,27 @@ def test_dense_output_matches_per_sample_loop(monkeypatch, a, y0):
     assert ys.dtype == y0.dtype
     assert np.array_equal(ys[:2], [y0, y0])
     assert np.max(np.abs(ys - _loop_dense_output(*calls[-1]))) < 1e-15
+
+
+@pytest.mark.parametrize("rhs, y0, t_first", [
+    (lambda tt, y: y**2, 1.0, 1.0),  # pole at t = 1: the step size underflows there
+    (lambda tt, y: y * np.nan, 1.0, 0.0),  # non-finite error estimate on the first step
+], ids=["underflow", "non-finite"])
+def test_integration_error_carries_its_time(rhs, y0, t_first):
+    with pytest.raises(IntegrationError) as err:
+        integrate_adaptive(rhs, (0.0, 2.0), np.array([y0]), np.array([0.0, 2.0]),
+                           rtol=1e-12, atol=1e-14)
+    assert err.value.t_first == pytest.approx(t_first, abs=1e-6)
+    assert f"t = {err.value.t_first:.6g} ps" in str(err.value)
+
+
+def test_kernel_overflow_is_reported_without_a_warning():
+    # a huge span overflows the step arithmetic on the first step; the caller's
+    # own rhs still runs under the caller's numpy error state
+    with pytest.raises(IntegrationError, match="non-finite") as err:
+        integrate_adaptive(lambda tt, y: y + 1e300, (0.0, 1e100), np.array([1.0]),
+                           np.array([0.0, 1e100]))
+    assert err.value.t_first == 0.0
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        integrate_adaptive(lambda tt, y: y * 1e300, (0.0, 1.0), np.array([1e10]),
+                           np.array([0.0, 1.0]))

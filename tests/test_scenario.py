@@ -176,6 +176,14 @@ def test_curvature_unit_frozen():
     lambda d: d.update(tolerances={"rtol": 10**400}),
     lambda d: d["window"].update(samples=10**12),
     lambda d: d["window"].update(samples=10**400),
+    lambda d: d.update(pictures=["interaction", "effective-bloch", "interaction"]),
+    lambda d: d.update(name="../unit_case"),
+    lambda d: d.update(name="/tmp/unit_case"),
+    lambda d: d.update(name="unit\\case"),
+    lambda d: d.update(name="."),
+    lambda d: d.update(name=".."),
+    lambda d: d.update(name="unit\x00case"),
+    lambda d: d.update(name="unit\ncase"),
 ])
 def test_bad_scenario_dicts_rejected(mutate):
     d = _base_dict()
@@ -260,8 +268,10 @@ def test_transition_values_endpoints():
     assert vals[3] == pytest.approx(8e-3, rel=1e-12)
     const = TransitionSpec.constant(5e-3).values(grid)
     assert np.all(const == 5e-3)
-    with pytest.raises(ValidationError):
-        TransitionSpec("constant", 1e-3, 2e-3)
+    # the kind follows from the endpoints, so no spec can contradict it
+    assert ramp.kind == "ramp"
+    assert TransitionSpec.constant(5e-3).kind == "constant"
+    assert TransitionSpec(5e-3, 5e-3) == TransitionSpec.constant(5e-3)
 
 
 def test_window_validation():

@@ -7,6 +7,8 @@ the closed-form fixed point s* = Gamma / (2 transverse) when u = 0 and
 w = -1/2 with a vacuum bath, i.e. v* = 1/2 when dephasing == thermal.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -186,3 +188,22 @@ def test_eval_components_validates_grid():
                     coherence_peak=0.4, peak_width=100.0)
     with pytest.raises(ValidationError):
         eval_components(spec, [3.0, 1.0])
+
+
+def test_oscillatory_is_a_transfer_with_a_keyword_only_ripple():
+    kw = dict(inversion_start=-0.5, inversion_stop=0.5, switch_rate=0.01,
+              coherence_peak=0.4, peak_width=100.0, peak_time=5.0)
+    flat = Oscillatory(**kw, ripple_amplitude=0.0, ripple_frequency=0.08)
+    assert issubclass(Oscillatory, Transfer) and isinstance(flat, Transfer)
+    assert [f.name for f in dataclasses.fields(Oscillatory) if f.kw_only] == \
+        ["ripple_amplitude", "ripple_frequency"]
+    t = np.linspace(-100.0, 100.0, 11)
+    for got, want in zip(flat.components(t), Transfer(**kw).components(t)):
+        assert np.array_equal(got, want)  # no ripple: the Transfer profile exactly
+    for bad in ({"ripple_amplitude": np.nan, "ripple_frequency": 0.08},
+                {"ripple_amplitude": 0.03, "ripple_frequency": -0.08},
+                {**kw, "switch_rate": 0.0, "ripple_amplitude": 0.03, "ripple_frequency": 0.08}):
+        with pytest.raises(ValidationError):
+            Oscillatory(**{**kw, **bad})
+    with pytest.raises(TypeError):  # both ripple fields are required
+        Oscillatory(**kw, ripple_amplitude=0.03)
