@@ -48,7 +48,6 @@ import numpy as np
 
 from .dynamics import (
     SimResult,
-    frame_transform,
     integrate_bloch_effective,
     integrate_interaction,
     integrate_lab,
@@ -57,7 +56,7 @@ from .dynamics import (
 from .errors import ValidationError
 from .odeint import ATOL, RTOL, step_floor
 from .rates import Rates
-from .states import _onto_sphere, bloch_from_density, density_from_bloch
+from .states import _onto_sphere
 # synthesize_pulse, eval_components, complete_v_closed and solve_consistent_v_open
 # are unused here but stay importable from this module: the benchmark tracer in
 # perfbench/ wraps them by name.
@@ -515,17 +514,26 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
                                          rtol=cfg.rtol, atol=cfg.atol)
             comparable = res
         else:  # "lab", closed only (enforced by the config)
-            rho_lab0 = frame_transform(density_from_bloch(r0), field.phi[0], "to_lab")
-            res = integrate_lab(field, bloch_from_density(rho_lab0), grid,
+            res = integrate_lab(field, _to_corotating(r0, -field.phi[0]), grid,
                                 rtol=cfg.rtol, atol=cfg.atol)
-            rotated = frame_transform(res.states, field.phi, "to_interaction")
-            comparable = SimResult(picture="lab", t=res.t, bloch=bloch_from_density(rotated),
-                                   stats=res.stats)
+            comparable = SimResult(picture="lab", t=res.t,
+                                   bloch=_to_corotating(res.bloch, field.phi), stats=res.stats)
         results[pic] = res
         reports[pic] = tracking_error(comparable, samples.u, v, samples.w)
 
     return ScenarioRun(config=cfg, grid=grid, samples=samples, v=v, field=field,
                        results=results, reports=reports)
+
+
+def _to_corotating(bloch, phi) -> np.ndarray:
+    """Lab-frame Bloch vectors in the frame rotated by ``phi`` about z.
+
+    ``frame_transform(..., "to_interaction")`` on the Bloch vectors, without
+    the density matrices; ``-phi`` maps the other way.
+    """
+    c, s = np.cos(phi), np.sin(phi)
+    u, v, w = bloch[..., 0], bloch[..., 1], bloch[..., 2]
+    return np.stack([u * c + v * s, v * c - u * s, w], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -535,12 +543,18 @@ _CSV_HEADER = "t_ps,u,v,w,sx,sy,sz,omega_R,phi,omega0,delta"
 _FIELD_CSV_HEADER = "t_ps,omega,delta,phi,omega_R,omega0"
 
 
+_CSV_BLOCK_ROWS = 4096  # rows formatted per call, which bounds the memory of one call
+
+
 def _write_csv(path, header: str, columns) -> None:
     """Write the header, then one row per sample of 17-significant-digit fields."""
-    row = ",".join(["{:.17g}"] * len(columns))
-    lines = [header] + [row.format(*values) for values in zip(*(c.tolist() for c in columns))]
+    table = np.column_stack(columns) if columns else np.empty((0, 0))
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n")
+        for start in range(0, len(table), _CSV_BLOCK_ROWS):
+            block = table[start:start + _CSV_BLOCK_ROWS]
+            rows = "\n".join([",".join(["%.17g"] * block.shape[1])] * len(block)) + "\n"
+            fh.write(rows % tuple(block.ravel().tolist()))
 
 
 def export_csv(run: ScenarioRun, path) -> None:

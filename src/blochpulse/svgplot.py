@@ -8,6 +8,7 @@ needs: 2-D line charts and an orthographic Bloch-sphere trajectory view.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
@@ -20,6 +21,10 @@ _COLORS = ("#1f6feb", "#d73a49", "#1a7f37", "#8250df", "#bf5af2", "#9a6700")
 
 def _fmt(x: float) -> str:
     return f"{x:.2f}".rstrip("0").rstrip(".")
+
+
+# the zeros _fmt strips from a "%.2f" field: both decimals, or the second one
+_TRAILING_ZEROS = re.compile(r"\.00\b|(\.\d)0\b")
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
@@ -46,8 +51,30 @@ def _range(arrays) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
+def _points(xs, ys) -> str:
+    """The pairs as "x,y x,y ..." with ``_fmt`` numbers, from one format call."""
+    pairs = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(np.column_stack([xs, ys]).ravel().tolist())
+    return _TRAILING_ZEROS.sub(r"\1", pairs)
+
+
+def _m4(column: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Indices of the first, last, lowest and highest sample in each pixel column.
+
+    M4 aggregation (Jugel et al., PVLDB 7(10), 2014): a polyline through these
+    samples, in index order, draws the same pixels as one through them all.
+    """
+    idx = np.arange(len(y))
+    by_index = np.lexsort((idx, column))
+    by_value = np.lexsort((idx, y, column))
+    sorted_column = column[by_index]
+    first = np.flatnonzero(np.r_[True, sorted_column[1:] != sorted_column[:-1]])
+    last = np.r_[first[1:], len(y)] - 1
+    return np.unique(np.concatenate([by_index[first], by_index[last],
+                                     by_value[first], by_value[last]]))
+
+
 def _polyline(xs, ys, color: str, dash: str | None = None, width: float = 1.6) -> str:
-    pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs, ys))
+    pts = _points(xs, ys)
     extra = f' stroke-dasharray="{dash}"' if dash else ""
     return (f'<polyline fill="none" stroke="{color}" stroke-width="{width}"'
             f'{extra} points="{pts}"/>')
@@ -80,17 +107,22 @@ def line_chart(path: str, title: str, xlabel: str, ylabel: str, x, series) -> No
         Common abscissa.
     series : list of (label, y, dashed) tuples
         One polyline per entry; ``dashed`` truthy draws a dashed line.
+        Each is reduced to the first, last, lowest and highest point of every
+        pixel column, which draws the same picture.
     """
     x = np.asarray(x, dtype=float)
     x_lo, x_hi = _range([x])
     y_lo, y_hi = _range([np.asarray(y, dtype=float) for _, y, _ in series])
     left, top, right, bottom = _BOX
 
-    def sx(v):
+    def sx(v):  # scalars and arrays alike
         return left + (v - x_lo) / (x_hi - x_lo) * (right - left)
 
     def sy(v):
         return bottom - (v - y_lo) / (y_hi - y_lo) * (bottom - top)
+
+    screen_x = np.round(sx(x), 2)  # as printed, so each point's column is the one drawn
+    column = np.floor(screen_x)
 
     el = [f'<rect x="{_fmt(left)}" y="{_fmt(top)}" width="{_fmt(right - left)}" '
           f'height="{_fmt(bottom - top)}" fill="none" stroke="#57606a"/>']
@@ -103,9 +135,10 @@ def line_chart(path: str, title: str, xlabel: str, ylabel: str, x, series) -> No
                   f'y2="{_fmt(sy(ty))}" stroke="#57606a"/>')
         el.append(_text(left - 9, sy(ty) + 4, f"{ty:.6g}", 11, anchor="end"))
     for i, (label, y, dashed) in enumerate(series):
-        y = np.asarray(y, dtype=float)
+        screen_y = sy(np.asarray(y, dtype=float))
+        keep = _m4(column, screen_y)
         color = _COLORS[i % len(_COLORS)]
-        el.append(_polyline([sx(v) for v in x], [sy(v) for v in y], color,
+        el.append(_polyline(screen_x[keep], screen_y[keep], color,
                             dash="6,4" if dashed else None))
         lx = right - 120
         ly = top + 18 + 16 * i
@@ -133,7 +166,7 @@ def bloch_chart(path: str, title: str, bloch) -> None:
     yaw, tilt = 0.6, 0.42
     cyaw, syaw, ctilt, stilt = math.cos(yaw), math.sin(yaw), math.cos(tilt), math.sin(tilt)
 
-    def proj(u, v, w):
+    def proj(u, v, w):  # scalars and arrays alike
         h = -u * syaw + v * cyaw
         d = u * cyaw + v * syaw
         vert = w * ctilt - d * stilt
@@ -141,21 +174,19 @@ def bloch_chart(path: str, title: str, bloch) -> None:
 
     el = [f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(scale)}" '
           f'fill="none" stroke="#57606a"/>']
-    s = np.linspace(0.0, 2.0 * math.pi, 181)
-    eq = [proj(math.cos(a), math.sin(a), 0.0) for a in s]
-    el.append(_polyline([p[0] for p in eq], [p[1] for p in eq], "#8c959f", dash="4,4",
-                        width=1.0))
+    # math.cos and math.sin, not numpy's vectorised pair, which may differ in the last bit
+    s = np.linspace(0.0, 2.0 * math.pi, 181).tolist()
+    eq_x, eq_y = proj(np.array([math.cos(a) for a in s]), np.array([math.sin(a) for a in s]), 0.0)
+    el.append(_polyline(eq_x, eq_y, "#8c959f", dash="4,4", width=1.0))
     for axis, label in (((1.1, 0.0, 0.0), "u"), ((0.0, 1.1, 0.0), "v"), ((0.0, 0.0, 1.1), "w")):
         x2, y2 = proj(*axis)
         el.append(f'<line x1="{_fmt(cx)}" y1="{_fmt(cy)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
                   f'stroke="#8c959f" stroke-width="1"/>')
         el.append(_text(x2, y2 - 4, label, 12))
-    pts = [proj(u, v, w) for u, v, w in bloch]
-    el.append(_polyline([p[0] for p in pts], [p[1] for p in pts], "#1f6feb"))
-    x0, y0 = pts[0]
-    x1, y1 = pts[-1]
-    el.append(f'<circle cx="{_fmt(x0)}" cy="{_fmt(y0)}" r="4" fill="#1a7f37"/>')
-    el.append(f'<circle cx="{_fmt(x1)}" cy="{_fmt(y1)}" r="4" fill="#d73a49"/>')
+    xs, ys = proj(bloch[:, 0], bloch[:, 1], bloch[:, 2])
+    el.append(_polyline(xs, ys, "#1f6feb"))
+    el.append(f'<circle cx="{_fmt(xs[0])}" cy="{_fmt(ys[0])}" r="4" fill="#1a7f37"/>')
+    el.append(f'<circle cx="{_fmt(xs[-1])}" cy="{_fmt(ys[-1])}" r="4" fill="#d73a49"/>')
     el.append(_text(_W / 2.0, 16, title, 13))
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         fh.write(_document(el))

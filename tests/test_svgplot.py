@@ -1,0 +1,141 @@
+"""SVG charts: the vectorised point formatter, M4 reduction, and byte identity.
+
+The per-point loops the charts used before stay here as references: the
+point formatter must equal ``_fmt`` on every value, and the Bloch-sphere chart,
+which keeps every point, must equal the loop's bytes.
+"""
+
+import math
+import re
+import xml.etree.ElementTree as ET
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from blochpulse import svgplot
+from blochpulse.svgplot import _BOX, _H, _W, _document, _fmt, _m4, _points, _text
+
+_EDGES = [0.125, 0.375, 0.625, 2.5, -0.125, 0.0, -0.0, -0.001, -0.004, -0.005, 0.005,
+          99.995, 99.994, 99.996, 1.10, 2.00, 10.0, 100.0, 3.05, 12.50, 1e6, -1e6,
+          1e-300, 5e-324, 1e300, math.inf, -math.inf, math.nan]
+
+
+def _reference_points(xs, ys) -> str:
+    return " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs, ys))
+
+
+def test_points_equal_fmt_on_edge_and_random_values():
+    rng = np.random.default_rng(7)
+    values = np.concatenate([
+        _EDGES,
+        rng.uniform(-700.0, 700.0, 4000),
+        np.round(rng.uniform(-50.0, 50.0, 2000), 1),  # end in .x0
+        np.round(rng.uniform(-50.0, 50.0, 2000)),  # end in .00
+        rng.integers(-800, 800, 2000) / 8.0,  # exact ties at the third decimal
+        rng.standard_normal(2000) * 10.0 ** rng.integers(-4, 8, 2000),
+    ])
+    xs, ys = values, rng.permutation(values)
+    assert _points(xs, ys) == _reference_points(xs, ys)
+    assert _points(xs[:1], ys[:1]) == _reference_points(xs[:1], ys[:1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.floats(), st.floats()), min_size=1, max_size=20))
+def test_points_equal_fmt_on_any_floats(pairs):
+    xs, ys = zip(*pairs)
+    assert _points(xs, ys) == _reference_points(xs, ys)
+
+
+def test_m4_keeps_the_extremes_of_every_column_in_index_order():
+    rng = np.random.default_rng(3)
+    for n, columns in ((1, 1), (2, 1), (500, 40), (12001, 552)):
+        x = np.sort(rng.uniform(0.0, columns, n))
+        column = np.floor(x)
+        y = np.cumsum(rng.standard_normal(n))
+        y[rng.integers(0, n, n // 10)] = 0.0  # ties in value
+        keep = _m4(column, y)
+        assert np.all(np.diff(keep) > 0)
+        assert keep[0] == 0 and keep[-1] == n - 1
+        for c in np.unique(column):
+            members = np.flatnonzero(column == c)
+            kept = keep[column[keep] == c]
+            assert 1 <= len(kept) <= 4
+            assert kept[0] == members[0] and kept[-1] == members[-1]
+            assert y[kept].min() == y[members].min()
+            assert y[kept].max() == y[members].max()
+
+
+def _polyline_points(path):
+    root = ET.parse(path).getroot()
+    return [np.array([[float(v) for v in p.split(",")] for p in el.get("points").split()])
+            for el in root.iter("{http://www.w3.org/2000/svg}polyline")]
+
+
+def test_line_chart_draws_at_most_four_points_per_pixel_column(tmp_path):
+    t = np.linspace(0.0, 100.0, 12001)
+    wiggle = np.sin(t) + 0.01 * np.random.default_rng(5).standard_normal(t.size)
+    path = tmp_path / "chart.svg"
+    svgplot.line_chart(str(path), "t", "x", "y", t, [("a", wiggle, False), ("b", t, True)])
+    lines = _polyline_points(path)
+    assert len(lines) == 2
+    left, _, right, _ = _BOX
+    for pts in lines:
+        # two-decimal screen x: the column is the integer part of the printed value
+        _, counts = np.unique(np.floor(pts[:, 0]), return_counts=True)
+        assert counts.max() <= 4
+        assert np.all(np.diff(pts[:, 0]) >= 0.0)
+        assert left <= pts[0, 0] and pts[-1, 0] <= right
+
+
+def _reference_bloch_chart(path, title, bloch):
+    """The per-point bloch_chart the vectorised one replaced."""
+    cx, cy, scale = _W / 2.0, _H / 2.0 + 10.0, 185.0
+    yaw, tilt = 0.6, 0.42
+    cyaw, syaw, ctilt, stilt = math.cos(yaw), math.sin(yaw), math.cos(tilt), math.sin(tilt)
+
+    def proj(u, v, w):
+        h = -u * syaw + v * cyaw
+        d = u * cyaw + v * syaw
+        vert = w * ctilt - d * stilt
+        return cx + scale * h, cy - scale * vert
+
+    def polyline(xs, ys, color, dash=None, width=1.6):
+        pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs, ys))
+        extra = f' stroke-dasharray="{dash}"' if dash else ""
+        return (f'<polyline fill="none" stroke="{color}" stroke-width="{width}"'
+                f'{extra} points="{pts}"/>')
+
+    el = [f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(scale)}" '
+          f'fill="none" stroke="#57606a"/>']
+    s = np.linspace(0.0, 2.0 * math.pi, 181)
+    eq = [proj(math.cos(a), math.sin(a), 0.0) for a in s]
+    el.append(polyline([p[0] for p in eq], [p[1] for p in eq], "#8c959f", dash="4,4",
+                       width=1.0))
+    for axis, label in (((1.1, 0.0, 0.0), "u"), ((0.0, 1.1, 0.0), "v"), ((0.0, 0.0, 1.1), "w")):
+        x2, y2 = proj(*axis)
+        el.append(f'<line x1="{_fmt(cx)}" y1="{_fmt(cy)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
+                  f'stroke="#8c959f" stroke-width="1"/>')
+        el.append(_text(x2, y2 - 4, label, 12))
+    pts = [proj(u, v, w) for u, v, w in bloch]
+    el.append(polyline([p[0] for p in pts], [p[1] for p in pts], "#1f6feb"))
+    x0, y0 = pts[0]
+    x1, y1 = pts[-1]
+    el.append(f'<circle cx="{_fmt(x0)}" cy="{_fmt(y0)}" r="4" fill="#1a7f37"/>')
+    el.append(f'<circle cx="{_fmt(x1)}" cy="{_fmt(y1)}" r="4" fill="#d73a49"/>')
+    el.append(_text(_W / 2.0, 16, title, 13))
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+        fh.write(_document(el))
+
+
+def test_bloch_chart_bytes_equal_the_per_point_loop(tmp_path):
+    rng = np.random.default_rng(11)
+    r = rng.standard_normal((3000, 3))
+    r /= np.linalg.norm(r, axis=1, keepdims=True)
+    r[::7] *= rng.uniform(0.0, 1.0, (len(r[::7]), 1))
+    r[:4] = [[0.0, 0.0, 1.0], [-0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]
+    new, ref = tmp_path / "new.svg", tmp_path / "ref.svg"
+    svgplot.bloch_chart(str(new), "trajectory", r)
+    _reference_bloch_chart(str(ref), "trajectory", r)
+    assert new.read_bytes() == ref.read_bytes()
+    assert len(re.findall(r"<polyline", new.read_text())) == 2
