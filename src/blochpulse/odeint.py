@@ -1,12 +1,15 @@
 """Adaptive Dormand-Prince 5(4) integrator with dense output.
 
 One step controller, shared by every simulation picture and by the open-system
-v-completion, drives one of two step kernels:
+v-completion, drives one of three step kernels:
 
   * a generic numpy kernel for dy/dt = rhs(t, y) on flat real or complex
-    state vectors (``integrate_adaptive``);
+    state vectors (``integrate_adaptive``), the reference for the other two;
   * a Bloch kernel for dr/dt = b(t) x r - (G, G, Gamma_1) r + (0, 0, pump)
-    (``integrate_bloch``). It reads the field once per step, at all six new
+    (``integrate_bloch``), which every simulation picture runs;
+  * a scalar kernel for dy/dt = stage(y, *inputs(t)) with one real y
+    (``integrate_scalar``), which the open-system v-completion runs.
+    Like the Bloch kernel, it reads its input once per step, at all six new
     stage times, and runs the stages on plain floats.
 
 The controller owns input validation, the step budget, the underflow and
@@ -27,7 +30,8 @@ import numpy as np
 
 from .errors import IntegrationError, ValidationError
 
-__all__ = ["ATOL", "RTOL", "IntegrationStats", "integrate_adaptive", "integrate_bloch", "step_floor"]
+__all__ = ["ATOL", "RTOL", "IntegrationStats", "integrate_adaptive", "integrate_bloch",
+           "integrate_scalar", "step_floor"]
 
 # Dormand-Prince 5(4) tableau (Dormand & Prince, J. Comput. Appl. Math. 6
 # (1980) 19). The scheme is first-same-as-last: stage 7 of an accepted step is
@@ -57,6 +61,11 @@ _P = np.array(
         [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
     ]
 )
+# The same tableau as Python floats, for the float kernels' unrolled stages.
+((_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54),
+ (_A61, _A62, _A63, _A64, _A65)) = (a.tolist() for a in _A[1:6])
+_B1, _, _B3, _B4, _B5, _B6, _ = _B.tolist()
+_E1, _, _E3, _E4, _E5, _E6, _E7 = _E.tolist()
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -67,6 +76,10 @@ _FLOOR = 16.0 * np.finfo(float).eps
 # default relative and absolute local-error tolerances of every propagator
 RTOL = 1e-10
 ATOL = 1e-12
+# tolerances of the open-system v-completion, and its step cap as a fraction of its span
+V_OPEN_RTOL = 1e-12
+V_OPEN_ATOL = 1e-14
+V_OPEN_MAX_STEP_FRACTION = 1 / 8
 # roundoff slack, in ps, by which sample times may overhang the integration span
 SPAN_SLACK = 1e-12
 
@@ -121,10 +134,6 @@ def _bloch_kernel(field, decay: tuple[float, float, float], rtol: float, atol: f
     ``field(ts)`` gives (bx, by, bz), each an array over the times ``ts``.
     """
     g_t, g_1, pump = decay
-    ((a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
-     (a61, a62, a63, a64, a65)) = (a.tolist() for a in _A[1:6])
-    b1, _, b3, b4, b5, b6, _ = _B.tolist()
-    e1, _, e3, e4, e5, e6, e7 = _E.tolist()
 
     def rhs(bx, by, bz, u, v, w):
         return (by * w - bz * v - g_t * u,
@@ -143,33 +152,34 @@ def _bloch_kernel(field, decay: tuple[float, float, float], rtol: float, atol: f
         u, v, w = r
         k1u, k1v, k1w = k1
         k2u, k2v, k2w = rhs(bx[0], by[0], bz[0],
-                            u + h * (a21 * k1u),
-                            v + h * (a21 * k1v),
-                            w + h * (a21 * k1w))
+                            u + h * (_A21 * k1u),
+                            v + h * (_A21 * k1v),
+                            w + h * (_A21 * k1w))
         k3u, k3v, k3w = rhs(bx[1], by[1], bz[1],
-                            u + h * (a31 * k1u + a32 * k2u),
-                            v + h * (a31 * k1v + a32 * k2v),
-                            w + h * (a31 * k1w + a32 * k2w))
+                            u + h * (_A31 * k1u + _A32 * k2u),
+                            v + h * (_A31 * k1v + _A32 * k2v),
+                            w + h * (_A31 * k1w + _A32 * k2w))
         k4u, k4v, k4w = rhs(bx[2], by[2], bz[2],
-                            u + h * (a41 * k1u + a42 * k2u + a43 * k3u),
-                            v + h * (a41 * k1v + a42 * k2v + a43 * k3v),
-                            w + h * (a41 * k1w + a42 * k2w + a43 * k3w))
+                            u + h * (_A41 * k1u + _A42 * k2u + _A43 * k3u),
+                            v + h * (_A41 * k1v + _A42 * k2v + _A43 * k3v),
+                            w + h * (_A41 * k1w + _A42 * k2w + _A43 * k3w))
         k5u, k5v, k5w = rhs(bx[3], by[3], bz[3],
-                            u + h * (a51 * k1u + a52 * k2u + a53 * k3u + a54 * k4u),
-                            v + h * (a51 * k1v + a52 * k2v + a53 * k3v + a54 * k4v),
-                            w + h * (a51 * k1w + a52 * k2w + a53 * k3w + a54 * k4w))
-        k6u, k6v, k6w = rhs(bx[4], by[4], bz[4],
-                            u + h * (a61 * k1u + a62 * k2u + a63 * k3u + a64 * k4u + a65 * k5u),
-                            v + h * (a61 * k1v + a62 * k2v + a63 * k3v + a64 * k4v + a65 * k5v),
-                            w + h * (a61 * k1w + a62 * k2w + a63 * k3w + a64 * k4w + a65 * k5w))
+                            u + h * (_A51 * k1u + _A52 * k2u + _A53 * k3u + _A54 * k4u),
+                            v + h * (_A51 * k1v + _A52 * k2v + _A53 * k3v + _A54 * k4v),
+                            w + h * (_A51 * k1w + _A52 * k2w + _A53 * k3w + _A54 * k4w))
+        k6u, k6v, k6w = rhs(
+            bx[4], by[4], bz[4],
+            u + h * (_A61 * k1u + _A62 * k2u + _A63 * k3u + _A64 * k4u + _A65 * k5u),
+            v + h * (_A61 * k1v + _A62 * k2v + _A63 * k3v + _A64 * k4v + _A65 * k5v),
+            w + h * (_A61 * k1w + _A62 * k2w + _A63 * k3w + _A64 * k4w + _A65 * k5w))
         # the 5th-order update is also the input of stage 7 (first-same-as-last)
-        un = u + h * (b1 * k1u + b3 * k3u + b4 * k4u + b5 * k5u + b6 * k6u)
-        vn = v + h * (b1 * k1v + b3 * k3v + b4 * k4v + b5 * k5v + b6 * k6v)
-        wn = w + h * (b1 * k1w + b3 * k3w + b4 * k4w + b5 * k5w + b6 * k6w)
+        un = u + h * (_B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
+        vn = v + h * (_B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
+        wn = w + h * (_B1 * k1w + _B3 * k3w + _B4 * k4w + _B5 * k5w + _B6 * k6w)
         k7 = k7u, k7v, k7w = rhs(bx[5], by[5], bz[5], un, vn, wn)
-        eu = h * (e1 * k1u + e3 * k3u + e4 * k4u + e5 * k5u + e6 * k6u + e7 * k7u)
-        ev = h * (e1 * k1v + e3 * k3v + e4 * k4v + e5 * k5v + e6 * k6v + e7 * k7v)
-        ew = h * (e1 * k1w + e3 * k3w + e4 * k4w + e5 * k5w + e6 * k6w + e7 * k7w)
+        eu = h * (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u + _E7 * k7u)
+        ev = h * (_E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v + _E7 * k7v)
+        ew = h * (_E1 * k1w + _E3 * k3w + _E4 * k4w + _E5 * k5w + _E6 * k6w + _E7 * k7w)
         eu /= atol + rtol * max(abs(u), abs(un))
         ev /= atol + rtol * max(abs(v), abs(vn))
         ew /= atol + rtol * max(abs(w), abs(wn))
@@ -177,6 +187,32 @@ def _bloch_kernel(field, decay: tuple[float, float, float], rtol: float, atol: f
         stages = (k1u, k1v, k1w, k2u, k2v, k2w, k3u, k3v, k3w, k4u, k4v, k4w,
                   k5u, k5v, k5w, k6u, k6v, k6w, k7u, k7v, k7w)
         return (un, vn, wn), k7, stages, ratio
+
+    return start, step
+
+
+def _scalar_kernel(stage, inputs, rtol: float, atol: float):
+    """The DP5 step for dy/dt = stage(y, *inputs(t)) with one real y, on floats."""
+
+    def start(t, y):
+        if y.shape != (1,):
+            raise ValidationError(f"the scalar kernel integrates one number, got shape {y.shape}")
+        (y0,) = y.tolist()
+        return (y0,), stage(y0, *(c.tolist()[0] for c in inputs(np.array([t]))))
+
+    def step(t, h, state, k1):
+        x2, x3, x4, x5, x6, x7 = zip(*(c.tolist() for c in inputs(t + _C[1:] * h)))
+        (y,) = state
+        k2 = stage(y + h * (_A21 * k1), *x2)
+        k3 = stage(y + h * (_A31 * k1 + _A32 * k2), *x3)
+        k4 = stage(y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3), *x4)
+        k5 = stage(y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4), *x5)
+        k6 = stage(y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5), *x6)
+        yn = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
+        k7 = stage(yn, *x7)
+        err = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
+        ratio = abs(err) / (atol + rtol * max(abs(y), abs(yn)))
+        return (yn,), k7, (k1, k2, k3, k4, k5, k6, k7), ratio
 
     return start, step
 
@@ -339,4 +375,20 @@ def integrate_bloch(
     times. ``decay`` is (G, Gamma_1, pump) and ``r0`` a real 3-vector.
     """
     return _integrate(partial(_bloch_kernel, field, decay), t_span, r0, t_eval, rtol, atol,
+                      max_step)
+
+
+def integrate_scalar(stage: Callable[..., float], inputs: Callable[[np.ndarray], tuple],
+                     t_span: tuple[float, float], y0, t_eval, *, rtol: float = RTOL,
+                     atol: float = ATOL, max_step: float = np.inf,
+                     ) -> tuple[np.ndarray, IntegrationStats]:
+    """Integrate dy/dt = stage(y, *inputs(t)) for one real number y.
+
+    Same controller, tolerances, dense output and statistics as
+    ``integrate_adaptive`` with the equivalent right-hand side. ``inputs(ts)``
+    returns a tuple of arrays over the times ``ts``, called as ``field`` is in
+    ``integrate_bloch``. ``stage`` takes y and one float per array and returns
+    dy/dt. The solution has shape ``(len(t_eval), 1)``.
+    """
+    return _integrate(partial(_scalar_kernel, stage, inputs), t_span, y0, t_eval, rtol, atol,
                       max_step)

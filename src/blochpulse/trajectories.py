@@ -18,7 +18,10 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import SingularPrescriptionError, ValidationError
-from .odeint import integrate_adaptive
+from .odeint import V_OPEN_ATOL, V_OPEN_MAX_STEP_FRACTION, V_OPEN_RTOL, integrate_scalar
+# integrate_adaptive is unused here but stays importable from this module: the
+# benchmark tracer in perfbench/ wraps it by name.
+from .odeint import integrate_adaptive  # noqa: F401
 from .rates import Rates, transverse_rate
 from .states import BLOCH_NORM_SLACK, validate_grid
 
@@ -220,10 +223,12 @@ def solve_consistent_v_open(
 
         ds/dt = -2 G s - 2 [ (du + G u) u + (dw + 2 Gamma (1 + w + 2 n w)) w ]
 
-    where G is the transverse rate. Integrated with the adaptive core from
-    s(t0) = v0^2; ``v0`` lies in [0, 1] and defaults to the closed-sphere
-    completion at the first sample. With both rates zero this reproduces
-    ``complete_v_closed`` since the right side reduces to d(1 - u^2 - w^2)/dt.
+    where G is the transverse rate, from s(t0) = v0^2 by ``integrate_scalar``
+    with ds/dt = -2 G s + q; each step reads the forcing q (the second term)
+    at its six stage times from one spline call. ``v0`` lies in [0, 1] and
+    defaults to the closed-sphere completion at the first sample. With both
+    rates zero this reproduces ``complete_v_closed`` since the right side
+    reduces to d(1 - u^2 - w^2)/dt.
 
     Returns the positive root v(t) on the sample grid.
     """
@@ -242,16 +247,16 @@ def solve_consistent_v_open(
     gam_th, occ = rates.thermal, rates.occupancy
     table = CubicSpline(t, np.column_stack([samples.u, samples.w, samples.du, samples.dw]))
 
-    def rhs(tt, s):
-        u, w, du, dw = table(tt).tolist()
+    def forcing(ts):
+        u, w, du, dw = table(ts).T
         drive = (du + g_t * u) * u + (dw + 2.0 * gam_th * (1.0 + w + 2.0 * occ * w)) * w
-        return -2.0 * g_t * s - 2.0 * drive
+        return (-2.0 * drive,)
 
-    sol, _ = integrate_adaptive(
-        rhs, (t[0], t[-1]), np.array([s0]), t, rtol=1e-12, atol=1e-14,
-        max_step=(t[-1] - t[0]) / 8.0,
+    sol, _ = integrate_scalar(
+        lambda s, q: -2.0 * g_t * s + q, forcing, (t[0], t[-1]), s0, t,
+        rtol=V_OPEN_RTOL, atol=V_OPEN_ATOL, max_step=(t[-1] - t[0]) * V_OPEN_MAX_STEP_FRACTION,
     )
-    return _root_above_floor(sol[:, 0].real, t, "consistent transverse component")
+    return _root_above_floor(sol[:, 0], t, "consistent transverse component")
 
 
 def _root_above_floor(s: np.ndarray, t: np.ndarray, what: str) -> np.ndarray:

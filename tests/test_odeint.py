@@ -113,6 +113,21 @@ def test_input_validation(bad_kwargs):
     with pytest.raises(ValidationError):  # the Bloch kernel passes the same checks
         odeint.integrate_bloch(lambda ts: (np.zeros(ts.shape),) * 3, (1.0, 1.0, 0.0), span,
                                np.array([0.0, 0.0, 1.0]), teval, **kwargs)
+    with pytest.raises(ValidationError):  # and so does the scalar kernel
+        odeint.integrate_scalar(lambda y, q: q - y, lambda ts: (np.zeros(ts.shape),), span,
+                                1.0, teval, **kwargs)
+
+
+def test_scalar_kernel_integrates_one_number():
+    lam = 0.37
+    t = np.linspace(0.0, 10.0, 21)
+    ys, stats = odeint.integrate_scalar(lambda y, q: q * y, lambda ts: (-lam + 0.0 * ts,),
+                                        (0.0, 10.0), 2.0, t, rtol=1e-10, atol=1e-12)
+    assert ys.shape == (t.size, 1)
+    assert np.max(np.abs(ys[:, 0] - 2.0 * np.exp(-lam * t))) < 1e-9
+    assert stats.rhs_evals == 1 + 6 * (stats.accepted + stats.rejected)
+    with pytest.raises(ValidationError, match="one number"):
+        odeint.integrate_scalar(lambda y, q: q * y, lambda ts: (ts,), (0.0, 10.0), [1.0, 2.0], t)
 
 
 def test_stats_dataclass_defaults():

@@ -4,13 +4,17 @@ Oracles: central finite differences for every analytic derivative (seeded
 random parameter draws); sphere geometry for the closed completion
 (u = 0.6, w = 0.48 gives v = 0.64 exactly); the open consistency equation has
 the closed-form fixed point s* = Gamma / (2 transverse) when u = 0 and
-w = -1/2 with a vacuum bath, i.e. v* = 1/2 when dephasing == thermal.
+w = -1/2 with a vacuum bath, i.e. v* = 1/2 when dephasing == thermal, and for
+any held u = 0, w it relaxes to its fixed point as one exponential. The open
+completion's scalar float kernel is checked step for step against the per-call
+right-hand side it replaced, run through the generic integrator.
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from blochpulse import (
     Oscillatory,
@@ -21,8 +25,12 @@ from blochpulse import (
     ValidationError,
     complete_v_closed,
     eval_components,
+    integrate_adaptive,
+    preset,
     solve_consistent_v_open,
+    trajectories,
 )
+from blochpulse.rates import transverse_rate
 
 _RNG_DRAWS = 350  # per family; > 1000 derivative checks across the three
 
@@ -130,6 +138,61 @@ def test_open_completion_steady_state_frozen():
     samples = eval_components(spec, np.linspace(0.0, t_end, 2001))
     v = solve_consistent_v_open(samples, Rates(dephasing=rate, thermal=rate), v0=0.9)
     assert abs(v[-1] - 0.5) < 1e-8
+
+
+def test_open_completion_matches_exponential_relaxation():
+    # u = 0 and a held w: ds/dt = -2 G s - 4 Gamma (1 + w + 2 n w) w, so s relaxes
+    # from s0 to s_inf = -2 Gamma (1 + w + 2 n w) w / G as exp(-2 G t)
+    rates = Rates(dephasing=2e-4, thermal=2e-4, occupancy=0.3)
+    spec = Transfer(inversion_start=-0.5, inversion_stop=-0.5, switch_rate=0.01,
+                    coherence_peak=0.0, peak_width=100.0)
+    t = np.linspace(0.0, 5000.0, 1001)
+    v = solve_consistent_v_open(eval_components(spec, t), rates, v0=0.6)
+    g_t, w = transverse_rate(rates), -0.5
+    s_inf = -2.0 * rates.thermal * (1.0 + w + 2.0 * rates.occupancy * w) * w / g_t
+    s = s_inf + (0.36 - s_inf) * np.exp(-2.0 * g_t * t)
+    assert np.max(np.abs(v - np.sqrt(s))) < 1e-12
+
+
+def _per_call_completion(samples, rates, s0):
+    """The open completion as it ran before its scalar kernel: one spline call
+    and one numpy stage per RHS evaluation, through the public generic integrator."""
+    t = samples.t
+    g_t, gam_th, occ = transverse_rate(rates), rates.thermal, rates.occupancy
+    table = CubicSpline(t, np.column_stack([samples.u, samples.w, samples.du, samples.dw]))
+
+    def rhs(tt, s):
+        u, w, du, dw = table(tt).tolist()
+        drive = (du + g_t * u) * u + (dw + 2.0 * gam_th * (1.0 + w + 2.0 * occ * w)) * w
+        return -2.0 * g_t * s - 2.0 * drive
+
+    return integrate_adaptive(rhs, (t[0], t[-1]), np.array([s0]), t, rtol=1e-12, atol=1e-14,
+                              max_step=(t[-1] - t[0]) / 8.0)
+
+
+@pytest.mark.parametrize("rates, v0", [
+    (preset("fig3").rates, None),
+    # from the closed-sphere start, this bath pinches v at -188 ps; v0 = 0.9 keeps it regular
+    (Rates(dephasing=2e-3, thermal=1e-3, occupancy=0.5), 0.9),
+], ids=["fig3", "strong-bath"])
+def test_open_completion_kernel_matches_per_call_rhs(monkeypatch, rates, v0):
+    cfg = preset("fig3")
+    samples = eval_components(cfg.trajectory, cfg.window.grid())
+    runs, kernel = [], trajectories.integrate_scalar
+
+    def spy(*args, **kwargs):
+        runs.append(kernel(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(trajectories, "integrate_scalar", spy)
+    solve_consistent_v_open(samples, rates, v0=v0)
+    s0 = 1.0 - samples.u[0] ** 2 - samples.w[0] ** 2 if v0 is None else v0**2
+    ref, ref_stats = _per_call_completion(samples, rates, s0)
+    (s, stats), = runs
+    counts = (stats.accepted, stats.rejected, stats.rhs_evals)
+    assert counts == (ref_stats.accepted, ref_stats.rejected, ref_stats.rhs_evals)
+    assert stats.rhs_evals == 1 + 6 * (stats.accepted + stats.rejected)
+    assert np.max(np.abs(s - ref)) < 1e-14
 
 
 def test_open_completion_respects_v0():
