@@ -27,6 +27,7 @@ rad/ps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,32 +82,34 @@ class SimResult:
         return np.stack([0.5 * (1.0 + w), 0.5 * (1.0 - w)], axis=1)
 
 
-# Fields b(t) with H = b . sigma / 2, from the channel arrays of
-# ControlField.channels; each component is an array over the same times.
+# Fields b(t) with H = b . sigma / 2. Each takes the rows of ControlField.channels,
+# one [omega, delta, phi, omega_r, omega0] list per time, and returns one
+# (bx, by, bz) float triple per time.
 
-def _lab_field(omega, delta, phi, omega_r, omega0):
-    return 2.0 * omega_r * np.cos(phi), np.zeros(phi.shape), omega0
-
-
-def _carrier_field(omega, delta, phi, omega_r, omega0):
-    two_phi = 2.0 * phi
-    return omega_r * (1.0 + np.cos(two_phi)), -omega_r * np.sin(two_phi), -delta
+def _lab_field(rows):
+    return [(2.0 * omega_r * math.cos(phi), 0.0, omega0)
+            for omega, delta, phi, omega_r, omega0 in rows]
 
 
-def _rwa_field(omega, delta, phi, omega_r, omega0):
-    return omega_r, np.zeros(phi.shape), -delta
+def _carrier_field(rows):
+    return [(omega_r * (1.0 + math.cos(2.0 * phi)), -omega_r * math.sin(2.0 * phi), -delta)
+            for omega, delta, phi, omega_r, omega0 in rows]
 
 
-def _design_field(omega, delta, phi, omega_r, omega0):
-    return omega, np.zeros(phi.shape), -delta
+def _rwa_field(rows):
+    return [(omega_r, 0.0, -delta) for omega, delta, phi, omega_r, omega0 in rows]
+
+
+def _design_field(rows):
+    return [(omega, 0.0, -delta) for omega, delta, phi, omega_r, omega0 in rows]
 
 
 def _propagate(picture: str, field: ControlField, field_at, rates: Rates,
                r0, grid, rtol: float, atol: float) -> SimResult:
     """Integrate dr/dt = b x r - (G, G, Gamma_1) r + (0, 0, -2 Gamma) on ``grid``.
 
-    ``field_at(*channels)`` gives b from the arrays of ``field.channels``; the
-    Bloch kernel reads it once per step, at all six stage times. ``r0`` is the
+    ``field_at(rows)`` gives b from the rows of ``field.channels``; the Bloch
+    kernel reads it once per step, at all six stage times. ``r0`` is the
     Bloch vector at ``grid[0]``.
     """
     r0 = _checked_bloch(r0)  # the Bloch kernel rejects any shape but (3,)
@@ -119,7 +122,7 @@ def _propagate(picture: str, field: ControlField, field_at, rates: Rates,
 
     span, scale = t[-1] - t[0], field.fastest_scale
     max_step = min(PHASE_PER_STEP / scale, span / 8.0) if scale > 0.0 else span / 8.0
-    bloch, stats = integrate_bloch(lambda ts: field_at(*field.channels(ts).T), decay,
+    bloch, stats = integrate_bloch(lambda ts: field_at(field.channels(ts).tolist()), decay,
                                    (t[0], t[-1]), r0, t, rtol=rtol, atol=atol, max_step=max_step)
     return SimResult(picture=picture, t=t, bloch=bloch, stats=stats)
 

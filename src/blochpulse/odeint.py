@@ -6,11 +6,13 @@ v-completion, drives one of three step kernels:
   * a generic numpy kernel for dy/dt = rhs(t, y) on flat real or complex
     state vectors (``integrate_adaptive``), the reference for the other two;
   * a Bloch kernel for dr/dt = b(t) x r - (G, G, Gamma_1) r + (0, 0, pump)
-    (``integrate_bloch``), which every simulation picture runs;
+    (``integrate_bloch``), which every simulation picture runs. It reads the
+    field once per step, as one (bx, by, bz) float triple at each of the six
+    new stage times, and runs the stages inline on plain floats;
   * a scalar kernel for dy/dt = stage(y, *inputs(t)) with one real y
     (``integrate_scalar``), which the open-system v-completion runs.
-    Like the Bloch kernel, it reads its input once per step, at all six new
-    stage times, and runs the stages on plain floats.
+    It reads its inputs once per step, as arrays over the same six stage
+    times, and also runs the stages on plain floats.
 
 The controller owns input validation, the step budget, the underflow and
 non-finite checks, accept/reject and step-size control. It records every
@@ -131,52 +133,53 @@ def _numpy_kernel(rhs, rtol: float, atol: float):
 def _bloch_kernel(field, decay: tuple[float, float, float], rtol: float, atol: float):
     """The DP5 step for dr/dt = b x r - (G, G, Gamma_1) r + (0, 0, pump), on floats.
 
-    ``field(ts)`` gives (bx, by, bz), each an array over the times ``ts``.
+    ``field(ts)`` gives one (bx, by, bz) float triple per time in ``ts``. Each
+    stage is written out: (x, y, z) is its input state, and its slope is the
+    cross product b x (x, y, z) minus the decay, plus the pump.
     """
     g_t, g_1, pump = decay
-
-    def rhs(bx, by, bz, u, v, w):
-        return (by * w - bz * v - g_t * u,
-                bz * u - bx * w - g_t * v,
-                bx * v - by * u - g_1 * w + pump)
 
     def start(t, y):
         if y.shape != (3,):
             raise ValidationError(f"the Bloch kernel integrates a 3-vector, got shape {y.shape}")
-        r = tuple(y.tolist())
-        b = [c.tolist()[0] for c in field(np.array([t]))]
-        return r, rhs(*b, *r)
+        u, v, w = y.tolist()
+        ((bx, by, bz),) = field(np.array([t]))
+        return (u, v, w), (by * w - bz * v - g_t * u, bz * u - bx * w - g_t * v,
+                           bx * v - by * u - g_1 * w + pump)
 
     def step(t, h, r, k1):
-        bx, by, bz = (c.tolist() for c in field(t + _C[1:] * h))
+        ((bx2, by2, bz2), (bx3, by3, bz3), (bx4, by4, bz4), (bx5, by5, bz5), (bx6, by6, bz6),
+         (bx7, by7, bz7)) = field(t + _C[1:] * h)
         u, v, w = r
         k1u, k1v, k1w = k1
-        k2u, k2v, k2w = rhs(bx[0], by[0], bz[0],
-                            u + h * (_A21 * k1u),
-                            v + h * (_A21 * k1v),
-                            w + h * (_A21 * k1w))
-        k3u, k3v, k3w = rhs(bx[1], by[1], bz[1],
-                            u + h * (_A31 * k1u + _A32 * k2u),
-                            v + h * (_A31 * k1v + _A32 * k2v),
-                            w + h * (_A31 * k1w + _A32 * k2w))
-        k4u, k4v, k4w = rhs(bx[2], by[2], bz[2],
-                            u + h * (_A41 * k1u + _A42 * k2u + _A43 * k3u),
-                            v + h * (_A41 * k1v + _A42 * k2v + _A43 * k3v),
-                            w + h * (_A41 * k1w + _A42 * k2w + _A43 * k3w))
-        k5u, k5v, k5w = rhs(bx[3], by[3], bz[3],
-                            u + h * (_A51 * k1u + _A52 * k2u + _A53 * k3u + _A54 * k4u),
-                            v + h * (_A51 * k1v + _A52 * k2v + _A53 * k3v + _A54 * k4v),
-                            w + h * (_A51 * k1w + _A52 * k2w + _A53 * k3w + _A54 * k4w))
-        k6u, k6v, k6w = rhs(
-            bx[4], by[4], bz[4],
-            u + h * (_A61 * k1u + _A62 * k2u + _A63 * k3u + _A64 * k4u + _A65 * k5u),
-            v + h * (_A61 * k1v + _A62 * k2v + _A63 * k3v + _A64 * k4v + _A65 * k5v),
-            w + h * (_A61 * k1w + _A62 * k2w + _A63 * k3w + _A64 * k4w + _A65 * k5w))
+        x, y, z = u + h * (_A21 * k1u), v + h * (_A21 * k1v), w + h * (_A21 * k1w)
+        k2u, k2v, k2w = (by2 * z - bz2 * y - g_t * x, bz2 * x - bx2 * z - g_t * y,
+                         bx2 * y - by2 * x - g_1 * z + pump)
+        x, y, z = (u + h * (_A31 * k1u + _A32 * k2u), v + h * (_A31 * k1v + _A32 * k2v),
+                   w + h * (_A31 * k1w + _A32 * k2w))
+        k3u, k3v, k3w = (by3 * z - bz3 * y - g_t * x, bz3 * x - bx3 * z - g_t * y,
+                         bx3 * y - by3 * x - g_1 * z + pump)
+        x, y, z = (u + h * (_A41 * k1u + _A42 * k2u + _A43 * k3u),
+                   v + h * (_A41 * k1v + _A42 * k2v + _A43 * k3v),
+                   w + h * (_A41 * k1w + _A42 * k2w + _A43 * k3w))
+        k4u, k4v, k4w = (by4 * z - bz4 * y - g_t * x, bz4 * x - bx4 * z - g_t * y,
+                         bx4 * y - by4 * x - g_1 * z + pump)
+        x, y, z = (u + h * (_A51 * k1u + _A52 * k2u + _A53 * k3u + _A54 * k4u),
+                   v + h * (_A51 * k1v + _A52 * k2v + _A53 * k3v + _A54 * k4v),
+                   w + h * (_A51 * k1w + _A52 * k2w + _A53 * k3w + _A54 * k4w))
+        k5u, k5v, k5w = (by5 * z - bz5 * y - g_t * x, bz5 * x - bx5 * z - g_t * y,
+                         bx5 * y - by5 * x - g_1 * z + pump)
+        x, y, z = (u + h * (_A61 * k1u + _A62 * k2u + _A63 * k3u + _A64 * k4u + _A65 * k5u),
+                   v + h * (_A61 * k1v + _A62 * k2v + _A63 * k3v + _A64 * k4v + _A65 * k5v),
+                   w + h * (_A61 * k1w + _A62 * k2w + _A63 * k3w + _A64 * k4w + _A65 * k5w))
+        k6u, k6v, k6w = (by6 * z - bz6 * y - g_t * x, bz6 * x - bx6 * z - g_t * y,
+                         bx6 * y - by6 * x - g_1 * z + pump)
         # the 5th-order update is also the input of stage 7 (first-same-as-last)
         un = u + h * (_B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
         vn = v + h * (_B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
         wn = w + h * (_B1 * k1w + _B3 * k3w + _B4 * k4w + _B5 * k5w + _B6 * k6w)
-        k7 = k7u, k7v, k7w = rhs(bx[5], by[5], bz[5], un, vn, wn)
+        k7 = k7u, k7v, k7w = (by7 * wn - bz7 * vn - g_t * un, bz7 * un - bx7 * wn - g_t * vn,
+                              bx7 * vn - by7 * un - g_1 * wn + pump)
         eu = h * (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u + _E7 * k7u)
         ev = h * (_E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v + _E7 * k7v)
         ew = h * (_E1 * k1w + _E3 * k3w + _E4 * k4w + _E5 * k5w + _E6 * k6w + _E7 * k7w)
@@ -370,7 +373,7 @@ def integrate_bloch(
 
     Same controller, tolerances, dense output and statistics as
     ``integrate_adaptive`` with the equivalent right-hand side. ``field(ts)``
-    returns (bx, by, bz), each an array over the times ``ts``; it is called
+    returns one (bx, by, bz) float triple per time in ``ts``; it is called
     once at t0 and once per attempted step, at that step's six new stage
     times. ``decay`` is (G, Gamma_1, pump) and ``r0`` a real 3-vector.
     """
@@ -386,9 +389,9 @@ def integrate_scalar(stage: Callable[..., float], inputs: Callable[[np.ndarray],
 
     Same controller, tolerances, dense output and statistics as
     ``integrate_adaptive`` with the equivalent right-hand side. ``inputs(ts)``
-    returns a tuple of arrays over the times ``ts``, called as ``field`` is in
-    ``integrate_bloch``. ``stage`` takes y and one float per array and returns
-    dy/dt. The solution has shape ``(len(t_eval), 1)``.
+    returns a tuple of arrays over the times ``ts``, and is called at the same
+    times as ``field`` in ``integrate_bloch``. ``stage`` takes y and one float
+    per array and returns dy/dt. The solution has shape ``(len(t_eval), 1)``.
     """
     return _integrate(partial(_scalar_kernel, stage, inputs), t_span, y0, t_eval, rtol, atol,
                       max_step)

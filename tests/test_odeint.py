@@ -111,11 +111,35 @@ def test_input_validation(bad_kwargs):
     with pytest.raises(ValidationError):
         integrate_adaptive(lambda tt, y: -y, span, np.array([1.0]), teval, **kwargs)
     with pytest.raises(ValidationError):  # the Bloch kernel passes the same checks
-        odeint.integrate_bloch(lambda ts: (np.zeros(ts.shape),) * 3, (1.0, 1.0, 0.0), span,
+        odeint.integrate_bloch(lambda ts: [(0.0, 0.0, 0.0)] * ts.size, (1.0, 1.0, 0.0), span,
                                np.array([0.0, 0.0, 1.0]), teval, **kwargs)
     with pytest.raises(ValidationError):  # and so does the scalar kernel
         odeint.integrate_scalar(lambda y, q: q - y, lambda ts: (np.zeros(ts.shape),), span,
                                 1.0, teval, **kwargs)
+
+
+def test_bloch_kernel_precesses_about_a_constant_field():
+    # dr/dt = b x r turns r about b / |b| at the rate |b| (Rodrigues' formula)
+    omega, delta = 0.8, -0.3
+    b = np.array([omega, 0.0, delta])
+    r0 = np.array([0.0, 0.6, 0.8])
+    reads = []
+
+    def field(ts):
+        reads.append(ts.size)
+        return [(omega, 0.0, delta)] * ts.size
+
+    t = np.linspace(0.0, 20.0, 201)
+    rs, stats = odeint.integrate_bloch(field, (0.0, 0.0, 0.0), (0.0, 20.0), r0, t,
+                                       rtol=1e-12, atol=1e-14)
+    n = b / np.linalg.norm(b)
+    theta = np.linalg.norm(b) * t[:, None]
+    exact = (r0 * np.cos(theta) + np.cross(n, r0) * np.sin(theta)
+             + n * (n @ r0) * (1.0 - np.cos(theta)))
+    assert np.max(np.abs(rs - exact)) < 1e-9
+    attempted = stats.accepted + stats.rejected
+    assert reads == [1] + [6] * attempted  # one read at t0, then one per attempted step
+    assert stats.rhs_evals == 1 + 6 * attempted
 
 
 def test_scalar_kernel_integrates_one_number():
