@@ -19,7 +19,7 @@ rate; only the field b(t) differs. Every integrator takes the initial state as
 a Bloch vector, and one propagator integrates it with the Bloch step kernel of
 ``odeint`` and stores r; density matrices are derived from r on demand.
 The field's own channel table (``ControlField.channels``) is read once per
-step at all six new stage times, and step sizes are capped by its
+step at its five distinct stage times, and step sizes are capped by its
 ``fastest_scale`` so carrier oscillations stay resolved; every picture of one
 field shares the table and the scale. Times in ps, angular frequencies in
 rad/ps.
@@ -109,7 +109,7 @@ def _propagate(picture: str, field: ControlField, field_at, rates: Rates,
     """Integrate dr/dt = b x r - (G, G, Gamma_1) r + (0, 0, -2 Gamma) on ``grid``.
 
     ``field_at(rows)`` gives b from the rows of ``field.channels``; the Bloch
-    kernel reads it once per step, at all six stage times. ``r0`` is the
+    kernel reads it once per step, at five distinct stage times. ``r0`` is the
     Bloch vector at ``grid[0]``.
     """
     r0 = _checked_bloch(r0)  # the Bloch kernel rejects any shape but (3,)

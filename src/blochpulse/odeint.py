@@ -6,13 +6,14 @@ v-completion, drives one of three step kernels:
   * a generic numpy kernel for dy/dt = rhs(t, y) on flat real or complex
     state vectors (``integrate_adaptive``), the reference for the other two;
   * a Bloch kernel for dr/dt = b(t) x r - (G, G, Gamma_1) r + (0, 0, pump)
-    (``integrate_bloch``), which every simulation picture runs. It reads the
-    field once per step, as one (bx, by, bz) float triple at each of the six
-    new stage times, and runs the stages inline on plain floats;
+    (``integrate_bloch``), which every simulation picture runs;
   * a scalar kernel for dy/dt = stage(y, *inputs(t)) with one real y
     (``integrate_scalar``), which the open-system v-completion runs.
-    It reads its inputs once per step, as arrays over the same six stage
-    times, and also runs the stages on plain floats.
+
+Both float kernels read their input once per step, at the step's five
+distinct stage times, as a list (stages 6 and 7 share the node t + h), and
+get one row per time: a (bx, by, bz) float triple or a tuple of floats. They
+run the stages inline on plain floats.
 
 The controller owns input validation, the step budget, the underflow and
 non-finite checks, accept/reject and step-size control. It records every
@@ -66,6 +67,7 @@ _P = np.array(
 # The same tableau as Python floats, for the float kernels' unrolled stages.
 ((_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54),
  (_A61, _A62, _A63, _A64, _A65)) = (a.tolist() for a in _A[1:6])
+_, _C2, _C3, _C4, _C5, _C6, _ = _C.tolist()  # _C6 == 1.0
 _B1, _, _B3, _B4, _B5, _B6, _ = _B.tolist()
 _E1, _, _E3, _E4, _E5, _E6, _E7 = _E.tolist()
 
@@ -133,9 +135,9 @@ def _numpy_kernel(rhs, rtol: float, atol: float):
 def _bloch_kernel(field, decay: tuple[float, float, float], rtol: float, atol: float):
     """The DP5 step for dr/dt = b x r - (G, G, Gamma_1) r + (0, 0, pump), on floats.
 
-    ``field(ts)`` gives one (bx, by, bz) float triple per time in ``ts``. Each
-    stage is written out: (x, y, z) is its input state, and its slope is the
-    cross product b x (x, y, z) minus the decay, plus the pump.
+    ``field(times)`` gives one (bx, by, bz) float triple per time in the list.
+    Each stage is written out: (x, y, z) is its input state, and its slope is
+    the cross product b x (x, y, z) minus the decay, plus the pump.
     """
     g_t, g_1, pump = decay
 
@@ -143,13 +145,13 @@ def _bloch_kernel(field, decay: tuple[float, float, float], rtol: float, atol: f
         if y.shape != (3,):
             raise ValidationError(f"the Bloch kernel integrates a 3-vector, got shape {y.shape}")
         u, v, w = y.tolist()
-        ((bx, by, bz),) = field(np.array([t]))
+        ((bx, by, bz),) = field([t])
         return (u, v, w), (by * w - bz * v - g_t * u, bz * u - bx * w - g_t * v,
                            bx * v - by * u - g_1 * w + pump)
 
     def step(t, h, r, k1):
-        ((bx2, by2, bz2), (bx3, by3, bz3), (bx4, by4, bz4), (bx5, by5, bz5), (bx6, by6, bz6),
-         (bx7, by7, bz7)) = field(t + _C[1:] * h)
+        ((bx2, by2, bz2), (bx3, by3, bz3), (bx4, by4, bz4), (bx5, by5, bz5),
+         (bx6, by6, bz6)) = field([t + _C2 * h, t + _C3 * h, t + _C4 * h, t + _C5 * h, t + _C6 * h])
         u, v, w = r
         k1u, k1v, k1w = k1
         x, y, z = u + h * (_A21 * k1u), v + h * (_A21 * k1v), w + h * (_A21 * k1w)
@@ -178,8 +180,8 @@ def _bloch_kernel(field, decay: tuple[float, float, float], rtol: float, atol: f
         un = u + h * (_B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
         vn = v + h * (_B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
         wn = w + h * (_B1 * k1w + _B3 * k3w + _B4 * k4w + _B5 * k5w + _B6 * k6w)
-        k7 = k7u, k7v, k7w = (by7 * wn - bz7 * vn - g_t * un, bz7 * un - bx7 * wn - g_t * vn,
-                              bx7 * vn - by7 * un - g_1 * wn + pump)
+        k7 = k7u, k7v, k7w = (by6 * wn - bz6 * vn - g_t * un, bz6 * un - bx6 * wn - g_t * vn,
+                              bx6 * vn - by6 * un - g_1 * wn + pump)
         eu = h * (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u + _E7 * k7u)
         ev = h * (_E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v + _E7 * k7v)
         ew = h * (_E1 * k1w + _E3 * k3w + _E4 * k4w + _E5 * k5w + _E6 * k6w + _E7 * k7w)
@@ -201,10 +203,11 @@ def _scalar_kernel(stage, inputs, rtol: float, atol: float):
         if y.shape != (1,):
             raise ValidationError(f"the scalar kernel integrates one number, got shape {y.shape}")
         (y0,) = y.tolist()
-        return (y0,), stage(y0, *(c.tolist()[0] for c in inputs(np.array([t]))))
+        return (y0,), stage(y0, *inputs([t])[0])
 
     def step(t, h, state, k1):
-        x2, x3, x4, x5, x6, x7 = zip(*(c.tolist() for c in inputs(t + _C[1:] * h)))
+        x2, x3, x4, x5, x6 = inputs(
+            [t + _C2 * h, t + _C3 * h, t + _C4 * h, t + _C5 * h, t + _C6 * h])
         (y,) = state
         k2 = stage(y + h * (_A21 * k1), *x2)
         k3 = stage(y + h * (_A31 * k1 + _A32 * k2), *x3)
@@ -212,7 +215,7 @@ def _scalar_kernel(stage, inputs, rtol: float, atol: float):
         k5 = stage(y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4), *x5)
         k6 = stage(y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5), *x6)
         yn = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-        k7 = stage(yn, *x7)
+        k7 = stage(yn, *x6)
         err = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
         ratio = abs(err) / (atol + rtol * max(abs(y), abs(yn)))
         return (yn,), k7, (k1, k2, k3, k4, k5, k6, k7), ratio
@@ -359,7 +362,7 @@ def integrate_adaptive(
 
 
 def integrate_bloch(
-    field: Callable[[np.ndarray], tuple],
+    field: Callable[[list], list],
     decay: tuple[float, float, float],
     t_span: tuple[float, float],
     r0,
@@ -372,26 +375,29 @@ def integrate_bloch(
     """Integrate dr/dt = b(t) x r - (G, G, Gamma_1) r + (0, 0, pump) for a Bloch vector.
 
     Same controller, tolerances, dense output and statistics as
-    ``integrate_adaptive`` with the equivalent right-hand side. ``field(ts)``
-    returns one (bx, by, bz) float triple per time in ``ts``; it is called
-    once at t0 and once per attempted step, at that step's six new stage
-    times. ``decay`` is (G, Gamma_1, pump) and ``r0`` a real 3-vector.
+    ``integrate_adaptive`` with the equivalent right-hand side. ``field(times)``
+    takes a list of Python floats and returns one row per time, a (bx, by, bz)
+    float triple. It is called once at t0, with ``[t0]``, and once per
+    attempted step, with that step's five distinct stage times, as a list;
+    stages 6 and 7 share the last row. ``decay`` is (G, Gamma_1, pump) and
+    ``r0`` a real 3-vector.
     """
     return _integrate(partial(_bloch_kernel, field, decay), t_span, r0, t_eval, rtol, atol,
                       max_step)
 
 
-def integrate_scalar(stage: Callable[..., float], inputs: Callable[[np.ndarray], tuple],
+def integrate_scalar(stage: Callable[..., float], inputs: Callable[[list], list],
                      t_span: tuple[float, float], y0, t_eval, *, rtol: float = RTOL,
                      atol: float = ATOL, max_step: float = np.inf,
                      ) -> tuple[np.ndarray, IntegrationStats]:
     """Integrate dy/dt = stage(y, *inputs(t)) for one real number y.
 
     Same controller, tolerances, dense output and statistics as
-    ``integrate_adaptive`` with the equivalent right-hand side. ``inputs(ts)``
-    returns a tuple of arrays over the times ``ts``, and is called at the same
-    times as ``field`` in ``integrate_bloch``. ``stage`` takes y and one float
-    per array and returns dy/dt. The solution has shape ``(len(t_eval), 1)``.
+    ``integrate_adaptive`` with the equivalent right-hand side. ``inputs(times)``
+    takes the same lists as ``field`` in ``integrate_bloch``: ``[t0]``, then
+    each attempted step's five distinct stage times, as a list. It returns one
+    row per time, a tuple of floats, and ``stage(y, *row)`` returns dy/dt.
+    The solution has shape ``(len(t_eval), 1)``.
     """
     return _integrate(partial(_scalar_kernel, stage, inputs), t_span, y0, t_eval, rtol, atol,
                       max_step)

@@ -224,11 +224,12 @@ def solve_consistent_v_open(
         ds/dt = -2 G s - 2 [ (du + G u) u + (dw + 2 Gamma (1 + w + 2 n w)) w ]
 
     where G is the transverse rate, from s(t0) = v0^2 by ``integrate_scalar``
-    with ds/dt = -2 G s + q; each step reads the forcing q (the second term)
-    at its six stage times from one spline call. ``v0`` lies in [0, 1] and
-    defaults to the closed-sphere completion at the first sample. With both
-    rates zero this reproduces ``complete_v_closed`` since the right side
-    reduces to d(1 - u^2 - w^2)/dt.
+    with ds/dt = -2 G s + q. Each step reads (u, w, du, dw) at its five
+    distinct stage times, as a list, from one spline call, one row per time,
+    and computes the forcing q (the second term) on those float rows. ``v0``
+    lies in [0, 1] and defaults to the closed-sphere completion at the first
+    sample. With both rates zero this reproduces ``complete_v_closed`` since
+    the right side reduces to d(1 - u^2 - w^2)/dt.
 
     Returns the positive root v(t) on the sample grid.
     """
@@ -247,10 +248,10 @@ def solve_consistent_v_open(
     gam_th, occ = rates.thermal, rates.occupancy
     table = CubicSpline(t, np.column_stack([samples.u, samples.w, samples.du, samples.dw]))
 
-    def forcing(ts):
-        u, w, du, dw = table(ts).T
-        drive = (du + g_t * u) * u + (dw + 2.0 * gam_th * (1.0 + w + 2.0 * occ * w)) * w
-        return (-2.0 * drive,)
+    def forcing(times):
+        return [(-2.0 * ((du + g_t * u) * u
+                         + (dw + 2.0 * gam_th * (1.0 + w + 2.0 * occ * w)) * w),)
+                for u, w, du, dw in table(times).tolist()]
 
     sol, _ = integrate_scalar(
         lambda s, q: -2.0 * g_t * s + q, forcing, (t[0], t[-1]), s0, t,
