@@ -18,17 +18,20 @@ G and Gamma_1 the transverse and inversion decay rates and Gamma the thermal
 rate; only the field b(t) differs. Every integrator takes the initial state as
 a Bloch vector, and one propagator integrates it with the Bloch step kernel of
 ``odeint`` and stores r; density matrices are derived from r on demand.
-The field's own channel table (``ControlField.channels``) is read once per
-step at its five distinct stage times, and step sizes are capped by its
-``fastest_scale`` so carrier oscillations stay resolved; every picture of one
-field shares the table and the scale. Times in ps, angular frequencies in
-rad/ps.
+Every picture of one field shares its channel table (``ControlField.channels``)
+and its ``fastest_scale``, which caps step sizes so carrier oscillations stay
+resolved. A picture reads its field once per step, at the five distinct stage
+times, on floats from the table's flat coefficient buffer and only for the
+channels it uses; each value is bit-identical to ``channels(times)``. Times in
+ps, angular frequencies in rad/ps.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from struct import Struct
 
 import numpy as np
 
@@ -36,7 +39,7 @@ from .errors import ValidationError
 from .odeint import ATOL, RTOL, SPAN_SLACK, IntegrationStats, integrate_bloch
 from .rates import Rates, inversion_decay_rate, transverse_rate
 from .states import SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, _checked_bloch, _density, validate_grid
-from .synthesis import ControlField
+from .synthesis import _CHANNELS, ControlField
 
 __all__ = [
     "SimResult",
@@ -82,35 +85,76 @@ class SimResult:
         return np.stack([0.5 * (1.0 + w), 0.5 * (1.0 - w)], axis=1)
 
 
-# Fields b(t) with H = b . sigma / 2. Each takes the rows of ControlField.channels,
-# one [omega, delta, phi, omega_r, omega0] list per time, and returns one
-# (bx, by, bz) float triple per time.
+# Fields b(t) with H = b . sigma / 2. Each takes the ControlField and returns
+# field(times), one (bx, by, bz) float triple per time, reading each channel it
+# uses as scipy's PPoly does, 0.0 + c3 + c2 s + c1 s^2 + c0 s^3 with s^3 = s^2 s.
 
-def _lab_field(rows):
-    return [(2.0 * omega_r * math.cos(phi), 0.0, omega0)
-            for omega, delta, phi, omega_r, omega0 in rows]
+def _spline_pieces(field: ControlField, names):
+    """read(times): per time, its offset s, s^2, s^3 in its spline interval (the end
+    intervals outside the knots, as scipy extrapolates) and the (c0, c1, c2, c3)
+    of each channel in ``names``, in table order."""
+    knots, coef = field._coefficients
+    last = len(knots) - 2
+    unpack = Struct("".join("4d" if name in names else "32x" for name in _CHANNELS)).unpack_from
+
+    def read(times):
+        for t in times:
+            i = bisect_right(knots, t) - 1
+            i = 0 if i < 0 else last if i > last else i
+            s = t - knots[i]
+            s2 = s * s
+            yield s, s2, s2 * s, unpack(coef, 160 * i)  # 20 doubles, 160 bytes, per interval
+    return read
 
 
-def _carrier_field(rows):
-    return [(omega_r * (1.0 + math.cos(2.0 * phi)), -omega_r * math.sin(2.0 * phi), -delta)
-            for omega, delta, phi, omega_r, omega0 in rows]
+def _lab_field(field):
+    read = _spline_pieces(field, ("phi", "omega_r", "omega0"))
+
+    def at(times):
+        rows = []
+        for s, s2, s3, (p0, p1, p2, p3, r0, r1, r2, r3, w0, w1, w2, w3) in read(times):
+            phi = 0.0 + p3 + p2 * s + p1 * s2 + p0 * s3
+            omega_r = 0.0 + r3 + r2 * s + r1 * s2 + r0 * s3
+            rows.append((2.0 * omega_r * math.cos(phi), 0.0, 0.0 + w3 + w2 * s + w1 * s2 + w0 * s3))
+        return rows
+    return at
 
 
-def _rwa_field(rows):
-    return [(omega_r, 0.0, -delta) for omega, delta, phi, omega_r, omega0 in rows]
+def _carrier_field(field):
+    read = _spline_pieces(field, ("delta", "phi", "omega_r"))
+
+    def at(times):
+        rows = []
+        for s, s2, s3, (d0, d1, d2, d3, p0, p1, p2, p3, r0, r1, r2, r3) in read(times):
+            phi = 0.0 + p3 + p2 * s + p1 * s2 + p0 * s3
+            omega_r = 0.0 + r3 + r2 * s + r1 * s2 + r0 * s3
+            rows.append((omega_r * (1.0 + math.cos(2.0 * phi)), -omega_r * math.sin(2.0 * phi),
+                         -(0.0 + d3 + d2 * s + d1 * s2 + d0 * s3)))
+        return rows
+    return at
 
 
-def _design_field(rows):
-    return [(omega, 0.0, -delta) for omega, delta, phi, omega_r, omega0 in rows]
+def _rwa_field(field):
+    read = _spline_pieces(field, ("delta", "omega_r"))
+    return lambda times: [(0.0 + r3 + r2 * s + r1 * s2 + r0 * s3, 0.0,
+                           -(0.0 + d3 + d2 * s + d1 * s2 + d0 * s3))
+                          for s, s2, s3, (d0, d1, d2, d3, r0, r1, r2, r3) in read(times)]
+
+
+def _design_field(field):
+    read = _spline_pieces(field, ("omega", "delta"))
+    return lambda times: [(0.0 + o3 + o2 * s + o1 * s2 + o0 * s3, 0.0,
+                           -(0.0 + d3 + d2 * s + d1 * s2 + d0 * s3))
+                          for s, s2, s3, (o0, o1, o2, o3, d0, d1, d2, d3) in read(times)]
 
 
 def _propagate(picture: str, field: ControlField, field_at, rates: Rates,
                r0, grid, rtol: float, atol: float) -> SimResult:
     """Integrate dr/dt = b x r - (G, G, Gamma_1) r + (0, 0, -2 Gamma) on ``grid``.
 
-    ``field_at(rows)`` gives b from the rows of ``field.channels``; the Bloch
-    kernel reads it once per step, at five distinct stage times. ``r0`` is the
-    Bloch vector at ``grid[0]``.
+    ``field_at(field)`` gives b(times) from ``field``'s flat coefficient buffer;
+    the Bloch kernel reads it once per step, at five distinct stage times.
+    ``r0`` is the Bloch vector at ``grid[0]``.
     """
     r0 = _checked_bloch(r0)  # the Bloch kernel rejects any shape but (3,)
     t = validate_grid(grid)
@@ -122,8 +166,8 @@ def _propagate(picture: str, field: ControlField, field_at, rates: Rates,
 
     span, scale = t[-1] - t[0], field.fastest_scale
     max_step = min(PHASE_PER_STEP / scale, span / 8.0) if scale > 0.0 else span / 8.0
-    bloch, stats = integrate_bloch(lambda ts: field_at(field.channels(ts).tolist()), decay,
-                                   (t[0], t[-1]), r0, t, rtol=rtol, atol=atol, max_step=max_step)
+    bloch, stats = integrate_bloch(field_at(field), decay, (t[0], t[-1]), r0, t,
+                                   rtol=rtol, atol=atol, max_step=max_step)
     return SimResult(picture=picture, t=t, bloch=bloch, stats=stats)
 
 
@@ -222,7 +266,9 @@ def frame_transform(states, phi, direction: str = "to_interaction") -> np.ndarra
         states = states[None, :, :]
     if states.ndim != 3 or states.shape[1:] != (2, 2):
         raise ValidationError("states must have shape (2, 2) or (n, 2, 2)")
-    phi_arr = np.broadcast_to(np.asarray(phi, dtype=float), (states.shape[0],))
+    phi_arr = np.asarray(phi, dtype=float)
+    if phi_arr.shape not in ((), states.shape[:1]):
+        raise ValidationError(f"phi must be a scalar or one angle per state, not {phi_arr.shape}")
     if direction == "to_interaction":
         phase = np.exp(1.0j * phi_arr)
     elif direction == "to_lab":

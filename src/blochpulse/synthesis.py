@@ -47,14 +47,18 @@ __all__ = [
 # floor for the carrier factor 1 + cos(2 phi); below it the pulse is unrealizable
 DENOM_MIN = 1e-3
 
+# ControlField's channels, in the order of its channel table
+_CHANNELS = ("omega", "delta", "phi", "omega_r", "omega0")
+
 
 @dataclass(frozen=True)
 class ControlField:
     """A synthesized drive, sampled on a time grid.
 
-    ``channels``, one cubic-spline table over all five, is built at first use
-    and ``fastest_scale`` computed once; so do not change a field's arrays in
-    place after it is built.
+    ``channels``, one cubic-spline table over all five, and its coefficients as
+    one flat buffer of floats (``_coefficients``, which the pictures read) are
+    built at first use and ``fastest_scale`` computed once; so do not change a
+    field's arrays in place after it is built.
 
     Attributes
     ----------
@@ -82,7 +86,7 @@ class ControlField:
     def __post_init__(self):
         object.__setattr__(self, "t", validate_grid(self.t))  # the checked float grid
         n = self.t.size
-        for name in ("omega", "delta", "phi", "omega_r", "omega0"):
+        for name in _CHANNELS:
             arr = getattr(self, name)
             if arr.shape != (n,):
                 raise ValidationError(f"ControlField.{name} must have shape ({n},)")
@@ -93,8 +97,13 @@ class ControlField:
     def channels(self) -> CubicSpline:
         """Exact-at-the-samples table of (omega, delta, phi, omega_r, omega0) along the
         last axis: ``channels(t, nu=0)`` reads them, or their nu-th derivatives, at t."""
-        return CubicSpline(self.t, np.column_stack(
-            [self.omega, self.delta, self.phi, self.omega_r, self.omega0]))
+        return CubicSpline(self.t, np.column_stack([getattr(self, name) for name in _CHANNELS]))
+
+    @cached_property
+    def _coefficients(self) -> tuple[list, bytes]:
+        """The knots as a list of floats, and ``channels.c`` as one flat buffer of 20
+        doubles per interval: (c0, c1, c2, c3) of each channel in table order."""
+        return self.t.tolist(), self.channels.c.transpose(1, 2, 0).tobytes()
 
     @cached_property
     def fastest_scale(self) -> float:
@@ -189,14 +198,18 @@ def rabi_from_phase(omega, phi, times) -> np.ndarray:
         If the carrier factor dips below ``DENOM_MIN``, or is not finite,
         anywhere: the envelope would diverge and the prescription is not
         realizable as written. Its ``t_first`` is the first such time.
+    ValidationError
+        If ``omega``, ``phi`` and ``times`` differ in shape.
     """
-    omega = np.asarray(omega, dtype=float)
-    phi = np.asarray(phi, dtype=float)
+    omega, phi, times = (np.asarray(x, dtype=float) for x in (omega, phi, times))
+    if not omega.shape == phi.shape == times.shape:
+        raise ValidationError(f"omega, phi and times must share one shape, got {omega.shape}, "
+                              f"{phi.shape} and {times.shape}")
     with np.errstate(invalid="ignore"):  # cos of an infinite phase is NaN, flagged below
         denom = 1.0 + np.cos(2.0 * phi)
     low = ~(denom >= DENOM_MIN)
     if np.any(low):
-        t_low = float(np.asarray(times)[np.argmax(low)])
+        t_low = float(times.flat[np.argmax(low)])
         raise CarrierSingularityError(
             f"carrier factor 1 + cos(2 phi) below {DENOM_MIN:g} or not finite at "
             f"t = {t_low:.6g} ps; pulse envelope diverges (trajectory window too long "

@@ -37,7 +37,9 @@ from blochpulse import (
     preset,
     synthesize_pulse,
 )
+from blochpulse import dynamics
 from blochpulse.dynamics import PHASE_PER_STEP
+from blochpulse.odeint import SPAN_SLACK
 from blochpulse.rates import inversion_decay_rate, transverse_rate
 from blochpulse.states import SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Z
 
@@ -74,6 +76,13 @@ def test_frame_transform_rejects_bad_direction():
     rho = np.eye(2, dtype=complex) / 2
     with pytest.raises(ValidationError):
         frame_transform(rho, 0.1, direction="sideways")
+
+
+@pytest.mark.parametrize("phi", [np.zeros(2), np.zeros(4), np.zeros((3, 1)), np.zeros((1, 3))])
+def test_frame_transform_rejects_phi_of_another_shape(phi):
+    with pytest.raises(ValidationError, match="one angle per state"):
+        frame_transform(np.tile(np.eye(2), (3, 1, 1)), phi)
+    assert frame_transform(np.tile(np.eye(2), (3, 1, 1)), np.zeros(3)).shape == (3, 2, 2)
 
 
 def test_free_precession_lab_frame():
@@ -198,6 +207,33 @@ def _per_call_reference(field, field_at, rates, r0, t):
 
     max_step = min(PHASE_PER_STEP / field.fastest_scale, (t[-1] - t[0]) / 8.0)
     return integrate_adaptive(rhs, (t[0], t[-1]), r0, t, max_step=max_step)
+
+
+def _signed_zero_field():
+    # omega0 constant, delta all zero, and omega, omega_r a cubic that is -0.0 at
+    # the knot t = 0 with all three slopes negative there: a read that drops
+    # scipy's leading 0.0 + turns that -0.0 into a differing sign bit
+    t = np.linspace(-2.0, 3.0, 11)
+    cubic = -(t + t ** 2 + t ** 3)
+    return t, ControlField(t=t, omega=cubic, delta=np.zeros_like(t), phi=0.3 * t,
+                           omega_r=cubic, omega0=np.full_like(t, 0.7))
+
+
+@pytest.mark.parametrize("make", [_fig1_l3_field, _signed_zero_field])
+def test_field_reads_are_bit_identical_to_the_channel_table(make):
+    t, field = make()
+    rng = np.random.default_rng(17)
+    times = np.concatenate([rng.uniform(t[0], t[-1], 200), t,
+                            [t[0] - SPAN_SLACK, t[-1] + SPAN_SLACK]]).tolist()
+    old_rows = field.channels(times).tolist()
+    assert 0.0 in times and np.signbit(field.channels(0.0)).tolist() == [False] * 5
+    for name, field_at in (("lab", dynamics._lab_field), ("carrier", dynamics._carrier_field),
+                           ("rwa", dynamics._rwa_field), ("design", dynamics._design_field)):
+        want = [_FLOAT_FIELDS[name](*row) for row in old_rows]
+        got = field_at(field)(times)
+        assert len(got) == len(times) and all(type(b) is float for row in got for b in row)
+        # == on the bytes, so that -0.0 against 0.0 fails too
+        assert np.array(got).tobytes() == np.array(want).tobytes(), name
 
 
 def test_bloch_kernel_matches_per_call_rhs():

@@ -332,7 +332,8 @@ def test_pictures_of_one_run_share_one_channel_table(monkeypatch):
         init(self, x, y, *args, **kwargs)
 
     def call_spy(self, x, *args, **kwargs):
-        read.append(np.size(x))
+        if self.c.shape[2:] == (5,):  # a read of the channel table
+            read.append(np.size(x))
         return call(self, x, *args, **kwargs)
 
     monkeypatch.setattr(CubicSpline, "__init__", init_spy)
@@ -342,7 +343,8 @@ def test_pictures_of_one_run_share_one_channel_table(monkeypatch):
     n = _MINI.window.samples
     assert len(run.results) == 3
     assert built.count((n, 5)) == 1  # one channel table
-    assert read.count(4 * n) == 2  # one step scale: values and phase slopes on 4n points
+    # the step scale's two reads on 4n points (values and phase slopes), and no read per step
+    assert read == [4 * n, 4 * n]
 
 
 def test_open_run_drive_comes_from_the_reported_v():

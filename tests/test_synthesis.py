@@ -119,6 +119,18 @@ def test_rabi_singularity_reports_time():
     with pytest.raises(CarrierSingularityError) as err:
         rabi_from_phase(omega, np.array([0.0, np.nan, np.inf]), times=np.array([0.0, 1.5, 3.0]))
     assert err.value.t_first == pytest.approx(1.5)
+    # one sample given as scalars
+    with pytest.raises(CarrierSingularityError) as err:
+        rabi_from_phase(0.4, np.pi / 2, 1.5)
+    assert err.value.t_first == 1.5
+
+
+def test_rabi_envelope_rejects_mismatched_shapes():
+    two, three = np.zeros(2), np.array([0.0, 1.5, 3.0])
+    for omega, phi, times in ((two, three, three), (three, two, three), (three, three, two),
+                              (three, three, three[:, None])):
+        with pytest.raises(ValidationError, match="share one shape"):
+            rabi_from_phase(omega, phi, times)
 
 
 def test_control_field_validation():
