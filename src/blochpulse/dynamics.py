@@ -38,7 +38,8 @@ import numpy as np
 from .errors import ValidationError
 from .odeint import ATOL, RTOL, SPAN_SLACK, IntegrationStats, integrate_bloch
 from .rates import Rates, inversion_decay_rate, transverse_rate
-from .states import SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, _checked_bloch, _density, validate_grid
+from .states import (SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, _checked_bloch, _density, _numeric,
+                     validate_grid)
 from .synthesis import _CHANNELS, ControlField
 
 __all__ = [
@@ -260,13 +261,13 @@ def frame_transform(states, phi, direction: str = "to_interaction") -> np.ndarra
     "to_interaction" applies U^dag rho U, "to_lab" the inverse. ``phi`` is a
     scalar or one angle per state.
     """
-    states = np.asarray(states, dtype=complex)
+    states = _numeric(states, "states", complex)
     single = states.ndim == 2
     if single:
         states = states[None, :, :]
     if states.ndim != 3 or states.shape[1:] != (2, 2):
         raise ValidationError("states must have shape (2, 2) or (n, 2, 2)")
-    phi_arr = np.asarray(phi, dtype=float)
+    phi_arr = _numeric(phi, "phi", float)
     if phi_arr.shape not in ((), states.shape[:1]):
         raise ValidationError(f"phi must be a scalar or one angle per state, not {phi_arr.shape}")
     if direction == "to_interaction":

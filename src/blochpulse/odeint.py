@@ -1,19 +1,16 @@
 """Adaptive Dormand-Prince 5(4) integrator with dense output.
 
-One step controller, shared by every simulation picture and by the open-system
-v-completion, drives one of three step kernels:
+One step controller, shared by every simulation picture and by the public
+integrator, drives one of two step kernels:
 
   * a generic numpy kernel for dy/dt = rhs(t, y) on flat real or complex
-    state vectors (``integrate_adaptive``), the reference for the other two;
+    state vectors (``integrate_adaptive``), the reference for the other;
   * a Bloch kernel for dr/dt = b(t) x r - (G, G, Gamma_1) r + (0, 0, pump)
-    (``integrate_bloch``), which every simulation picture runs;
-  * a scalar kernel for dy/dt = stage(y, *inputs(t)) with one real y
-    (``integrate_scalar``), which the open-system v-completion runs.
+    (``integrate_bloch``), which every simulation picture runs.
 
-Both float kernels read their input once per step, at the step's five
-distinct stage times, as a list (stages 6 and 7 share the node t + h), and
-get one row per time: a (bx, by, bz) float triple or a tuple of floats. They
-run the stages inline on plain floats.
+The Bloch kernel reads its field once per step, at the step's five distinct
+stage times, as a list (stages 6 and 7 share the node t + h), and gets one
+(bx, by, bz) float triple per time. It runs the stages inline on plain floats.
 
 The controller owns input validation, the step budget, the underflow and
 non-finite checks, accept/reject and step-size control. It records every
@@ -34,7 +31,7 @@ import numpy as np
 from .errors import IntegrationError, ValidationError
 
 __all__ = ["ATOL", "RTOL", "IntegrationStats", "integrate_adaptive", "integrate_bloch",
-           "integrate_scalar", "step_floor"]
+           "step_floor"]
 
 # Dormand-Prince 5(4) tableau (Dormand & Prince, J. Comput. Appl. Math. 6
 # (1980) 19). The scheme is first-same-as-last: stage 7 of an accepted step is
@@ -64,7 +61,7 @@ _P = np.array(
         [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
     ]
 )
-# The same tableau as Python floats, for the float kernels' unrolled stages.
+# The same tableau as Python floats, for the Bloch kernel's unrolled stages.
 ((_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54),
  (_A61, _A62, _A63, _A64, _A65)) = (a.tolist() for a in _A[1:6])
 _, _C2, _C3, _C4, _C5, _C6, _ = _C.tolist()  # _C6 == 1.0
@@ -80,10 +77,6 @@ _FLOOR = 16.0 * np.finfo(float).eps
 # default relative and absolute local-error tolerances of every propagator
 RTOL = 1e-10
 ATOL = 1e-12
-# tolerances of the open-system v-completion, and its step cap as a fraction of its span
-V_OPEN_RTOL = 1e-12
-V_OPEN_ATOL = 1e-14
-V_OPEN_MAX_STEP_FRACTION = 1 / 8
 # roundoff slack, in ps, by which sample times may overhang the integration span
 SPAN_SLACK = 1e-12
 
@@ -192,33 +185,6 @@ def _bloch_kernel(field, decay: tuple[float, float, float], rtol: float, atol: f
         stages = (k1u, k1v, k1w, k2u, k2v, k2w, k3u, k3v, k3w, k4u, k4v, k4w,
                   k5u, k5v, k5w, k6u, k6v, k6w, k7u, k7v, k7w)
         return (un, vn, wn), k7, stages, ratio
-
-    return start, step
-
-
-def _scalar_kernel(stage, inputs, rtol: float, atol: float):
-    """The DP5 step for dy/dt = stage(y, *inputs(t)) with one real y, on floats."""
-
-    def start(t, y):
-        if y.shape != (1,):
-            raise ValidationError(f"the scalar kernel integrates one number, got shape {y.shape}")
-        (y0,) = y.tolist()
-        return (y0,), stage(y0, *inputs([t])[0])
-
-    def step(t, h, state, k1):
-        x2, x3, x4, x5, x6 = inputs(
-            [t + _C2 * h, t + _C3 * h, t + _C4 * h, t + _C5 * h, t + _C6 * h])
-        (y,) = state
-        k2 = stage(y + h * (_A21 * k1), *x2)
-        k3 = stage(y + h * (_A31 * k1 + _A32 * k2), *x3)
-        k4 = stage(y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3), *x4)
-        k5 = stage(y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4), *x5)
-        k6 = stage(y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5), *x6)
-        yn = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-        k7 = stage(yn, *x6)
-        err = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
-        ratio = abs(err) / (atol + rtol * max(abs(y), abs(yn)))
-        return (yn,), k7, (k1, k2, k3, k4, k5, k6, k7), ratio
 
     return start, step
 
@@ -383,21 +349,4 @@ def integrate_bloch(
     ``r0`` a real 3-vector.
     """
     return _integrate(partial(_bloch_kernel, field, decay), t_span, r0, t_eval, rtol, atol,
-                      max_step)
-
-
-def integrate_scalar(stage: Callable[..., float], inputs: Callable[[list], list],
-                     t_span: tuple[float, float], y0, t_eval, *, rtol: float = RTOL,
-                     atol: float = ATOL, max_step: float = np.inf,
-                     ) -> tuple[np.ndarray, IntegrationStats]:
-    """Integrate dy/dt = stage(y, *inputs(t)) for one real number y.
-
-    Same controller, tolerances, dense output and statistics as
-    ``integrate_adaptive`` with the equivalent right-hand side. ``inputs(times)``
-    takes the same lists as ``field`` in ``integrate_bloch``: ``[t0]``, then
-    each attempted step's five distinct stage times, as a list. It returns one
-    row per time, a tuple of floats, and ``stage(y, *row)`` returns dy/dt.
-    The solution has shape ``(len(t_eval), 1)``.
-    """
-    return _integrate(partial(_scalar_kernel, stage, inputs), t_span, y0, t_eval, rtol, atol,
                       max_step)

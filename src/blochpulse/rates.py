@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .states import _numeric
 
 __all__ = [
     "Rates",
@@ -41,7 +42,7 @@ class Rates:
     def __post_init__(self):
         for name in ("dephasing", "thermal", "occupancy"):
             val = getattr(self, name)
-            if not np.isfinite(val) or val < 0.0:
+            if not np.isfinite(_numeric(val, f"rate '{name}'")) or val < 0.0:
                 raise ValidationError(f"rate '{name}' must be finite and >= 0, got {val}")
 
     @property

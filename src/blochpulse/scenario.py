@@ -56,7 +56,7 @@ from .dynamics import (
 from .errors import ValidationError
 from .odeint import ATOL, RTOL, step_floor
 from .rates import Rates
-from .states import _onto_sphere
+from .states import _numeric, _onto_sphere
 # synthesize_pulse, eval_components, complete_v_closed and solve_consistent_v_open
 # are unused here but stay importable from this module: the benchmark tracer in
 # perfbench/ wraps them by name.
@@ -153,7 +153,8 @@ class Window:
     samples: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.start) and np.isfinite(self.stop)):
+        if not (np.isfinite(_numeric(self.start, "window start"))
+                and np.isfinite(_numeric(self.stop, "window stop"))):
             raise ValidationError("window bounds must be finite")
         if self.stop <= self.start:
             raise ValidationError("window stop must exceed start")

@@ -42,6 +42,18 @@ IDENTITY = np.eye(2, dtype=complex)
 BLOCH_NORM_SLACK = 1e-9
 
 
+def _numeric(x, name: str, dtype=None) -> np.ndarray:
+    """``np.asarray(x, dtype)``; ValidationError naming ``name`` when ``x`` does not
+    convert. Without a ``dtype``, ``x`` must hold real numbers and keeps its own dtype."""
+    try:
+        arr = np.asarray(x, dtype=dtype)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or (dtype is None and arr.dtype.kind not in "biuf"):
+        raise ValidationError(f"{name} must be numeric, got {x!r:.60}")
+    return arr
+
+
 def validate_grid(t) -> np.ndarray:
     """Check a sample-time grid and return it as a float array.
 
@@ -56,7 +68,7 @@ def validate_grid(t) -> np.ndarray:
     numpy.ndarray
         The validated grid, dtype float64.
     """
-    grid = np.asarray(t, dtype=float)
+    grid = _numeric(t, "time grid", float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValidationError("time grid must be 1-D with at least two samples")
     if not np.all(np.isfinite(grid)):
@@ -72,7 +84,7 @@ def validate_density(rho) -> np.ndarray:
     Hermiticity within 1e-12, unit trace within 1e-10, and a Bloch vector no
     longer than 1 + 1e-9. Returns the matrix as complex128.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = _numeric(rho, "density matrix", complex)
     if rho.shape != (2, 2):
         raise ValidationError(f"density matrix must be 2x2, got shape {rho.shape}")
     if not np.all(np.isfinite(rho.view(float))):
@@ -92,7 +104,7 @@ def bloch_from_density(rho) -> np.ndarray:
 
     u = 2 Re rho_eg, v = -2 Im rho_eg, w = rho_ee - rho_gg.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = _numeric(rho, "density matrices", complex)
     if rho.shape[-2:] != (2, 2):
         raise ValidationError(f"density matrices must have shape (..., 2, 2), got {rho.shape}")
     coh = rho[..., 0, 1]
@@ -103,7 +115,7 @@ def bloch_from_density(rho) -> np.ndarray:
 def _checked_bloch(r) -> np.ndarray:
     """Bloch vectors along the last axis as floats; ValidationError unless each is
     finite and inside the unit ball up to roundoff."""
-    r = np.asarray(r, dtype=float)
+    r = _numeric(r, "Bloch vectors", float)
     if r.ndim == 0 or r.shape[-1] != 3:
         raise ValidationError(f"Bloch vectors must have shape (..., 3), got {r.shape}")
     if not np.all(np.isfinite(r)):

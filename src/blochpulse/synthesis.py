@@ -26,7 +26,7 @@ from scipy.interpolate import CubicSpline
 
 from .errors import CarrierSingularityError, SingularPrescriptionError, ValidationError
 from .rates import Rates, transverse_rate
-from .states import validate_grid
+from .states import _numeric, validate_grid
 from .trajectories import (
     V_MIN,
     TrajectorySpec,
@@ -132,7 +132,7 @@ def omega_delta_from_components(u, w, du, dw, v, rates: Rates) -> tuple[np.ndarr
     completion routines. Raises ``SingularPrescriptionError`` if v sits below
     ``V_MIN`` (defensive; completions enforce this too).
     """
-    u, w, du, dw, v = map(np.asarray, (u, w, du, dw, v))
+    u, w, du, dw, v = map(_numeric, (u, w, du, dw, v), ("u", "w", "du", "dw", "v"))
     if np.any(v < V_MIN):
         raise SingularPrescriptionError(
             f"transverse component below {V_MIN:g}; pulse undefined")
@@ -161,7 +161,7 @@ def phase_from_detuning(omega0, delta, grid, *, zero_time: float | None = None) 
         choice yields the same trajectory; it shifts which drive realizes it.
     """
     t = validate_grid(grid)
-    delta = np.asarray(delta, dtype=float)
+    delta = _numeric(delta, "delta", float)
     omega0_arr = _per_sample_omega0(omega0, t)
     if delta.shape != t.shape:
         raise ValidationError("delta must match the grid shape")
@@ -201,7 +201,8 @@ def rabi_from_phase(omega, phi, times) -> np.ndarray:
     ValidationError
         If ``omega``, ``phi`` and ``times`` differ in shape.
     """
-    omega, phi, times = (np.asarray(x, dtype=float) for x in (omega, phi, times))
+    omega, phi, times = (_numeric(x, name, float)
+                         for x, name in zip((omega, phi, times), ("omega", "phi", "times")))
     if not omega.shape == phi.shape == times.shape:
         raise ValidationError(f"omega, phi and times must share one shape, got {omega.shape}, "
                               f"{phi.shape} and {times.shape}")

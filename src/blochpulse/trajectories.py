@@ -11,14 +11,15 @@ frequencies in rad/ps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Union
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import SingularPrescriptionError, ValidationError
-from .odeint import V_OPEN_ATOL, V_OPEN_MAX_STEP_FRACTION, V_OPEN_RTOL, integrate_scalar
+from .errors import IntegrationError, SingularPrescriptionError, ValidationError
+from .odeint import _MAX_STEPS
 # integrate_adaptive is unused here but stays importable from this module: the
 # benchmark tracer in perfbench/ wraps it by name.
 from .odeint import integrate_adaptive  # noqa: F401
@@ -39,6 +40,8 @@ __all__ = [
 
 # transverse floor below which synthesis is declared singular
 V_MIN = 1e-6
+
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(4)  # 4-point Gauss-Legendre rule on [-1, 1]
 
 
 def _check_finite(spec):
@@ -223,17 +226,21 @@ def solve_consistent_v_open(
 
         ds/dt = -2 G s - 2 [ (du + G u) u + (dw + 2 Gamma (1 + w + 2 n w)) w ]
 
-    where G is the transverse rate, from s(t0) = v0^2 by ``integrate_scalar``
-    with ds/dt = -2 G s + q. Each step reads (u, w, du, dw) at its five
-    distinct stage times, as a list, from one spline call, one row per time,
-    and computes the forcing q (the second term) on those float rows. ``v0``
+    where G is the transverse rate, from s(t0) = v0^2. The equation is linear
+    with constant G, so s follows the exact recurrence over each sample interval
+
+        s_{k+1} = exp(-2 G h_k) s_k + int_{t_k}^{t_{k+1}} exp(-2 G (t_{k+1} - tau)) q(tau) dtau
+
+    with q the second term, read from one cubic spline through (u, w, du, dw).
+    Each interval splits into ceil(8 G max h) equal panels, so 2 G h <= 1/4 on
+    each, of 4-point Gauss-Legendre quadrature. Past the integrator's step
+    budget of panels, it raises ``IntegrationError`` at the first sample. ``v0``
     lies in [0, 1] and defaults to the closed-sphere completion at the first
     sample. With both rates zero this reproduces ``complete_v_closed`` since
     the right side reduces to d(1 - u^2 - w^2)/dt.
 
     Returns the positive root v(t) on the sample grid.
     """
-    t = samples.t
     if v0 is None:
         s0 = 1.0 - samples.u[0] ** 2 - samples.w[0] ** 2
         if s0 < -BLOCH_NORM_SLACK:
@@ -243,21 +250,34 @@ def solve_consistent_v_open(
         if not 0.0 <= v0 <= 1.0:  # also rejects NaN and infinities
             raise ValidationError(f"v0 must lie in [0, 1], got {v0}")
         s0 = float(v0) ** 2
+    # s comes from a helper, so no quadrature array outlives it in this frame, which
+    # a SingularPrescriptionError's traceback would keep alive
+    return _root_above_floor(_consistent_s(samples, rates, s0), samples.t,
+                             "consistent transverse component")
 
+
+def _consistent_s(samples: TrajectorySamples, rates: Rates, s0: float) -> np.ndarray:
+    """s = v^2 on the sample grid by the recurrence of ``solve_consistent_v_open``."""
+    t = samples.t
     g_t = transverse_rate(rates)
-    gam_th, occ = rates.thermal, rates.occupancy
+    h = np.diff(t)
+    rate_h = 8.0 * g_t * float(np.max(h))  # a Python float: inf, not a warning, on overflow
+    panels = max(math.ceil(rate_h), 1) if rate_h <= _MAX_STEPS else _MAX_STEPS + 1
+    if h.size * panels > _MAX_STEPS:
+        raise IntegrationError(
+            f"the v-completion's quadrature panels exceed the step budget (8 G h = {rate_h:.3g}) "
+            f"at t = {t[0]:.6g} ps", t_first=float(t[0]))
+    nodes = ((np.arange(panels)[:, None] + 0.5 * (1.0 + _GL_X)) / panels).ravel()  # in units of h
     table = CubicSpline(t, np.column_stack([samples.u, samples.w, samples.du, samples.dw]))
-
-    def forcing(times):
-        return [(-2.0 * ((du + g_t * u) * u
-                         + (dw + 2.0 * gam_th * (1.0 + w + 2.0 * occ * w)) * w),)
-                for u, w, du, dw in table(times).tolist()]
-
-    sol, _ = integrate_scalar(
-        lambda s, q: -2.0 * g_t * s + q, forcing, (t[0], t[-1]), s0, t,
-        rtol=V_OPEN_RTOL, atol=V_OPEN_ATOL, max_step=(t[-1] - t[0]) * V_OPEN_MAX_STEP_FRACTION,
-    )
-    return _root_above_floor(sol[:, 0], t, "consistent transverse component")
+    u, w, du, dw = table((t[:-1, None] + h[:, None] * nodes).ravel()).T
+    gam_th, occ = rates.thermal, rates.occupancy
+    q = -2.0 * ((du + g_t * u) * u + (dw + 2.0 * gam_th * (1.0 + w + 2.0 * occ * w)) * w)
+    weights = np.exp(-2.0 * g_t * h[:, None] * (1.0 - nodes)) * np.tile(_GL_W, panels)
+    forced = 0.5 / panels * h * np.sum(weights * q.reshape(h.size, -1), axis=1)
+    s = [s0]
+    for a, b in zip(np.exp(-2.0 * g_t * h).tolist(), forced.tolist()):
+        s.append(a * s[-1] + b)
+    return np.array(s)
 
 
 def _root_above_floor(s: np.ndarray, t: np.ndarray, what: str) -> np.ndarray:

@@ -184,8 +184,8 @@ def test_window_past_the_carrier_pole_exits_3(tmp_path, capsys, span):
 
 
 def test_open_window_past_the_integrator_exits_3(tmp_path, capsys):
-    # the open v-completion overflows its first huge step; the run stops there
-    # with a time and without a numpy warning
+    # the open v-completion would need more quadrature panels than the step budget
+    # allows; the run stops at the first sample, with a time and without a numpy warning
     data = scenario_to_dict(preset("fig3"))
     data["window"].update(start=-1e100, stop=1e100)
     path = tmp_path / "wide.json"

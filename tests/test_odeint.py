@@ -4,12 +4,10 @@ Oracles: exponential decay and complex rotation have exact solutions; a
 random linear system is cross-checked against scipy's solve_ivp at much
 tighter tolerance; the vectorised dense output is checked against the
 per-sample emission loop it replaced, on the same accepted steps. The
-Bloch and scalar float kernels are checked against closed forms under
-time-varying inputs, and against the generic kernel on random polynomial
-inputs.
+Bloch float kernel is checked against closed forms under time-varying
+fields, and against the generic kernel on random polynomial fields.
 """
 
-import math
 import time
 
 import numpy as np
@@ -119,9 +117,6 @@ def test_input_validation(bad_kwargs):
     with pytest.raises(ValidationError):  # the Bloch kernel passes the same checks
         odeint.integrate_bloch(lambda times: [(0.0, 0.0, 0.0)] * len(times), (1.0, 1.0, 0.0),
                                span, np.array([0.0, 0.0, 1.0]), teval, **kwargs)
-    with pytest.raises(ValidationError):  # and so does the scalar kernel
-        odeint.integrate_scalar(lambda y, q: q - y, lambda times: [(0.0,)] * len(times), span,
-                                1.0, teval, **kwargs)
 
 
 def test_bloch_kernel_precesses_about_a_constant_field():
@@ -153,20 +148,7 @@ def test_bloch_kernel_precesses_about_a_constant_field():
     assert stats.rhs_evals == 1 + 6 * attempted
 
 
-def test_scalar_kernel_integrates_one_number():
-    lam = 0.37
-    t = np.linspace(0.0, 10.0, 21)
-    ys, stats = odeint.integrate_scalar(lambda y, q: q * y, lambda times: [(-lam,)] * len(times),
-                                        (0.0, 10.0), 2.0, t, rtol=1e-10, atol=1e-12)
-    assert ys.shape == (t.size, 1)
-    assert np.max(np.abs(ys[:, 0] - 2.0 * np.exp(-lam * t))) < 1e-9
-    assert stats.rhs_evals == 1 + 6 * (stats.accepted + stats.rejected)
-    with pytest.raises(ValidationError, match="one number"):
-        odeint.integrate_scalar(lambda y, q: q * y, lambda times: [(tt,) for tt in times],
-                                (0.0, 10.0), [1.0, 2.0], t)
-
-
-# The tests below drive both float kernels with inputs that vary in time, so a
+# The tests below drive the Bloch kernel with fields that vary in time, so a
 # stage that reads another stage's row gives a wrong answer.
 
 def test_bloch_kernel_precesses_about_a_ramped_field():
@@ -179,19 +161,6 @@ def test_bloch_kernel_precesses_about_a_ramped_field():
     theta = a * t + 0.5 * c * t**2
     exact = np.column_stack([0.6 * np.cos(theta), 0.6 * np.sin(theta), np.full(t.size, 0.8)])
     assert np.max(np.abs(rs - exact)) < 1e-9
-
-
-def test_scalar_kernel_follows_a_sinusoidal_forcing():
-    # y' = -lam y + sin(omega t) from y(0) = y0
-    lam, omega, y0 = 0.4, 1.3, 0.5
-    t = np.linspace(0.0, 15.0, 151)
-    ys, _ = odeint.integrate_scalar(lambda y, q: -lam * y + q,
-                                    lambda times: [(math.sin(omega * tt),) for tt in times],
-                                    (0.0, 15.0), y0, t, rtol=1e-12, atol=1e-14)
-    norm = lam**2 + omega**2
-    exact = ((y0 + omega / norm) * np.exp(-lam * t)
-             + (lam * np.sin(omega * t) - omega * np.cos(omega * t)) / norm)
-    assert np.max(np.abs(ys[:, 0] - exact)) < 1e-9
 
 
 def _polynomials(count):
@@ -224,24 +193,6 @@ def test_bloch_kernel_matches_the_generic_kernel(span, field, decay, r0):
     rs, _ = odeint.integrate_bloch(lambda times: [b(tt) for tt in times], decay, (0.0, span),
                                    np.array(r0), t, rtol=1e-11, atol=1e-13)
     assert np.max(np.abs(rs - ref)) < 1e-9 * max(1.0, np.max(np.abs(ref)))
-
-
-@settings(max_examples=60, deadline=None)
-@given(span=st.floats(0.5, 8.0), inputs=_polynomials(2), y0=st.floats(-2.0, 2.0))
-def test_scalar_kernel_matches_the_generic_kernel(span, inputs, y0):
-    # y' = p(t) y + q(t), with p and q cubics in t / span
-    def row(tt):
-        return tuple(_evaluate(c, tt / span) for c in inputs)
-
-    def stage(y, p, q):
-        return p * y + q
-
-    t = np.linspace(0.0, span, 37)
-    ref, _ = integrate_adaptive(lambda tt, y: stage(y, *row(tt)), (0.0, span), np.array([y0]),
-                                t, rtol=1e-11, atol=1e-13)
-    ys, _ = odeint.integrate_scalar(stage, lambda times: [row(tt) for tt in times], (0.0, span),
-                                    y0, t, rtol=1e-11, atol=1e-13)
-    assert np.max(np.abs(ys - ref)) < 1e-9 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_stats_dataclass_defaults():

@@ -10,12 +10,18 @@ import numpy as np
 import pytest
 
 from blochpulse import (
+    Rates,
     ValidationError,
+    Window,
     bloch_from_density,
     coherence,
     density_from_bloch,
     fidelity,
+    frame_transform,
+    omega_delta_from_components,
+    phase_from_detuning,
     purity,
+    rabi_from_phase,
     trace_distance,
     validate_density,
     validate_grid,
@@ -154,3 +160,27 @@ def test_validate_grid():
         validate_grid([0.0, np.nan])
     with pytest.raises(ValidationError):
         validate_grid([[0.0, 1.0]])
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda: frame_transform(np.eye(2), "abc"), "phi", id="frame-phi-str"),
+    pytest.param(lambda: frame_transform(np.eye(2), 1j), "phi", id="frame-phi-complex"),
+    pytest.param(lambda: frame_transform("x", 0.0), "states", id="frame-states-str"),
+    pytest.param(lambda: rabi_from_phase(["a"], [0.0], [0.0]), "omega", id="rabi"),
+    pytest.param(lambda: validate_grid(["a", "b"]), "time grid", id="grid-str"),
+    pytest.param(lambda: validate_grid([1j, 2j]), "time grid", id="grid-complex"),
+    pytest.param(lambda: density_from_bloch("abc"), "Bloch vectors", id="density-from-bloch"),
+    pytest.param(lambda: validate_density([["a", 0], [0, "b"]]), "density matrix",
+                 id="validate-density"),
+    pytest.param(lambda: bloch_from_density([["a", 0], [0, "b"]]), "density matrices",
+                 id="bloch-from-density"),
+    pytest.param(lambda: phase_from_detuning(0.1, ["a", "b"], [0.0, 1.0]), "delta", id="phase"),
+    pytest.param(lambda: omega_delta_from_components(["a"], [0.0], [0.0], [0.0], [0.5], Rates()),
+                 "u", id="omega-delta"),
+    pytest.param(lambda: Rates(dephasing="a"), "rate 'dephasing'", id="rates"),
+    pytest.param(lambda: Window(0.0, "a", 3), "window stop", id="window"),
+])
+def test_non_numeric_input_raises_validation_error(call, name):
+    # not the ValueError or TypeError of a numpy conversion, which names no argument
+    with pytest.raises(ValidationError, match=f"^{name} must be numeric"):
+        call()
