@@ -272,13 +272,14 @@ def _dense_output(teval, t0, y0, y_end, steps) -> np.ndarray:
     inside = (teval > t0) & (idx < len(steps))
     j = idx[inside]
     theta = np.clip((teval[inside] - ts[j]) / hs[j], 0.0, 1.0)
-    powers = np.stack([theta, theta**2, theta**3, theta**4], axis=1)
-    # y(t + theta h) = y + h K^T P (theta, theta^2, theta^3, theta^4)
-    dense = np.swapaxes(ks, 1, 2) @ _P
+    # y(t + theta h) = y + theta (c1 + theta (c2 + theta (c3 + theta c4))), (c1 .. c4) = h K^T P,
+    # gathered per sample along the last axis, so each product runs over the samples
+    c1, c2, c3, c4 = np.take(np.transpose(hs[:, None, None] * (np.swapaxes(ks, 1, 2) @ _P)), j,
+                             axis=2)
     out = np.empty((teval.size, y0.size), dtype=y0.dtype)
     out[teval <= t0] = y0
     out[idx >= len(steps)] = y_end
-    out[inside] = ys[j] + hs[j, None] * (dense[j] @ powers[:, :, None])[:, :, 0]
+    out[inside] = (ys.T[:, j] + theta * (c1 + theta * (c2 + theta * (c3 + theta * c4)))).T
     return out
 
 

@@ -42,8 +42,9 @@ class Rates:
     def __post_init__(self):
         for name in ("dephasing", "thermal", "occupancy"):
             val = getattr(self, name)
-            if not np.isfinite(_numeric(val, f"rate '{name}'")) or val < 0.0:
-                raise ValidationError(f"rate '{name}' must be finite and >= 0, got {val}")
+            arr = _numeric(val, f"rate '{name}'")
+            if arr.ndim != 0 or not np.isfinite(arr) or arr < 0.0:
+                raise ValidationError(f"rate '{name}' must be one finite number >= 0, got {val!r}")
 
     @property
     def closed(self) -> bool:

@@ -18,11 +18,12 @@ shares. Angular frequencies in rad/ps, times in ps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from .errors import CarrierSingularityError, SingularPrescriptionError, ValidationError
 from .rates import Rates, transverse_rate
@@ -82,9 +83,11 @@ class ControlField:
     phi: np.ndarray
     omega_r: np.ndarray
     omega0: np.ndarray
+    _grid_checked: InitVar[bool] = False  # synthesis passes the grid it has validated
 
-    def __post_init__(self):
-        object.__setattr__(self, "t", validate_grid(self.t))  # the checked float grid
+    def __post_init__(self, _grid_checked):
+        if not _grid_checked:
+            object.__setattr__(self, "t", validate_grid(self.t))  # the checked float grid
         n = self.t.size
         for name in _CHANNELS:
             arr = getattr(self, name)
@@ -107,11 +110,10 @@ class ControlField:
 
     @cached_property
     def fastest_scale(self) -> float:
-        """Largest angular rate among the channels, for step capping (rad/ps)."""
-        grids = np.linspace(self.t[0], self.t[-1], 4 * self.t.size)
-        peaks = np.max(np.abs(self.channels(grids)), axis=0)
-        peaks[2] = np.max(np.abs(self.channels(grids, 1)[:, 2]))  # the carrier rate dphi/dt
-        return float(np.max(peaks))
+        """Largest angular rate at the samples, for step capping (rad/ps): of |Omega|,
+        |Delta|, |Omega_R|, |omega0| and the carrier rate dphi/dt = omega0 + Delta."""
+        return float(np.max(np.abs([self.omega, self.delta, self.omega_r, self.omega0,
+                                    self.omega0 + self.delta])))
 
     def rabi_peak_ratio(self) -> float:
         """max |Omega_R| over max |omega0|; gauges how far beyond weak driving."""
@@ -142,11 +144,12 @@ def omega_delta_from_components(u, w, du, dw, v, rates: Rates) -> tuple[np.ndarr
     return omega, delta
 
 
-def phase_from_detuning(omega0, delta, grid, *, zero_time: float | None = None) -> np.ndarray:
+def phase_from_detuning(omega0, delta, grid, *, zero_time: float | None = None,
+                        _grid_checked: bool = False) -> np.ndarray:
     """Carrier phase phi(t) = integral of (omega0 + Delta) from the gauge point.
 
-    The integrand is interpolated with a cubic spline and integrated exactly
-    (4th-order accurate), so dphi/dt matches omega0 + Delta at the samples.
+    The integrand is interpolated with the not-a-knot cubic spline and integrated
+    exactly (4th-order accurate), so dphi/dt matches omega0 + Delta at the samples.
 
     Parameters
     ----------
@@ -160,9 +163,9 @@ def phase_from_detuning(omega0, delta, grid, *, zero_time: float | None = None) 
         Gauge point where phi vanishes. Defaults to the first sample. Any
         choice yields the same trajectory; it shifts which drive realizes it.
     """
-    t = validate_grid(grid)
+    t = grid if _grid_checked else validate_grid(grid)  # synthesis has checked both already
+    omega0 = omega0 if _grid_checked else _per_sample_omega0(omega0, t)
     delta = _numeric(delta, "delta", float)
-    omega0_arr = _per_sample_omega0(omega0, t)
     if delta.shape != t.shape:
         raise ValidationError("delta must match the grid shape")
     if not np.all(np.isfinite(delta)):
@@ -173,8 +176,40 @@ def phase_from_detuning(omega0, delta, grid, *, zero_time: float | None = None) 
         raise ValidationError(f"the gauge point must be a time, got {zero_time!r}") from None
     if not t[0] <= t0 <= t[-1]:  # also rejects NaN
         raise ValidationError(f"zero_time {t0:g} outside the window [{t[0]:g}, {t[-1]:g}]")
-    anti = CubicSpline(t, omega0_arr + delta).antiderivative()
-    return anti(t) - anti(t0)
+    return _spline_integral(t, omega0 + delta, t0)
+
+
+def _spline_integral(t: np.ndarray, y: np.ndarray, t0: float) -> np.ndarray:
+    """Integral from ``t0`` to each knot of the not-a-knot cubic spline through (t, y).
+
+    The knot slopes s solve the banded system scipy's ``CubicSpline`` solves, with
+    its cases for two points (a line) and three (a parabola). On each interval the
+    spline is the cubic Hermite interpolant of its end values and slopes, whose
+    integral is h (y_i + y_i+1) / 2 + h^2 (s_i - s_i+1) / 12 (de Boor 1978, ch. IV).
+    """
+    h = np.diff(t)
+    m = np.diff(y) / h  # secant slopes
+    ab, b = np.zeros((3, t.size)), np.empty(t.size)  # the tridiagonal matrix, by diagonals
+    ab[0, 2:], ab[1, 1:-1], ab[2, :-2] = h[:-1], 2.0 * (h[:-1] + h[1:]), h[1:]
+    b[1:-1] = 3.0 * (h[1:] * m[:-1] + h[:-1] * m[1:])
+    if t.size == 2:
+        ab[1], b[:] = 1.0, m[0]
+    elif t.size == 3:
+        ab[0, 1] = ab[1, 0] = ab[1, 2] = ab[2, 1] = 1.0
+        b[0], b[2] = 2.0 * m
+    else:  # the third derivative is continuous across the second and the last-but-one knot
+        d0, d1 = t[2] - t[0], t[-1] - t[-3]
+        ab[1, 0], ab[0, 1], ab[1, -1], ab[2, -2] = h[1], d0, h[-2], d1
+        b[0] = ((h[0] + 2.0 * d0) * h[1] * m[0] + h[0] ** 2 * m[1]) / d0
+        b[-1] = (h[-1] ** 2 * m[-2] + (2.0 * d1 + h[-1]) * h[-2] * m[-1]) / d1
+    s = solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True, check_finite=False)
+    anti = np.concatenate(([0.0], np.cumsum(0.5 * h * (y[:-1] + y[1:])
+                                            + h * h / 12.0 * (s[:-1] - s[1:]))))
+    # t0 lies a fraction x into interval j, where the cubic is y_j + a x + c x^2 + e x^3
+    j = min(int(np.searchsorted(t, t0, side="right")) - 1, t.size - 2)
+    x, a, dy, da = (t0 - t[j]) / h[j], h[j] * s[j], y[j + 1] - y[j], h[j] * (s[j + 1] - s[j])
+    c, e = 3.0 * dy - 3.0 * a - da, a + a + da - 2.0 * dy
+    return anti - anti[j] - h[j] * x * (y[j] + x * (a / 2.0 + x * (c / 3.0 + x * e / 4.0)))
 
 
 def _per_sample_omega0(omega0, t: np.ndarray) -> np.ndarray:
@@ -270,7 +305,7 @@ def _synthesize(spec, rates, omega0, grid, *, phase_zero="center"):
     named = {"center": 0.5 * (t[0] + t[-1]), "start": t[0]}
     zero_time = named.get(phase_zero, phase_zero) if isinstance(phase_zero, str) else phase_zero
     omega0 = _per_sample_omega0(omega0, t)
-    phi = phase_from_detuning(omega0, delta, t, zero_time=zero_time)
-    field = ControlField(t=t, omega=omega, delta=delta, phi=phi,
-                         omega_r=rabi_from_phase(omega, phi, t), omega0=omega0)
+    phi = phase_from_detuning(omega0, delta, t, zero_time=zero_time, _grid_checked=True)
+    field = ControlField(t, omega, delta, phi, rabi_from_phase(omega, phi, t), omega0,
+                         _grid_checked=True)
     return samples, v, field

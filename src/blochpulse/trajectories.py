@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, fields
 from typing import Union
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import IntegrationError, SingularPrescriptionError, ValidationError
 from .odeint import _MAX_STEPS
@@ -42,6 +41,7 @@ __all__ = [
 V_MIN = 1e-6
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(4)  # 4-point Gauss-Legendre rule on [-1, 1]
+_CHUNK_NODES = 1 << 16  # quadrature nodes the open v-completion evaluates at once
 
 
 def _check_finite(spec):
@@ -164,13 +164,15 @@ TrajectorySpec = Union[Transfer, Oscillatory, RabiDecay]
 
 @dataclass(frozen=True)
 class TrajectorySamples:
-    """Trajectory components and their derivatives on a time grid."""
+    """Trajectory components and their derivatives on a time grid, and the
+    ``spec`` they were evaluated from."""
 
     t: np.ndarray
     u: np.ndarray
     w: np.ndarray
     du: np.ndarray
     dw: np.ndarray
+    spec: TrajectorySpec
 
 
 def eval_components(spec: TrajectorySpec, grid) -> TrajectorySamples:
@@ -191,7 +193,7 @@ def eval_components(spec: TrajectorySpec, grid) -> TrajectorySamples:
     if not isinstance(spec, (Transfer, RabiDecay)):
         raise ValidationError(f"unknown trajectory family: {type(spec).__name__}")
     u, w, du, dw = spec.components(t)
-    return TrajectorySamples(t=t, u=u, w=w, du=du, dw=dw)
+    return TrajectorySamples(t=t, u=u, w=w, du=du, dw=dw, spec=spec)
 
 
 def complete_v_closed(samples: TrajectorySamples) -> np.ndarray:
@@ -231,9 +233,10 @@ def solve_consistent_v_open(
 
         s_{k+1} = exp(-2 G h_k) s_k + int_{t_k}^{t_{k+1}} exp(-2 G (t_{k+1} - tau)) q(tau) dtau
 
-    with q the second term, read from one cubic spline through (u, w, du, dw).
+    with q the second term, read from ``samples.spec`` at the quadrature nodes.
     Each interval splits into ceil(8 G max h) equal panels, so 2 G h <= 1/4 on
-    each, of 4-point Gauss-Legendre quadrature. Past the integrator's step
+    each, of 4-point Gauss-Legendre quadrature; the nodes are evaluated a
+    fixed-size chunk of intervals at a time. Past the integrator's step
     budget of panels, it raises ``IntegrationError`` at the first sample. ``v0``
     lies in [0, 1] and defaults to the closed-sphere completion at the first
     sample. With both rates zero this reproduces ``complete_v_closed`` since
@@ -268,12 +271,16 @@ def _consistent_s(samples: TrajectorySamples, rates: Rates, s0: float) -> np.nda
             f"the v-completion's quadrature panels exceed the step budget (8 G h = {rate_h:.3g}) "
             f"at t = {t[0]:.6g} ps", t_first=float(t[0]))
     nodes = ((np.arange(panels)[:, None] + 0.5 * (1.0 + _GL_X)) / panels).ravel()  # in units of h
-    table = CubicSpline(t, np.column_stack([samples.u, samples.w, samples.du, samples.dw]))
-    u, w, du, dw = table((t[:-1, None] + h[:, None] * nodes).ravel()).T
     gam_th, occ = rates.thermal, rates.occupancy
-    q = -2.0 * ((du + g_t * u) * u + (dw + 2.0 * gam_th * (1.0 + w + 2.0 * occ * w)) * w)
-    weights = np.exp(-2.0 * g_t * h[:, None] * (1.0 - nodes)) * np.tile(_GL_W, panels)
-    forced = 0.5 / panels * h * np.sum(weights * q.reshape(h.size, -1), axis=1)
+    forced = np.empty(h.size)
+    rows = max(_CHUNK_NODES // nodes.size, 1)  # intervals per chunk
+    for k in range(0, h.size, rows):
+        hk = h[k:k + rows, None]
+        u, w, du, dw = samples.spec.components((t[k:k + hk.size, None] + hk * nodes).ravel())
+        q = -2.0 * ((du + g_t * u) * u + (dw + 2.0 * gam_th * (1.0 + w + 2.0 * occ * w)) * w)
+        weights = np.exp(-2.0 * g_t * hk * (1.0 - nodes)) * np.tile(_GL_W, panels)
+        forced[k:k + rows] = np.sum(weights * q.reshape(hk.size, -1), axis=1)
+    forced *= 0.5 / panels * h
     s = [s0]
     for a, b in zip(np.exp(-2.0 * g_t * h).tolist(), forced.tolist()):
         s.append(a * s[-1] + b)

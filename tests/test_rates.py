@@ -5,6 +5,7 @@ Rates(2e-3, 5e-4, 1.5) gives 2e-3 + 5e-4 * 4 = 4e-3; inversion decay is
 2 thermal (2 occ + 1); equilibrium inversion is -1 / (2 occ + 1).
 """
 
+import numpy as np
 import pytest
 
 from blochpulse import (
@@ -47,7 +48,20 @@ def test_closed_flag():
     {"occupancy": -0.1},
     {"dephasing": float("nan")},
     {"thermal": float("inf")},
+    # a rate is one number, never an array
+    {"dephasing": [1.0, 2.0]},
+    {"thermal": [1e-3]},
+    {"occupancy": (0.1,)},
+    {"dephasing": np.array([0.5])},
+    {"thermal": np.zeros((1, 1))},
+    {"occupancy": []},
 ])
 def test_rates_reject_invalid(bad):
-    with pytest.raises(ValidationError):
+    (name,) = bad
+    with pytest.raises(ValidationError, match=f"rate '{name}'"):
         Rates(**bad)
+
+
+def test_rates_accept_a_zero_dimensional_array():
+    rates = Rates(dephasing=np.array(2e-3), thermal=np.float64(5e-4), occupancy=np.array(1.5))
+    assert transverse_rate(rates) == pytest.approx(4e-3, rel=1e-15)

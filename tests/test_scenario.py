@@ -343,8 +343,9 @@ def test_pictures_of_one_run_share_one_channel_table(monkeypatch):
     n = _MINI.window.samples
     assert len(run.results) == 3
     assert built.count((n, 5)) == 1  # one channel table
-    # the step scale's two reads on 4n points (values and phase slopes), and no read per step
-    assert read == [4 * n, 4 * n]
+    # no read at all: the step scale comes from the samples, and each step reads the
+    # table's flat coefficient buffer
+    assert read == []
 
 
 def test_open_run_drive_comes_from_the_reported_v():

@@ -3,12 +3,17 @@
 Oracles are hand arithmetic on single samples (the inversion formulas are
 pointwise) and antiderivatives known in closed form. A cubic detuning is
 reproduced exactly by the spline quadrature, which pins the integrator to
-machine precision rather than a loose tolerance.
+machine precision rather than a loose tolerance; on random grids the
+closed-form phase is checked against scipy's spline antiderivative.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
+import blochpulse
 from blochpulse import (
     CarrierSingularityError,
     ControlField,
@@ -74,6 +79,36 @@ def test_phase_quadrature_cosine():
     t = np.linspace(0.0, 3.0, 301)
     phi = phase_from_detuning(0.0, np.cos(t), t)
     assert np.max(np.abs(phi - np.sin(t))) < 1e-8
+
+
+@st.composite
+def _phase_inputs(draw):
+    """A strictly increasing grid of 2 to 40 samples (2 and 3 are scipy's special
+    cases), a detuning, omega0 as a scalar or per sample, and a gauge point."""
+    n = draw(st.one_of(st.sampled_from([2, 3]), st.integers(2, 40)))
+    t = draw(st.floats(-100.0, 100.0)) + np.cumsum(
+        [0.0] + draw(st.lists(st.floats(0.01, 5.0), min_size=n - 1, max_size=n - 1)))
+    values = st.floats(-10.0, 10.0)
+    delta = np.array(draw(st.lists(values, min_size=n, max_size=n)))
+    omega0 = draw(st.one_of(values, st.lists(values, min_size=n, max_size=n).map(np.array)))
+    zero_time = draw(st.one_of(st.sampled_from(t.tolist()),
+                               st.floats(0.0, 1.0).map(lambda x: min(t[0] + x * (t[-1] - t[0]),
+                                                                     t[-1]))))
+    return t, delta, omega0, zero_time
+
+
+@settings(max_examples=300, deadline=None)
+@given(_phase_inputs())
+def test_phase_matches_the_scipy_spline_antiderivative(inputs):
+    t, delta, omega0, zero_time = inputs
+    spline = CubicSpline(t, omega0 + delta)
+    anti = spline.antiderivative()
+    phi = phase_from_detuning(omega0, delta, t, zero_time=zero_time)
+    # relative to a bound on the integral of the spline's magnitude (a not-a-knot spline
+    # overshoots its samples on uneven grids), summed over intervals from its coefficients
+    h = np.diff(t)
+    scale = np.sum(np.abs(spline.c) * h ** np.arange(4, 0, -1)[:, None])
+    assert np.max(np.abs(phi - (anti(t) - anti(zero_time)))) <= 1e-12 * scale
 
 
 def test_phase_gauge_point():
@@ -200,6 +235,25 @@ def test_synthesize_long_window_hits_carrier_pole():
     grid = np.linspace(-600.0, 600.0, 1201)
     with pytest.raises(CarrierSingularityError):
         synthesize_pulse(spec, Rates(), 15e-3, grid)
+
+
+@pytest.mark.parametrize("rates", [Rates(), Rates(dephasing=1e-3, thermal=1e-4)])
+def test_one_synthesis_validates_its_grid_and_omega0_once(monkeypatch, rates):
+    calls = []
+
+    def spy(fn):
+        def counted(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return counted
+
+    validate = spy(blochpulse.states.validate_grid)
+    for module in (blochpulse.states, blochpulse.trajectories, blochpulse.synthesis):
+        monkeypatch.setattr(module, "validate_grid", validate)
+    monkeypatch.setattr(blochpulse.synthesis, "_per_sample_omega0",
+                        spy(blochpulse.synthesis._per_sample_omega0))
+    synthesize_pulse(_SPEC, rates, 5e-3, np.linspace(-120.0, 120.0, 241))
+    assert sorted(calls) == ["_per_sample_omega0", "validate_grid"]
 
 
 def test_synthesize_open_matches_manual_pipeline():

@@ -13,6 +13,7 @@ components and integrated by a finer Gauss-Legendre rule.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from blochpulse import (
     preset,
     solve_consistent_v_open,
 )
+from blochpulse import trajectories
 from blochpulse.rates import transverse_rate
 from blochpulse.trajectories import V_MIN
 
@@ -227,6 +229,31 @@ def test_open_completion_past_the_step_budget_raises_at_the_first_sample(dephasi
     with pytest.raises(IntegrationError) as err:
         solve_consistent_v_open(samples, Rates(dephasing=dephasing))
     assert err.value.t_first == samples.t[0]
+
+
+def test_open_completion_memory_is_bounded_by_its_chunks():
+    # fig3's grid at dephasing 300 takes 960k quadrature panels: 3.8M nodes, which
+    # evaluated at once held about 216 MB. s collapses to its fixed point, below the floor.
+    cfg = preset("fig3")
+    samples = eval_components(cfg.trajectory, cfg.window.grid())
+    tracemalloc.start()
+    try:
+        with pytest.raises(SingularPrescriptionError):
+            solve_consistent_v_open(samples, Rates(dephasing=300.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
+
+
+@pytest.mark.parametrize("chunk", [1, 2**62], ids=["one-interval-per-chunk", "one-chunk"])
+def test_open_completion_chunks_do_not_change_s(monkeypatch, chunk):
+    cfg = preset("fig3")
+    samples = eval_components(cfg.trajectory, cfg.window.grid())
+    rates = Rates(dephasing=30.0, thermal=1e-3, occupancy=0.2)  # 96k panels in 6 chunks
+    s = trajectories._consistent_s(samples, rates, 0.5)
+    monkeypatch.setattr(trajectories, "_CHUNK_NODES", chunk)
+    assert np.array_equal(trajectories._consistent_s(samples, rates, 0.5), s)
 
 
 _TRANSFER = dict(inversion_start=st.floats(-1.0, -0.1), inversion_stop=st.floats(-0.2, 1.0),
