@@ -199,14 +199,14 @@ def _integrate(kernel, t_span, y0, t_eval, rtol, atol,
     y = np.atleast_1d(y0).astype(np.result_type(y0, np.float64), copy=True)
     if y.ndim != 1:
         raise ValidationError("initial state must flatten to a 1-D vector")
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise ValidationError("initial state contains non-finite values")
     teval = np.asarray(t_eval, dtype=float)
     if teval.ndim != 1 or teval.size == 0:
         raise ValidationError("t_eval must be a non-empty 1-D array")
-    if np.any(np.diff(teval) < 0.0):
+    if not (np.diff(teval) >= 0.0).all():  # also rejects NaN
         raise ValidationError("t_eval must be non-decreasing")
-    if teval[0] < t0 - SPAN_SLACK or teval[-1] > t1 + SPAN_SLACK:
+    if not t0 - SPAN_SLACK <= teval[0] <= teval[-1] <= t1 + SPAN_SLACK:
         raise ValidationError("t_eval must lie within t_span")
     max_step = float(max_step)
     if not max_step > 0.0:  # also rejects NaN
@@ -262,24 +262,23 @@ def _dense_output(teval, t0, y0, y_end, steps) -> np.ndarray:
 
     A sample belongs to the first step whose end, plus 1e-14 max(|t|, 1) of
     roundoff slack, reaches it. Samples at or before t0 get y0, samples past
-    the last step the final state.
+    the last step the final state; ``teval`` is sorted, so each group is one run.
     """
     ts, hs, ys, ks = (np.array(col) for col in zip(*steps))
     ks = ks.reshape(len(steps), 7, y0.size)
     # a running maximum, so searchsorted finds the first end that reaches a sample
     ends = np.maximum.accumulate(ts + hs + 1e-14 * np.maximum(np.abs(ts), 1.0))
     idx = np.searchsorted(ends, teval, side="left")
-    inside = (teval > t0) & (idx < len(steps))
-    j = idx[inside]
-    theta = np.clip((teval[inside] - ts[j]) / hs[j], 0.0, 1.0)
+    lo, hi = np.searchsorted(teval, t0, side="right"), np.searchsorted(idx, len(steps))
+    j = idx[lo:hi]
+    theta = np.clip((teval[lo:hi] - ts[j]) / hs[j], 0.0, 1.0)
     # y(t + theta h) = y + theta (c1 + theta (c2 + theta (c3 + theta c4))), (c1 .. c4) = h K^T P,
     # gathered per sample along the last axis, so each product runs over the samples
     c1, c2, c3, c4 = np.take(np.transpose(hs[:, None, None] * (np.swapaxes(ks, 1, 2) @ _P)), j,
                              axis=2)
     out = np.empty((teval.size, y0.size), dtype=y0.dtype)
-    out[teval <= t0] = y0
-    out[idx >= len(steps)] = y_end
-    out[inside] = (ys.T[:, j] + theta * (c1 + theta * (c2 + theta * (c3 + theta * c4)))).T
+    out[:lo], out[hi:] = y0, y_end
+    out[lo:hi] = (ys.T[:, j] + theta * (c1 + theta * (c2 + theta * (c3 + theta * c4)))).T
     return out
 
 

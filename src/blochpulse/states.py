@@ -71,9 +71,9 @@ def validate_grid(t) -> np.ndarray:
     grid = _numeric(t, "time grid", float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValidationError("time grid must be 1-D with at least two samples")
-    if not np.all(np.isfinite(grid)):
+    if not np.isfinite(grid).all():
         raise ValidationError("time grid contains non-finite values")
-    if not np.all(np.diff(grid) > 0.0):
+    if not (np.diff(grid) > 0.0).all():
         raise ValidationError("time grid must be strictly increasing")
     return grid
 

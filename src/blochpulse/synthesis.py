@@ -22,10 +22,11 @@ from dataclasses import InitVar, dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.linalg import solve_banded
+from scipy.interpolate import PPoly
+from scipy.linalg.lapack import dgtsv
 
-from .errors import CarrierSingularityError, SingularPrescriptionError, ValidationError
+from .errors import (CarrierSingularityError, NumericalError, SingularPrescriptionError,
+                     ValidationError)
 from .rates import Rates, transverse_rate
 from .states import _numeric, validate_grid
 from .trajectories import (
@@ -56,10 +57,10 @@ _CHANNELS = ("omega", "delta", "phi", "omega_r", "omega0")
 class ControlField:
     """A synthesized drive, sampled on a time grid.
 
-    ``channels``, one cubic-spline table over all five, and its coefficients as
-    one flat buffer of floats (``_coefficients``, which the pictures read) are
-    built at first use and ``fastest_scale`` computed once; so do not change a
-    field's arrays in place after it is built.
+    ``channels``, one cubic-spline table over all five (a ``PPoly`` holding the
+    coefficients of scipy's ``CubicSpline``), and its coefficients as one flat buffer of floats
+    (``_coefficients``, which the pictures read) are built at first use and
+    ``fastest_scale`` computed once; so do not change a field's arrays in place.
 
     Attributes
     ----------
@@ -93,14 +94,18 @@ class ControlField:
             arr = getattr(self, name)
             if arr.shape != (n,):
                 raise ValidationError(f"ControlField.{name} must have shape ({n},)")
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValidationError(f"ControlField.{name} contains non-finite values")
 
     @cached_property
-    def channels(self) -> CubicSpline:
+    def channels(self) -> PPoly:
         """Exact-at-the-samples table of (omega, delta, phi, omega_r, omega0) along the
         last axis: ``channels(t, nu=0)`` reads them, or their nu-th derivatives, at t."""
-        return CubicSpline(self.t, np.column_stack([getattr(self, name) for name in _CHANNELS]))
+        y = np.column_stack([getattr(self, name) for name in _CHANNELS])
+        t, h, s = self.t, np.diff(self.t)[:, None], _spline_slopes(self.t, y)
+        m = np.diff(y, axis=0) / h  # each piece is the Hermite cubic of its ends, as in scipy
+        c = (s[:-1] + s[1:] - 2 * m) / h
+        return PPoly.construct_fast(np.stack((c / h, (m - s[:-1]) / h - c, s[:-1], y[:-1])), t)
 
     @cached_property
     def _coefficients(self) -> tuple[list, bytes]:
@@ -135,7 +140,7 @@ def omega_delta_from_components(u, w, du, dw, v, rates: Rates) -> tuple[np.ndarr
     ``V_MIN`` (defensive; completions enforce this too).
     """
     u, w, du, dw, v = map(_numeric, (u, w, du, dw, v), ("u", "w", "du", "dw", "v"))
-    if np.any(v < V_MIN):
+    if (v < V_MIN).any():
         raise SingularPrescriptionError(
             f"transverse component below {V_MIN:g}; pulse undefined")
     g_t = transverse_rate(rates)
@@ -168,7 +173,7 @@ def phase_from_detuning(omega0, delta, grid, *, zero_time: float | None = None,
     delta = _numeric(delta, "delta", float)
     if delta.shape != t.shape:
         raise ValidationError("delta must match the grid shape")
-    if not np.all(np.isfinite(delta)):
+    if not np.isfinite(delta).all():
         raise ValidationError("delta contains non-finite values")
     try:
         t0 = t[0] if zero_time is None else float(zero_time)
@@ -182,27 +187,11 @@ def phase_from_detuning(omega0, delta, grid, *, zero_time: float | None = None,
 def _spline_integral(t: np.ndarray, y: np.ndarray, t0: float) -> np.ndarray:
     """Integral from ``t0`` to each knot of the not-a-knot cubic spline through (t, y).
 
-    The knot slopes s solve the banded system scipy's ``CubicSpline`` solves, with
-    its cases for two points (a line) and three (a parabola). On each interval the
-    spline is the cubic Hermite interpolant of its end values and slopes, whose
-    integral is h (y_i + y_i+1) / 2 + h^2 (s_i - s_i+1) / 12 (de Boor 1978, ch. IV).
+    On each interval the spline is the cubic Hermite interpolant of its end values
+    and ``_spline_slopes``, whose integral is h (y_i + y_i+1) / 2 + h^2 (s_i - s_i+1) / 12
+    (de Boor 1978, ch. IV).
     """
-    h = np.diff(t)
-    m = np.diff(y) / h  # secant slopes
-    ab, b = np.zeros((3, t.size)), np.empty(t.size)  # the tridiagonal matrix, by diagonals
-    ab[0, 2:], ab[1, 1:-1], ab[2, :-2] = h[:-1], 2.0 * (h[:-1] + h[1:]), h[1:]
-    b[1:-1] = 3.0 * (h[1:] * m[:-1] + h[:-1] * m[1:])
-    if t.size == 2:
-        ab[1], b[:] = 1.0, m[0]
-    elif t.size == 3:
-        ab[0, 1] = ab[1, 0] = ab[1, 2] = ab[2, 1] = 1.0
-        b[0], b[2] = 2.0 * m
-    else:  # the third derivative is continuous across the second and the last-but-one knot
-        d0, d1 = t[2] - t[0], t[-1] - t[-3]
-        ab[1, 0], ab[0, 1], ab[1, -1], ab[2, -2] = h[1], d0, h[-2], d1
-        b[0] = ((h[0] + 2.0 * d0) * h[1] * m[0] + h[0] ** 2 * m[1]) / d0
-        b[-1] = (h[-1] ** 2 * m[-2] + (2.0 * d1 + h[-1]) * h[-2] * m[-1]) / d1
-    s = solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True, check_finite=False)
+    h, s = np.diff(t), _spline_slopes(t, y)
     anti = np.concatenate(([0.0], np.cumsum(0.5 * h * (y[:-1] + y[1:])
                                             + h * h / 12.0 * (s[:-1] - s[1:]))))
     # t0 lies a fraction x into interval j, where the cubic is y_j + a x + c x^2 + e x^3
@@ -212,6 +201,32 @@ def _spline_integral(t: np.ndarray, y: np.ndarray, t0: float) -> np.ndarray:
     return anti - anti[j] - h[j] * x * (y[j] + x * (a / 2.0 + x * (c / 3.0 + x * e / 4.0)))
 
 
+def _spline_slopes(t: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Knot slopes of the not-a-knot cubic spline through (t, y), y of shape (n,) or (n, k):
+    scipy's ``CubicSpline`` system, solved by the LAPACK ``gtsv`` call it makes, with its
+    cases for two points (a line) and three (a parabola)."""
+    h = np.diff(t)
+    hr = h.reshape((-1,) + (1,) * (y.ndim - 1))
+    m = np.diff(y, axis=0) / hr  # secant slopes
+    dl, d, du = np.append(h[1:], 0.0), np.zeros(t.size), np.append(0.0, h[:-1])  # diagonals
+    b = np.empty(y.shape, order="F")  # the right side, in LAPACK's column order
+    d[1:-1], b[1:-1] = 2.0 * (h[:-1] + h[1:]), 3.0 * (hr[1:] * m[:-1] + hr[:-1] * m[1:])
+    if t.size == 2:
+        d[:], b[:] = 1.0, m[0]
+    elif t.size == 3:
+        d[0] = d[2] = du[0] = dl[1] = 1.0
+        b[0], b[2] = 2.0 * m
+    else:  # the third derivative is continuous across the second and the last-but-one knot
+        d0, d1 = t[2] - t[0], t[-1] - t[-3]
+        d[0], du[0], d[-1], dl[-1] = h[1], d0, h[-2], d1
+        b[0] = ((h[0] + 2.0 * d0) * h[1] * m[0] + h[0] ** 2 * m[1]) / d0
+        b[-1] = (h[-1] ** 2 * m[-2] + (2.0 * d1 + h[-1]) * h[-2] * m[-1]) / d1
+    *_, s, info = dgtsv(dl, d, du, b, True, True, True, True)
+    if info:  # a zero pivot at knot info - 1; impossible on a strictly increasing grid
+        raise NumericalError(f"singular spline slopes (gtsv info {info})", t_first=t[info - 1])
+    return s
+
+
 def _per_sample_omega0(omega0, t: np.ndarray) -> np.ndarray:
     """omega0, a finite scalar or one finite value per sample, as a new array over ``t``."""
     try:
@@ -219,7 +234,7 @@ def _per_sample_omega0(omega0, t: np.ndarray) -> np.ndarray:
     except (TypeError, ValueError):
         raise ValidationError(
             f"omega0 must be a number or {t.size} numbers, one per sample") from None
-    if not np.all(np.isfinite(omega0)):
+    if not np.isfinite(omega0).all():
         raise ValidationError("omega0 contains non-finite values")
     return omega0
 
@@ -244,7 +259,7 @@ def rabi_from_phase(omega, phi, times) -> np.ndarray:
     with np.errstate(invalid="ignore"):  # cos of an infinite phase is NaN, flagged below
         denom = 1.0 + np.cos(2.0 * phi)
     low = ~(denom >= DENOM_MIN)
-    if np.any(low):
+    if low.any():
         t_low = float(times.flat[np.argmax(low)])
         raise CarrierSingularityError(
             f"carrier factor 1 + cos(2 phi) below {DENOM_MIN:g} or not finite at "

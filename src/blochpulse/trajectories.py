@@ -18,10 +18,9 @@ from typing import Union
 import numpy as np
 
 from .errors import IntegrationError, SingularPrescriptionError, ValidationError
-from .odeint import _MAX_STEPS
 # integrate_adaptive is unused here but stays importable from this module: the
 # benchmark tracer in perfbench/ wraps it by name.
-from .odeint import integrate_adaptive  # noqa: F401
+from .odeint import _MAX_STEPS, integrate_adaptive  # noqa: F401
 from .rates import Rates, transverse_rate
 from .states import BLOCH_NORM_SLACK, validate_grid
 
@@ -208,7 +207,7 @@ def complete_v_closed(samples: TrajectorySamples) -> np.ndarray:
     """
     s = 1.0 - samples.u**2 - samples.w**2
     bad = s < -BLOCH_NORM_SLACK
-    if np.any(bad):
+    if bad.any():
         t_bad = samples.t[np.argmax(bad)]
         raise ValidationError(
             f"prescription leaves the Bloch sphere (u^2 + w^2 > 1) at t = {t_bad:.6g} ps"
@@ -233,14 +232,14 @@ def solve_consistent_v_open(
 
         s_{k+1} = exp(-2 G h_k) s_k + int_{t_k}^{t_{k+1}} exp(-2 G (t_{k+1} - tau)) q(tau) dtau
 
-    with q the second term, read from ``samples.spec`` at the quadrature nodes.
-    Each interval splits into ceil(8 G max h) equal panels, so 2 G h <= 1/4 on
-    each, of 4-point Gauss-Legendre quadrature; the nodes are evaluated a
-    fixed-size chunk of intervals at a time. Past the integrator's step
-    budget of panels, it raises ``IntegrationError`` at the first sample. ``v0``
-    lies in [0, 1] and defaults to the closed-sphere completion at the first
-    sample. With both rates zero this reproduces ``complete_v_closed`` since
-    the right side reduces to d(1 - u^2 - w^2)/dt.
+    with q the second term, read from ``samples.spec`` at the quadrature nodes. Each
+    interval splits into ceil(8 G max h) equal panels, so 2 G h <= 1/4 on each, of 4-point
+    Gauss-Legendre quadrature; the nodes are evaluated a fixed-size chunk of intervals at a
+    time, and the recurrence runs as one log-depth scan over all intervals. Past the
+    integrator's step budget of panels, it raises ``IntegrationError`` at the first sample.
+    ``v0`` lies in [0, 1] and defaults to the closed-sphere completion at the first sample.
+    With both rates zero this reproduces ``complete_v_closed`` since the right side reduces
+    to d(1 - u^2 - w^2)/dt.
 
     Returns the positive root v(t) on the sample grid.
     """
@@ -280,11 +279,18 @@ def _consistent_s(samples: TrajectorySamples, rates: Rates, s0: float) -> np.nda
         q = -2.0 * ((du + g_t * u) * u + (dw + 2.0 * gam_th * (1.0 + w + 2.0 * occ * w)) * w)
         weights = np.exp(-2.0 * g_t * hk * (1.0 - nodes)) * np.tile(_GL_W, panels)
         forced[k:k + rows] = np.sum(weights * q.reshape(hk.size, -1), axis=1)
-    forced *= 0.5 / panels * h
-    s = [s0]
-    for a, b in zip(np.exp(-2.0 * g_t * h).tolist(), forced.tolist()):
-        s.append(a * s[-1] + b)
-    return np.array(s)
+    return _affine_scan(s0, np.exp(-2.0 * g_t * h), forced * (0.5 / panels * h))
+
+
+def _affine_scan(s0: float, a: np.ndarray, b: np.ndarray, refine: bool = True) -> np.ndarray:
+    """s_0 = s0 and s_{k+1} = a_k s_k + b_k, a_k in [0, 1], by a Hillis-Steele scan of the
+    maps (a, b) o (a', b') = (a a', a b' + b) after (0, s0); it never divides (Blelloch 1990).
+    The scan of the residual then corrects s to the accuracy of the sequential loop."""
+    p, s = np.concatenate(([0.0], a)), np.concatenate(([s0], b))
+    for d in (1 << k for k in range((s.size - 1).bit_length())):  # 1, 2, 4, ... < s.size
+        s[d:] += p[d:] * s[:-d]  # each element now composes the 2d maps that end at it
+        p[d:] *= p[:-d]
+    return s + _affine_scan(0.0, a, a * s[:-1] + b - s[1:], False) if refine else s
 
 
 def _root_above_floor(s: np.ndarray, t: np.ndarray, what: str) -> np.ndarray:
@@ -292,7 +298,7 @@ def _root_above_floor(s: np.ndarray, t: np.ndarray, what: str) -> np.ndarray:
     time ``t`` where v is below ``V_MIN``."""
     v = np.sqrt(np.clip(s, 0.0, None))
     low = v < V_MIN
-    if np.any(low):
+    if low.any():
         t_low = float(t[np.argmax(low)])
         raise SingularPrescriptionError(
             f"{what} below {V_MIN:g} at t = {t_low:.6g} ps; the pulse is singular there",

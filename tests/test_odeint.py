@@ -101,6 +101,8 @@ def test_blowup_underflows_step_size():
     {"t_eval": np.array([])},
     {"t_eval": np.array([0.5, 0.2])},
     {"t_eval": np.array([-1.0, 0.5])},
+    {"t_eval": np.array([0.0, np.nan, 1.0])},
+    {"t_eval": np.array([np.nan])},
     {"max_step": 0.0},
     {"max_step": np.nan},
     {"rtol": 0.0, "atol": 0.0},

@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import PPoly
 
-from blochpulse import scenario
+from blochpulse import scenario, synthesis
 from blochpulse.errors import NumericalError
 
 from blochpulse import (
@@ -65,50 +65,44 @@ def _base_dict():
     }
 
 
-def _random_config(rng, i):
-    family = i % 3
-    if family == 0:
-        traj = Transfer(
-            inversion_start=rng.uniform(-1, 1), inversion_stop=rng.uniform(-1, 1),
-            switch_rate=rng.uniform(1e-3, 0.05), coherence_peak=rng.uniform(-1, 1),
-            peak_width=rng.uniform(10, 200), peak_time=rng.uniform(-50, 50))
-    elif family == 1:
-        traj = Oscillatory(
-            inversion_start=rng.uniform(-1, 1), inversion_stop=rng.uniform(-1, 1),
-            switch_rate=rng.uniform(1e-3, 0.05), coherence_peak=rng.uniform(-1, 1),
-            peak_width=rng.uniform(10, 200), ripple_amplitude=rng.uniform(-0.2, 0.2),
-            ripple_frequency=rng.uniform(0, 0.2))
-    else:
-        traj = RabiDecay(
-            inversion_amplitude=rng.uniform(-1, 1), decay_curvature=rng.uniform(0, 1e-6),
-            inversion_frequency=rng.uniform(0, 0.02), chirp_rate=rng.uniform(-1e-5, 1e-5),
-            coherence_amplitude=rng.uniform(-1, 1), coherence_frequency=rng.uniform(0, 0.02))
-    closed = rng.random() < 0.5
-    rates = Rates() if closed else Rates(dephasing=rng.uniform(0, 0.01),
-                                         thermal=rng.uniform(0, 0.01),
-                                         occupancy=rng.uniform(0, 3))
-    if rng.random() < 0.5:
-        transition = TransitionSpec.constant(rng.uniform(1e-3, 0.02))
-    else:
-        transition = TransitionSpec.ramp(rng.uniform(1e-3, 0.02), rng.uniform(1e-3, 0.02))
-    start = rng.uniform(-200, 0)
-    window = Window(start, start + rng.uniform(10, 400), int(rng.integers(2, 2000)))
+_INVERSION = dict(inversion_start=st.floats(-1, 1), inversion_stop=st.floats(-1, 1),
+                  switch_rate=st.floats(1e-3, 0.05), coherence_peak=st.floats(-1, 1),
+                  peak_width=st.floats(10, 200))
+_TRAJECTORIES = st.one_of(
+    st.builds(Transfer, **_INVERSION, peak_time=st.floats(-50, 50)),
+    st.builds(Oscillatory, **_INVERSION, ripple_amplitude=st.floats(-0.2, 0.2),
+              ripple_frequency=st.floats(0, 0.2)),
+    st.builds(RabiDecay, inversion_amplitude=st.floats(-1, 1), decay_curvature=st.floats(0, 1e-6),
+              inversion_frequency=st.floats(0, 0.02), chirp_rate=st.floats(-1e-5, 1e-5),
+              coherence_amplitude=st.floats(-1, 1), coherence_frequency=st.floats(0, 0.02)))
+_OMEGA0 = st.floats(1e-3, 0.02)
+_TRANSITIONS = st.one_of(st.builds(TransitionSpec.constant, _OMEGA0),
+                         st.builds(TransitionSpec.ramp, _OMEGA0, _OMEGA0))
+# printable file stems, any script
+_NAMES = st.text(st.characters(exclude_characters="/\\", exclude_categories=("Cs",)),
+                 min_size=1, max_size=12).filter(lambda s: s.isprintable() and s not in (".", ".."))
+
+
+@st.composite
+def _configs(draw):
+    closed = draw(st.booleans())
+    rates = Rates() if closed else draw(st.builds(Rates, dephasing=st.floats(0, 0.01),
+                                                  thermal=st.floats(0, 0.01),
+                                                  occupancy=st.floats(0, 3)))
+    start = draw(st.floats(-200, 0))
+    window = Window(start, start + draw(st.floats(10, 400)), draw(st.integers(2, 2000)))
     choices = ["effective-bloch", "interaction"] + (["lab"] if closed else [])
-    n_pics = int(rng.integers(0, len(choices) + 1))
-    pictures = tuple(rng.choice(choices, size=n_pics, replace=False))
-    return ScenarioConfig(name=f"cfg_{i}", trajectory=traj, rates=rates,
-                          transition=transition, window=window,
-                          rtol=10.0 ** rng.uniform(-12, -6),
-                          atol=10.0 ** rng.uniform(-14, -8),
-                          pictures=pictures)
+    return ScenarioConfig(name=draw(_NAMES), trajectory=draw(_TRAJECTORIES), rates=rates,
+                          transition=draw(_TRANSITIONS), window=window,
+                          rtol=draw(st.floats(1e-12, 1e-6)), atol=draw(st.floats(1e-14, 1e-8)),
+                          pictures=tuple(draw(st.lists(st.sampled_from(choices), unique=True))))
 
 
-def test_serialization_round_trip_identity():
-    rng = np.random.default_rng(51)
-    for i in range(100):
-        cfg = _random_config(rng, i)
-        through_json = json.loads(json.dumps(scenario_to_dict(cfg)))
-        assert scenario_from_dict(through_json) == cfg
+@settings(max_examples=200, deadline=None)
+@given(_configs())
+def test_serialization_round_trip_identity(cfg):
+    through_json = json.loads(json.dumps(scenario_to_dict(cfg)))
+    assert scenario_from_dict(through_json) == cfg
 
 
 def test_file_round_trip(tmp_path):
@@ -325,19 +319,19 @@ def test_run_scenario_populates_everything(mini_run):
 
 def test_pictures_of_one_run_share_one_channel_table(monkeypatch):
     built, read = [], []
-    init, call = CubicSpline.__init__, CubicSpline.__call__
+    slopes, call = synthesis._spline_slopes, PPoly.__call__
 
-    def init_spy(self, x, y, *args, **kwargs):
+    def slopes_spy(t, y):
         built.append(np.shape(y))
-        init(self, x, y, *args, **kwargs)
+        return slopes(t, y)
 
     def call_spy(self, x, *args, **kwargs):
         if self.c.shape[2:] == (5,):  # a read of the channel table
             read.append(np.size(x))
         return call(self, x, *args, **kwargs)
 
-    monkeypatch.setattr(CubicSpline, "__init__", init_spy)
-    monkeypatch.setattr(CubicSpline, "__call__", call_spy)
+    monkeypatch.setattr(synthesis, "_spline_slopes", slopes_spy)
+    monkeypatch.setattr(PPoly, "__call__", call_spy)
     run = run_scenario(dataclasses.replace(
         _MINI, pictures=("effective-bloch", "interaction", "lab")))
     n = _MINI.window.samples

@@ -4,7 +4,8 @@ Oracles are hand arithmetic on single samples (the inversion formulas are
 pointwise) and antiderivatives known in closed form. A cubic detuning is
 reproduced exactly by the spline quadrature, which pins the integrator to
 machine precision rather than a loose tolerance; on random grids the
-closed-form phase is checked against scipy's spline antiderivative.
+closed-form phase is checked against scipy's spline antiderivative, and the
+knot slopes and the channel table against scipy's ``CubicSpline``.
 """
 
 import numpy as np
@@ -14,9 +15,11 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 import blochpulse
+from blochpulse import synthesis
 from blochpulse import (
     CarrierSingularityError,
     ControlField,
+    NumericalError,
     Rates,
     SingularPrescriptionError,
     Transfer,
@@ -109,6 +112,53 @@ def test_phase_matches_the_scipy_spline_antiderivative(inputs):
     h = np.diff(t)
     scale = np.sum(np.abs(spline.c) * h ** np.arange(4, 0, -1)[:, None])
     assert np.max(np.abs(phi - (anti(t) - anti(zero_time)))) <= 1e-12 * scale
+
+
+@st.composite
+def _spline_inputs(draw):
+    """An uneven, strictly increasing grid of 2 to 40 samples and five columns of values."""
+    n = draw(st.one_of(st.sampled_from([2, 3, 4]), st.integers(2, 40)))
+    t = draw(st.floats(-100.0, 100.0)) + np.cumsum(
+        [0.0] + draw(st.lists(st.floats(0.01, 5.0), min_size=n - 1, max_size=n - 1)))
+    row = st.lists(st.floats(-10.0, 10.0), min_size=5, max_size=5)
+    return t, np.array(draw(st.lists(row, min_size=n, max_size=n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_spline_inputs())
+def test_spline_slopes_and_channel_table_match_scipy(inputs):
+    t, y = inputs
+    ref = CubicSpline(t, y)
+    # a tolerance, not bit-identity, so that a change inside scipy does not fail this test:
+    # slopes relative to each column's largest, the table by each term's size over its interval
+    slopes = ref(t, 1)
+    slope_tol = 1e-9 * np.max(np.abs(slopes), axis=0)
+    for cols in (slice(0, 1), slice(0, 2), slice(0, 5)):
+        got = synthesis._spline_slopes(t, y[:, cols])
+        assert got.shape == y[:, cols].shape
+        assert np.all(np.abs(got - slopes[:, cols]) <= slope_tol[cols])
+    got = synthesis._spline_slopes(t, y[:, 0])  # one column as a 1-D array
+    assert got.shape == t.shape and np.all(np.abs(got - slopes[:, 0]) <= slope_tol[0])
+    table = ControlField(t, *y.T).channels
+    assert table.c.shape == ref.c.shape and np.array_equal(table.x, t)
+    h_pow = np.diff(t)[:, None] ** np.arange(3, -1, -1)[:, None, None]
+    term_scale = np.max(np.abs(ref.c) * h_pow, axis=(0, 1))
+    assert np.all(np.abs(table.c - ref.c) * h_pow <= 1e-9 * term_scale)
+    # and the table reads like scipy's, extrapolating past both ends
+    x = np.concatenate([t[:1] - 1.0, 0.5 * (t[1:] + t[:-1]), t[-1:] + 1.0])
+    for nu in (0, 1):
+        want = ref(x, nu)
+        assert np.all(np.abs(table(x, nu) - want) <= 1e-8 * np.max(np.abs(want), axis=0))
+
+
+def test_spline_slopes_report_a_failed_solve(monkeypatch):
+    # LAPACK's info > 0 is a zero pivot at knot info - 1; on a strictly increasing grid it
+    # cannot occur, so a stand-in solver reports it
+    t = np.linspace(0.0, 5.0, 6)
+    monkeypatch.setattr(synthesis, "dgtsv", lambda dl, d, du, b, *overwrite: (dl, d, du, b, 3))
+    with pytest.raises(NumericalError, match="gtsv info 3") as err:
+        phase_from_detuning(1.0, np.zeros(6), t)
+    assert err.value.t_first == t[2]
 
 
 def test_phase_gauge_point():
