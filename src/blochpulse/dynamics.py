@@ -18,20 +18,18 @@ G and Gamma_1 the transverse and inversion decay rates and Gamma the thermal
 rate; only the field b(t) differs. Every integrator takes the initial state as
 a Bloch vector, and one propagator integrates it with the Bloch step kernel of
 ``odeint`` and stores r; density matrices are derived from r on demand.
-Every picture of one field shares its channel table (``ControlField.channels``)
-and its ``fastest_scale``, which caps step sizes so carrier oscillations stay
-resolved. A picture reads its field once per step, at the five distinct stage
-times, on floats from the table's flat coefficient buffer and only for the
-channels it uses; each value is bit-identical to ``channels(times)``. Times in
-ps, angular frequencies in rad/ps.
+Every picture of one field shares its channel table and its ``fastest_scale``,
+which caps step sizes so carrier oscillations stay resolved. A picture reads its
+field once per step, at the five distinct stage times, on floats through the
+table's reader (``ControlField._reader``) and only for the channels it uses;
+each value is bit-identical to scipy's ``CubicSpline`` of the same coefficients
+at those times. Times in ps, angular frequencies in rad/ps.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from struct import Struct
 
 import numpy as np
 
@@ -40,7 +38,7 @@ from .odeint import ATOL, RTOL, SPAN_SLACK, IntegrationStats, integrate_bloch
 from .rates import Rates, inversion_decay_rate, transverse_rate
 from .states import (SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, _checked_bloch, _density, _numeric,
                      validate_grid)
-from .synthesis import _CHANNELS, ControlField
+from .synthesis import ControlField
 
 __all__ = [
     "SimResult",
@@ -88,28 +86,11 @@ class SimResult:
 
 # Fields b(t) with H = b . sigma / 2. Each takes the ControlField and returns
 # field(times), one (bx, by, bz) float triple per time, reading each channel it
-# uses as scipy's PPoly does, 0.0 + c3 + c2 s + c1 s^2 + c0 s^3 with s^3 = s^2 s.
-
-def _spline_pieces(field: ControlField, names):
-    """read(times): per time, its offset s, s^2, s^3 in its spline interval (the end
-    intervals outside the knots, as scipy extrapolates) and the (c0, c1, c2, c3)
-    of each channel in ``names``, in table order."""
-    knots, coef = field._coefficients
-    last = len(knots) - 2
-    unpack = Struct("".join("4d" if name in names else "32x" for name in _CHANNELS)).unpack_from
-
-    def read(times):
-        for t in times:
-            i = bisect_right(knots, t) - 1
-            i = 0 if i < 0 else last if i > last else i
-            s = t - knots[i]
-            s2 = s * s
-            yield s, s2, s2 * s, unpack(coef, 160 * i)  # 20 doubles, 160 bytes, per interval
-    return read
-
+# uses from the field's channel table in the order of operations of scipy's
+# spline evaluation, 0.0 + c3 + c2 s + c1 s^2 + c0 s^3 with s^3 = s^2 s.
 
 def _lab_field(field):
-    read = _spline_pieces(field, ("phi", "omega_r", "omega0"))
+    read = field._reader(("phi", "omega_r", "omega0"))
 
     def at(times):
         rows = []
@@ -122,7 +103,7 @@ def _lab_field(field):
 
 
 def _carrier_field(field):
-    read = _spline_pieces(field, ("delta", "phi", "omega_r"))
+    read = field._reader(("delta", "phi", "omega_r"))
 
     def at(times):
         rows = []
@@ -136,14 +117,14 @@ def _carrier_field(field):
 
 
 def _rwa_field(field):
-    read = _spline_pieces(field, ("delta", "omega_r"))
+    read = field._reader(("delta", "omega_r"))
     return lambda times: [(0.0 + r3 + r2 * s + r1 * s2 + r0 * s3, 0.0,
                            -(0.0 + d3 + d2 * s + d1 * s2 + d0 * s3))
                           for s, s2, s3, (d0, d1, d2, d3, r0, r1, r2, r3) in read(times)]
 
 
 def _design_field(field):
-    read = _spline_pieces(field, ("omega", "delta"))
+    read = field._reader(("omega", "delta"))
     return lambda times: [(0.0 + o3 + o2 * s + o1 * s2 + o0 * s3, 0.0,
                            -(0.0 + d3 + d2 * s + d1 * s2 + d0 * s3))
                           for s, s2, s3, (o0, o1, o2, o3, d0, d1, d2, d3) in read(times)]

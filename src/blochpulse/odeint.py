@@ -29,6 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import IntegrationError, ValidationError
+from .states import _numeric
 
 __all__ = ["ATOL", "RTOL", "IntegrationStats", "integrate_adaptive", "integrate_bloch",
            "step_floor"]
@@ -192,26 +193,30 @@ def _bloch_kernel(field, decay: tuple[float, float, float], rtol: float, atol: f
 def _integrate(kernel, t_span, y0, t_eval, rtol, atol,
                max_step) -> tuple[np.ndarray, IntegrationStats]:
     """The step controller: validate, step with ``kernel(rtol, atol)``, emit on ``t_eval``."""
-    t0, t1 = float(t_span[0]), float(t_span[1])
+    t0, t1 = _numeric(t_span, "t_span", float, (2,)).tolist()
     if not (np.isfinite(t0) and np.isfinite(t1)) or t1 <= t0:
         raise ValidationError(f"integration span must be finite with t1 > t0, got ({t0}, {t1})")
-    y0 = np.asarray(y0)
+    try:
+        y0 = _numeric(y0, "initial state")
+    except ValidationError:  # a complex state, or no number at all
+        y0 = _numeric(y0, "initial state", complex)
     y = np.atleast_1d(y0).astype(np.result_type(y0, np.float64), copy=True)
     if y.ndim != 1:
         raise ValidationError("initial state must flatten to a 1-D vector")
     if not np.isfinite(y).all():
         raise ValidationError("initial state contains non-finite values")
-    teval = np.asarray(t_eval, dtype=float)
+    teval = _numeric(t_eval, "t_eval", float)
     if teval.ndim != 1 or teval.size == 0:
         raise ValidationError("t_eval must be a non-empty 1-D array")
     if not (np.diff(teval) >= 0.0).all():  # also rejects NaN
         raise ValidationError("t_eval must be non-decreasing")
     if not t0 - SPAN_SLACK <= teval[0] <= teval[-1] <= t1 + SPAN_SLACK:
         raise ValidationError("t_eval must lie within t_span")
-    max_step = float(max_step)
+    max_step = float(_numeric(max_step, "max_step", float, ()))
     if not max_step > 0.0:  # also rejects NaN
         raise ValidationError("max_step must be positive")
-    rtol, atol = float(rtol), float(atol)
+    rtol = float(_numeric(rtol, "rtol", float, ()))
+    atol = float(_numeric(atol, "atol", float, ()))
     if not (0.0 <= rtol < math.inf and 0.0 < atol < math.inf):  # also rejects NaN
         raise ValidationError(f"tolerances need finite rtol >= 0, atol > 0; got {rtol}, {atol}")
 

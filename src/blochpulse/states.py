@@ -6,6 +6,7 @@ Conventions, used everywhere in this package:
   * Bloch components are Pauli expectation values,
     u = <sigma_x>, v = <sigma_y>, w = <sigma_z>,  rho = (I + r . sigma) / 2.
   * Times are in ps, angular frequencies in rad/ps.
+  * The metrics take any numeric 2x2 matrix, a state or not, and nothing else.
 """
 
 from __future__ import annotations
@@ -42,15 +43,18 @@ IDENTITY = np.eye(2, dtype=complex)
 BLOCH_NORM_SLACK = 1e-9
 
 
-def _numeric(x, name: str, dtype=None) -> np.ndarray:
+def _numeric(x, name: str, dtype=None, shape=None) -> np.ndarray:
     """``np.asarray(x, dtype)``; ValidationError naming ``name`` when ``x`` does not
-    convert. Without a ``dtype``, ``x`` must hold real numbers and keeps its own dtype."""
+    convert, or differs from a given ``shape``. Without a ``dtype``, ``x`` must hold
+    real numbers and keeps its own dtype."""
     try:
         arr = np.asarray(x, dtype=dtype)
     except (TypeError, ValueError):
         arr = None
     if arr is None or (dtype is None and arr.dtype.kind not in "biuf"):
         raise ValidationError(f"{name} must be numeric, got {x!r:.60}")
+    if shape is not None and arr.shape != shape:
+        raise ValidationError(f"{name} must have shape {shape}, got {arr.shape}")
     return arr
 
 
@@ -84,9 +88,7 @@ def validate_density(rho) -> np.ndarray:
     Hermiticity within 1e-12, unit trace within 1e-10, and a Bloch vector no
     longer than 1 + 1e-9. Returns the matrix as complex128.
     """
-    rho = _numeric(rho, "density matrix", complex)
-    if rho.shape != (2, 2):
-        raise ValidationError(f"density matrix must be 2x2, got shape {rho.shape}")
+    rho = _numeric(rho, "density matrix", complex, (2, 2))
     if not np.all(np.isfinite(rho.view(float))):
         raise ValidationError("density matrix contains non-finite entries")
     herm = np.max(np.abs(rho - rho.conj().T))
@@ -160,13 +162,13 @@ def _density(r: np.ndarray) -> np.ndarray:
 
 def purity(rho) -> float:
     """Tr(rho^2) = (1 + |r|^2) / 2; equals 1 exactly on the sphere."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = _numeric(rho, "rho", complex, (2, 2))
     return float(np.trace(rho @ rho).real)
 
 
 def coherence(rho) -> float:
     """Magnitude of the off-diagonal element, |rho_eg| = sqrt(u^2 + v^2) / 2."""
-    return float(abs(np.asarray(rho, dtype=complex)[0, 1]))
+    return float(abs(_numeric(rho, "rho", complex, (2, 2))[0, 1]))
 
 
 def fidelity(rho, sigma) -> float:
@@ -175,8 +177,7 @@ def fidelity(rho, sigma) -> float:
     For qubits this reduces to the closed form
     F = Tr(rho sigma) + 2 sqrt(det rho det sigma), clipped to [0, 1].
     """
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
+    rho, sigma = _numeric(rho, "rho", complex, (2, 2)), _numeric(sigma, "sigma", complex, (2, 2))
     cross = np.trace(rho @ sigma).real
     dets = np.linalg.det(rho).real * np.linalg.det(sigma).real
     f = cross + 2.0 * np.sqrt(max(dets, 0.0))
@@ -185,5 +186,5 @@ def fidelity(rho, sigma) -> float:
 
 def trace_distance(rho, sigma) -> float:
     """Trace distance (1/2) || rho - sigma ||_1 via eigenvalues of the difference."""
-    diff = np.asarray(rho, dtype=complex) - np.asarray(sigma, dtype=complex)
+    diff = _numeric(rho, "rho", complex, (2, 2)) - _numeric(sigma, "sigma", complex, (2, 2))
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))

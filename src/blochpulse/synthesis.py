@@ -18,11 +18,12 @@ shares. Angular frequencies in rad/ps, times in ps.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import InitVar, dataclass, replace
 from functools import cached_property
+from struct import Struct
 
 import numpy as np
-from scipy.interpolate import PPoly
 from scipy.linalg.lapack import dgtsv
 
 from .errors import (CarrierSingularityError, NumericalError, SingularPrescriptionError,
@@ -57,10 +58,10 @@ _CHANNELS = ("omega", "delta", "phi", "omega_r", "omega0")
 class ControlField:
     """A synthesized drive, sampled on a time grid.
 
-    ``channels``, one cubic-spline table over all five (a ``PPoly`` holding the
-    coefficients of scipy's ``CubicSpline``), and its coefficients as one flat buffer of floats
-    (``_coefficients``, which the pictures read) are built at first use and
-    ``fastest_scale`` computed once; so do not change a field's arrays in place.
+    Between the samples the drive is its channel table (``_coefficients``, read through
+    ``_reader``): each channel's not-a-knot cubic spline, as scipy's ``CubicSpline``
+    builds it. It is built at first use and ``fastest_scale`` computed once; so do not
+    change a field's arrays in place. Channels may be any array_like of numbers.
 
     Attributes
     ----------
@@ -91,27 +92,39 @@ class ControlField:
             object.__setattr__(self, "t", validate_grid(self.t))  # the checked float grid
         n = self.t.size
         for name in _CHANNELS:
-            arr = getattr(self, name)
-            if arr.shape != (n,):
-                raise ValidationError(f"ControlField.{name} must have shape ({n},)")
+            arr = _numeric(getattr(self, name), f"ControlField.{name}", float, (n,))
             if not np.isfinite(arr).all():
                 raise ValidationError(f"ControlField.{name} contains non-finite values")
-
-    @cached_property
-    def channels(self) -> PPoly:
-        """Exact-at-the-samples table of (omega, delta, phi, omega_r, omega0) along the
-        last axis: ``channels(t, nu=0)`` reads them, or their nu-th derivatives, at t."""
-        y = np.column_stack([getattr(self, name) for name in _CHANNELS])
-        t, h, s = self.t, np.diff(self.t)[:, None], _spline_slopes(self.t, y)
-        m = np.diff(y, axis=0) / h  # each piece is the Hermite cubic of its ends, as in scipy
-        c = (s[:-1] + s[1:] - 2 * m) / h
-        return PPoly.construct_fast(np.stack((c / h, (m - s[:-1]) / h - c, s[:-1], y[:-1])), t)
+            object.__setattr__(self, name, arr)
 
     @cached_property
     def _coefficients(self) -> tuple[list, bytes]:
-        """The knots as a list of floats, and ``channels.c`` as one flat buffer of 20
-        doubles per interval: (c0, c1, c2, c3) of each channel in table order."""
-        return self.t.tolist(), self.channels.c.transpose(1, 2, 0).tobytes()
+        """The knots as a list of floats, and one flat buffer of 20 doubles per interval:
+        (c0, c1, c2, c3) of each channel in ``_CHANNELS`` order, c0 s^3 + c1 s^2 + c2 s + c3
+        in s = t - t_i, the Hermite cubic of the ends' values and ``_spline_slopes``."""
+        y = np.column_stack([getattr(self, name) for name in _CHANNELS])
+        h, s = np.diff(self.t)[:, None], _spline_slopes(self.t, y)
+        m = np.diff(y, axis=0) / h
+        c = (s[:-1] + s[1:] - 2 * m) / h
+        return self.t.tolist(), np.stack((c / h, (m - s[:-1]) / h - c, s[:-1], y[:-1]),
+                                         axis=-1).tobytes()
+
+    def _reader(self, names):
+        """read(times): per time, its offset s, s^2, s^3 in its spline interval (the end ones
+        past the knots, as scipy extrapolates) and the (c0, c1, c2, c3) of each channel in
+        ``names``, in table order."""
+        knots, coef = self._coefficients
+        last = len(knots) - 2
+        unpack = Struct("".join("4d" if n in names else "32x" for n in _CHANNELS)).unpack_from
+
+        def read(times):
+            for t in times:
+                i = bisect_right(knots, t) - 1
+                i = 0 if i < 0 else last if i > last else i
+                s = t - knots[i]
+                s2 = s * s
+                yield s, s2, s2 * s, unpack(coef, 160 * i)  # 20 doubles, 160 bytes, per interval
+        return read
 
     @cached_property
     def fastest_scale(self) -> float:
@@ -129,6 +142,7 @@ class ControlField:
 
     def scaled(self, factor: float) -> "ControlField":
         """Same pulse with the drive amplitude multiplied by ``factor``."""
+        factor = float(_numeric(factor, "factor", float, ()))
         return replace(self, omega=self.omega * factor, omega_r=self.omega_r * factor)
 
 
@@ -170,9 +184,7 @@ def phase_from_detuning(omega0, delta, grid, *, zero_time: float | None = None,
     """
     t = grid if _grid_checked else validate_grid(grid)  # synthesis has checked both already
     omega0 = omega0 if _grid_checked else _per_sample_omega0(omega0, t)
-    delta = _numeric(delta, "delta", float)
-    if delta.shape != t.shape:
-        raise ValidationError("delta must match the grid shape")
+    delta = _numeric(delta, "delta", float, t.shape)
     if not np.isfinite(delta).all():
         raise ValidationError("delta contains non-finite values")
     try:

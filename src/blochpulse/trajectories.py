@@ -22,7 +22,7 @@ from .errors import IntegrationError, SingularPrescriptionError, ValidationError
 # benchmark tracer in perfbench/ wraps it by name.
 from .odeint import _MAX_STEPS, integrate_adaptive  # noqa: F401
 from .rates import Rates, transverse_rate
-from .states import BLOCH_NORM_SLACK, validate_grid
+from .states import BLOCH_NORM_SLACK, _numeric, validate_grid
 
 __all__ = [
     "Transfer",
@@ -249,9 +249,10 @@ def solve_consistent_v_open(
             raise ValidationError("initial point leaves the Bloch sphere")
         s0 = max(s0, 0.0)
     else:
+        v0 = float(_numeric(v0, "v0", float, ()))
         if not 0.0 <= v0 <= 1.0:  # also rejects NaN and infinities
             raise ValidationError(f"v0 must lie in [0, 1], got {v0}")
-        s0 = float(v0) ** 2
+        s0 = v0 ** 2
     # s comes from a helper, so no quadrature array outlives it in this frame, which
     # a SingularPrescriptionError's traceback would keep alive
     return _root_above_floor(_consistent_s(samples, rates, s0), samples.t,

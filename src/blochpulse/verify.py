@@ -21,8 +21,8 @@ from .dynamics import SimResult, dissipator_action, integrate_interaction
 from .errors import ValidationError
 from .rates import Rates
 from .states import (
-    IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, _density, _onto_sphere, bloch_from_density,
-    density_from_bloch, fidelity,
+    IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, _density, _numeric, _onto_sphere,
+    bloch_from_density, density_from_bloch, fidelity,
 )
 from .synthesis import ControlField
 
@@ -80,10 +80,8 @@ def tracking_error(result: SimResult, u, v, w) -> TrackingReport:
         deviation, and the final-state fidelity against the prescribed
         endpoint.
     """
-    u, v, w = (np.asarray(x, dtype=float) for x in (u, v, w))
     n = result.t.size
-    if u.shape != (n,) or v.shape != (n,) or w.shape != (n,):
-        raise ValidationError("prescribed components must match the result grid")
+    u, v, w = (_numeric(x, name, float, (n,)) for x, name in zip((u, v, w), "uvw"))
     bloch = result.bloch
     du = np.abs(bloch[:, 0] - u)
     dv = np.abs(bloch[:, 1] - v)
@@ -113,7 +111,8 @@ def rwa_deviation(field: ControlField, r0, grid, *, scale: float = 1.0) -> float
     Euclidean distance between Bloch vectors. Weak drives make this small;
     strong drives do not.
     """
-    if scale <= 0.0:
+    scale = float(_numeric(scale, "scale", float, ()))
+    if not scale > 0.0:  # also rejects NaN
         raise ValidationError("scale must be > 0")
     scaled = field.scaled(scale)
     full = integrate_interaction(scaled, r0, grid, rwa=False)

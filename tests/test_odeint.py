@@ -98,6 +98,7 @@ def test_blowup_underflows_step_size():
 @pytest.mark.parametrize("bad_kwargs", [
     {"t_span": (0.0, 0.0)},
     {"t_span": (1.0, 0.0)},
+    {"t_span": (0.0, 1.0, 2.0)},
     {"t_eval": np.array([])},
     {"t_eval": np.array([0.5, 0.2])},
     {"t_eval": np.array([-1.0, 0.5])},
@@ -105,6 +106,7 @@ def test_blowup_underflows_step_size():
     {"t_eval": np.array([np.nan])},
     {"max_step": 0.0},
     {"max_step": np.nan},
+    {"max_step": [0.1, 0.2]},
     {"rtol": 0.0, "atol": 0.0},
     {"rtol": -1.0, "atol": -1.0},
     {"rtol": np.nan},

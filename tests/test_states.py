@@ -10,19 +10,28 @@ import numpy as np
 import pytest
 
 from blochpulse import (
+    ControlField,
     Rates,
+    SimResult,
+    Transfer,
     ValidationError,
     Window,
     bloch_from_density,
     coherence,
     density_from_bloch,
+    eval_components,
     fidelity,
     frame_transform,
+    integrate_adaptive,
+    integrate_bloch_effective,
     omega_delta_from_components,
     phase_from_detuning,
     purity,
     rabi_from_phase,
+    rwa_deviation,
+    solve_consistent_v_open,
     trace_distance,
+    tracking_error,
     validate_density,
     validate_grid,
 )
@@ -162,6 +171,21 @@ def test_validate_grid():
         validate_grid([[0.0, 1.0]])
 
 
+_T = np.linspace(0.0, 10.0, 11)
+
+
+def _zero_field():
+    return ControlField(_T, *[np.zeros(11)] * 5)
+
+
+def _flat_result():
+    return SimResult(picture="effective-bloch", t=_T, bloch=np.zeros((11, 3)))
+
+
+def _integrate(t_span=(0.0, 1.0), y0=(1.0,), t_eval=(0.0, 1.0), max_step=np.inf):
+    return integrate_adaptive(lambda tt, y: -y, t_span, y0, t_eval, max_step=max_step)
+
+
 @pytest.mark.parametrize("call, name", [
     pytest.param(lambda: frame_transform(np.eye(2), "abc"), "phi", id="frame-phi-str"),
     pytest.param(lambda: frame_transform(np.eye(2), 1j), "phi", id="frame-phi-complex"),
@@ -179,8 +203,47 @@ def test_validate_grid():
                  "u", id="omega-delta"),
     pytest.param(lambda: Rates(dephasing="a"), "rate 'dephasing'", id="rates"),
     pytest.param(lambda: Window(0.0, "a", 3), "window stop", id="window"),
+    # the step controller's arguments, which every picture passes through
+    pytest.param(lambda: integrate_bloch_effective(_zero_field(), Rates(), [0.0, 0.0, 1.0],
+                                                   _T, rtol="a"), "rtol", id="picture-rtol"),
+    pytest.param(lambda: integrate_bloch_effective(_zero_field(), Rates(), [0.0, 0.0, 1.0],
+                                                   _T, atol="a"), "atol", id="picture-atol"),
+    pytest.param(lambda: _integrate(t_span="ab"), "t_span", id="integrate-t-span"),
+    pytest.param(lambda: _integrate(y0=["a"]), "initial state", id="integrate-y0"),
+    pytest.param(lambda: _integrate(t_eval=["a", "b"]), "t_eval", id="integrate-t-eval"),
+    pytest.param(lambda: _integrate(max_step="a"), "max_step", id="integrate-max-step"),
+    pytest.param(lambda: tracking_error(_flat_result(), ["a"] * 11, _T, _T), "u", id="track-u"),
+    pytest.param(lambda: tracking_error(_flat_result(), _T, "v", _T), "v", id="track-v"),
+    pytest.param(lambda: tracking_error(_flat_result(), _T, _T, [{}] * 11), "w",
+                 id="track-w"),
+    pytest.param(lambda: solve_consistent_v_open(
+        eval_components(Transfer(-0.5, 0.5, 0.01, 0.4, 100.0), _T), Rates(dephasing=1e-3),
+        v0="a"), "v0", id="open-v0"),
+    pytest.param(lambda: rwa_deviation(_zero_field(), [0.0, 0.0, 1.0], _T, scale="a"), "scale",
+                 id="rwa-scale"),
+    pytest.param(lambda: _zero_field().scaled("a"), "factor", id="scaled"),
+    pytest.param(lambda: purity("abc"), "rho", id="purity"),
+    pytest.param(lambda: fidelity(np.eye(2), [["a", 0], [0, 1]]), "sigma", id="fidelity"),
 ])
 def test_non_numeric_input_raises_validation_error(call, name):
     # not the ValueError or TypeError of a numpy conversion, which names no argument
     with pytest.raises(ValidationError, match=f"^{name} must be numeric"):
         call()
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda: coherence([1.0]), "rho", id="coherence"),
+    pytest.param(lambda: purity(np.eye(2)[None]), "rho", id="purity-stack"),
+    pytest.param(lambda: trace_distance(np.eye(3), np.eye(2)), "rho", id="trace-distance"),
+    pytest.param(lambda: fidelity(np.eye(2), np.eye(3)), "sigma", id="fidelity"),
+])
+def test_metrics_reject_anything_but_a_2x2_matrix(call, name):
+    with pytest.raises(ValidationError, match=rf"^{name} must have shape \(2, 2\)"):
+        call()
+
+
+def test_metrics_do_not_require_a_state():
+    # shape is checked, physics is not: the identity has trace 2
+    assert purity(np.eye(2)) == 2.0
+    assert coherence([[0.0, 3.0], [3.0, 0.0]]) == 3.0
+    assert trace_distance(np.eye(2), np.zeros((2, 2))) == 1.0

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
 
 import blochpulse
 from blochpulse import synthesis
@@ -139,7 +139,8 @@ def test_spline_slopes_and_channel_table_match_scipy(inputs):
         assert np.all(np.abs(got - slopes[:, cols]) <= slope_tol[cols])
     got = synthesis._spline_slopes(t, y[:, 0])  # one column as a 1-D array
     assert got.shape == t.shape and np.all(np.abs(got - slopes[:, 0]) <= slope_tol[0])
-    table = ControlField(t, *y.T).channels
+    knots, coef = ControlField(t, *y.T)._coefficients
+    table = PPoly(np.frombuffer(coef).reshape(-1, 5, 4).transpose(2, 0, 1), knots)
     assert table.c.shape == ref.c.shape and np.array_equal(table.x, t)
     h_pow = np.diff(t)[:, None] ** np.arange(3, -1, -1)[:, None, None]
     term_scale = np.max(np.abs(ref.c) * h_pow, axis=(0, 1))
@@ -232,6 +233,19 @@ def test_control_field_validation():
                   np.array([0.0, 0.25, np.nan, 0.75, 1.0]), t[:, None]):
         with pytest.raises(ValidationError, match="time grid"):
             ControlField(**{**good, "t": bad_t})
+
+
+def test_control_field_takes_array_like_channels():
+    field = synthesize_pulse(_SPEC, Rates(), 5e-3, np.linspace(-120.0, 120.0, 61))
+    arrays = [getattr(field, name) for name in ("t", *synthesis._CHANNELS)]
+    from_lists = ControlField(*(a.tolist() for a in arrays))
+    assert from_lists._coefficients == field._coefficients  # knots and table bytes alike
+    # float64 arrays pass through as the same objects
+    assert all(getattr(ControlField(*arrays), name) is a
+               for name, a in zip(synthesis._CHANNELS, arrays[1:]))
+    t = arrays[0]
+    with pytest.raises(ValidationError, match=r"^ControlField\.phi must be numeric"):
+        ControlField(t, *arrays[1:3], ["a"] * t.size, *arrays[4:])
 
 
 def test_control_field_scaled_and_peak_ratio():

@@ -67,7 +67,9 @@ def dump(path: Path, presets, candidates: int, src: Path) -> int:
         out.update({f"{p}/samples/{k}": getattr(s, k) for k in ("t", "u", "w", "du", "dw")})
         out[f"{p}/v"] = run.v
         out.update(_field_arrays(f"{p}/field", run.field))
-        out[f"{p}/field/table"] = run.field.channels.c
+        # the channel table's flat buffer, in scipy PPoly's layout (4, intervals, 5)
+        coef = np.frombuffer(run.field._coefficients[1])
+        out[f"{p}/field/table"] = coef.reshape(-1, 5, 4).transpose(2, 0, 1)
         out[f"{p}/field/fastest_scale"] = np.asarray(run.field.fastest_scale)
         for pic, res in run.results.items():
             out[f"{p}/{pic}/bloch"] = res.bloch
