@@ -20,10 +20,11 @@ a Bloch vector, and one propagator integrates it with the Bloch step kernel of
 ``odeint`` and stores r; density matrices are derived from r on demand.
 Every picture of one field shares its channel table and its ``fastest_scale``,
 which caps step sizes so carrier oscillations stay resolved. A picture reads its
-field once per step, at the five distinct stage times, on floats through the
-table's reader (``ControlField._reader``) and only for the channels it uses;
-each value is bit-identical to scipy's ``CubicSpline`` of the same coefficients
-at those times. Times in ps, angular frequencies in rad/ps.
+field once per step, at the five distinct stage times, as Python floats: the
+table's reader (``ControlField._reader``) evaluates the splines of the channels
+the picture uses, bit-identically to scipy's ``CubicSpline``, and the picture
+holds only its formula for b(t) in those values. Times in ps, angular
+frequencies in rad/ps.
 """
 
 from __future__ import annotations
@@ -85,56 +86,36 @@ class SimResult:
 
 
 # Fields b(t) with H = b . sigma / 2. Each takes the ControlField and returns
-# field(times), one (bx, by, bz) float triple per time, reading each channel it
-# uses from the field's channel table in the order of operations of scipy's
-# spline evaluation, 0.0 + c3 + c2 s + c1 s^2 + c0 s^3 with s^3 = s^2 s.
+# field(times), one (bx, by, bz) float triple per time, from the values of the
+# channels it uses, which the field's table reader gives in table order.
 
 def _lab_field(field):
-    read = field._reader(("phi", "omega_r", "omega0"))
-
-    def at(times):
-        rows = []
-        for s, s2, s3, (p0, p1, p2, p3, r0, r1, r2, r3, w0, w1, w2, w3) in read(times):
-            phi = 0.0 + p3 + p2 * s + p1 * s2 + p0 * s3
-            omega_r = 0.0 + r3 + r2 * s + r1 * s2 + r0 * s3
-            rows.append((2.0 * omega_r * math.cos(phi), 0.0, 0.0 + w3 + w2 * s + w1 * s2 + w0 * s3))
-        return rows
-    return at
+    values = field._reader(("phi", "omega_r", "omega0"))
+    return lambda times: [(2.0 * omega_r * math.cos(phi), 0.0, omega0)
+                          for phi, omega_r, omega0 in values(times)]
 
 
 def _carrier_field(field):
-    read = field._reader(("delta", "phi", "omega_r"))
-
-    def at(times):
-        rows = []
-        for s, s2, s3, (d0, d1, d2, d3, p0, p1, p2, p3, r0, r1, r2, r3) in read(times):
-            phi = 0.0 + p3 + p2 * s + p1 * s2 + p0 * s3
-            omega_r = 0.0 + r3 + r2 * s + r1 * s2 + r0 * s3
-            rows.append((omega_r * (1.0 + math.cos(2.0 * phi)), -omega_r * math.sin(2.0 * phi),
-                         -(0.0 + d3 + d2 * s + d1 * s2 + d0 * s3)))
-        return rows
-    return at
+    values = field._reader(("delta", "phi", "omega_r"))
+    return lambda times: [(omega_r * (1.0 + math.cos(2.0 * phi)), -omega_r * math.sin(2.0 * phi),
+                           -delta) for delta, phi, omega_r in values(times)]
 
 
 def _rwa_field(field):
-    read = field._reader(("delta", "omega_r"))
-    return lambda times: [(0.0 + r3 + r2 * s + r1 * s2 + r0 * s3, 0.0,
-                           -(0.0 + d3 + d2 * s + d1 * s2 + d0 * s3))
-                          for s, s2, s3, (d0, d1, d2, d3, r0, r1, r2, r3) in read(times)]
+    values = field._reader(("delta", "omega_r"))
+    return lambda times: [(omega_r, 0.0, -delta) for delta, omega_r in values(times)]
 
 
 def _design_field(field):
-    read = field._reader(("omega", "delta"))
-    return lambda times: [(0.0 + o3 + o2 * s + o1 * s2 + o0 * s3, 0.0,
-                           -(0.0 + d3 + d2 * s + d1 * s2 + d0 * s3))
-                          for s, s2, s3, (o0, o1, o2, o3, d0, d1, d2, d3) in read(times)]
+    values = field._reader(("omega", "delta"))
+    return lambda times: [(omega, 0.0, -delta) for omega, delta in values(times)]
 
 
 def _propagate(picture: str, field: ControlField, field_at, rates: Rates,
                r0, grid, rtol: float, atol: float) -> SimResult:
     """Integrate dr/dt = b x r - (G, G, Gamma_1) r + (0, 0, -2 Gamma) on ``grid``.
 
-    ``field_at(field)`` gives b(times) from ``field``'s flat coefficient buffer;
+    ``field_at(field)`` gives b(times) from the channel values of ``field``'s table reader;
     the Bloch kernel reads it once per step, at five distinct stage times.
     ``r0`` is the Bloch vector at ``grid[0]``.
     """

@@ -45,13 +45,16 @@ BLOCH_NORM_SLACK = 1e-9
 
 def _numeric(x, name: str, dtype=None, shape=None) -> np.ndarray:
     """``np.asarray(x, dtype)``; ValidationError naming ``name`` when ``x`` does not
-    convert, or differs from a given ``shape``. Without a ``dtype``, ``x`` must hold
-    real numbers and keeps its own dtype."""
+    convert, holds a None, or differs from a given ``shape``. Without a ``dtype``, ``x``
+    must hold real numbers and keeps its own dtype."""
     try:
         arr = np.asarray(x, dtype=dtype)
     except (TypeError, ValueError):
         arr = None
-    if arr is None or (dtype is None and arr.dtype.kind not in "biuf"):
+    # a None converts to NaN: a NaN from anything but a numeric array gets a second look
+    if arr is None or (dtype is None and arr.dtype.kind not in "biuf") or (
+            arr is not x and getattr(x, "dtype", object) == object and arr.dtype.kind in "fc"
+            and np.isnan(arr).any() and None in np.asarray(x, dtype=object).flat):
         raise ValidationError(f"{name} must be numeric, got {x!r:.60}")
     if shape is not None and arr.shape != shape:
         raise ValidationError(f"{name} must have shape {shape}, got {arr.shape}")

@@ -1,14 +1,15 @@
 """Minimal deterministic SVG charts.
 
 Hand-rolled so identical inputs produce identical bytes: no timestamps, no
-generated ids, fixed float formatting. Two chart kinds cover the package's
-needs: 2-D line charts and an orthographic Bloch-sphere trajectory view.
+generated ids, and one number format, "%.2f", for every coordinate (a
+polyline's points in one bulk format call). Two chart kinds cover the
+package's needs: 2-D line charts and an orthographic Bloch-sphere trajectory
+view, each written through ``_write``.
 """
 
 from __future__ import annotations
 
 import math
-import re
 
 import numpy as np
 
@@ -20,11 +21,7 @@ _COLORS = ("#1f6feb", "#d73a49", "#1a7f37", "#8250df", "#bf5af2", "#9a6700")
 
 
 def _fmt(x: float) -> str:
-    return f"{x:.2f}".rstrip("0").rstrip(".")
-
-
-# the zeros _fmt strips from a "%.2f" field: both decimals, or the second one
-_TRAILING_ZEROS = re.compile(r"\.00\b|(\.\d)0\b")
+    return "%.2f" % x
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
@@ -53,8 +50,7 @@ def _range(arrays) -> tuple[float, float]:
 
 def _points(xs, ys) -> str:
     """The pairs as "x,y x,y ..." with ``_fmt`` numbers, from one format call."""
-    pairs = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(np.column_stack([xs, ys]).ravel().tolist())
-    return _TRAILING_ZEROS.sub(r"\1", pairs)
+    return " ".join(["%.2f,%.2f"] * len(xs)) % tuple(np.column_stack([xs, ys]).ravel().tolist())
 
 
 def _m4(column: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -86,12 +82,14 @@ def _text(x: float, y: float, s: str, size: int = 12, anchor: str = "middle",
             f'font-size="{size}" text-anchor="{anchor}" fill="{color}">{s}</text>')
 
 
-def _document(elements: list[str]) -> str:
+def _write(path: str, elements: list[str]) -> None:
+    """Write the SVG document of ``elements`` on a white page to ``path``."""
     body = "\n".join(elements)
-    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-            f'viewBox="0 0 {_W} {_H}">\n'
-            f'<rect x="0" y="0" width="{_W}" height="{_H}" fill="#ffffff"/>\n'
-            f"{body}\n</svg>\n")
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+        fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
+                 f'viewBox="0 0 {_W} {_H}">\n'
+                 f'<rect x="0" y="0" width="{_W}" height="{_H}" fill="#ffffff"/>\n'
+                 f"{body}\n</svg>\n")
 
 
 def line_chart(path: str, title: str, xlabel: str, ylabel: str, x, series) -> None:
@@ -150,8 +148,7 @@ def line_chart(path: str, title: str, xlabel: str, ylabel: str, x, series) -> No
     el.append(_text((left + right) / 2, _H - 10, xlabel, 12))
     el.append(f'<g transform="translate(14,{_fmt((top + bottom) / 2)}) rotate(-90)">'
               + _text(0, 0, ylabel, 12) + "</g>")
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write(_document(el))
+    _write(path, el)
 
 
 def bloch_chart(path: str, title: str, bloch) -> None:
@@ -188,5 +185,4 @@ def bloch_chart(path: str, title: str, bloch) -> None:
     el.append(f'<circle cx="{_fmt(xs[0])}" cy="{_fmt(ys[0])}" r="4" fill="#1a7f37"/>')
     el.append(f'<circle cx="{_fmt(xs[-1])}" cy="{_fmt(ys[-1])}" r="4" fill="#d73a49"/>')
     el.append(_text(_W / 2.0, 16, title, 13))
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write(_document(el))
+    _write(path, el)

@@ -110,21 +110,36 @@ class ControlField:
                                          axis=-1).tobytes()
 
     def _reader(self, names):
-        """read(times): per time, its offset s, s^2, s^3 in its spline interval (the end ones
-        past the knots, as scipy extrapolates) and the (c0, c1, c2, c3) of each channel in
-        ``names``, in table order."""
+        """values(times): per time, the tuple of the values of the two or three channels
+        ``names``, a tuple in ``_CHANNELS`` order. Each is 0.0 + c3 + c2 s + c1 s^2 + c0 s^3
+        with s^3 = s^2 s, s past the end knots for the end pieces: scipy's evaluation."""
+        if names != tuple(n for n in _CHANNELS if n in names) or len(names) not in (2, 3):
+            raise ValueError(f"read two or three of {_CHANNELS}, in that order, not {names}")
         knots, coef = self._coefficients
-        last = len(knots) - 2
+        hi = len(knots) - 1  # bisect the inner knots: a time past either end is in an end piece
         unpack = Struct("".join("4d" if n in names else "32x" for n in _CHANNELS)).unpack_from
 
-        def read(times):
+        def values2(times):
             for t in times:
-                i = bisect_right(knots, t) - 1
-                i = 0 if i < 0 else last if i > last else i
+                i = bisect_right(knots, t, 1, hi) - 1
                 s = t - knots[i]
                 s2 = s * s
-                yield s, s2, s2 * s, unpack(coef, 160 * i)  # 20 doubles, 160 bytes, per interval
-        return read
+                s3 = s2 * s
+                a0, a1, a2, a3, b0, b1, b2, b3 = unpack(coef, 160 * i)  # 160 bytes an interval
+                yield (0.0 + a3 + a2 * s + a1 * s2 + a0 * s3,
+                       0.0 + b3 + b2 * s + b1 * s2 + b0 * s3)
+
+        def values3(times):
+            for t in times:
+                i = bisect_right(knots, t, 1, hi) - 1
+                s = t - knots[i]
+                s2 = s * s
+                s3 = s2 * s
+                a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3 = unpack(coef, 160 * i)
+                yield (0.0 + a3 + a2 * s + a1 * s2 + a0 * s3,
+                       0.0 + b3 + b2 * s + b1 * s2 + b0 * s3,
+                       0.0 + c3 + c2 * s + c1 * s2 + c0 * s3)
+        return values2 if len(names) == 2 else values3
 
     @cached_property
     def fastest_scale(self) -> float:

@@ -29,10 +29,12 @@ def test_two_dumps_of_the_same_code_do_not_differ(tmp_path):
     assert proc.stdout.splitlines()[-1].endswith(", 0 differ or are missing")
     with np.load(paths[0]) as dump:
         keys = set(dump.files)
-        # an open and a closed preset, with a carrier picture, and both sweep verdicts' fields
+        # an open and a closed preset, with a carrier picture and charts, and both sweep
+        # verdicts' fields
         assert {"preset/fig3/v", "preset/fig3/interaction/bloch", "preset/fig1_L3/field/table",
                 "preset/fig1_L3/effective-bloch/stats/rhs_evals",
-                "preset/fig1_L3/effective-bloch/report/sup_w", "preset/fig3/csv"} <= keys
+                "preset/fig1_L3/effective-bloch/report/sup_w", "preset/fig3/csv",
+                "svg/fig1_L3/pulse", "svg/fig3/populations", "svg/fig3/bloch3d"} <= keys
         assert [str(dump[f"sweep/{i:04d}/verdict"]) for i in range(6)].count("realizable") >= 1
         # a changed array, a dropped one
         arrays = {k: dump[k] for k in keys if k != "preset/fig3/csv"}

@@ -186,6 +186,9 @@ def _integrate(t_span=(0.0, 1.0), y0=(1.0,), t_eval=(0.0, 1.0), max_step=np.inf)
     return integrate_adaptive(lambda tt, y: -y, t_span, y0, t_eval, max_step=max_step)
 
 
+_WITH_NONE = [0.0] * 10 + [None]
+
+
 @pytest.mark.parametrize("call, name", [
     pytest.param(lambda: frame_transform(np.eye(2), "abc"), "phi", id="frame-phi-str"),
     pytest.param(lambda: frame_transform(np.eye(2), 1j), "phi", id="frame-phi-complex"),
@@ -224,6 +227,18 @@ def _integrate(t_span=(0.0, 1.0), y0=(1.0,), t_eval=(0.0, 1.0), max_step=np.inf)
     pytest.param(lambda: _zero_field().scaled("a"), "factor", id="scaled"),
     pytest.param(lambda: purity("abc"), "rho", id="purity"),
     pytest.param(lambda: fidelity(np.eye(2), [["a", 0], [0, 1]]), "sigma", id="fidelity"),
+    # a None, which a float or complex conversion turns into NaN
+    pytest.param(lambda: tracking_error(_flat_result(), _WITH_NONE, _T, _T), "u",
+                 id="none-track-u"),
+    pytest.param(lambda: validate_grid([0.0, None, 2.0]), "time grid", id="none-grid"),
+    pytest.param(lambda: rabi_from_phase([0.4, 0.4], [0.0, None], [0.0, 1.0]), "phi",
+                 id="none-rabi"),
+    pytest.param(lambda: phase_from_detuning(0.1, _WITH_NONE, _T), "delta", id="none-phase"),
+    pytest.param(lambda: ControlField(_T, *[np.zeros(11)] * 3, _WITH_NONE, np.zeros(11)),
+                 "ControlField.omega_r", id="none-control-field"),
+    pytest.param(lambda: _integrate(t_eval=[0.0, None]), "t_eval", id="none-integrate-t-eval"),
+    pytest.param(lambda: frame_transform([[0.5, None], [None, 0.5]], 0.0), "states",
+                 id="none-frame-states"),
 ])
 def test_non_numeric_input_raises_validation_error(call, name):
     # not the ValueError or TypeError of a numpy conversion, which names no argument

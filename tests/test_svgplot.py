@@ -1,8 +1,10 @@
-"""SVG charts: the vectorised point formatter, M4 reduction, and byte identity.
+"""SVG charts: one number format, M4 reduction, and byte identity.
 
-The per-point loops the charts used before stay here as references: the
-point formatter must equal ``_fmt`` on every value, and the Bloch-sphere chart,
-which keeps every point, must equal the loop's bytes.
+Every coordinate is printed "%.2f" (``_fmt``). The per-point loops the charts
+used before stay here as references: the bulk point formatter ``_points`` must
+equal ``_fmt`` on every value, and the Bloch-sphere chart, which keeps every
+point, must equal the loop's bytes as written by the charts' one writer,
+``_write``.
 """
 
 import math
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blochpulse import svgplot
-from blochpulse.svgplot import _BOX, _H, _W, _document, _fmt, _m4, _points, _text
+from blochpulse.svgplot import _BOX, _H, _W, _fmt, _m4, _points, _text, _write
 
 _EDGES = [0.125, 0.375, 0.625, 2.5, -0.125, 0.0, -0.0, -0.001, -0.004, -0.005, 0.005,
           99.995, 99.994, 99.996, 1.10, 2.00, 10.0, 100.0, 3.05, 12.50, 1e6, -1e6,
@@ -124,8 +126,7 @@ def _reference_bloch_chart(path, title, bloch):
     el.append(f'<circle cx="{_fmt(x0)}" cy="{_fmt(y0)}" r="4" fill="#1a7f37"/>')
     el.append(f'<circle cx="{_fmt(x1)}" cy="{_fmt(y1)}" r="4" fill="#d73a49"/>')
     el.append(_text(_W / 2.0, 16, title, 13))
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write(_document(el))
+    _write(path, el)
 
 
 def test_bloch_chart_bytes_equal_the_per_point_loop(tmp_path):

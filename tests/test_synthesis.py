@@ -10,7 +10,7 @@ knot slopes and the channel table against scipy's ``CubicSpline``.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline, PPoly
 
@@ -124,15 +124,27 @@ def _spline_inputs(draw):
     return t, np.array(draw(st.lists(row, min_size=n, max_size=n)))
 
 
+def _subnormal_draw():
+    """A draw whose only nonzero value is subnormal: its slope error, 1.24e-322, exceeds
+    a purely relative bound of 1.1e-322."""
+    y = np.zeros((4, 5))
+    y[3, 4] = 2.22507386e-313
+    return np.array([0.0, 2.0, 4.0, 8.5]), y
+
+
 @settings(max_examples=300, deadline=None)
 @given(_spline_inputs())
+@example(_subnormal_draw())
 def test_spline_slopes_and_channel_table_match_scipy(inputs):
     t, y = inputs
     ref = CubicSpline(t, y)
     # a tolerance, not bit-identity, so that a change inside scipy does not fail this test:
-    # slopes relative to each column's largest, the table by each term's size over its interval
+    # slopes relative to each column's largest, the table by each term's size over its
+    # interval, each bound no smaller than the least normal float, below which roundoff
+    # is absolute
+    tiny = np.finfo(float).tiny
     slopes = ref(t, 1)
-    slope_tol = 1e-9 * np.max(np.abs(slopes), axis=0)
+    slope_tol = np.maximum(1e-9 * np.max(np.abs(slopes), axis=0), tiny)
     for cols in (slice(0, 1), slice(0, 2), slice(0, 5)):
         got = synthesis._spline_slopes(t, y[:, cols])
         assert got.shape == y[:, cols].shape
@@ -144,12 +156,13 @@ def test_spline_slopes_and_channel_table_match_scipy(inputs):
     assert table.c.shape == ref.c.shape and np.array_equal(table.x, t)
     h_pow = np.diff(t)[:, None] ** np.arange(3, -1, -1)[:, None, None]
     term_scale = np.max(np.abs(ref.c) * h_pow, axis=(0, 1))
-    assert np.all(np.abs(table.c - ref.c) * h_pow <= 1e-9 * term_scale)
+    assert np.all(np.abs(table.c - ref.c) * h_pow <= np.maximum(1e-9 * term_scale, tiny))
     # and the table reads like scipy's, extrapolating past both ends
     x = np.concatenate([t[:1] - 1.0, 0.5 * (t[1:] + t[:-1]), t[-1:] + 1.0])
     for nu in (0, 1):
         want = ref(x, nu)
-        assert np.all(np.abs(table(x, nu) - want) <= 1e-8 * np.max(np.abs(want), axis=0))
+        assert np.all(np.abs(table(x, nu) - want)
+                      <= np.maximum(1e-8 * np.max(np.abs(want), axis=0), tiny))
 
 
 def test_spline_slopes_report_a_failed_solve(monkeypatch):
@@ -246,6 +259,20 @@ def test_control_field_takes_array_like_channels():
     t = arrays[0]
     with pytest.raises(ValidationError, match=r"^ControlField\.phi must be numeric"):
         ControlField(t, *arrays[1:3], ["a"] * t.size, *arrays[4:])
+
+
+def test_table_reader_takes_channels_in_table_order_only():
+    t = np.linspace(0.0, 4.0, 5)
+    field = ControlField(t, t, 2.0 * t, 3.0 * t, 4.0 * t, 5.0 * t)  # channel k is k t
+    assert list(field._reader(("omega", "delta"))([1.5])) == [(1.5, 3.0)]
+    assert list(field._reader(("delta", "phi", "omega0"))([1.5])) == [(3.0, 4.5, 7.5)]
+    # the pictures unpack the values in table order, so a swapped pair would exchange
+    # two channels silently; so would a repeated, unknown or dropped name shift them
+    for names in (("delta", "omega"), ("phi", "delta", "omega_r"), ("omega0", "omega_r"),
+                  ("omega", "omega"), ("omega", "theta"), ("omega",),
+                  ("omega", "delta", "phi", "omega_r")):
+        with pytest.raises(ValueError, match="two or three of .*, in that order"):
+            field._reader(names)
 
 
 def test_control_field_scaled_and_peak_ratio():
