@@ -33,11 +33,13 @@ Pictures:
 CSV export is deterministic byte-for-byte: fixed header
 t_ps,u,v,w,sx,sy,sz,omega_R,phi,omega0,delta with 17-significant-digit
 fields; u,v,w are the prescribed components, sx,sy,sz the first simulated
-picture.
+picture. Both CSV writers format whole blocks of rows in numpy, and every
+field is the bytes of Python's "%.17g" % value.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 import json
 import math
@@ -544,18 +546,111 @@ _CSV_HEADER = "t_ps,u,v,w,sx,sy,sz,omega_R,phi,omega0,delta"
 _FIELD_CSV_HEADER = "t_ps,omega,delta,phi,omega_R,omega0"
 
 
-_CSV_BLOCK_ROWS = 4096  # rows formatted per call, which bounds the memory of one call
+_CSV_BLOCK_ROWS = 640  # rows formatted per call, which bounds the memory of one call
 
 
 def _write_csv(path, header: str, columns) -> None:
-    """Write the header, then one row per sample of 17-significant-digit fields."""
+    """Write the header, then one row per sample of 17-significant-digit fields.
+
+    Each field is the bytes of Python's ``"%.17g" % value``. ``_csv_lines`` gets
+    the 17 digits as round(|x| 10**(16 - k)) from an exact double-double product,
+    and leaves to ``"%.17g"`` the values it cannot round with certainty.
+    """
     table = np.column_stack(columns) if columns else np.empty((0, 0))
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write(header + "\n")
+    with open(path, "wb") as fh:
+        fh.write(f"{header}\n".encode())
         for start in range(0, len(table), _CSV_BLOCK_ROWS):
-            block = table[start:start + _CSV_BLOCK_ROWS]
-            rows = "\n".join([",".join(["%.17g"] * block.shape[1])] * len(block)) + "\n"
-            fh.write(rows % tuple(block.ravel().tolist()))
+            fh.write(_csv_lines(table[start:start + _CSV_BLOCK_ROWS]))
+
+
+@functools.cache
+def _csv_tables() -> tuple:
+    """Read-only tables of ``_csv_lines``, built at its first call."""
+    # 10**q at q + 281 for q in [-281, 297]: hi is the double nearest 10**q, lo the double
+    # nearest 10**q - hi, and top + low = hi splits hi into halves of 26 bits (Dekker)
+    hi, lo = [], []
+    for q in range(-281, 298):
+        num, den = (10 ** q, 1) if q >= 0 else (1, 10 ** -q)
+        a, b = (num / den).as_integer_ratio()
+        hi.append(num / den)
+        lo.append((num * b - a * den) / (den * b))
+    hi = np.array(hi)
+    split = 134217729.0 * hi  # 2**27 + 1
+    top = split - (split - hi)
+    # four digits by value, first with the trailing zeros blank, then (at + 10000) in full
+    quads = [b"%04d" % v for v in range(10000)]
+    digits = np.array([q.rstrip(b"0") for q in quads] + quads, "S4").view(np.uint32)
+    # by layout: 0-17 digits before the point, or 17 + z for "0." and z - 1 zeros
+    keep = np.tril(np.full((22, 17), 255, np.uint8), -1) * (np.arange(22) < 18)[:, None]
+    lead = np.array([b""] * 18 + [b"0." + b"0" * z for z in range(4)], "S17").view(np.uint8)
+    suffix = np.array([b"e%+03d" % k for k in range(-330, 331)], "S5").view(np.uint8)
+    tables = (hi, top, hi - top, np.array(lo), digits, keep, lead.reshape(-1, 17),
+              suffix.reshape(-1, 5), 10 ** np.arange(18))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _csv_lines(block: np.ndarray) -> bytes:
+    """The rows of a 2-D float block as CSV lines of ``"%.17g"`` fields: each value gets a
+    row of NUL-padded slots (sign, digits before the point or "0.000", point, digits after
+    it, exponent, separator), and dropping the NULs joins them."""
+    hi, top, low, lo, digits, keep_first, lead, suffix, pow10 = _csv_tables()
+    x = block.ravel()
+    mag = np.abs(x)
+    zero = mag == 0.0
+    fast = zero | ((mag >= 1e-280) & (mag < 1e280))
+    mag = np.where(fast & ~zero, mag, 1.0)
+    # k = floor(log10 |x|): log10 may round across a power of ten, so compare exactly
+    k = np.floor(np.log10(mag)).astype(np.int64)
+    h0, h1 = hi.take(k + 281), hi.take(k + 282)
+    k += (((mag > h1) | ((mag == h1) & (lo.take(k + 282) <= 0))).astype(np.int64)
+          - ((mag < h0) | ((mag == h0) & (lo.take(k + 281) > 0))))
+    # |x| 10**(16 - k) = p + e in [1e16, 1e17) by Dekker's product with hi + lo: p > 2**53 is
+    # an integer and e good to 1e-14, so round(p + e) is certain unless e is near a tie
+    i = 297 - k
+    m_split = 134217729.0 * mag
+    m_top = m_split - (m_split - mag)
+    m_low = mag - m_top
+    p = mag * hi.take(i)
+    t_top, t_low = top.take(i), low.take(i)
+    e = (((m_top * t_top - p) + m_top * t_low + m_low * t_top) + m_low * t_low
+         + mag * lo.take(i))
+    f = np.floor(e)
+    fast &= np.abs(e - f - 0.5) > 1e-6
+    n = p.astype(np.int64) + f.astype(np.int64) + (e - f > 0.5)
+    carry = n == 10 ** 17  # rounded up to the next power of ten
+    n[carry] = 10 ** 16
+    k += carry
+    n[zero] = 0
+    # the 17 digits: one, then four groups of four, each written in full when a later
+    # group is non-zero and with its trailing zeros blank otherwise
+    first = n // 10 ** 8
+    last = n - first * 10 ** 8
+    g0, g2 = first // 10 ** 4, last // 10 ** 4
+    g1, g3 = first - g0 * 10 ** 4, last - g2 * 10 ** 4
+    g_top = g0 // 10 ** 4
+    d = np.empty((len(x), 17), np.uint8)
+    d[:, 0] = g_top + ord("0")
+    d[:, 1:] = digits.take(np.stack([g0 - g_top * 10 ** 4 + 10000 * ((g1 | last) != 0),
+                                     g1 + 10000 * (last != 0), g2 + 10000 * (g3 != 0), g3],
+                                    1)).view(np.uint8)
+    # %g: fixed notation for -4 <= k <= 16, else d.ddde+XX; a sign wherever the sign bit is
+    fixed = (k >= -4) & (k <= 16)
+    whole = np.where(fixed, np.maximum(k + 1, 0), 1)  # digits before the point
+    layout = np.where(fixed & (k < 0), 17 - k, whole)
+    keep = keep_first.take(layout, axis=0)
+    rows = np.zeros((len(x), 42), np.uint8)
+    rows[:, 0] = np.signbit(x) * np.uint8(ord("-"))
+    rows[:, 1:18] = ((d | ord("0")) & keep) | lead.take(layout, axis=0)
+    rows[:, 18] = ((whole > 0) & (n % pow10.take(17 - whole) != 0)) * np.uint8(ord("."))
+    rows[:, 19:36] = d & ~keep
+    rows[~fixed, 36:41] = suffix.take(k[~fixed] + 330, axis=0)
+    rows.reshape(block.shape + (42,))[:, :, 41] = [ord(",")] * (block.shape[1] - 1) + [ord("\n")]
+    # non-finite values, |x| outside [1e-280, 1e280), and possible ties
+    for j in np.flatnonzero(~fast):
+        rows[j, :41] = np.frombuffer((b"%.17g" % x[j]).ljust(41, b"\0"), np.uint8)
+    return rows[rows != 0].tobytes()
 
 
 def export_csv(run: ScenarioRun, path) -> None:

@@ -45,16 +45,19 @@ BLOCH_NORM_SLACK = 1e-9
 
 def _numeric(x, name: str, dtype=None, shape=None) -> np.ndarray:
     """``np.asarray(x, dtype)``; ValidationError naming ``name`` when ``x`` does not
-    convert, holds a None, or differs from a given ``shape``. Without a ``dtype``, ``x``
-    must hold real numbers and keeps its own dtype."""
+    convert, holds a string, bytes or None, or differs from a given ``shape``. Without a
+    ``dtype``, ``x`` must hold real numbers and keeps its own dtype."""
     try:
         arr = np.asarray(x, dtype=dtype)
+        # numpy parses strings as numbers and turns a None into NaN, so anything but a
+        # numeric array is also converted without a dtype, which keeps them apart
+        kind = getattr(getattr(x, "dtype", None), "kind", "O")
+        probe = x if kind in "biufc" else np.asarray(x)
     except (TypeError, ValueError):
-        arr = None
-    # a None converts to NaN: a NaN from anything but a numeric array gets a second look
+        arr = probe = None
     if arr is None or (dtype is None and arr.dtype.kind not in "biuf") or (
-            arr is not x and getattr(x, "dtype", object) == object and arr.dtype.kind in "fc"
-            and np.isnan(arr).any() and None in np.asarray(x, dtype=object).flat):
+            probe.dtype.kind in "SU") or (probe.dtype.kind == "O" and any(
+                v is None or isinstance(v, (str, bytes)) for v in probe.flat)):
         raise ValidationError(f"{name} must be numeric, got {x!r:.60}")
     if shape is not None and arr.shape != shape:
         raise ValidationError(f"{name} must have shape {shape}, got {arr.shape}")

@@ -34,6 +34,7 @@ def test_two_dumps_of_the_same_code_do_not_differ(tmp_path):
         assert {"preset/fig3/v", "preset/fig3/interaction/bloch", "preset/fig1_L3/field/table",
                 "preset/fig1_L3/effective-bloch/stats/rhs_evals",
                 "preset/fig1_L3/effective-bloch/report/sup_w", "preset/fig3/csv",
+                "preset/fig3/field_csv", "preset/fig1_L3/field_csv",
                 "svg/fig1_L3/pulse", "svg/fig3/populations", "svg/fig3/bloch3d"} <= keys
         assert [str(dump[f"sweep/{i:04d}/verdict"]) for i in range(6)].count("realizable") >= 1
         # a changed array, a dropped one

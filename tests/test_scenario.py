@@ -11,11 +11,15 @@ import copy
 import dataclasses
 import json
 import math
+import sys
+import tempfile
 import xml.etree.ElementTree as ET
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blochpulse import scenario, synthesis
@@ -390,6 +394,42 @@ def test_csv_bytes_equal_the_per_row_formatter(tmp_path, monkeypatch, block_rows
     columns = [edges, edges[::-1]]
     scenario._write_csv(path, "a,b", columns)
     assert path.read_bytes() == _reference_csv("a,b", columns)
+
+
+def _bits(value) -> int:
+    """The 64-bit pattern of a double."""
+    return int(np.float64(value).view(np.uint64))
+
+
+def _with_neighbours(value) -> list[int]:
+    return [_bits(np.nextafter(value, -np.inf)), _bits(value), _bits(np.nextafter(value, np.inf))]
+
+
+# doubles as raw 64-bit patterns, so NaN payloads, infinities, subnormals and -0.0 occur,
+# and as Hypothesis floats, which favour round and boundary values
+_PATTERNS = st.one_of(st.integers(0, 2 ** 64 - 1), st.floats().map(_bits))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.integers(1, 11).flatmap(lambda cols: st.lists(
+    st.lists(_PATTERNS, min_size=cols, max_size=cols), min_size=1, max_size=40)),
+    block_rows=st.integers(1, 9))
+# exact ties at the 17th digit: half-even rounds the first down and the second up
+@example(rows=[[_bits(1 + 2 ** -17)], [_bits(1 + 3 * 2 ** -17)]], block_rows=1)
+@example(rows=[[_bits(-math.nan)]], block_rows=1)
+# either side of where %g switches notation, and of a power of ten
+@example(rows=[_with_neighbours(v) for v in (1e-5, 1e-4, 1e16, 1e17)], block_rows=3)
+@example(rows=[[_bits(5e-324), _bits(sys.float_info.max)]], block_rows=1)
+# doubles just below a power of ten whose 17 digits round up to it
+@example(rows=[[_bits(1e-14), _bits(1e98)], [_bits(-1e-79), _bits(1e220)]], block_rows=2)
+def test_csv_fields_are_the_bytes_of_percent_17g(rows, block_rows):
+    table = np.array(rows, dtype=np.uint64).view(np.float64)
+    want = "a\n" + "".join(",".join("%.17g" % v for v in row) + "\n" for row in table.tolist())
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(scenario, "_CSV_BLOCK_ROWS", block_rows):  # blocks split unevenly
+        path = Path(tmp) / "t.csv"
+        scenario._write_csv(path, "a", list(table.T))
+        assert path.read_bytes() == want.encode("ascii")
 
 
 def test_corotating_rotation_matches_the_density_frame_map():

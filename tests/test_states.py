@@ -239,6 +239,15 @@ _WITH_NONE = [0.0] * 10 + [None]
     pytest.param(lambda: _integrate(t_eval=[0.0, None]), "t_eval", id="none-integrate-t-eval"),
     pytest.param(lambda: frame_transform([[0.5, None], [None, 0.5]], 0.0), "states",
                  id="none-frame-states"),
+    # numeric strings and bytes, which a float conversion parses
+    pytest.param(lambda: validate_grid(["0", "1.5", "3"]), "time grid", id="str-grid"),
+    pytest.param(lambda: validate_grid([b"0", b"1"]), "time grid", id="bytes-grid"),
+    pytest.param(lambda: validate_grid(np.array(["0", "1"])), "time grid", id="str-array-grid"),
+    pytest.param(lambda: validate_grid(np.array([0.0, "1"], dtype=object)), "time grid",
+                 id="str-object-grid"),
+    pytest.param(lambda: rabi_from_phase(["0.4"], ["0"], ["1"]), "omega", id="str-rabi"),
+    pytest.param(lambda: _integrate(max_step="0.5"), "max_step", id="str-integrate-max-step"),
+    pytest.param(lambda: frame_transform(np.eye(2), b"0.5"), "phi", id="bytes-frame-phi"),
 ])
 def test_non_numeric_input_raises_validation_error(call, name):
     # not the ValueError or TypeError of a numpy conversion, which names no argument

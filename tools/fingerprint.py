@@ -8,8 +8,9 @@
   * every bundled preset (or the ones named), run by ``run_scenario`` with its
     own pictures: the trajectory samples, v, the field's channels, its channel
     table and step scale, each picture's Bloch vectors, ``IntegrationStats``
-    and ``TrackingReport``, and the bytes of ``export_csv``; and, as
-    ``svg/<preset>/<kind>``, the bytes of its three ``export_svg`` charts;
+    and ``TrackingReport``, the bytes of ``export_csv``, and as ``field_csv`` the
+    bytes of ``export_field_csv``; and, as ``svg/<preset>/<kind>``, the bytes of its
+    three ``export_svg`` charts;
   * the first N candidates (default 360) that the benchmark's ``sweep`` workload
     draws (``perfbench/workloads.py``) from the seed ``SEED``, in the order of
     one unshuffled block, each run through ``synthesize_pulse``: the
@@ -81,6 +82,9 @@ def dump(path: Path, presets, candidates: int, src: Path) -> int:
         with tempfile.TemporaryDirectory() as tmp:
             bp.export_csv(run, Path(tmp) / "run.csv")
             out[f"{p}/csv"] = np.frombuffer((Path(tmp) / "run.csv").read_bytes(), np.uint8)
+            bp.export_field_csv(run.field, Path(tmp) / "field.csv")
+            out[f"{p}/field_csv"] = np.frombuffer((Path(tmp) / "field.csv").read_bytes(),
+                                                  np.uint8)
             for kind in bp.scenario.SVG_KINDS:
                 bp.export_svg(run, kind, Path(tmp) / "chart.svg")
                 out[f"svg/{name}/{kind}"] = np.frombuffer((Path(tmp) / "chart.svg").read_bytes(),
