@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -113,6 +114,7 @@ def _cmd_preset(args) -> int:
     return _run_and_export(_apply_overrides(preset(args.name), args), args)
 
 
+@functools.cache  # one parser per process: main runs in-process once per command
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blochpulse",

@@ -37,7 +37,7 @@ import numpy as np
 from .errors import ValidationError
 from .odeint import ATOL, RTOL, SPAN_SLACK, IntegrationStats, integrate_bloch
 from .rates import Rates, inversion_decay_rate, transverse_rate
-from .states import (SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, _checked_bloch, _density, _numeric,
+from .states import (SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, _checked_bloch, _density, _finite,
                      validate_grid)
 from .synthesis import ControlField
 
@@ -142,6 +142,7 @@ def dissipator_action(rho: np.ndarray, rates: Rates) -> np.ndarray:
     (occupancy + 1), absorption weight occupancy. The propagators use the
     closed-form constants in ``rates``; this is their independent reference.
     """
+    rho = _finite(rho, "rho", complex, (2, 2))
     occ = rates.occupancy
     out = 0.5 * rates.dephasing * (SIGMA_Z @ rho @ SIGMA_Z - rho)
     if rates.thermal != 0.0:
@@ -223,13 +224,13 @@ def frame_transform(states, phi, direction: str = "to_interaction") -> np.ndarra
     "to_interaction" applies U^dag rho U, "to_lab" the inverse. ``phi`` is a
     scalar or one angle per state.
     """
-    states = _numeric(states, "states", complex)
+    states = _finite(states, "states", complex)
     single = states.ndim == 2
     if single:
         states = states[None, :, :]
     if states.ndim != 3 or states.shape[1:] != (2, 2):
         raise ValidationError("states must have shape (2, 2) or (n, 2, 2)")
-    phi_arr = _numeric(phi, "phi", float)
+    phi_arr = _finite(phi, "phi", float)
     if phi_arr.shape not in ((), states.shape[:1]):
         raise ValidationError(f"phi must be a scalar or one angle per state, not {phi_arr.shape}")
     if direction == "to_interaction":

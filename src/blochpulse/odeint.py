@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import IntegrationError, ValidationError
-from .states import _numeric
+from .states import _finite, _numeric
 
 __all__ = ["ATOL", "RTOL", "IntegrationStats", "integrate_adaptive", "integrate_bloch",
            "step_floor"]
@@ -193,18 +193,13 @@ def _bloch_kernel(field, decay: tuple[float, float, float], rtol: float, atol: f
 def _integrate(kernel, t_span, y0, t_eval, rtol, atol,
                max_step) -> tuple[np.ndarray, IntegrationStats]:
     """The step controller: validate, step with ``kernel(rtol, atol)``, emit on ``t_eval``."""
-    t0, t1 = _numeric(t_span, "t_span", float, (2,)).tolist()
-    if not (np.isfinite(t0) and np.isfinite(t1)) or t1 <= t0:
-        raise ValidationError(f"integration span must be finite with t1 > t0, got ({t0}, {t1})")
-    try:
-        y0 = _numeric(y0, "initial state")
-    except ValidationError:  # a complex state, or no number at all
-        y0 = _numeric(y0, "initial state", complex)
-    y = np.atleast_1d(y0).astype(np.result_type(y0, np.float64), copy=True)
-    if y.ndim != 1:
-        raise ValidationError("initial state must flatten to a 1-D vector")
-    if not np.isfinite(y).all():
-        raise ValidationError("initial state contains non-finite values")
+    t0, t1 = _finite(t_span, "t_span", float, (2,)).tolist()
+    if t1 <= t0:
+        raise ValidationError(f"integration span must have t1 > t0, got ({t0}, {t1})")
+    y = np.atleast_1d(_finite(y0, "initial state", complex))
+    y = y.copy() if np.iscomplexobj(y0) or y.imag.any() else y.real.copy()  # real stays real
+    if y.ndim != 1 or y.size == 0:
+        raise ValidationError("initial state must be a non-empty 1-D vector")
     teval = _numeric(t_eval, "t_eval", float)
     if teval.ndim != 1 or teval.size == 0:
         raise ValidationError("t_eval must be a non-empty 1-D array")
@@ -306,7 +301,7 @@ def integrate_adaptive(
     t_span : (float, float)
         Integration window (t0, t1) with t1 > t0, in ps.
     y0 : array_like
-        Initial state, flattened to 1-D. Real or complex, and finite.
+        Initial state, a non-empty 1-D vector. Real or complex, and finite.
     t_eval : array_like
         Non-decreasing sample times inside ``t_span``. The solution at these
         points comes from the dense interpolant, not from forcing steps.

@@ -8,10 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ValidationError
-from .states import _numeric
+from .states import _scalar
 
 __all__ = [
     "Rates",
@@ -41,10 +39,10 @@ class Rates:
 
     def __post_init__(self):
         for name in ("dephasing", "thermal", "occupancy"):
-            val = getattr(self, name)
-            arr = _numeric(val, f"rate '{name}'")
-            if arr.ndim != 0 or not np.isfinite(arr) or arr < 0.0:
-                raise ValidationError(f"rate '{name}' must be one finite number >= 0, got {val!r}")
+            val = _scalar(getattr(self, name), f"rate '{name}'")
+            if val < 0.0:
+                raise ValidationError(f"rate '{name}' must be >= 0, got {val}")
+            object.__setattr__(self, name, val)
 
     @property
     def closed(self) -> bool:

@@ -58,7 +58,7 @@ from .dynamics import (
 from .errors import ValidationError
 from .odeint import ATOL, RTOL, step_floor
 from .rates import Rates
-from .states import _numeric, _onto_sphere
+from .states import _onto_sphere, _scalar, validate_grid
 # synthesize_pulse, eval_components, complete_v_closed and solve_consistent_v_open
 # are unused here but stay importable from this module: the benchmark tracer in
 # perfbench/ wraps them by name.
@@ -69,6 +69,7 @@ from .trajectories import (  # noqa: F401
     Transfer,
     TrajectorySamples,
     TrajectorySpec,
+    _check_fields,
     complete_v_closed,
     eval_components,
     solve_consistent_v_open,
@@ -123,9 +124,7 @@ class TransitionSpec:
     stop: float
 
     def __post_init__(self):
-        for val in (self.start, self.stop):
-            if not np.isfinite(val):
-                raise ValidationError("transition frequency must be finite")
+        _check_fields(self)
 
     @property
     def kind(self) -> str:
@@ -134,14 +133,15 @@ class TransitionSpec:
 
     @classmethod
     def constant(cls, value: float) -> "TransitionSpec":
-        return cls(float(value), float(value))
+        return cls(value, value)
 
     @classmethod
     def ramp(cls, start: float, stop: float) -> "TransitionSpec":
-        return cls(float(start), float(stop))
+        return cls(start, stop)
 
     def values(self, grid: np.ndarray) -> np.ndarray:
         """omega0 samples, running linearly from grid start to grid end."""
+        grid = validate_grid(grid)
         frac = (grid - grid[0]) / (grid[-1] - grid[0])
         return self.start + (self.stop - self.start) * frac
 
@@ -155,18 +155,17 @@ class Window:
     samples: int
 
     def __post_init__(self):
-        if not (np.isfinite(_numeric(self.start, "window start"))
-                and np.isfinite(_numeric(self.stop, "window stop"))):
-            raise ValidationError("window bounds must be finite")
+        for name in ("start", "stop"):
+            object.__setattr__(self, name, _scalar(getattr(self, name), f"window {name}"))
         if self.stop <= self.start:
             raise ValidationError("window stop must exceed start")
         if not isinstance(self.samples, int) or not 2 <= self.samples <= _MAX_SAMPLES:
             raise ValidationError(f"window samples must be an integer in [2, {_MAX_SAMPLES}]")
-        bound = max(abs(float(self.start)), abs(float(self.stop)))
+        bound = max(abs(self.start), abs(self.stop))
         # the trajectories and splines square times; this also keeps stop - start finite
         if not math.isfinite(bound * bound):
             raise ValidationError("window bound squared overflows a float")
-        spacing = (float(self.stop) - float(self.start)) / (self.samples - 1)
+        spacing = (self.stop - self.start) / (self.samples - 1)
         floor = step_floor(bound)
         if spacing < floor:
             raise ValidationError(f"window sample spacing {spacing:g} ps is below the "
@@ -196,15 +195,25 @@ class ScenarioConfig:
                 and "/" not in name and "\\" not in name):
             raise ValidationError("scenario name must be a printable file stem without '/' or "
                                   f"'\\', and not '.' or '..'; got {name!r}")
+        for section, kind in (("trajectory", (Transfer, RabiDecay)), ("rates", Rates),
+                              ("transition", TransitionSpec), ("window", Window)):
+            if not isinstance(getattr(self, section), kind):
+                raise ValidationError(f"{section} must be one of this package's {section} types, "
+                                      f"got {type(getattr(self, section)).__name__}")
+        if not isinstance(self.pictures, (list, tuple)):
+            raise ValidationError(f"pictures must be a list or tuple, got {self.pictures!r:.60}")
+        object.__setattr__(self, "pictures", tuple(self.pictures))
         for pic in self.pictures:
-            if pic not in PICTURES:
-                raise ValidationError(f"unknown picture {pic!r}; known: {list(PICTURES)}")
+            if not isinstance(pic, str) or pic not in PICTURES:
+                raise ValidationError(f"unknown picture {pic!r:.60}; known: {list(PICTURES)}")
         if len(set(self.pictures)) != len(self.pictures):
             raise ValidationError(f"pictures must not repeat, got {list(self.pictures)}")
         if "lab" in self.pictures and not self.rates.closed:
             raise ValidationError(
                 "the 'lab' picture is defined for closed scenarios only; "
                 "remove it or zero the rates")
+        for name in ("rtol", "atol"):
+            object.__setattr__(self, name, _scalar(getattr(self, name), name))
         if not (0.0 < self.rtol < 1.0 and 0.0 < self.atol < 1.0):
             raise ValidationError("tolerances must lie in (0, 1)")
 
@@ -213,13 +222,11 @@ def _parse_quantity(obj, kind: str | None, name: str):
     """Turn one JSON value into a number: the only place the schema does so.
 
     ``kind`` is a key of ``_UNIT_SCALES``, ``None`` for a dimensionless float,
-    or ``"count"`` for a bare integer. A bare number is taken to be in
+    or ``"count"`` for a bare integer, passed on unchanged. A bare number is taken to be in
     internal units; a ``{"value", "unit"}`` object is converted from its unit.
     """
     if kind == "count":
-        if isinstance(obj, bool) or not isinstance(obj, int):
-            raise ValidationError(f"{name} must be an integer")
-        return obj
+        return obj  # as given: Window checks its sample count
     unit = None
     if isinstance(obj, dict):
         if set(obj) - {"value", "unit"} or "value" not in obj:
@@ -239,10 +246,7 @@ def _parse_quantity(obj, kind: str | None, name: str):
             raise ValidationError(
                 f"{name}: unknown {kind} unit {unit!r}; known: {sorted(scales)}")
         scale = scales[unit]
-    try:
-        return float(obj) * scale
-    except OverflowError:
-        raise ValidationError(f"{name}: integer too large for a float") from None
+    return _scalar(obj, name) * scale
 
 
 def _tolerances(rtol: float = ScenarioConfig.rtol, atol: float = ScenarioConfig.atol) -> dict:
@@ -336,12 +340,10 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
     for key in ("name", "trajectory", "transition", "window"):
         if key not in d:
             raise ValidationError(f"scenario: missing key '{key}'")
-    pictures = d.get("pictures", ScenarioConfig.pictures)
-    if not isinstance(pictures, (list, tuple)):
-        raise ValidationError("pictures must be a list")
     sections = {s: _load_section(s, d.get(s, {})) for s in _SCHEMA}
     tolerances = sections.pop("tolerances")
-    return ScenarioConfig(name=d["name"], pictures=tuple(pictures), **sections, **tolerances)
+    return ScenarioConfig(name=d["name"], pictures=d.get("pictures", ScenarioConfig.pictures),
+                          **sections, **tolerances)
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
@@ -457,11 +459,10 @@ def preset_names() -> list[str]:
 
 def preset(name: str) -> ScenarioConfig:
     """Look up a bundled scenario by name."""
-    try:
-        return _PRESETS[name]
-    except KeyError:
+    if not isinstance(name, str) or name not in _PRESETS:
         raise ValidationError(
-            f"unknown preset {name!r}; available: {', '.join(_PRESETS)}") from None
+            f"unknown preset name {name!r:.60}; available: {', '.join(_PRESETS)}")
+    return _PRESETS[name]
 
 
 def preset_note(name: str) -> str:
@@ -508,21 +509,17 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
         if pic == "effective-bloch":
             res = integrate_bloch_effective(field, cfg.rates, r0, grid,
                                             rtol=cfg.rtol, atol=cfg.atol)
-            comparable = res
+        elif pic == "interaction" and cfg.rates.closed:
+            res = integrate_interaction(field, r0, grid, rtol=cfg.rtol, atol=cfg.atol)
         elif pic == "interaction":
-            if cfg.rates.closed:
-                res = integrate_interaction(field, r0, grid, rtol=cfg.rtol, atol=cfg.atol)
-            else:
-                res = integrate_lindblad(field, cfg.rates, r0, grid,
-                                         rtol=cfg.rtol, atol=cfg.atol)
-            comparable = res
+            res = integrate_lindblad(field, cfg.rates, r0, grid, rtol=cfg.rtol, atol=cfg.atol)
         else:  # "lab", closed only (enforced by the config)
             res = integrate_lab(field, _to_corotating(r0, -field.phi[0]), grid,
                                 rtol=cfg.rtol, atol=cfg.atol)
-            comparable = SimResult(picture="lab", t=res.t,
-                                   bloch=_to_corotating(res.bloch, field.phi), stats=res.stats)
         results[pic] = res
-        reports[pic] = tracking_error(comparable, samples.u, v, samples.w)
+        # each report carries the requested picture's name, whichever integrator ran it
+        bloch = _to_corotating(res.bloch, field.phi) if pic == "lab" else res.bloch
+        reports[pic] = tracking_error(SimResult(pic, res.t, bloch), samples.u, v, samples.w)
 
     return ScenarioRun(config=cfg, grid=grid, samples=samples, v=v, field=field,
                        results=results, reports=reports)

@@ -7,6 +7,8 @@ Conventions, used everywhere in this package:
     u = <sigma_x>, v = <sigma_y>, w = <sigma_z>,  rho = (I + r . sigma) / 2.
   * Times are in ps, angular frequencies in rad/ps.
   * The metrics take any numeric 2x2 matrix, a state or not, and nothing else.
+  * Every numeric input passes ``_numeric`` (any numbers), ``_finite`` (all finite) or
+    ``_scalar`` (one finite real, as a float), whose ValidationError names the argument.
 """
 
 from __future__ import annotations
@@ -44,24 +46,42 @@ BLOCH_NORM_SLACK = 1e-9
 
 
 def _numeric(x, name: str, dtype=None, shape=None) -> np.ndarray:
-    """``np.asarray(x, dtype)``; ValidationError naming ``name`` when ``x`` does not
-    convert, holds a string, bytes or None, or differs from a given ``shape``. Without a
-    ``dtype``, ``x`` must hold real numbers and keeps its own dtype."""
+    """``np.asarray(x, dtype)``; ValidationError naming ``name`` unless ``x`` converts to
+    numbers (no string, bytes, None, float overflow, or complex unless ``dtype`` is complex)
+    of any given ``shape``. Without a ``dtype``, ``x`` must be real and keeps its dtype."""
+    real = dtype is not complex
     try:
-        arr = np.asarray(x, dtype=dtype)
-        # numpy parses strings as numbers and turns a None into NaN, so anything but a
-        # numeric array is also converted without a dtype, which keeps them apart
+        # numpy parses strings as numbers, turns a None into NaN and drops an imaginary part,
+        # so anything but a numeric array is also converted without a dtype to tell them apart
         kind = getattr(getattr(x, "dtype", None), "kind", "O")
         probe = x if kind in "biufc" else np.asarray(x)
-    except (TypeError, ValueError):
-        arr = probe = None
-    if arr is None or (dtype is None and arr.dtype.kind not in "biuf") or (
-            probe.dtype.kind in "SU") or (probe.dtype.kind == "O" and any(
-                v is None or isinstance(v, (str, bytes)) for v in probe.flat)):
+        bad = (str, bytes, type(None), complex) if real else (str, bytes, type(None))
+        ok = probe.dtype.kind in ("biuf" if real else "biufc") or (
+            probe.dtype.kind == "O" and not any(isinstance(v, bad) for v in probe.flat))
+        arr = np.asarray(x, dtype=dtype) if ok else None
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is None or arr.dtype.kind not in "biufc":
         raise ValidationError(f"{name} must be numeric, got {x!r:.60}")
     if shape is not None and arr.shape != shape:
         raise ValidationError(f"{name} must have shape {shape}, got {arr.shape}")
     return arr
+
+
+def _finite(x, name: str, dtype=None, shape=None) -> np.ndarray:
+    """``_numeric``, and ValidationError naming ``name`` unless every value is finite."""
+    arr = _numeric(x, name, dtype, shape)
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{name} must be finite")
+    return arr
+
+
+def _scalar(x, name: str) -> float:
+    """One finite real number as a float; ValidationError naming ``name`` otherwise."""
+    value = float(x) if isinstance(x, float) else float(_numeric(x, name, float, ()))
+    if not np.isfinite(value):
+        raise ValidationError(f"{name} must be finite")
+    return value
 
 
 def validate_grid(t) -> np.ndarray:
@@ -78,11 +98,9 @@ def validate_grid(t) -> np.ndarray:
     numpy.ndarray
         The validated grid, dtype float64.
     """
-    grid = _numeric(t, "time grid", float)
+    grid = _finite(t, "time grid", float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValidationError("time grid must be 1-D with at least two samples")
-    if not np.isfinite(grid).all():
-        raise ValidationError("time grid contains non-finite values")
     if not (np.diff(grid) > 0.0).all():
         raise ValidationError("time grid must be strictly increasing")
     return grid
@@ -94,9 +112,7 @@ def validate_density(rho) -> np.ndarray:
     Hermiticity within 1e-12, unit trace within 1e-10, and a Bloch vector no
     longer than 1 + 1e-9. Returns the matrix as complex128.
     """
-    rho = _numeric(rho, "density matrix", complex, (2, 2))
-    if not np.all(np.isfinite(rho.view(float))):
-        raise ValidationError("density matrix contains non-finite entries")
+    rho = _finite(rho, "density matrix", complex, (2, 2))
     herm = np.max(np.abs(rho - rho.conj().T))
     if herm > 1e-12:
         raise ValidationError(f"density matrix not Hermitian: defect {herm:.3e}")
@@ -123,11 +139,9 @@ def bloch_from_density(rho) -> np.ndarray:
 def _checked_bloch(r) -> np.ndarray:
     """Bloch vectors along the last axis as floats; ValidationError unless each is
     finite and inside the unit ball up to roundoff."""
-    r = _numeric(r, "Bloch vectors", float)
+    r = _finite(r, "Bloch vectors", float)
     if r.ndim == 0 or r.shape[-1] != 3:
         raise ValidationError(f"Bloch vectors must have shape (..., 3), got {r.shape}")
-    if not np.all(np.isfinite(r)):
-        raise ValidationError("Bloch vector contains non-finite values")
     norm = float(np.max(np.linalg.norm(r, axis=-1), initial=0.0))
     if norm > 1.0 + BLOCH_NORM_SLACK:
         raise ValidationError(f"Bloch vector length {norm:.12f} exceeds 1")

@@ -29,7 +29,7 @@ from scipy.linalg.lapack import dgtsv
 from .errors import (CarrierSingularityError, NumericalError, SingularPrescriptionError,
                      ValidationError)
 from .rates import Rates, transverse_rate
-from .states import _numeric, validate_grid
+from .states import _finite, _numeric, _scalar, validate_grid
 from .trajectories import (
     V_MIN,
     TrajectorySpec,
@@ -90,12 +90,9 @@ class ControlField:
     def __post_init__(self, _grid_checked):
         if not _grid_checked:
             object.__setattr__(self, "t", validate_grid(self.t))  # the checked float grid
-        n = self.t.size
         for name in _CHANNELS:
-            arr = _numeric(getattr(self, name), f"ControlField.{name}", float, (n,))
-            if not np.isfinite(arr).all():
-                raise ValidationError(f"ControlField.{name} contains non-finite values")
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _finite(getattr(self, name), f"ControlField.{name}",
+                                                   float, self.t.shape))
 
     @cached_property
     def _coefficients(self) -> tuple[list, bytes]:
@@ -157,18 +154,22 @@ class ControlField:
 
     def scaled(self, factor: float) -> "ControlField":
         """Same pulse with the drive amplitude multiplied by ``factor``."""
-        factor = float(_numeric(factor, "factor", float, ()))
+        factor = _scalar(factor, "factor")
         return replace(self, omega=self.omega * factor, omega_r=self.omega_r * factor)
 
 
-def omega_delta_from_components(u, w, du, dw, v, rates: Rates) -> tuple[np.ndarray, np.ndarray]:
+def omega_delta_from_components(u, w, du, dw, v, rates: Rates, *,
+                                _checked: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Coupling envelope and detuning from trajectory components.
 
     All arguments are arrays on a common grid; ``v`` comes from one of the
     completion routines. Raises ``SingularPrescriptionError`` if v sits below
     ``V_MIN`` (defensive; completions enforce this too).
     """
-    u, w, du, dw, v = map(_numeric, (u, w, du, dw, v), ("u", "w", "du", "dw", "v"))
+    if not _checked:  # synthesis passes the arrays it has computed
+        u, w, du, dw, v = map(_finite, (u, w, du, dw, v), ("u", "w", "du", "dw", "v"))
+        if len(shapes := {x.shape for x in (u, w, du, dw, v)}) != 1:
+            raise ValidationError(f"u, w, du, dw and v must share one shape, got {sorted(shapes)}")
     if (v < V_MIN).any():
         raise SingularPrescriptionError(
             f"transverse component below {V_MIN:g}; pulse undefined")
@@ -199,14 +200,9 @@ def phase_from_detuning(omega0, delta, grid, *, zero_time: float | None = None,
     """
     t = grid if _grid_checked else validate_grid(grid)  # synthesis has checked both already
     omega0 = omega0 if _grid_checked else _per_sample_omega0(omega0, t)
-    delta = _numeric(delta, "delta", float, t.shape)
-    if not np.isfinite(delta).all():
-        raise ValidationError("delta contains non-finite values")
-    try:
-        t0 = t[0] if zero_time is None else float(zero_time)
-    except (TypeError, ValueError):
-        raise ValidationError(f"the gauge point must be a time, got {zero_time!r}") from None
-    if not t[0] <= t0 <= t[-1]:  # also rejects NaN
+    delta = _finite(delta, "delta", float, t.shape)
+    t0 = t[0] if zero_time is None else _scalar(zero_time, "zero_time")
+    if not t[0] <= t0 <= t[-1]:
         raise ValidationError(f"zero_time {t0:g} outside the window [{t[0]:g}, {t[-1]:g}]")
     return _spline_integral(t, omega0 + delta, t0)
 
@@ -256,14 +252,10 @@ def _spline_slopes(t: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _per_sample_omega0(omega0, t: np.ndarray) -> np.ndarray:
     """omega0, a finite scalar or one finite value per sample, as a new array over ``t``."""
-    try:
-        omega0 = np.broadcast_to(np.asarray(omega0, dtype=float), t.shape).copy()
-    except (TypeError, ValueError):
-        raise ValidationError(
-            f"omega0 must be a number or {t.size} numbers, one per sample") from None
-    if not np.isfinite(omega0).all():
-        raise ValidationError("omega0 contains non-finite values")
-    return omega0
+    omega0 = _finite(omega0, "omega0", float)
+    if omega0.ndim > 1 or omega0.size not in (1, t.size):
+        raise ValidationError(f"omega0 must be a number or {t.size} numbers, one per sample")
+    return np.broadcast_to(omega0, t.shape).copy()
 
 
 def rabi_from_phase(omega, phi, times) -> np.ndarray:
@@ -278,8 +270,7 @@ def rabi_from_phase(omega, phi, times) -> np.ndarray:
     ValidationError
         If ``omega``, ``phi`` and ``times`` differ in shape.
     """
-    omega, phi, times = (_numeric(x, name, float)
-                         for x, name in zip((omega, phi, times), ("omega", "phi", "times")))
+    omega, phi, times = map(_numeric, (omega, phi, times), ("omega", "phi", "times"), [float] * 3)
     if not omega.shape == phi.shape == times.shape:
         raise ValidationError(f"omega, phi and times must share one shape, got {omega.shape}, "
                               f"{phi.shape} and {times.shape}")
@@ -343,9 +334,10 @@ def _synthesize(spec, rates, omega0, grid, *, phase_zero="center"):
     else:
         v = solve_consistent_v_open(samples, rates)
     omega, delta = omega_delta_from_components(
-        samples.u, samples.w, samples.du, samples.dw, v, rates)
+        samples.u, samples.w, samples.du, samples.dw, v, rates, _checked=True)
     named = {"center": 0.5 * (t[0] + t[-1]), "start": t[0]}
-    zero_time = named.get(phase_zero, phase_zero) if isinstance(phase_zero, str) else phase_zero
+    zero_time = named[phase_zero] if isinstance(phase_zero, str) and phase_zero in named \
+        else _scalar(phase_zero, "phase_zero")
     omega0 = _per_sample_omega0(omega0, t)
     phi = phase_from_detuning(omega0, delta, t, zero_time=zero_time, _grid_checked=True)
     field = ControlField(t, omega, delta, phi, rabi_from_phase(omega, phi, t), omega0,

@@ -22,7 +22,7 @@ from .errors import IntegrationError, SingularPrescriptionError, ValidationError
 # benchmark tracer in perfbench/ wraps it by name.
 from .odeint import _MAX_STEPS, integrate_adaptive  # noqa: F401
 from .rates import Rates, transverse_rate
-from .states import BLOCH_NORM_SLACK, _numeric, validate_grid
+from .states import BLOCH_NORM_SLACK, _scalar, validate_grid
 
 __all__ = [
     "Transfer",
@@ -43,11 +43,11 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(4)  # 4-point Gauss-Legendre rule
 _CHUNK_NODES = 1 << 16  # quadrature nodes the open v-completion evaluates at once
 
 
-def _check_finite(spec):
+def _check_fields(spec):
+    """Store every field of the frozen dataclass ``spec`` as one finite float."""
     for f in fields(spec):
-        val = getattr(spec, f.name)
-        if not np.isfinite(val):
-            raise ValidationError(f"{type(spec).__name__}.{f.name} must be finite, got {val}")
+        name = f"{type(spec).__name__}.{f.name}"
+        object.__setattr__(spec, f.name, _scalar(getattr(spec, f.name), name))
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ class Transfer:
     peak_time: float = 0.0
 
     def __post_init__(self):
-        _check_finite(self)  # every field, the ripple of an Oscillatory too
+        _check_fields(self)  # every field, the ripple of an Oscillatory too
         if abs(self.inversion_start) > 1.0 or abs(self.inversion_stop) > 1.0:
             raise ValidationError("inversion levels must lie in [-1, 1]")
         if self.switch_rate <= 0.0:
@@ -141,7 +141,7 @@ class RabiDecay:
     coherence_frequency: float
 
     def __post_init__(self):
-        _check_finite(self)
+        _check_fields(self)
         if abs(self.inversion_amplitude) > 1.0 or abs(self.coherence_amplitude) > 1.0:
             raise ValidationError("amplitudes must lie in [-1, 1]")
         if self.decay_curvature < 0.0:
@@ -249,8 +249,8 @@ def solve_consistent_v_open(
             raise ValidationError("initial point leaves the Bloch sphere")
         s0 = max(s0, 0.0)
     else:
-        v0 = float(_numeric(v0, "v0", float, ()))
-        if not 0.0 <= v0 <= 1.0:  # also rejects NaN and infinities
+        v0 = _scalar(v0, "v0")
+        if not 0.0 <= v0 <= 1.0:
             raise ValidationError(f"v0 must lie in [0, 1], got {v0}")
         s0 = v0 ** 2
     # s comes from a helper, so no quadrature array outlives it in this frame, which

@@ -21,7 +21,7 @@ from .dynamics import SimResult, dissipator_action, integrate_interaction
 from .errors import ValidationError
 from .rates import Rates
 from .states import (
-    IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, _density, _numeric, _onto_sphere,
+    IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, _density, _finite, _onto_sphere, _scalar,
     bloch_from_density, density_from_bloch, fidelity,
 )
 from .synthesis import ControlField
@@ -80,8 +80,7 @@ def tracking_error(result: SimResult, u, v, w) -> TrackingReport:
         deviation, and the final-state fidelity against the prescribed
         endpoint.
     """
-    n = result.t.size
-    u, v, w = (_numeric(x, name, float, (n,)) for x, name in zip((u, v, w), "uvw"))
+    u, v, w = (_finite(x, name, float, result.t.shape) for x, name in zip((u, v, w), "uvw"))
     bloch = result.bloch
     du = np.abs(bloch[:, 0] - u)
     dv = np.abs(bloch[:, 1] - v)
@@ -111,8 +110,8 @@ def rwa_deviation(field: ControlField, r0, grid, *, scale: float = 1.0) -> float
     Euclidean distance between Bloch vectors. Weak drives make this small;
     strong drives do not.
     """
-    scale = float(_numeric(scale, "scale", float, ()))
-    if not scale > 0.0:  # also rejects NaN
+    scale = _scalar(scale, "scale")
+    if scale <= 0.0:
         raise ValidationError("scale must be > 0")
     scaled = field.scaled(scale)
     full = integrate_interaction(scaled, r0, grid, rwa=False)

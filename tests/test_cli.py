@@ -26,6 +26,7 @@ from blochpulse import (
     save_scenario,
     scenario_to_dict,
 )
+from blochpulse import cli
 from blochpulse.cli import main
 
 _ROOT = Path(__file__).resolve().parents[1]
@@ -46,6 +47,21 @@ def mini_config(tmp_path):
     path = tmp_path / "mini.json"
     save_scenario(_MINI, path)
     return path
+
+
+def test_parser_is_built_once_per_process():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_open_preset_labels_its_report_and_sanity_lines_alike(tmp_path, capsys):
+    # fig3 is open, so its "interaction" picture runs the master equation
+    path = tmp_path / "fig3.json"
+    save_scenario(preset("fig3"), path)
+    assert main(["verify", "--config", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"^\[interaction\] sup ", out, re.M)
+    assert re.search(r"^\[interaction\] Bloch-norm excess ", out, re.M)
+    assert "[lindblad]" not in out
 
 
 def test_preset_list(capsys):

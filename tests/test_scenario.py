@@ -252,6 +252,23 @@ def test_lab_picture_requires_closed_rates():
         scenario_from_dict(d)
 
 
+@pytest.mark.parametrize("change", [
+    {"trajectory": None}, {"trajectory": Rates()}, {"rates": None},
+    {"rates": {"dephasing": 1e-3}}, {"transition": 5e-3}, {"window": (-60.0, 60.0, 201)},
+    {"pictures": None}, {"pictures": "lab"}, {"pictures": ["effective-bloch", 3]},
+    {"pictures": [["lab"]]},
+])
+def test_scenario_config_rejects_arguments_of_other_types(change):
+    with pytest.raises(ValidationError):
+        dataclasses.replace(_MINI, **change)
+
+
+def test_scenario_config_keeps_its_pictures_as_a_tuple():
+    cfg = dataclasses.replace(_MINI, pictures=["interaction", "effective-bloch"])
+    assert cfg.pictures == ("interaction", "effective-bloch")
+    assert hash(cfg) == hash(dataclasses.replace(cfg, pictures=tuple(cfg.pictures)))
+
+
 def test_preset_catalogue():
     assert preset_names() == _EXPECTED_PRESETS
     for name in preset_names():
@@ -259,8 +276,11 @@ def test_preset_catalogue():
         assert cfg.name == name
         assert scenario_from_dict(scenario_to_dict(cfg)) == cfg
         assert preset_note(name)
-    with pytest.raises(ValidationError):
-        preset("nope")
+    for bad in ("nope", None, ["fig1_L1"], 3):
+        with pytest.raises(ValidationError):
+            preset(bad)
+        with pytest.raises(ValidationError):
+            preset_note(bad)
 
 
 def test_transition_values_endpoints():
@@ -353,6 +373,14 @@ def test_open_run_drive_comes_from_the_reported_v():
         for channel in ("t", "omega", "delta", "phi", "omega_r", "omega0"):
             assert np.array_equal(getattr(run.field, channel), getattr(field, channel)), \
                 (name, channel)
+
+
+def test_every_report_carries_the_requested_picture_name():
+    # an open scenario's "interaction" runs the master equation, whose SimResult is
+    # labelled "lindblad"; its report still names the picture the config asked for
+    for name in preset_names():
+        run = run_scenario(preset(name))
+        assert [rep.picture for rep in run.reports.values()] == list(run.config.pictures), name
 
 
 def test_csv_export_deterministic(tmp_path):
