@@ -38,7 +38,7 @@ from .errors import ValidationError
 from .odeint import ATOL, RTOL, SPAN_SLACK, IntegrationStats, integrate_bloch
 from .rates import Rates, inversion_decay_rate, transverse_rate
 from .states import (SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, _checked_bloch, _density, _finite,
-                     validate_grid)
+                     _show, validate_grid)
 from .synthesis import ControlField
 
 __all__ = [
@@ -163,9 +163,8 @@ def integrate_lab(field: ControlField, r0, grid, *,
     return _propagate("lab", field, _lab_field, Rates(), r0, grid, rtol, atol)
 
 
-def integrate_interaction(field: ControlField, r0, grid, *,
-                          rtol: float = RTOL, atol: float = ATOL,
-                          rwa: bool = False) -> SimResult:
+def integrate_interaction(field: ControlField, r0, grid, *, rtol: float = RTOL,
+                          atol: float = ATOL, rwa: bool = False) -> SimResult:
     """Closed-system evolution in the carrier co-rotating frame.
 
     The coupling keeps its counter-rotating part exactly:
@@ -198,7 +197,7 @@ def integrate_lindblad(field: ControlField, rates: Rates, r0, grid, *,
         the counter-rotating residual.
     """
     if hamiltonian not in ("design", "field"):
-        raise ValidationError(f"hamiltonian must be 'design' or 'field', got {hamiltonian!r}")
+        raise ValidationError(f"hamiltonian must be 'design' or 'field', got {_show(hamiltonian)}")
     field_at = _design_field if hamiltonian == "design" else _carrier_field
     return _propagate("lindblad", field, field_at, rates, r0, grid, rtol, atol)
 
@@ -238,7 +237,8 @@ def frame_transform(states, phi, direction: str = "to_interaction") -> np.ndarra
     elif direction == "to_lab":
         phase = np.exp(-1.0j * phi_arr)
     else:
-        raise ValidationError(f"direction must be 'to_interaction' or 'to_lab', got {direction!r}")
+        raise ValidationError(
+            f"direction must be 'to_interaction' or 'to_lab', got {_show(direction)}")
     out = states.copy()
     out[:, 0, 1] *= phase
     out[:, 1, 0] *= np.conj(phase)

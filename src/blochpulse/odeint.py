@@ -237,8 +237,7 @@ def _integrate(kernel, t_span, y0, t_eval, rtol, atol,
         new_state, k7, stages, ratio = attempt(t, h, state, k1)
         stats.rhs_evals += 6
         if not math.isfinite(ratio):
-            raise IntegrationError(f"non-finite local error estimate at t = {t:.6g} ps",
-                                   t_first=t)
+            raise IntegrationError(f"non-finite local error estimate at t = {t:.6g} ps", t_first=t)
 
         if ratio <= 1.0:
             steps.append((t, h, state, stages))

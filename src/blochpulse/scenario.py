@@ -58,7 +58,7 @@ from .dynamics import (
 from .errors import ValidationError
 from .odeint import ATOL, RTOL, step_floor
 from .rates import Rates
-from .states import _onto_sphere, _scalar, validate_grid
+from .states import _check_fields, _onto_sphere, _scalar, _show, validate_grid
 # synthesize_pulse, eval_components, complete_v_closed and solve_consistent_v_open
 # are unused here but stay importable from this module: the benchmark tracer in
 # perfbench/ wraps them by name.
@@ -69,7 +69,6 @@ from .trajectories import (  # noqa: F401
     Transfer,
     TrajectorySamples,
     TrajectorySpec,
-    _check_fields,
     complete_v_closed,
     eval_components,
     solve_consistent_v_open,
@@ -194,24 +193,23 @@ class ScenarioConfig:
         if not (isinstance(name, str) and name.isprintable() and name not in ("", ".", "..")
                 and "/" not in name and "\\" not in name):
             raise ValidationError("scenario name must be a printable file stem without '/' or "
-                                  f"'\\', and not '.' or '..'; got {name!r}")
+                                  f"'\\', and not '.' or '..'; got {_show(name)}")
         for section, kind in (("trajectory", (Transfer, RabiDecay)), ("rates", Rates),
                               ("transition", TransitionSpec), ("window", Window)):
             if not isinstance(getattr(self, section), kind):
                 raise ValidationError(f"{section} must be one of this package's {section} types, "
                                       f"got {type(getattr(self, section)).__name__}")
         if not isinstance(self.pictures, (list, tuple)):
-            raise ValidationError(f"pictures must be a list or tuple, got {self.pictures!r:.60}")
+            raise ValidationError(f"pictures must be a list or tuple, got {_show(self.pictures)}")
         object.__setattr__(self, "pictures", tuple(self.pictures))
         for pic in self.pictures:
             if not isinstance(pic, str) or pic not in PICTURES:
-                raise ValidationError(f"unknown picture {pic!r:.60}; known: {list(PICTURES)}")
+                raise ValidationError(f"unknown picture {_show(pic)}; known: {list(PICTURES)}")
         if len(set(self.pictures)) != len(self.pictures):
             raise ValidationError(f"pictures must not repeat, got {list(self.pictures)}")
         if "lab" in self.pictures and not self.rates.closed:
-            raise ValidationError(
-                "the 'lab' picture is defined for closed scenarios only; "
-                "remove it or zero the rates")
+            raise ValidationError("the 'lab' picture is defined for closed scenarios only; "
+                                  "remove it or zero the rates")
         for name in ("rtol", "atol"):
             object.__setattr__(self, name, _scalar(getattr(self, name), name))
         if not (0.0 < self.rtol < 1.0 and 0.0 < self.atol < 1.0):
@@ -243,8 +241,7 @@ def _parse_quantity(obj, kind: str | None, name: str):
         if not isinstance(unit, str):
             raise ValidationError(f"{name}: unit must be a string")
         if unit not in scales:
-            raise ValidationError(
-                f"{name}: unknown {kind} unit {unit!r}; known: {sorted(scales)}")
+            raise ValidationError(f"{name}: unknown {kind} unit {unit!r}; known: {sorted(scales)}")
         scale = scales[unit]
     return _scalar(obj, name) * scale
 
@@ -298,8 +295,7 @@ def _load_section(section: str, d):
         if not isinstance(variant, str):
             raise ValidationError(f"{section}: '{key}' must be a string")
         if variant not in variants:
-            raise ValidationError(
-                f"unknown {section} {key} {variant!r}; known: {sorted(variants)}")
+            raise ValidationError(f"unknown {section} {key} {variant!r}; known: {sorted(variants)}")
     make, fields = variants[variant]
     extra = set(d) - set(fields) - {key}
     if extra:
@@ -461,7 +457,7 @@ def preset(name: str) -> ScenarioConfig:
     """Look up a bundled scenario by name."""
     if not isinstance(name, str) or name not in _PRESETS:
         raise ValidationError(
-            f"unknown preset name {name!r:.60}; available: {', '.join(_PRESETS)}")
+            f"unknown preset name {_show(name)}; available: {', '.join(_PRESETS)}")
     return _PRESETS[name]
 
 
@@ -678,8 +674,7 @@ def export_svg(run: ScenarioRun, kind: str, path) -> None:
     if kind == "pulse":
         svgplot.line_chart(
             path, f"{name}: synthesized drive", "t (ps)", "rad/ps", run.grid,
-            [("omega_R", run.field.omega_r, False),
-             ("delta", run.field.delta, False),
+            [("omega_R", run.field.omega_r, False), ("delta", run.field.delta, False),
              ("omega0", run.field.omega0, True)])
     elif kind == "populations":
         series = [("P_e prescribed", 0.5 * (1.0 + run.samples.w), True)]
@@ -688,8 +683,7 @@ def export_svg(run: ScenarioRun, kind: str, path) -> None:
             pops = first.populations
             series.insert(0, (f"P_e {first.picture}", pops[:, 0], False))
             series.append((f"P_g {first.picture}", pops[:, 1], False))
-        svgplot.line_chart(path, f"{name}: populations", "t (ps)", "population",
-                           run.grid, series)
+        svgplot.line_chart(path, f"{name}: populations", "t (ps)", "population", run.grid, series)
     elif kind == "bloch3d":
         if run.config.pictures:
             bloch = run.results[run.config.pictures[0]].bloch
@@ -698,7 +692,7 @@ def export_svg(run: ScenarioRun, kind: str, path) -> None:
             bloch = np.stack([u, v, w], axis=1)
         svgplot.bloch_chart(path, f"{name}: Bloch trajectory", bloch)
     else:
-        raise ValidationError(f"unknown chart kind {kind!r}; known: {list(SVG_KINDS)}")
+        raise ValidationError(f"unknown chart kind {_show(kind)}; known: {list(SVG_KINDS)}")
 
 
 def export_all(run: ScenarioRun, out_dir, *, svg: bool = False) -> list[Path]:

@@ -13,6 +13,8 @@ Conventions, used everywhere in this package:
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 
 from .errors import ValidationError
@@ -62,10 +64,18 @@ def _numeric(x, name: str, dtype=None, shape=None) -> np.ndarray:
     except (TypeError, ValueError, OverflowError):
         arr = None
     if arr is None or arr.dtype.kind not in "biufc":
-        raise ValidationError(f"{name} must be numeric, got {x!r:.60}")
+        raise ValidationError(f"{name} must be numeric, got {_show(x)}")
     if shape is not None and arr.shape != shape:
         raise ValidationError(f"{name} must have shape {shape}, got {arr.shape}")
     return arr
+
+
+def _show(x) -> str:
+    """``repr(x)`` cut to 60 characters; the type's name where repr fails (a huge int)."""
+    try:
+        return f"{x!r:.60}"
+    except ValueError:
+        return type(x).__name__
 
 
 def _finite(x, name: str, dtype=None, shape=None) -> np.ndarray:
@@ -82,6 +92,13 @@ def _scalar(x, name: str) -> float:
     if not np.isfinite(value):
         raise ValidationError(f"{name} must be finite")
     return value
+
+
+def _check_fields(spec):
+    """Store every field of the frozen dataclass ``spec`` as one finite float."""
+    for f in fields(spec):
+        name = f"{type(spec).__name__}.{f.name}"
+        object.__setattr__(spec, f.name, _scalar(getattr(spec, f.name), name))
 
 
 def validate_grid(t) -> np.ndarray:

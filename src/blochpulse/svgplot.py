@@ -136,8 +136,7 @@ def line_chart(path: str, title: str, xlabel: str, ylabel: str, x, series) -> No
         screen_y = sy(np.asarray(y, dtype=float))
         keep = _m4(column, screen_y)
         color = _COLORS[i % len(_COLORS)]
-        el.append(_polyline(screen_x[keep], screen_y[keep], color,
-                            dash="6,4" if dashed else None))
+        el.append(_polyline(screen_x[keep], screen_y[keep], color, dash="6,4" if dashed else None))
         lx = right - 120
         ly = top + 18 + 16 * i
         el.append(f'<line x1="{_fmt(lx)}" y1="{_fmt(ly - 4)}" x2="{_fmt(lx + 24)}" '

@@ -158,21 +158,23 @@ class ControlField:
         return replace(self, omega=self.omega * factor, omega_r=self.omega_r * factor)
 
 
-def omega_delta_from_components(u, w, du, dw, v, rates: Rates, *,
-                                _checked: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def omega_delta_from_components(u, w, du, dw, v, rates: Rates) -> tuple[np.ndarray, np.ndarray]:
     """Coupling envelope and detuning from trajectory components.
 
     All arguments are arrays on a common grid; ``v`` comes from one of the
     completion routines. Raises ``SingularPrescriptionError`` if v sits below
     ``V_MIN`` (defensive; completions enforce this too).
     """
-    if not _checked:  # synthesis passes the arrays it has computed
-        u, w, du, dw, v = map(_finite, (u, w, du, dw, v), ("u", "w", "du", "dw", "v"))
-        if len(shapes := {x.shape for x in (u, w, du, dw, v)}) != 1:
-            raise ValidationError(f"u, w, du, dw and v must share one shape, got {sorted(shapes)}")
+    u, w, du, dw, v = map(_finite, (u, w, du, dw, v), ("u", "w", "du", "dw", "v"))
+    if len(shapes := {x.shape for x in (u, w, du, dw, v)}) != 1:
+        raise ValidationError(f"u, w, du, dw and v must share one shape, got {sorted(shapes)}")
+    return _omega_delta(u, w, du, dw, v, rates)
+
+
+def _omega_delta(u, w, du, dw, v, rates: Rates) -> tuple[np.ndarray, np.ndarray]:
+    """``omega_delta_from_components`` on finite arrays of one shape, as synthesis has."""
     if (v < V_MIN).any():
-        raise SingularPrescriptionError(
-            f"transverse component below {V_MIN:g}; pulse undefined")
+        raise SingularPrescriptionError(f"transverse component below {V_MIN:g}; pulse undefined")
     g_t = transverse_rate(rates)
     omega = (dw + 2.0 * rates.thermal * (1.0 + w + 2.0 * rates.occupancy * w)) / v
     delta = (g_t * u + du) / v
@@ -333,8 +335,7 @@ def _synthesize(spec, rates, omega0, grid, *, phase_zero="center"):
         v = complete_v_closed(samples)
     else:
         v = solve_consistent_v_open(samples, rates)
-    omega, delta = omega_delta_from_components(
-        samples.u, samples.w, samples.du, samples.dw, v, rates, _checked=True)
+    omega, delta = _omega_delta(samples.u, samples.w, samples.du, samples.dw, v, rates)
     named = {"center": 0.5 * (t[0] + t[-1]), "start": t[0]}
     zero_time = named[phase_zero] if isinstance(phase_zero, str) and phase_zero in named \
         else _scalar(phase_zero, "phase_zero")

@@ -12,7 +12,7 @@ frequencies in rad/ps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -22,7 +22,7 @@ from .errors import IntegrationError, SingularPrescriptionError, ValidationError
 # benchmark tracer in perfbench/ wraps it by name.
 from .odeint import _MAX_STEPS, integrate_adaptive  # noqa: F401
 from .rates import Rates, transverse_rate
-from .states import BLOCH_NORM_SLACK, _scalar, validate_grid
+from .states import BLOCH_NORM_SLACK, _check_fields, _scalar, validate_grid
 
 __all__ = [
     "Transfer",
@@ -41,13 +41,6 @@ V_MIN = 1e-6
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(4)  # 4-point Gauss-Legendre rule on [-1, 1]
 _CHUNK_NODES = 1 << 16  # quadrature nodes the open v-completion evaluates at once
-
-
-def _check_fields(spec):
-    """Store every field of the frozen dataclass ``spec`` as one finite float."""
-    for f in fields(spec):
-        name = f"{type(spec).__name__}.{f.name}"
-        object.__setattr__(spec, f.name, _scalar(getattr(spec, f.name), name))
 
 
 @dataclass(frozen=True)

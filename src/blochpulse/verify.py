@@ -20,10 +20,8 @@ import numpy as np
 from .dynamics import SimResult, dissipator_action, integrate_interaction
 from .errors import ValidationError
 from .rates import Rates
-from .states import (
-    IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, _density, _finite, _onto_sphere, _scalar,
-    bloch_from_density, density_from_bloch, fidelity,
-)
+from .states import (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, _density, _finite, _onto_sphere,
+                     _scalar, bloch_from_density, density_from_bloch, fidelity)
 from .synthesis import ControlField
 
 __all__ = [
