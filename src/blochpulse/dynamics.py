@@ -7,10 +7,10 @@ Pictures:
                             counter-rotating term exactly (optionally drops
                             it, for rotating-wave comparisons).
   * master equation      -- open dynamics with dephasing and thermal
-                            channels, under either the design coupling
-                            (real Omega, the form the synthesis inverts) or
-                            the carrier-resolved field.
-  * effective Bloch      -- the damped component equations themselves.
+                            channels under the carrier-resolved field.
+  * effective Bloch      -- the damped component equations, which are the
+                            master equation under the design coupling (real
+                            Omega, the form the synthesis inverts).
 
 Every picture is one affine equation for the Bloch vector r = (u, v, w),
 dr/dt = b(t) x r - (G, G, Gamma_1) r + (0, 0, -2 Gamma), with H = b . sigma / 2,
@@ -179,27 +179,16 @@ def integrate_interaction(field: ControlField, r0, grid, *, rtol: float = RTOL,
 
 
 def integrate_lindblad(field: ControlField, rates: Rates, r0, grid, *,
-                       rtol: float = RTOL, atol: float = ATOL,
-                       hamiltonian: str = "design") -> SimResult:
-    """Open-system evolution under the master equation.
+                       rtol: float = RTOL, atol: float = ATOL) -> SimResult:
+    """Open-system evolution under the master equation with the carrier-resolved coupling.
 
-    Parameters
-    ----------
-    r0 : array_like
-        Initial Bloch vector (u, v, w) in the co-rotating frame.
-    hamiltonian : "design" | "field"
-        "design" (default) uses the real coupling the synthesis inverted,
-        H = (1/2) [[-Delta, Omega], [Omega, Delta]]; the master equation then
-        reduces exactly to the damped component equations, so a synthesized
-        pulse tracks its prescription. "field" rebuilds the carrier-resolved
-        coupling Omega_R (1 + exp(-2 i phi)); with rates off it matches
-        ``integrate_interaction``, and its deviation from "design" measures
-        the counter-rotating residual.
+    The coupling is Omega_R (1 + exp(-2 i phi)), as in ``integrate_interaction``,
+    which this matches with rates off. ``r0`` is the initial Bloch vector
+    (u, v, w) in the co-rotating frame. Under the design coupling the synthesis
+    inverted, the master equation is the damped component equations, which
+    ``integrate_bloch_effective`` integrates.
     """
-    if hamiltonian not in ("design", "field"):
-        raise ValidationError(f"hamiltonian must be 'design' or 'field', got {_show(hamiltonian)}")
-    field_at = _design_field if hamiltonian == "design" else _carrier_field
-    return _propagate("lindblad", field, field_at, rates, r0, grid, rtol, atol)
+    return _propagate("lindblad", field, _carrier_field, rates, r0, grid, rtol, atol)
 
 
 def integrate_bloch_effective(field: ControlField, rates: Rates, r0, grid, *,

@@ -31,8 +31,7 @@ import numpy as np
 from .errors import IntegrationError, ValidationError
 from .states import _finite, _numeric
 
-__all__ = ["ATOL", "RTOL", "IntegrationStats", "integrate_adaptive", "integrate_bloch",
-           "step_floor"]
+__all__ = ["ATOL", "RTOL", "IntegrationStats", "integrate_adaptive", "integrate_bloch"]
 
 # Dormand-Prince 5(4) tableau (Dormand & Prince, J. Comput. Appl. Math. 6
 # (1980) 19). The scheme is first-same-as-last: stage 7 of an accepted step is
@@ -82,7 +81,7 @@ ATOL = 1e-12
 SPAN_SLACK = 1e-12
 
 
-def step_floor(t: float) -> float:
+def _step_floor(t: float) -> float:
     """Smallest step the integrator takes at time ``t``; below it, it gives up."""
     return _FLOOR * max(abs(t), 1.0)
 
@@ -230,7 +229,7 @@ def _integrate(kernel, t_span, y0, t_eval, rtol, atol,
             raise IntegrationError(
                 f"step budget exhausted at t = {t:.6g} ps; tolerances may be unreachable",
                 t_first=t)
-        if h < step_floor(t):
+        if h < _step_floor(t):
             raise IntegrationError(f"step size underflow at t = {t:.6g} ps", t_first=t)
         h = min(h, t1 - t)
 

@@ -26,8 +26,9 @@ no picture repeats. Any malformed entry raises ValidationError.
 Pictures:
   * "effective-bloch" -- damped component equations (any rates);
   * "interaction"     -- carrier-resolved co-rotating evolution for closed
-                         scenarios, master equation under the design coupling
-                         for open ones;
+                         scenarios; for open ones the master equation under
+                         the design coupling, which is the effective-Bloch
+                         evolution, integrated once for both pictures;
   * "lab"             -- carrier-resolved lab frame, closed scenarios only.
 
 CSV export is deterministic byte-for-byte: fixed header
@@ -48,7 +49,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import (
+# integrate_lindblad, synthesize_pulse, eval_components, complete_v_closed and
+# solve_consistent_v_open are unused here but stay importable from this module:
+# the benchmark tracer in perfbench/ wraps them by name.
+from .dynamics import (  # noqa: F401
     SimResult,
     integrate_bloch_effective,
     integrate_interaction,
@@ -56,12 +60,9 @@ from .dynamics import (
     integrate_lindblad,
 )
 from .errors import ValidationError
-from .odeint import ATOL, RTOL, step_floor
+from .odeint import ATOL, RTOL, _step_floor
 from .rates import Rates
 from .states import _check_fields, _onto_sphere, _scalar, _show, validate_grid
-# synthesize_pulse, eval_components, complete_v_closed and solve_consistent_v_open
-# are unused here but stay importable from this module: the benchmark tracer in
-# perfbench/ wraps them by name.
 from .synthesis import ControlField, _synthesize, synthesize_pulse  # noqa: F401
 from .trajectories import (  # noqa: F401
     Oscillatory,
@@ -165,7 +166,7 @@ class Window:
         if not math.isfinite(bound * bound):
             raise ValidationError("window bound squared overflows a float")
         spacing = (self.stop - self.start) / (self.samples - 1)
-        floor = step_floor(bound)
+        floor = _step_floor(bound)
         if spacing < floor:
             raise ValidationError(f"window sample spacing {spacing:g} ps is below the "
                                   f"integrator's step floor {floor:g} ps")
@@ -501,14 +502,15 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
 
     results: dict[str, SimResult] = {}
     reports: dict[str, TrackingReport] = {}
+    effective = None  # an open scenario's interaction picture shares this evolution
     for pic in cfg.pictures:
-        if pic == "effective-bloch":
-            res = integrate_bloch_effective(field, cfg.rates, r0, grid,
-                                            rtol=cfg.rtol, atol=cfg.atol)
-        elif pic == "interaction" and cfg.rates.closed:
-            res = integrate_interaction(field, r0, grid, rtol=cfg.rtol, atol=cfg.atol)
+        if pic == "effective-bloch" or (pic == "interaction" and not cfg.rates.closed):
+            if effective is None:
+                effective = integrate_bloch_effective(field, cfg.rates, r0, grid,
+                                                      rtol=cfg.rtol, atol=cfg.atol)
+            res = effective
         elif pic == "interaction":
-            res = integrate_lindblad(field, cfg.rates, r0, grid, rtol=cfg.rtol, atol=cfg.atol)
+            res = integrate_interaction(field, r0, grid, rtol=cfg.rtol, atol=cfg.atol)
         else:  # "lab", closed only (enforced by the config)
             res = integrate_lab(field, _to_corotating(r0, -field.phi[0]), grid,
                                 rtol=cfg.rtol, atol=cfg.atol)
@@ -679,10 +681,10 @@ def export_svg(run: ScenarioRun, kind: str, path) -> None:
     elif kind == "populations":
         series = [("P_e prescribed", 0.5 * (1.0 + run.samples.w), True)]
         if run.config.pictures:
-            first = run.results[run.config.pictures[0]]
-            pops = first.populations
-            series.insert(0, (f"P_e {first.picture}", pops[:, 0], False))
-            series.append((f"P_g {first.picture}", pops[:, 1], False))
+            first = run.config.pictures[0]
+            pops = run.results[first].populations
+            series.insert(0, (f"P_e {first}", pops[:, 0], False))
+            series.append((f"P_g {first}", pops[:, 1], False))
         svgplot.line_chart(path, f"{name}: populations", "t (ps)", "population", run.grid, series)
     elif kind == "bloch3d":
         if run.config.pictures:

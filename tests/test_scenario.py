@@ -375,9 +375,30 @@ def test_open_run_drive_comes_from_the_reported_v():
                 (name, channel)
 
 
+def test_open_scenario_integrates_its_evolution_once(monkeypatch):
+    # under the design coupling the master equation is the effective-Bloch evolution,
+    # so fig3's two pictures share one integration
+    calls = []
+
+    def spy(name):
+        real = getattr(scenario, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return counted
+
+    for name in ("integrate_bloch_effective", "integrate_lindblad"):
+        monkeypatch.setattr(scenario, name, spy(name))
+    run = run_scenario(preset("fig3"))
+    assert calls == ["integrate_bloch_effective"]
+    assert np.array_equal(run.results["effective-bloch"].bloch,
+                          run.results["interaction"].bloch)
+
+
 def test_every_report_carries_the_requested_picture_name():
-    # an open scenario's "interaction" runs the master equation, whose SimResult is
-    # labelled "lindblad"; its report still names the picture the config asked for
+    # an open scenario's "interaction" shares the effective-Bloch SimResult, which is
+    # labelled "effective-bloch"; its report still names the picture the config asked for
     for name in preset_names():
         run = run_scenario(preset(name))
         assert [rep.picture for rep in run.reports.values()] == list(run.config.pictures), name
@@ -498,6 +519,14 @@ def test_svg_exports_parse(mini_run, tmp_path, kind):
     root = ET.parse(path).getroot()
     assert root.tag.rsplit("}", 1)[-1] == "svg"
     assert "polyline" in _tags(root)
+
+
+def test_population_curves_carry_the_requested_picture_name(tmp_path):
+    path = tmp_path / "populations.svg"
+    export_svg(run_scenario(dataclasses.replace(preset("fig3"), pictures=("interaction",))),
+               "populations", path)
+    text = path.read_text()
+    assert "P_e interaction" in text and "P_g interaction" in text
 
 
 def test_svg_unknown_kind_rejected(mini_run, tmp_path):
