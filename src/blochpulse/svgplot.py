@@ -1,17 +1,25 @@
 """Minimal deterministic SVG charts.
 
 Hand-rolled so identical inputs produce identical bytes: no timestamps, no
-generated ids, and one number format, "%.2f", for every coordinate (a
-polyline's points in one bulk format call). Two chart kinds cover the
-package's needs: 2-D line charts and an orthographic Bloch-sphere trajectory
-view, each written through ``_write``.
+generated ids, and one number format, "%.2f", for every coordinate. A
+polyline's points are written by numpy into byte slots, digits from a small
+table, and only non-finite values, |v| >= 1e5 and possible ties go through
+"%.2f" itself. Line charts keep the M4 points of each pixel column, found
+with one stable sort by column. Two chart kinds cover the package's needs:
+2-D line charts and an orthographic Bloch-sphere trajectory view, each
+written through ``_write``; both reject non-finite, empty or misshapen
+arrays with a ValidationError that names the argument.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
+
+from .errors import ValidationError
+from .states import _finite
 
 __all__ = ["line_chart", "bloch_chart"]
 
@@ -48,25 +56,70 @@ def _range(arrays) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
+@functools.cache
+def _tables() -> tuple:
+    """Read-only tables of ``_points``, built at its first call: the thousands of the
+    whole units (0 to 100, 0 blank), their last three digits (at 1000 + g with leading
+    zeros), and the cents as point, two digits and the separator after an x or (at
+    100 + c) a y. NUL pads each entry to its width."""
+    thousands = np.array([b"%d" % g if g else b"" for g in range(101)], "S3")
+    units = np.array([b"%d" % g for g in range(1000)] + [b"%03d" % g for g in range(1000)],
+                     "S3")
+    cents = np.array([b".%02d%s" % (c, sep) for sep in (b",", b" ") for c in range(100)], "S4")
+    for table in (thousands, units, cents):
+        table.flags.writeable = False
+    return thousands, units, cents
+
+
+_ROW = np.dtype([("sign", "u1"), ("thousands", "S3"), ("units", "S3"), ("cents", "S4")])
+
+
 def _points(xs, ys) -> str:
-    """The pairs as "x,y x,y ..." with ``_fmt`` numbers, from one format call."""
-    return " ".join(["%.2f,%.2f"] * len(xs)) % tuple(np.column_stack([xs, ys]).ravel().tolist())
+    """The pairs as "x,y x,y ..." with ``_fmt`` numbers: each value gets a row of
+    NUL-padded slots (sign, whole units, cents), and dropping the NULs joins them."""
+    thousands, units, cents = _tables()
+    v = np.column_stack([xs, ys]).astype(float).ravel()
+    mag = np.abs(v)
+    small = mag < 1e5  # False for NaN
+    m = np.where(small, mag, 0.0) * 100.0
+    # m is |v| 100 to within 2e-9, so its nearest integer is "%.2f"'s unless m is near a tie
+    fast = small & (np.abs(m - np.floor(m) - 0.5) > 1e-6)
+    n = np.rint(m).astype(np.intp)
+    whole = n // 100
+    k = whole // 1000
+    cent = n - 100 * whole
+    cent[1::2] += 100
+    rows = np.zeros(v.size, _ROW)
+    rows["sign"] = np.signbit(v) * np.uint8(ord("-"))
+    rows["thousands"] = thousands.take(k)
+    rows["units"] = units.take(whole - 1000 * k + 1000 * (k != 0))
+    rows["cents"] = cents.take(cent)
+    data = rows.view(np.uint8).reshape(v.size, _ROW.itemsize)
+    data[-1:, -1] = 0  # no separator after the last value
+    # non-finite values, |v| >= 1e5 and possible ties: "%.2f" one value at a time
+    slow = np.flatnonzero(~fast)
+    data[slow, :-1] = np.frombuffer(b"%.2f".ljust(_ROW.itemsize - 1, b"\0"), np.uint8)
+    text = data[data != 0].tobytes().decode("ascii")
+    return text % tuple(v[slow].tolist()) if slow.size else text
 
 
 def _m4(column: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Indices of the first, last, lowest and highest sample in each pixel column.
 
     M4 aggregation (Jugel et al., PVLDB 7(10), 2014): a polyline through these
-    samples, in index order, draws the same pixels as one through them all.
+    samples, in index order, draws the same pixels as one through them all. Of
+    equal values, the first lowest and the last highest sample is kept.
     """
-    idx = np.arange(len(y))
-    by_index = np.lexsort((idx, column))
-    by_value = np.lexsort((idx, y, column))
-    sorted_column = column[by_index]
-    first = np.flatnonzero(np.r_[True, sorted_column[1:] != sorted_column[:-1]])
-    last = np.r_[first[1:], len(y)] - 1
-    return np.unique(np.concatenate([by_index[first], by_index[last],
-                                     by_value[first], by_value[last]]))
+    order = np.argsort(column, kind="stable")  # by column, then by index
+    sorted_column, y = column[order], y[order]
+    start = np.flatnonzero(np.r_[True, sorted_column[1:] != sorted_column[:-1]])
+    count = np.diff(np.r_[start, len(y)])
+    lowest = y == np.repeat(np.minimum.reduceat(y, start), count)
+    highest = y == np.repeat(np.maximum.reduceat(y, start), count)
+    return np.unique(np.concatenate([
+        order[start], order[start + count - 1],
+        np.minimum.reduceat(np.where(lowest, order, len(y)), start),
+        np.maximum.reduceat(np.where(highest, order, -1), start)]))
 
 
 def _polyline(xs, ys, color: str, dash: str | None = None, width: float = 1.6) -> str:
@@ -102,15 +155,26 @@ def line_chart(path: str, title: str, xlabel: str, ylabel: str, x, series) -> No
     title, xlabel, ylabel : str
         Labels.
     x : array_like
-        Common abscissa.
+        Common abscissa: 1-D, finite, at least one value.
     series : list of (label, y, dashed) tuples
-        One polyline per entry; ``dashed`` truthy draws a dashed line.
-        Each is reduced to the first, last, lowest and highest point of every
-        pixel column, which draws the same picture.
+        One polyline per entry, at least one; ``dashed`` truthy draws a dashed
+        line. Each y is finite and as long as x. Each is reduced to the first,
+        last, lowest and highest point of every pixel column, which draws the
+        same picture.
+
+    Raises
+    ------
+    ValidationError
+        Naming the array that breaks these rules.
     """
-    x = np.asarray(x, dtype=float)
+    x = _finite(x, "x", float)
+    if x.ndim != 1 or x.size == 0:
+        raise ValidationError(f"x must be 1-D with at least one value, got shape {x.shape}")
+    if not series:
+        raise ValidationError("series must hold at least one (label, y, dashed) entry")
+    ys = [_finite(y, f"series {label!r}", float, x.shape) for label, y, _ in series]
     x_lo, x_hi = _range([x])
-    y_lo, y_hi = _range([np.asarray(y, dtype=float) for _, y, _ in series])
+    y_lo, y_hi = _range(ys)
     left, top, right, bottom = _BOX
 
     def sx(v):  # scalars and arrays alike
@@ -132,8 +196,8 @@ def line_chart(path: str, title: str, xlabel: str, ylabel: str, x, series) -> No
         el.append(f'<line x1="{_fmt(left - 5)}" y1="{_fmt(sy(ty))}" x2="{_fmt(left)}" '
                   f'y2="{_fmt(sy(ty))}" stroke="#57606a"/>')
         el.append(_text(left - 9, sy(ty) + 4, f"{ty:.6g}", 11, anchor="end"))
-    for i, (label, y, dashed) in enumerate(series):
-        screen_y = sy(np.asarray(y, dtype=float))
+    for i, ((label, _, dashed), y) in enumerate(zip(series, ys)):
+        screen_y = sy(y)
         keep = _m4(column, screen_y)
         color = _COLORS[i % len(_COLORS)]
         el.append(_polyline(screen_x[keep], screen_y[keep], color, dash="6,4" if dashed else None))
@@ -153,11 +217,14 @@ def line_chart(path: str, title: str, xlabel: str, ylabel: str, x, series) -> No
 def bloch_chart(path: str, title: str, bloch) -> None:
     """Write an orthographic view of a Bloch-vector trajectory.
 
-    ``bloch`` is an (n, 3) array of (u, v, w). A fixed camera (no options)
-    keeps the output deterministic: the unit sphere projects to a circle,
-    the equator to an ellipse, and the trajectory to a polyline.
+    ``bloch`` is a finite (n, 3) array of (u, v, w) with n >= 1; ValidationError
+    otherwise. A fixed camera (no options) keeps the output deterministic: the
+    unit sphere projects to a circle, the equator to an ellipse, and the
+    trajectory to a polyline.
     """
-    bloch = np.asarray(bloch, dtype=float)
+    bloch = _finite(bloch, "bloch", float)
+    if bloch.ndim != 2 or bloch.shape[1] != 3 or bloch.shape[0] == 0:
+        raise ValidationError(f"bloch must have shape (n, 3) with n >= 1, got {bloch.shape}")
     cx, cy, scale = _W / 2.0, _H / 2.0 + 10.0, 185.0
     yaw, tilt = 0.6, 0.42
     cyaw, syaw, ctilt, stilt = math.cos(yaw), math.sin(yaw), math.cos(tilt), math.sin(tilt)

@@ -263,16 +263,21 @@ def _consistent_s(samples: TrajectorySamples, rates: Rates, s0: float) -> np.nda
         raise IntegrationError(
             f"the v-completion's quadrature panels exceed the step budget (8 G h = {rate_h:.3g}) "
             f"at t = {t[0]:.6g} ps", t_first=float(t[0]))
-    nodes = ((np.arange(panels)[:, None] + 0.5 * (1.0 + _GL_X)) / panels).ravel()  # in units of h
+    # node-major: one row per node (in units of h), the intervals along each row
+    nodes = ((np.arange(panels)[:, None] + 0.5 * (1.0 + _GL_X)) / panels).reshape(-1, 1)
+    node_w = np.tile(_GL_W, panels)[:, None]
     gam_th, occ = rates.thermal, rates.occupancy
     forced = np.empty(h.size)
-    rows = max(_CHUNK_NODES // nodes.size, 1)  # intervals per chunk
-    for k in range(0, h.size, rows):
-        hk = h[k:k + rows, None]
-        u, w, du, dw = samples.spec.components((t[k:k + hk.size, None] + hk * nodes).ravel())
+    cols = max(_CHUNK_NODES // nodes.size, 1)  # intervals per chunk
+    for k in range(0, h.size, cols):
+        hk = h[k:k + cols]
+        u, w, du, dw = samples.spec.components((t[k:k + hk.size] + hk * nodes).ravel())
         q = -2.0 * ((du + g_t * u) * u + (dw + 2.0 * gam_th * (1.0 + w + 2.0 * occ * w)) * w)
-        weights = np.exp(-2.0 * g_t * hk * (1.0 - nodes)) * np.tile(_GL_W, panels)
-        forced[k:k + rows] = np.sum(weights * q.reshape(hk.size, -1), axis=1)
+        weights = np.exp(-2.0 * g_t * hk * (1.0 - nodes)) * node_w
+        terms = weights * q.reshape(nodes.size, -1)
+        # node by node in order at any chunk width: np.sum adds row by row across two or
+        # more columns, but pairs up the nodes of a single column
+        forced[k:k + cols] = terms.sum(axis=0) if terms.shape[1] > 1 else np.cumsum(terms)[-1]
     return _affine_scan(s0, np.exp(-2.0 * g_t * h), forced * (0.5 / panels * h))
 
 

@@ -1,10 +1,10 @@
-"""SVG charts: one number format, M4 reduction, and byte identity.
+"""SVG charts: one number format, M4 reduction, byte identity and input checks.
 
 Every coordinate is printed "%.2f" (``_fmt``). The per-point loops the charts
 used before stay here as references: the bulk point formatter ``_points`` must
 equal ``_fmt`` on every value, and the Bloch-sphere chart, which keeps every
 point, must equal the loop's bytes as written by the charts' one writer,
-``_write``.
+``_write``. The two-lexsort M4 stays as the reference of the sort-free one.
 """
 
 import math
@@ -12,10 +12,11 @@ import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blochpulse import svgplot
+from blochpulse import ValidationError, svgplot
 from blochpulse.svgplot import _BOX, _H, _W, _fmt, _m4, _points, _text, _write
 
 _EDGES = [0.125, 0.375, 0.625, 2.5, -0.125, 0.0, -0.0, -0.001, -0.004, -0.005, 0.005,
@@ -47,6 +48,88 @@ def test_points_equal_fmt_on_edge_and_random_values():
 def test_points_equal_fmt_on_any_floats(pairs):
     xs, ys = zip(*pairs)
     assert _points(xs, ys) == _reference_points(xs, ys)
+
+
+# the fast path's edges: |v| 100 just below and above 1e7, exact k/8 ties, signed zeros,
+# the smallest subnormal and the non-finite values
+_FAST_EDGES = [99999.99, 99999.994, 99999.995, 99999.999, float(np.nextafter(1e5, 0.0)), 1e5,
+               float(np.nextafter(1e5, np.inf)), -99999.999, -1e5, 123456.789, -5e6,
+               0.125, 0.375, 0.625, 0.875, -0.125, 1.125, 12345.625, 99999.875,
+               0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=3000))
+@example(_FAST_EDGES)
+@example([k / 8.0 for k in range(-80, 81)])
+@example([0.0, -0.0])
+@example([5e-324])
+@example([math.inf, -math.inf, math.nan, -math.nan])
+@example([99999.995 + k * 1.5e-11 for k in range(-4, 5)])
+def test_points_equal_fmt_on_lists_of_floats(values):
+    xs, ys = values, values[::-1]
+    assert _points(xs, ys) == _reference_points(xs, ys)
+
+
+def _reference_m4(column, y):
+    """The two-lexsort M4 the sort-free one replaced."""
+    idx = np.arange(len(y))
+    by_index = np.lexsort((idx, column))
+    by_value = np.lexsort((idx, y, column))
+    sorted_column = column[by_index]
+    first = np.flatnonzero(np.r_[True, sorted_column[1:] != sorted_column[:-1]])
+    last = np.r_[first[1:], len(y)] - 1
+    return np.unique(np.concatenate([by_index[first], by_index[last],
+                                     by_value[first], by_value[last]]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 500, 12001])
+def test_m4_equals_the_lexsort_reference_on_any_column_order(n):
+    rng = np.random.default_rng(n)
+    for columns in (1, 3, max(n // 20, 1), n):
+        column = np.floor(rng.uniform(0.0, columns, n))  # unsorted
+        for y in (rng.standard_normal(n),
+                  rng.integers(-2, 3, n).astype(float),  # many ties in value
+                  np.zeros(n),
+                  np.where(rng.uniform(size=n) < 0.5, 0.0, -0.0)):
+            np.testing.assert_array_equal(_m4(column, y), _reference_m4(column, y))
+            order = np.argsort(column, kind="stable")
+            np.testing.assert_array_equal(_m4(column[order], y[order]),
+                                          _reference_m4(column[order], y[order]))
+
+
+@pytest.mark.parametrize("x, series, name", [
+    ([0.0, 1.0, 2.0], [("a", [0.0, math.nan, 1.0], False)], "series 'a' must be finite"),
+    ([0.0, 1.0, 2.0], [("a", [0.0, math.inf, 1.0], False)], "series 'a' must be finite"),
+    ([0.0, 1.0, 2.0], [("a", [0.0, 1.0], False)], r"series 'a' must have shape \(3,\)"),
+    ([0.0, 1.0, 2.0], [("a", [0.0, 1.0, 2.0], False), ("b", [[0.0, 1.0, 2.0]], True)],
+     r"series 'b' must have shape \(3,\)"),
+    ([0.0, 1.0, 2.0], [("a", ["0", "1", "2"], False)], "series 'a' must be numeric"),
+    ([0.0, -math.inf, 2.0], [("a", [0.0, 1.0, 2.0], False)], "x must be finite"),
+    ([], [("a", [], False)], "x must be 1-D with at least one value"),
+    ([[0.0, 1.0]], [("a", [[0.0, 1.0]], False)], "x must be 1-D with at least one value"),
+    ([0.0, 1.0, 2.0], [], "series must hold at least one"),
+])
+def test_line_chart_rejects_bad_arrays_by_name(tmp_path, x, series, name):
+    path = tmp_path / "chart.svg"
+    with pytest.raises(ValidationError, match=name):
+        svgplot.line_chart(str(path), "t", "x", "y", x, series)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("bloch, name", [
+    ([[0.0, 0.0, 1.0], [math.nan, math.nan, math.nan]], "bloch must be finite"),
+    ([[0.0, 0.0, math.inf]], "bloch must be finite"),
+    (np.zeros((0, 3)), r"bloch must have shape \(n, 3\)"),
+    (np.zeros((4, 2)), r"bloch must have shape \(n, 3\)"),
+    ([0.0, 0.0, 1.0], r"bloch must have shape \(n, 3\)"),
+    ([["u", "v", "w"]], "bloch must be numeric"),
+])
+def test_bloch_chart_rejects_bad_arrays_by_name(tmp_path, bloch, name):
+    path = tmp_path / "chart.svg"
+    with pytest.raises(ValidationError, match=name):
+        svgplot.bloch_chart(str(path), "t", bloch)
+    assert not path.exists()
 
 
 def test_m4_keeps_the_extremes_of_every_column_in_index_order():
