@@ -16,20 +16,19 @@ Every picture is one affine equation for the Bloch vector r = (u, v, w),
 dr/dt = b(t) x r - (G, G, Gamma_1) r + (0, 0, -2 Gamma), with H = b . sigma / 2,
 G and Gamma_1 the transverse and inversion decay rates and Gamma the thermal
 rate; only the field b(t) differs. Every integrator takes the initial state as
-a Bloch vector, and one propagator integrates it with the Bloch step kernel of
-``odeint`` and stores r; density matrices are derived from r on demand.
-Every picture of one field shares its channel table and its ``fastest_scale``,
-which caps step sizes so carrier oscillations stay resolved. A picture reads its
-field once per step, at the five distinct stage times, as Python floats: the
+a Bloch vector, and one propagator integrates it with the batched Bloch
+controller of ``odeint`` and stores r; density matrices are derived from r on
+demand. Every picture of one field shares its channel table and its
+``fastest_scale``, which caps step sizes so carrier oscillations stay resolved.
+A picture's field takes an array of times, once per pass of the controller: the
 table's reader (``ControlField._reader``) evaluates the splines of the channels
 the picture uses, bit-identically to scipy's ``CubicSpline``, and the picture
-holds only its formula for b(t) in those values. Times in ps, angular
+holds only its numpy formula for b(t) in those values. Times in ps, angular
 frequencies in rad/ps.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,29 +85,23 @@ class SimResult:
 
 
 # Fields b(t) with H = b . sigma / 2. Each takes the ControlField and returns
-# field(times), one (bx, by, bz) float triple per time, from the values of the
+# field(times), (bx, by, bz) at the 1-D array ``times``, from the values of the
 # channels it uses, which the field's table reader gives in table order.
 
-def _lab_field(field):
-    values = field._reader(("phi", "omega_r", "omega0"))
-    return lambda times: [(2.0 * omega_r * math.cos(phi), 0.0, omega0)
-                          for phi, omega_r, omega0 in values(times)]
+def _reading(names, formula):
+    """A picture's field: ``formula`` of the channels ``names`` of a ControlField."""
+    def field_at(field):
+        values = field._reader(names)
+        return lambda times: formula(*values(times))
+    return field_at
 
 
-def _carrier_field(field):
-    values = field._reader(("delta", "phi", "omega_r"))
-    return lambda times: [(omega_r * (1.0 + math.cos(2.0 * phi)), -omega_r * math.sin(2.0 * phi),
-                           -delta) for delta, phi, omega_r in values(times)]
-
-
-def _rwa_field(field):
-    values = field._reader(("delta", "omega_r"))
-    return lambda times: [(omega_r, 0.0, -delta) for delta, omega_r in values(times)]
-
-
-def _design_field(field):
-    values = field._reader(("omega", "delta"))
-    return lambda times: [(omega, 0.0, -delta) for omega, delta in values(times)]
+_lab_field = _reading(("phi", "omega_r", "omega0"),
+                      lambda phi, omega_r, omega0: (2.0 * omega_r * np.cos(phi), 0.0, omega0))
+_carrier_field = _reading(("delta", "phi", "omega_r"), lambda delta, phi, omega_r: (
+    omega_r * (1.0 + np.cos(2.0 * phi)), -omega_r * np.sin(2.0 * phi), -delta))
+_rwa_field = _reading(("delta", "omega_r"), lambda delta, omega_r: (omega_r, 0.0, -delta))
+_design_field = _reading(("omega", "delta"), lambda omega, delta: (omega, 0.0, -delta))
 
 
 def _propagate(picture: str, field: ControlField, field_at, rates: Rates,
@@ -116,10 +109,9 @@ def _propagate(picture: str, field: ControlField, field_at, rates: Rates,
     """Integrate dr/dt = b x r - (G, G, Gamma_1) r + (0, 0, -2 Gamma) on ``grid``.
 
     ``field_at(field)`` gives b(times) from the channel values of ``field``'s table reader;
-    the Bloch kernel reads it once per step, at five distinct stage times.
-    ``r0`` is the Bloch vector at ``grid[0]``.
+    the Bloch controller reads it once per pass. ``r0`` is the Bloch vector at ``grid[0]``.
     """
-    r0 = _checked_bloch(r0)  # the Bloch kernel rejects any shape but (3,)
+    r0 = _checked_bloch(r0)  # the Bloch controller rejects any shape but (3,)
     t = validate_grid(grid)
     t0, t1 = field.t[0], field.t[-1]
     if t[0] < t0 - SPAN_SLACK or t[-1] > t1 + SPAN_SLACK:

@@ -1,21 +1,20 @@
-"""Adaptive Dormand-Prince 5(4) integrator with dense output.
+"""Adaptive Dormand-Prince 5(4) integrators with dense output.
 
-One step controller, shared by every simulation picture and by the public
-integrator, drives one of two step kernels:
+Two step controllers share one tableau, error norm, input check and dense output:
 
-  * a generic numpy kernel for dy/dt = rhs(t, y) on flat real or complex
-    state vectors (``integrate_adaptive``), the reference for the other;
-  * a Bloch kernel for dr/dt = b(t) x r - (G, G, Gamma_1) r + (0, 0, pump)
-    (``integrate_bloch``), which every simulation picture runs.
+  * a sequential controller for dy/dt = rhs(t, y) on flat real or complex state
+    vectors (``integrate_adaptive``), one step at a time, the reference for the other;
+  * a batched controller for the affine Bloch equation
+    dr/dt = b(t) x r - (G, G, Gamma_1) r + (0, 0, pump) (``integrate_bloch``), which
+    every simulation picture runs. A DP5 step of an affine equation is an affine map
+    r -> M r + c that depends only on b at the step's nodes, so each pass reads the
+    field once, at the nodes of every new step, builds every new step's maps in numpy
+    and composes all maps by a prefix scan. Rejected steps split; passes repeat until
+    no step is rejected.
 
-The Bloch kernel reads its field once per step, at the step's five distinct
-stage times, as a list (stages 6 and 7 share the node t + h), and gets one
-(bx, by, bz) float triple per time. It runs the stages inline on plain floats.
-
-The controller owns input validation, the step budget, the underflow and
-non-finite checks, accept/reject and step-size control. It records every
-accepted step; one vectorised pass then emits the solution on the caller grid
-through the quartic dense interpolant. Times are in ps.
+Each controller checks the step budget, step-size underflow and non-finite error
+estimates and records its accepted steps; one vectorised pass then emits the
+solution on the caller grid through the quartic dense interpolant. Times are in ps.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from __future__ import annotations
 import contextvars
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -61,13 +59,6 @@ _P = np.array(
         [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
     ]
 )
-# The same tableau as Python floats, for the Bloch kernel's unrolled stages.
-((_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54),
- (_A61, _A62, _A63, _A64, _A65)) = (a.tolist() for a in _A[1:6])
-_, _C2, _C3, _C4, _C5, _C6, _ = _C.tolist()  # _C6 == 1.0
-_B1, _, _B3, _B4, _B5, _B6, _ = _B.tolist()
-_E1, _, _E3, _E4, _E5, _E6, _E7 = _E.tolist()
-
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
@@ -86,6 +77,15 @@ def _step_floor(t: float) -> float:
     return _FLOOR * max(abs(t), 1.0)
 
 
+_UNDERFLOW, _NON_FINITE, _BUDGET = (
+    "step size underflow at t = {:.6g} ps", "non-finite local error estimate at t = {:.6g} ps",
+    "step budget exhausted at t = {:.6g} ps; tolerances may be unreachable")
+
+
+def _failure(message: str, t: float) -> IntegrationError:
+    return IntegrationError(message.format(t), t_first=t)
+
+
 @dataclass
 class IntegrationStats:
     """Bookkeeping for one adaptive integration run."""
@@ -96,15 +96,9 @@ class IntegrationStats:
     max_error_ratio: float = 0.0  # largest accepted local error, in tolerance units
 
 
-# A kernel is a pair of functions over its own state representation:
-#   start(t, y) -> (state, k1)   state and first stage from the validated y0
-#   step(t, h, state, k1) -> (new state, k7, stages K (7 x n), error ratio)
-# where the error ratio is the RMS local error in tolerance units.
-
-
 def _numpy_kernel(rhs, rtol: float, atol: float):
-    def start(t, y):
-        return y, rhs(t, y)
+    """step(t, h, y, k1) -> (new y, k7, stages K (7 x n), error ratio): one DP5 step of
+    dy/dt = rhs(t, y), the error ratio its RMS local error in tolerance units."""
 
     def step(t, h, y, k1):
         # A huge step may overflow the step's own arithmetic; the controller reports
@@ -122,76 +116,11 @@ def _numpy_kernel(rhs, rtol: float, atol: float):
             ratio = float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
         return y_new, k[6], k, ratio
 
-    return start, step
+    return step
 
 
-def _bloch_kernel(field, decay: tuple[float, float, float], rtol: float, atol: float):
-    """The DP5 step for dr/dt = b x r - (G, G, Gamma_1) r + (0, 0, pump), on floats.
-
-    ``field(times)`` gives one (bx, by, bz) float triple per time in the list.
-    Each stage is written out: (x, y, z) is its input state, and its slope is
-    the cross product b x (x, y, z) minus the decay, plus the pump.
-    """
-    g_t, g_1, pump = decay
-
-    def start(t, y):
-        if y.shape != (3,):
-            raise ValidationError(f"the Bloch kernel integrates a 3-vector, got shape {y.shape}")
-        u, v, w = y.tolist()
-        ((bx, by, bz),) = field([t])
-        return (u, v, w), (by * w - bz * v - g_t * u, bz * u - bx * w - g_t * v,
-                           bx * v - by * u - g_1 * w + pump)
-
-    def step(t, h, r, k1):
-        ((bx2, by2, bz2), (bx3, by3, bz3), (bx4, by4, bz4), (bx5, by5, bz5),
-         (bx6, by6, bz6)) = field([t + _C2 * h, t + _C3 * h, t + _C4 * h, t + _C5 * h, t + _C6 * h])
-        u, v, w = r
-        k1u, k1v, k1w = k1
-        x, y, z = u + h * (_A21 * k1u), v + h * (_A21 * k1v), w + h * (_A21 * k1w)
-        k2u, k2v, k2w = (by2 * z - bz2 * y - g_t * x, bz2 * x - bx2 * z - g_t * y,
-                         bx2 * y - by2 * x - g_1 * z + pump)
-        x, y, z = (u + h * (_A31 * k1u + _A32 * k2u), v + h * (_A31 * k1v + _A32 * k2v),
-                   w + h * (_A31 * k1w + _A32 * k2w))
-        k3u, k3v, k3w = (by3 * z - bz3 * y - g_t * x, bz3 * x - bx3 * z - g_t * y,
-                         bx3 * y - by3 * x - g_1 * z + pump)
-        x, y, z = (u + h * (_A41 * k1u + _A42 * k2u + _A43 * k3u),
-                   v + h * (_A41 * k1v + _A42 * k2v + _A43 * k3v),
-                   w + h * (_A41 * k1w + _A42 * k2w + _A43 * k3w))
-        k4u, k4v, k4w = (by4 * z - bz4 * y - g_t * x, bz4 * x - bx4 * z - g_t * y,
-                         bx4 * y - by4 * x - g_1 * z + pump)
-        x, y, z = (u + h * (_A51 * k1u + _A52 * k2u + _A53 * k3u + _A54 * k4u),
-                   v + h * (_A51 * k1v + _A52 * k2v + _A53 * k3v + _A54 * k4v),
-                   w + h * (_A51 * k1w + _A52 * k2w + _A53 * k3w + _A54 * k4w))
-        k5u, k5v, k5w = (by5 * z - bz5 * y - g_t * x, bz5 * x - bx5 * z - g_t * y,
-                         bx5 * y - by5 * x - g_1 * z + pump)
-        x, y, z = (u + h * (_A61 * k1u + _A62 * k2u + _A63 * k3u + _A64 * k4u + _A65 * k5u),
-                   v + h * (_A61 * k1v + _A62 * k2v + _A63 * k3v + _A64 * k4v + _A65 * k5v),
-                   w + h * (_A61 * k1w + _A62 * k2w + _A63 * k3w + _A64 * k4w + _A65 * k5w))
-        k6u, k6v, k6w = (by6 * z - bz6 * y - g_t * x, bz6 * x - bx6 * z - g_t * y,
-                         bx6 * y - by6 * x - g_1 * z + pump)
-        # the 5th-order update is also the input of stage 7 (first-same-as-last)
-        un = u + h * (_B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
-        vn = v + h * (_B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
-        wn = w + h * (_B1 * k1w + _B3 * k3w + _B4 * k4w + _B5 * k5w + _B6 * k6w)
-        k7 = k7u, k7v, k7w = (by6 * wn - bz6 * vn - g_t * un, bz6 * un - bx6 * wn - g_t * vn,
-                              bx6 * vn - by6 * un - g_1 * wn + pump)
-        eu = h * (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u + _E7 * k7u)
-        ev = h * (_E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v + _E7 * k7v)
-        ew = h * (_E1 * k1w + _E3 * k3w + _E4 * k4w + _E5 * k5w + _E6 * k6w + _E7 * k7w)
-        eu /= atol + rtol * max(abs(u), abs(un))
-        ev /= atol + rtol * max(abs(v), abs(vn))
-        ew /= atol + rtol * max(abs(w), abs(wn))
-        ratio = math.sqrt((eu * eu + ev * ev + ew * ew) / 3.0)
-        stages = (k1u, k1v, k1w, k2u, k2v, k2w, k3u, k3v, k3w, k4u, k4v, k4w,
-                  k5u, k5v, k5w, k6u, k6v, k6w, k7u, k7v, k7w)
-        return (un, vn, wn), k7, stages, ratio
-
-    return start, step
-
-
-def _integrate(kernel, t_span, y0, t_eval, rtol, atol,
-               max_step) -> tuple[np.ndarray, IntegrationStats]:
-    """The step controller: validate, step with ``kernel(rtol, atol)``, emit on ``t_eval``."""
+def _checked(t_span, y0, t_eval, rtol, atol, max_step):
+    """Both controllers' inputs, validated: (t0, t1, y0, t_eval, rtol, atol, max_step)."""
     t0, t1 = _finite(t_span, "t_span", float, (2,)).tolist()
     if t1 <= t0:
         raise ValidationError(f"integration span must have t1 > t0, got ({t0}, {t1})")
@@ -213,11 +142,16 @@ def _integrate(kernel, t_span, y0, t_eval, rtol, atol,
     atol = float(_numeric(atol, "atol", float, ()))
     if not (0.0 <= rtol < math.inf and 0.0 < atol < math.inf):  # also rejects NaN
         raise ValidationError(f"tolerances need finite rtol >= 0, atol > 0; got {rtol}, {atol}")
+    return t0, t1, y, teval, rtol, atol, max_step
 
-    start, attempt = kernel(rtol, atol)
-    stats = IntegrationStats()
-    state, k1 = start(t0, y)
-    stats.rhs_evals += 1
+
+def _integrate(rhs, t_span, y0, t_eval, rtol, atol,
+               max_step) -> tuple[np.ndarray, IntegrationStats]:
+    """The sequential step controller: validate, step one at a time, emit on ``t_eval``."""
+    t0, t1, y, teval, rtol, atol, max_step = _checked(t_span, y0, t_eval, rtol, atol, max_step)
+    attempt = _numpy_kernel(rhs, rtol, atol)
+    stats = IntegrationStats(rhs_evals=1)
+    state, k1 = y, rhs(t0, y)
     steps = []  # (t, h, state, stages) of every accepted step
     span = t1 - t0
     h = min(max_step, span / 100.0, span)
@@ -226,17 +160,15 @@ def _integrate(kernel, t_span, y0, t_eval, rtol, atol,
 
     while t < t1:
         if stats.accepted + stats.rejected >= _MAX_STEPS:
-            raise IntegrationError(
-                f"step budget exhausted at t = {t:.6g} ps; tolerances may be unreachable",
-                t_first=t)
+            raise _failure(_BUDGET, t)
         if h < _step_floor(t):
-            raise IntegrationError(f"step size underflow at t = {t:.6g} ps", t_first=t)
+            raise _failure(_UNDERFLOW, t)
         h = min(h, t1 - t)
 
         new_state, k7, stages, ratio = attempt(t, h, state, k1)
         stats.rhs_evals += 6
         if not math.isfinite(ratio):
-            raise IntegrationError(f"non-finite local error estimate at t = {t:.6g} ps", t_first=t)
+            raise _failure(_NON_FINITE, t)
 
         if ratio <= 1.0:
             steps.append((t, h, state, stages))
@@ -252,28 +184,147 @@ def _integrate(kernel, t_span, y0, t_eval, rtol, atol,
             h *= max(_SAFETY * ratio ** -0.2, _MIN_FACTOR)
             grow_cap = 1.0  # no growth right after a rejection
 
-    return _dense_output(teval, t0, y, state, steps), stats
+    ts, hs, ys, ks = (np.array(col) for col in zip(*steps))
+    coef = np.moveaxis(hs[:, None, None] * (np.swapaxes(ks, 1, 2) @ _P), 2, 0)  # h K^T P
+    return _dense_output(teval, t0, y, state, ts, hs, ys, coef), stats
 
 
-def _dense_output(teval, t0, y0, y_end, steps) -> np.ndarray:
+# [A | p] of the Bloch equation dr/dt = A r + p is (b, 1) @ _CROSS, with the decay and the
+# pump put in its last row: _CROSS[j, i, k] = (e_j x e_k)_i for j < 3, so that
+# (b x r)_i = b_j _CROSS[j, i, k] r_k, and its last column, the pump's, is zero.
+_CROSS = np.pad(np.cross(np.eye(3)[:, None], np.eye(3)).transpose(0, 2, 1),
+                ((0, 1), (0, 0), (0, 1)))
+_ONE = np.eye(3, 4)  # the identity map [I | 0]
+_W = np.vstack((_B, _E, _P.T))  # the stage weights of a step, its error and (c1 .. c4)
+_CHUNK = 256  # steps whose stage maps are built at once, which bounds the temporaries
+
+
+def _stage_maps(b, h, gen):
+    """DP5's seven stage maps times the step size, h K_i, shape (7, n, 3, 4), of n steps
+    of sizes ``h`` (n,) for dr/dt = A r + p, from the field reads (b, 1), shape (n, 6, 4),
+    at each step's six nodes; [A | p] = (b, 1) @ ``gen``.
+
+    Stage i's slope is K_i [r; 1] for the step's start r. With [A_i | p_i] at its node
+    and S_i = sum_j a_ij h K_j, its input is ([I | 0] + S_i) [r; 1], so
+    h K_i = h [A_i | p_i] + h A_i S_i; stage 7 reads node 6 (first-same-as-last).
+    """
+    n = len(b)
+    a = (np.swapaxes(b * h[:, None, None], 0, 1) @ gen.reshape(4, 12)).reshape(6, n, 3, 4)
+    k = np.empty((7, n, 3, 4))
+    flat = k.reshape(7, -1)  # each stage's maps in one row, for the tableau's sums
+    k[0] = a[0]
+    for i in range(1, 7):
+        node = a[min(i, 5)]
+        np.matmul(node[..., :3], (_A[i] @ flat[:i]).reshape(n, 3, 4), out=k[i])
+        k[i] += node
+    return k
+
+
+def _prefix_states(r0, maps) -> np.ndarray:
+    """s_0 = r0 and s_j+1 = M_j s_j + c_j for maps[j] = [M_j | c_j], by a work-efficient
+    scan (Blelloch 1990): compose the maps in pairs, [M | c] o [M' | c'] = [M M' | M c' + c],
+    take every second state from the pairs' states, and step once to the states between."""
+    s = np.empty((len(maps) + 1, 3))
+    s[0] = r0
+    if len(maps) > 1:
+        first, second = maps[:-1:2], maps[1::2]
+        pairs = second[..., :3] @ first
+        pairs[..., 3] += second[..., 3]
+        s[::2] = _prefix_states(r0, pairs)
+    s[1::2] = (maps[::2, :, :3] @ s[:-1:2, :, None])[..., 0] + maps[::2, :, 3]
+    return s
+
+
+def _bloch_controller(field, decay, t0, t1, r0, rtol, atol, max_step, stats):
+    """DP5 on every step at once: the accepted plan's steps, their start states and
+    their dense-output coefficients, (t, h, states (n + 1, 3), h K^T P (4, n, 3)).
+
+    The span starts as an equal partition at the sequential controller's first step. A
+    pass reads the field once, at every new step's six nodes, builds the new steps'
+    stage maps, composes the step maps by a scan for every start state, and rates every
+    step. Each rejected step splits into equal parts, as many as the sequential rule
+    shrinks it by; passes repeat until no step is rejected. Only the first step that
+    fails can raise: later steps start from states that will still change.
+    """
+    span, h0 = t1 - t0, min(max_step, (t1 - t0) / 100.0)
+    if h0 < _step_floor(t0):
+        raise _failure(_UNDERFLOW, t0)
+    if span / h0 > _MAX_STEPS:  # before the plan is allocated
+        raise _failure(_BUDGET, t0)
+    (g_t, g_1, pump), gen = decay, _CROSS.copy()
+    gen[3, [0, 1, 2, 2], [0, 1, 2, 3]] = -g_t, -g_t, -g_1, pump
+    edges = np.linspace(t0, t1, math.ceil(span / h0) + 1)  # where the steps start and end
+    new = np.arange(edges.size - 1)  # the steps whose maps are not built yet
+    rate = dense = source = None  # h sum_i _W[:, i] K_i of each step: step, error; c1 .. c4
+    attempted = new.size
+    while True:
+        t, h = edges[:-1], edges[1:] - edges[:-1]
+        b = np.ones((6 * new.size, 4))  # (b, 1) at the six nodes t + c h of each new step
+        b[:, 0], b[:, 1], b[:, 2] = field((t[new, None] + _C[:6] * h[new, None]).ravel())
+        # after the read, and one array at a time, so that the peaks do not add: each step of
+        # the new plan takes the maps of the step it is or came from; a new step builds its own
+        rate = np.empty((2, t.size, 3, 4)) if source is None else np.take(rate, source, axis=1)
+        dense = np.empty((4, t.size, 3, 4)) if source is None else np.take(dense, source, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, new.size, _CHUNK):
+                part = new[lo:lo + _CHUNK]
+                k = _stage_maps(b[6 * lo:6 * (lo + _CHUNK)].reshape(-1, 6, 4), h[part], gen)
+                maps = (_W @ k.reshape(7, -1)).reshape(6, -1, 3, 4)
+                rate[:, part], dense[:, part] = maps[:2], maps[2:]
+            s, ratio = _rated(r0, rate[0] + _ONE, rate[1], rtol, atol)
+            bad = ~(ratio <= 1.0)  # also NaN
+            if not bad.any():
+                break
+            # as many equal parts as the sequential rule shrinks the step by, 2 to 5
+            parts = np.ceil(1.0 / np.maximum(_SAFETY * ratio[bad] ** -0.2, _MIN_FACTOR))
+            stuck = ~np.isfinite(ratio[bad]) | (h[bad] / parts < _FLOOR
+                                                * np.maximum(np.abs(t[bad]), 1.0))
+        first = np.argmax(bad)
+        if stuck[0]:
+            raise _failure(_UNDERFLOW if np.isfinite(ratio[first]) else _NON_FINITE, t[first])
+        count = np.ones(t.size, dtype=int)
+        count[bad] = np.where(stuck, 1, parts)
+        split = count > 1
+        attempted += int(count[split].sum())
+        if attempted > _MAX_STEPS:
+            raise _failure(_BUDGET, t[np.argmax(split)])
+        stats.rejected += int(split.sum())
+        # each part starts a whole number of part sizes into its step
+        offset = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+        edges = np.append(np.repeat(t, count) + np.repeat(h / count, count) * offset, t1)
+        source, new = np.repeat(np.arange(t.size), count), np.flatnonzero(np.repeat(split, count))
+    stats.accepted, stats.rhs_evals = t.size, 1 + 6 * attempted
+    stats.max_error_ratio = float(ratio.max())
+    return t, h, s, (dense[..., :3] @ s[:-1, :, None])[..., 0] + dense[..., 3]
+
+
+def _rated(r0, step, err, rtol: float, atol: float):
+    """The states s (n + 1, 3) that the ``step`` maps give from r0, and each step's RMS
+    local error in tolerance units, from its ``err`` map."""
+    s = _prefix_states(r0, step)
+    e = (err[..., :3] @ s[:-1, :, None])[..., 0] + err[..., 3]
+    scale = atol + rtol * np.maximum(np.abs(s[:-1]), np.abs(s[1:]))
+    return s, np.sqrt(np.mean((e / scale) ** 2, axis=1))
+
+
+def _dense_output(teval, t0, y0, y_end, ts, hs, ys, coef) -> np.ndarray:
     """Emit every sample from the accepted steps' quartic interpolants at once.
 
-    A sample belongs to the first step whose end, plus 1e-14 max(|t|, 1) of
-    roundoff slack, reaches it. Samples at or before t0 get y0, samples past
-    the last step the final state; ``teval`` is sorted, so each group is one run.
+    The steps start at ``ts`` (n,) with sizes ``hs`` (n,) and states ``ys`` (n, d); each
+    step's interpolant is y(t + theta h) = y + theta (c1 + theta (c2 + theta (c3 +
+    theta c4))), with (c1 .. c4) = h K^T P from its stage slopes K, ``coef`` (4, n, d).
+    A sample belongs to the first step whose end, plus 1e-14
+    max(|t|, 1) of roundoff slack, reaches it. Samples at or before t0 get y0, samples
+    past the last step the final state; ``teval`` is sorted, so each group is one run.
     """
-    ts, hs, ys, ks = (np.array(col) for col in zip(*steps))
-    ks = ks.reshape(len(steps), 7, y0.size)
     # a running maximum, so searchsorted finds the first end that reaches a sample
     ends = np.maximum.accumulate(ts + hs + 1e-14 * np.maximum(np.abs(ts), 1.0))
     idx = np.searchsorted(ends, teval, side="left")
-    lo, hi = np.searchsorted(teval, t0, side="right"), np.searchsorted(idx, len(steps))
+    lo, hi = np.searchsorted(teval, t0, side="right"), np.searchsorted(idx, len(ts))
     j = idx[lo:hi]
     theta = np.clip((teval[lo:hi] - ts[j]) / hs[j], 0.0, 1.0)
-    # y(t + theta h) = y + theta (c1 + theta (c2 + theta (c3 + theta c4))), (c1 .. c4) = h K^T P,
-    # gathered per sample along the last axis, so each product runs over the samples
-    c1, c2, c3, c4 = np.take(np.transpose(hs[:, None, None] * (np.swapaxes(ks, 1, 2) @ _P)), j,
-                             axis=2)
+    # (c1 .. c4) gathered per sample along the last axis, so each product runs over the samples
+    c1, c2, c3, c4 = np.take(np.swapaxes(coef, 1, 2), j, axis=2)
     out = np.empty((teval.size, y0.size), dtype=y0.dtype)
     out[:lo], out[hi:] = y0, y_end
     out[lo:hi] = (ys.T[:, j] + theta * (c1 + theta * (c2 + theta * (c3 + theta * c4)))).T
@@ -322,11 +373,11 @@ def integrate_adaptive(
         If the step size underflows, the step budget is exhausted, or the
         right-hand side yields a non-finite error estimate.
     """
-    return _integrate(partial(_numpy_kernel, rhs), t_span, y0, t_eval, rtol, atol, max_step)
+    return _integrate(rhs, t_span, y0, t_eval, rtol, atol, max_step)
 
 
 def integrate_bloch(
-    field: Callable[[list], list],
+    field: Callable[[np.ndarray], tuple],
     decay: tuple[float, float, float],
     t_span: tuple[float, float],
     r0,
@@ -338,13 +389,16 @@ def integrate_bloch(
 ) -> tuple[np.ndarray, IntegrationStats]:
     """Integrate dr/dt = b(t) x r - (G, G, Gamma_1) r + (0, 0, pump) for a Bloch vector.
 
-    Same controller, tolerances, dense output and statistics as
-    ``integrate_adaptive`` with the equivalent right-hand side. ``field(times)``
-    takes a list of Python floats and returns one row per time, a (bx, by, bz)
-    float triple. It is called once at t0, with ``[t0]``, and once per
-    attempted step, with that step's five distinct stage times, as a list;
-    stages 6 and 7 share the last row. ``decay`` is (G, Gamma_1, pump) and
-    ``r0`` a real 3-vector.
+    The same tableau, error norm, tolerances, dense output, statistics and errors as
+    ``integrate_adaptive`` with the equivalent right-hand side, on a step plan of its
+    own (see ``_bloch_controller``). ``field(times)`` takes a 1-D float array and
+    returns (bx, by, bz), each an array over the times or a float. It is called once
+    per pass, with the six nodes t + c h of every new step. ``decay`` is
+    (G, Gamma_1, pump) and ``r0`` a real 3-vector.
     """
-    return _integrate(partial(_bloch_kernel, field, decay), t_span, r0, t_eval, rtol, atol,
-                      max_step)
+    t0, t1, r, teval, rtol, atol, max_step = _checked(t_span, r0, t_eval, rtol, atol, max_step)
+    if r.shape != (3,) or r.dtype != float:
+        raise ValidationError(f"integrate_bloch takes a real 3-vector, not {r.shape} {r.dtype}")
+    stats = IntegrationStats()
+    t, h, s, coef = _bloch_controller(field, decay, t0, t1, r, rtol, atol, max_step, stats)
+    return _dense_output(teval, t0, r, s[-1], t, h, s[:-1], coef), stats

@@ -47,12 +47,17 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return out or [lo]
 
 
-def _range(arrays) -> tuple[float, float]:
-    lo = min(float(np.min(a)) for a in arrays)
-    hi = max(float(np.max(a)) for a in arrays)
+def _range(arrays, names) -> tuple[float, float]:
+    """The padded axis range of the named ``arrays``; a ValidationError names the
+    arrays that hold its ends when it is wider than the float range."""
+    lows, highs = [float(np.min(a)) for a in arrays], [float(np.max(a)) for a in arrays]
+    lo, hi = min(lows), max(highs)
     if hi - lo < 1e-300:
         lo, hi = lo - 1.0, hi + 1.0
     pad = 0.04 * (hi - lo)
+    if not math.isfinite((hi + pad) - (lo - pad)):
+        ends = dict.fromkeys((names[lows.index(lo)], names[highs.index(hi)]))
+        raise ValidationError(f"the range of {' and '.join(ends)} is wider than the float range")
     return lo - pad, hi + pad
 
 
@@ -173,8 +178,8 @@ def line_chart(path: str, title: str, xlabel: str, ylabel: str, x, series) -> No
     if not series:
         raise ValidationError("series must hold at least one (label, y, dashed) entry")
     ys = [_finite(y, f"series {label!r}", float, x.shape) for label, y, _ in series]
-    x_lo, x_hi = _range([x])
-    y_lo, y_hi = _range(ys)
+    x_lo, x_hi = _range([x], ["x"])
+    y_lo, y_hi = _range(ys, [f"series {label!r}" for label, _, _ in series])
     left, top, right, bottom = _BOX
 
     def sx(v):  # scalars and arrays alike

@@ -4,9 +4,10 @@ Oracles: free precession and resonant Rabi flopping in closed form, an exact
 reduction with all rates off (the master equation collapses onto the
 co-rotating propagator), and an independent density-matrix reference: each
 picture's 2x2 Hamiltonian built from the Pauli matrices plus the matrix
-dissipator, integrated by scipy. The
-Bloch step kernel is also checked step for step against the per-call
-right-hand side it replaced, run through the generic integrator.
+dissipator, integrated by scipy. Each accepted step of the batched Bloch
+controller is also replayed through the generic step kernel with the per-call
+right-hand side it replaced, and each whole run checked against the generic
+integrator.
 """
 
 import math
@@ -36,9 +37,9 @@ from blochpulse import (
     preset,
     synthesize_pulse,
 )
-from blochpulse import dynamics
+from blochpulse import dynamics, odeint
 from blochpulse.dynamics import PHASE_PER_STEP
-from blochpulse.odeint import SPAN_SLACK
+from blochpulse.odeint import ATOL, RTOL, SPAN_SLACK
 from blochpulse.rates import inversion_decay_rate, transverse_rate
 from blochpulse.states import SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Z
 
@@ -179,9 +180,8 @@ def test_pictures_match_density_matrix_reference():
         assert np.max(np.abs(res.bloch - ref)) < 1e-8, res.picture
 
 
-# The per-call right-hand side the Bloch kernel replaced: one scalar read of the
-# channel table through scipy and one float field per stage, through the public
-# generic integrator.
+# The per-call right-hand side the Bloch controller replaced: one scalar read of the
+# channel table through scipy and one float field per stage, for the generic kernel.
 _FLOAT_FIELDS = {
     "lab": lambda om, de, ph, om_r, om0: (2.0 * om_r * math.cos(ph), 0.0, om0),
     "carrier": lambda om, de, ph, om_r, om0: (om_r * (1.0 + math.cos(2.0 * ph)),
@@ -191,7 +191,7 @@ _FLOAT_FIELDS = {
 }
 
 
-def _per_call_reference(field, field_at, rates, r0, t):
+def _per_call_rhs(field, field_at, rates):
     g_t, g_1, pump = transverse_rate(rates), inversion_decay_rate(rates), -2.0 * rates.thermal
     table = _table(field)
 
@@ -201,7 +201,11 @@ def _per_call_reference(field, field_at, rates, r0, t):
         return np.array([by * w - bz * v - g_t * u,
                          bz * u - bx * w - g_t * v,
                          bx * v - by * u - g_1 * w + pump])
+    return rhs
 
+
+def _per_call_reference(field, field_at, rates, r0, t):
+    rhs = _per_call_rhs(field, field_at, rates)
     max_step = min(PHASE_PER_STEP / field.fastest_scale, (t[-1] - t[0]) / 8.0)
     return integrate_adaptive(rhs, (t[0], t[-1]), r0, t, max_step=max_step)
 
@@ -221,35 +225,47 @@ def test_field_reads_are_bit_identical_to_the_channel_table(make):
     t, field = make()
     rng = np.random.default_rng(17)
     times = np.concatenate([rng.uniform(t[0], t[-1], 200), t,
-                            [t[0] - SPAN_SLACK, t[-1] + SPAN_SLACK]]).tolist()
+                            [t[0] - SPAN_SLACK, t[-1] + SPAN_SLACK]])
     table = _table(field)
     old_rows = table(times).tolist()
     assert 0.0 in times and np.signbit(table(0.0)).tolist() == [False] * 5
     for name, field_at in (("lab", dynamics._lab_field), ("carrier", dynamics._carrier_field),
                            ("rwa", dynamics._rwa_field), ("design", dynamics._design_field)):
         want = [_FLOAT_FIELDS[name](*row) for row in old_rows]
-        got = field_at(field)(times)
-        assert len(got) == len(times) and all(type(b) is float for row in got for b in row)
+        got = np.column_stack(np.broadcast_arrays(*field_at(field)(times)))
+        assert got.dtype == np.float64 and got.shape == (times.size, 3)
         # == on the bytes, so that -0.0 against 0.0 fails too
-        assert np.array(got).tobytes() == np.array(want).tobytes(), name
+        assert got.tobytes() == np.array(want).tobytes(), name
 
 
-def test_bloch_kernel_matches_per_call_rhs():
+def test_bloch_kernel_matches_per_call_rhs(monkeypatch):
+    # every accepted step, replayed alone from the state the batched plan gives it,
+    # ends where the plan's scan puts the next one and passes the error test
     t, field = _fig1_l3_field()
     open_rates = Rates(dephasing=2e-3, thermal=1e-3, occupancy=0.5)
     r0 = _start_state()
+    calls = []
+    emit = odeint._dense_output
+    monkeypatch.setattr(odeint, "_dense_output", lambda *args: calls.append(args) or emit(*args))
     cases = [
-        (integrate_lab(field, r0, t), "lab", Rates()),
-        (integrate_interaction(field, r0, t), "carrier", Rates()),
-        (integrate_interaction(field, r0, t, rwa=True), "rwa", Rates()),
-        (integrate_bloch_effective(field, open_rates, r0, t), "design", open_rates),
-        (integrate_lindblad(field, open_rates, r0, t), "carrier", open_rates),
+        (lambda: integrate_lab(field, r0, t), "lab", Rates()),
+        (lambda: integrate_interaction(field, r0, t), "carrier", Rates()),
+        (lambda: integrate_interaction(field, r0, t, rwa=True), "rwa", Rates()),
+        (lambda: integrate_bloch_effective(field, open_rates, r0, t), "design", open_rates),
+        (lambda: integrate_lindblad(field, open_rates, r0, t), "carrier", open_rates),
     ]
-    for res, name, rates in cases:
-        ref, stats = _per_call_reference(field, _FLOAT_FIELDS[name], rates, r0, t)
-        assert (res.stats.accepted, res.stats.rejected, res.stats.rhs_evals) == (
-            stats.accepted, stats.rejected, stats.rhs_evals), name
-        assert np.max(np.abs(res.bloch - ref)) < 1e-14, name
+    for run, name, rates in cases:
+        res = run()
+        *_, y_end, ts, hs, ys, _ = calls[-1]
+        assert ts.size == res.stats.accepted, name
+        rhs = _per_call_rhs(field, _FLOAT_FIELDS[name], rates)
+        step = odeint._numpy_kernel(rhs, RTOL, ATOL)
+        for tt, h, y, end in zip(ts, hs, ys, np.append(ys[1:], [y_end], axis=0)):
+            y_new, _, _, ratio = step(tt, h, y, rhs(tt, y))
+            assert np.max(np.abs(y_new - end)) < 1e-14, name
+            assert ratio <= 1.0 + 1e-9, name
+        ref, _ = _per_call_reference(field, _FLOAT_FIELDS[name], rates, r0, t)
+        assert np.max(np.abs(res.bloch - ref)) < 1e-9, name
 
 
 @pytest.mark.parametrize("rtol, atol", [(0.0, 0.0), (-1.0, -1.0), (np.nan, 1e-12)])

@@ -4,8 +4,9 @@ Oracles: exponential decay and complex rotation have exact solutions; a
 random linear system is cross-checked against scipy's solve_ivp at much
 tighter tolerance; the vectorised dense output is checked against the
 per-sample emission loop it replaced, on the same accepted steps. The
-Bloch float kernel is checked against closed forms under time-varying
-fields, and against the generic kernel on random polynomial fields.
+batched Bloch controller is checked against closed forms under time-varying
+fields, against the generic kernel on random polynomial fields, and on each
+of its three errors.
 """
 
 import time
@@ -118,8 +119,8 @@ def test_input_validation(bad_kwargs):
     span, teval = kwargs.pop("t_span"), kwargs.pop("t_eval")
     with pytest.raises(ValidationError):
         integrate_adaptive(lambda tt, y: -y, span, np.array([1.0]), teval, **kwargs)
-    with pytest.raises(ValidationError):  # the Bloch kernel passes the same checks
-        odeint.integrate_bloch(lambda times: [(0.0, 0.0, 0.0)] * len(times), (1.0, 1.0, 0.0),
+    with pytest.raises(ValidationError):  # the Bloch controller passes the same checks
+        odeint.integrate_bloch(lambda times: (0.0, 0.0, 0.0), (1.0, 1.0, 0.0),
                                span, np.array([0.0, 0.0, 1.0]), teval, **kwargs)
 
 
@@ -132,7 +133,7 @@ def test_bloch_kernel_precesses_about_a_constant_field():
 
     def field(times):
         reads.append(times)
-        return [(omega, 0.0, delta)] * len(times)
+        return omega, 0.0, delta
 
     t = np.linspace(0.0, 20.0, 201)
     rs, stats = odeint.integrate_bloch(field, (0.0, 0.0, 0.0), (0.0, 20.0), r0, t,
@@ -143,24 +144,25 @@ def test_bloch_kernel_precesses_about_a_constant_field():
              + n * (n @ r0) * (1.0 - np.cos(theta)))
     assert np.max(np.abs(rs - exact)) < 1e-9
     attempted = stats.accepted + stats.rejected
-    # one read at t0, then one per attempted step at its five distinct stage times
-    assert [len(times) for times in reads] == [1] + [5] * attempted
-    assert reads[0] == [0.0]
-    for times in reads[1:]:
-        assert all(type(tt) is float for tt in times)
-        assert all(a < b for a, b in zip(times, times[1:]))
+    # one read per pass, at the six nodes of every new step, not one per step:
+    # each pass after the first splits at least one step
+    assert 1 <= len(reads) <= 1 + stats.rejected < attempted
+    assert sum(times.size for times in reads) == 6 * attempted
+    for times in reads:
+        assert times.dtype == np.float64 and times.ndim == 1
+        assert 0.0 <= times.min() and times.max() <= 20.0
     assert stats.rhs_evals == 1 + 6 * attempted
 
 
-# The tests below drive the Bloch kernel with fields that vary in time, so a
-# stage that reads another stage's row gives a wrong answer.
+# The tests below drive the Bloch controller with fields that vary in time, so a
+# stage that reads another stage's node gives a wrong answer.
 
 def test_bloch_kernel_precesses_about_a_ramped_field():
     # b = (0, 0, a + c t) turns (u, v) about z by the angle a t + c t^2 / 2
     a, c = 0.7, 0.25
     r0 = np.array([0.6, 0.0, 0.8])
     t = np.linspace(0.0, 12.0, 241)
-    rs, _ = odeint.integrate_bloch(lambda times: [(0.0, 0.0, a + c * tt) for tt in times],
+    rs, _ = odeint.integrate_bloch(lambda times: (0.0, 0.0, a + c * times),
                                    (0.0, 0.0, 0.0), (0.0, 12.0), r0, t, rtol=1e-12, atol=1e-14)
     theta = a * t + 0.5 * c * t**2
     exact = np.column_stack([0.6 * np.cos(theta), 0.6 * np.sin(theta), np.full(t.size, 0.8)])
@@ -194,7 +196,7 @@ def test_bloch_kernel_matches_the_generic_kernel(span, field, decay, r0):
 
     t = np.linspace(0.0, span, 37)
     ref, _ = integrate_adaptive(rhs, (0.0, span), np.array(r0), t, rtol=1e-11, atol=1e-13)
-    rs, _ = odeint.integrate_bloch(lambda times: [b(tt) for tt in times], decay, (0.0, span),
+    rs, _ = odeint.integrate_bloch(b, decay, (0.0, span),
                                    np.array(r0), t, rtol=1e-11, atol=1e-13)
     assert np.max(np.abs(rs - ref)) < 1e-9 * max(1.0, np.max(np.abs(ref)))
 
@@ -218,18 +220,17 @@ def test_non_finite_initial_state_rejected(y0):
         integrate_adaptive(lambda tt, y: -y, (0.0, 1.0), y0, np.array([0.0, 1.0]))
 
 
-def _loop_dense_output(teval, t0, y0, y_end, steps):
+def _loop_dense_output(teval, t0, y0, y_end, ts, hs, ys, coef):
     """The per-sample emission loop: each step emits the samples up to its end."""
     out = np.empty((teval.size, y0.size), dtype=y0.dtype)
     i = 0
     while i < teval.size and teval[i] <= t0:
         out[i] = y0
         i += 1
-    for t, h, y, k in steps:
-        dense = np.reshape(k, (7, y0.size)).T @ odeint._P
+    for t, h, y, c in zip(ts, hs, ys, np.swapaxes(coef, 0, 1)):
         while i < teval.size and teval[i] <= t + h + 1e-14 * max(abs(t), 1.0):
             theta = min(max((teval[i] - t) / h, 0.0), 1.0)
-            out[i] = y + h * (dense @ np.array([theta, theta**2, theta**3, theta**4]))
+            out[i] = y + np.array([theta, theta**2, theta**3, theta**4]) @ c
             i += 1
     out[i:] = y_end
     return out
@@ -244,7 +245,7 @@ def test_dense_output_matches_per_sample_loop(monkeypatch, a, y0):
     emit = odeint._dense_output
     monkeypatch.setattr(odeint, "_dense_output", lambda *args: calls.append(args) or emit(*args))
     integrate_adaptive(lambda tt, y: a @ y, (0.0, 2.0), y0, [0.0, 2.0])
-    ends = [t + h for t, h, _, _ in calls[-1][4]]
+    ends = (calls[-1][4] + calls[-1][5]).tolist()
     assert len(ends) > 4 and ends[3] < 2.0
     # repeated times, t0 twice, samples exactly on step ends and within the
     # 1e-14 roundoff slack past them, one just past t1
@@ -278,3 +279,39 @@ def test_kernel_overflow_is_reported_without_a_warning():
     with pytest.raises(RuntimeWarning, match="overflow"):
         integrate_adaptive(lambda tt, y: y * 1e300, (0.0, 1.0), np.array([1e10]),
                            np.array([0.0, 1.0]))
+
+
+def _bloch_error(field, t_span=(0.0, 2.0), **kwargs):
+    with pytest.raises(IntegrationError) as err:
+        odeint.integrate_bloch(field, (0.0, 0.0, 0.0), t_span, np.array([1.0, 0.0, 0.0]),
+                               np.array(t_span), **kwargs)
+    assert f"t = {err.value.t_first:.6g} ps" in str(err.value)
+    return err.value
+
+
+def test_bloch_field_pole_underflows_the_step_size():
+    # bz = 1 / (t_p - t) turns (u, v) by -log(t_p - t), without bound as t nears the
+    # pole t_p, which is off the first plan's nodes; a node a few ulps from it may
+    # still land on it, where the field is infinite
+    pole = np.pi / 3.0
+
+    def field(times):
+        with np.errstate(divide="ignore"):
+            return 0.0, 0.0, 1.0 / (pole - times)
+
+    err = _bloch_error(field)
+    assert "underflow" in str(err)
+    assert err.t_first == pytest.approx(pole, abs=1e-6)
+
+
+def test_bloch_non_finite_field_stops_at_the_first_step():
+    err = _bloch_error(lambda times: (np.nan, 0.0, 0.0))
+    assert "non-finite" in str(err) and err.t_first == 0.0
+
+
+def test_bloch_step_budget_is_checked_before_the_plan_is_built():
+    # 2e6 steps of max_step = 1 would fill 2e6 rows of maps; the budget stops it first
+    t0 = time.perf_counter()
+    err = _bloch_error(lambda times: (1.0, 0.0, 0.0), (0.0, 2e6), max_step=1.0)
+    assert "budget" in str(err) and err.t_first == 0.0
+    assert time.perf_counter() - t0 < 0.1

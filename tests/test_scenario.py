@@ -356,6 +356,15 @@ def test_pictures_of_one_run_share_one_channel_table(monkeypatch):
     assert built.count((n, 5)) == 1  # one channel table
 
 
+def test_a_picture_does_not_depend_on_the_others_in_its_run():
+    # each picture plans its own steps from its own field, whatever else runs
+    cfg = preset("fig1_L3")
+    alone = run_scenario(dataclasses.replace(cfg, pictures=("lab",)))
+    together = run_scenario(cfg)
+    assert len(together.results) == 3
+    assert alone.results["lab"].bloch.tobytes() == together.results["lab"].bloch.tobytes()
+
+
 def test_open_run_drive_comes_from_the_reported_v():
     # the tracking report compares against run.v, so the drive must be
     # synthesized from that same completion, not from a second one

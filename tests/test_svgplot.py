@@ -109,6 +109,11 @@ def test_m4_equals_the_lexsort_reference_on_any_column_order(n):
     ([], [("a", [], False)], "x must be 1-D with at least one value"),
     ([[0.0, 1.0]], [("a", [[0.0, 1.0]], False)], "x must be 1-D with at least one value"),
     ([0.0, 1.0, 2.0], [], "series must hold at least one"),
+    # finite values whose padded range is wider than the float range
+    ([0.0, 1.0], [("a", [1e308, -1e308], False)], "range of series 'a' is wider than the float"),
+    ([0.0, 1.0], [("a", [1e308, 0.0], False), ("b", [0.0, -1e308], True)],
+     "range of series 'b' and series 'a' is wider"),
+    ([-1e308, 1e308], [("a", [0.0, 1.0], False)], "range of x is wider than the float range"),
 ])
 def test_line_chart_rejects_bad_arrays_by_name(tmp_path, x, series, name):
     path = tmp_path / "chart.svg"

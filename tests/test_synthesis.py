@@ -269,8 +269,9 @@ def test_control_field_takes_array_like_channels():
 def test_table_reader_takes_channels_in_table_order_only():
     t = np.linspace(0.0, 4.0, 5)
     field = ControlField(t, t, 2.0 * t, 3.0 * t, 4.0 * t, 5.0 * t)  # channel k is k t
-    assert list(field._reader(("omega", "delta"))([1.5])) == [(1.5, 3.0)]
-    assert list(field._reader(("delta", "phi", "omega0"))([1.5])) == [(3.0, 4.5, 7.5)]
+    assert field._reader(("omega", "delta"))(np.array([1.5])).tolist() == [[1.5], [3.0]]
+    assert field._reader(("delta", "phi", "omega0"))(np.array([1.5])).tolist() == [[3.0], [4.5],
+                                                                                  [7.5]]
     # the pictures unpack the values in table order, so a swapped pair would exchange
     # two channels silently; so would a repeated, unknown or dropped name shift them
     for names in (("delta", "omega"), ("phi", "delta", "omega_r"), ("omega0", "omega_r"),
