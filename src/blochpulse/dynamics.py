@@ -21,10 +21,9 @@ controller of ``odeint`` and stores r; density matrices are derived from r on
 demand. Every picture of one field shares its channel table and its
 ``fastest_scale``, which caps step sizes so carrier oscillations stay resolved.
 A picture's field takes an array of times, once per pass of the controller: the
-table's reader (``ControlField._reader``) evaluates the splines of the channels
-the picture uses, bit-identically to scipy's ``CubicSpline``, and the picture
-holds only its numpy formula for b(t) in those values. Times in ps, angular
-frequencies in rad/ps.
+table's reader (``ControlField._reader``) evaluates the picture's channels from
+their rows of the one table, and the picture holds only its numpy formula for
+b(t) in those values. Times in ps, angular frequencies in rad/ps.
 """
 
 from __future__ import annotations

@@ -145,9 +145,48 @@ def _checked(t_span, y0, t_eval, rtol, atol, max_step):
     return t0, t1, y, teval, rtol, atol, max_step
 
 
-def _integrate(rhs, t_span, y0, t_eval, rtol, atol,
-               max_step) -> tuple[np.ndarray, IntegrationStats]:
-    """The sequential step controller: validate, step one at a time, emit on ``t_eval``."""
+def integrate_adaptive(
+    rhs: Callable[[float, np.ndarray], np.ndarray],
+    t_span: tuple[float, float],
+    y0,
+    t_eval,
+    *,
+    rtol: float = RTOL,
+    atol: float = ATOL,
+    max_step: float = np.inf,
+) -> tuple[np.ndarray, IntegrationStats]:
+    """Integrate dy/dt = rhs(t, y) and sample the result on ``t_eval``.
+
+    Parameters
+    ----------
+    rhs : callable
+        Right-hand side, returning an array shaped like ``y``.
+    t_span : (float, float)
+        Integration window (t0, t1) with t1 > t0, in ps.
+    y0 : array_like
+        Initial state, a non-empty 1-D vector. Real or complex, and finite.
+    t_eval : array_like
+        Non-decreasing sample times inside ``t_span``. The solution at these
+        points comes from the dense interpolant, not from forcing steps.
+    rtol, atol : float
+        Relative and absolute local-error tolerances; finite, rtol >= 0, atol > 0.
+    max_step : float
+        Upper bound on the step size, e.g. a fraction of the fastest carrier
+        period so oscillations stay resolved.
+
+    Returns
+    -------
+    (numpy.ndarray, IntegrationStats)
+        Solution array of shape ``(len(t_eval), len(y0))`` and step counters.
+
+    Raises
+    ------
+    ValidationError
+        If the span, initial state, sample times, tolerances or max_step are bad.
+    IntegrationError
+        If the step size underflows, the step budget is exhausted, or the
+        right-hand side yields a non-finite error estimate.
+    """
     t0, t1, y, teval, rtol, atol, max_step = _checked(t_span, y0, t_eval, rtol, atol, max_step)
     attempt = _numpy_kernel(rhs, rtol, atol)
     stats = IntegrationStats(rhs_evals=1)
@@ -280,8 +319,12 @@ def _bloch_controller(field, decay, t0, t1, r0, rtol, atol, max_step, stats):
             stuck = ~np.isfinite(ratio[bad]) | (h[bad] / parts < _FLOOR
                                                 * np.maximum(np.abs(t[bad]), 1.0))
         first = np.argmax(bad)
-        if stuck[0]:
-            raise _failure(_UNDERFLOW if np.isfinite(ratio[first]) else _NON_FINITE, t[first])
+        if stuck[0] and np.isfinite(ratio[first]):
+            raise _failure(_UNDERFLOW, t[first])
+        if stuck[0]:  # at the step's first node where the field is not finite, else its start
+            nodes = t[first] + _C[:6] * h[first]
+            ok = np.isfinite(np.broadcast_arrays(nodes, *field(nodes))[1:]).all(axis=0)
+            raise _failure(_NON_FINITE, np.append(nodes[~ok], t[first])[0])
         count = np.ones(t.size, dtype=int)
         count[bad] = np.where(stuck, 1, parts)
         split = count > 1
@@ -331,51 +374,6 @@ def _dense_output(teval, t0, y0, y_end, ts, hs, ys, coef) -> np.ndarray:
     return out
 
 
-def integrate_adaptive(
-    rhs: Callable[[float, np.ndarray], np.ndarray],
-    t_span: tuple[float, float],
-    y0,
-    t_eval,
-    *,
-    rtol: float = RTOL,
-    atol: float = ATOL,
-    max_step: float = np.inf,
-) -> tuple[np.ndarray, IntegrationStats]:
-    """Integrate dy/dt = rhs(t, y) and sample the result on ``t_eval``.
-
-    Parameters
-    ----------
-    rhs : callable
-        Right-hand side, returning an array shaped like ``y``.
-    t_span : (float, float)
-        Integration window (t0, t1) with t1 > t0, in ps.
-    y0 : array_like
-        Initial state, a non-empty 1-D vector. Real or complex, and finite.
-    t_eval : array_like
-        Non-decreasing sample times inside ``t_span``. The solution at these
-        points comes from the dense interpolant, not from forcing steps.
-    rtol, atol : float
-        Relative and absolute local-error tolerances; finite, rtol >= 0, atol > 0.
-    max_step : float
-        Upper bound on the step size, e.g. a fraction of the fastest carrier
-        period so oscillations stay resolved.
-
-    Returns
-    -------
-    (numpy.ndarray, IntegrationStats)
-        Solution array of shape ``(len(t_eval), len(y0))`` and step counters.
-
-    Raises
-    ------
-    ValidationError
-        If the span, initial state, sample times, tolerances or max_step are bad.
-    IntegrationError
-        If the step size underflows, the step budget is exhausted, or the
-        right-hand side yields a non-finite error estimate.
-    """
-    return _integrate(rhs, t_span, y0, t_eval, rtol, atol, max_step)
-
-
 def integrate_bloch(
     field: Callable[[np.ndarray], tuple],
     decay: tuple[float, float, float],
@@ -393,8 +391,9 @@ def integrate_bloch(
     ``integrate_adaptive`` with the equivalent right-hand side, on a step plan of its
     own (see ``_bloch_controller``). ``field(times)`` takes a 1-D float array and
     returns (bx, by, bz), each an array over the times or a float. It is called once
-    per pass, with the six nodes t + c h of every new step. ``decay`` is
-    (G, Gamma_1, pump) and ``r0`` a real 3-vector.
+    per pass, with the six nodes t + c h of every new step, and again with those of a
+    step whose error is not finite, which fails at the first node where b is not
+    finite. ``decay`` is (G, Gamma_1, pump) and ``r0`` a real 3-vector.
     """
     t0, t1, r, teval, rtol, atol, max_step = _checked(t_span, r0, t_eval, rtol, atol, max_step)
     if r.shape != (3,) or r.dtype != float:

@@ -222,14 +222,17 @@ def line_chart(path: str, title: str, xlabel: str, ylabel: str, x, series) -> No
 def bloch_chart(path: str, title: str, bloch) -> None:
     """Write an orthographic view of a Bloch-vector trajectory.
 
-    ``bloch`` is a finite (n, 3) array of (u, v, w) with n >= 1; ValidationError
-    otherwise. A fixed camera (no options) keeps the output deterministic: the
-    unit sphere projects to a circle, the equator to an ellipse, and the
-    trajectory to a polyline.
+    ``bloch`` is a finite (n, 3) array of (u, v, w), n >= 1, whose rows have a norm
+    of at most 1.1, the reach of the drawn axes; ValidationError otherwise. A fixed
+    camera (no options) keeps the output deterministic: the unit sphere projects to
+    a circle, the equator to an ellipse, and the trajectory to a polyline.
     """
     bloch = _finite(bloch, "bloch", float)
     if bloch.ndim != 2 or bloch.shape[1] != 3 or bloch.shape[0] == 0:
         raise ValidationError(f"bloch must have shape (n, 3) with n >= 1, got {bloch.shape}")
+    x, y, z = np.minimum(np.abs(bloch), 2.0).T  # clipped, so that no square overflows
+    if (far := x * x + y * y + z * z > 1.1 ** 2).any():
+        raise ValidationError(f"bloch row {np.argmax(far)} lies outside norm 1.1, the axes' reach")
     cx, cy, scale = _W / 2.0, _H / 2.0 + 10.0, 185.0
     yaw, tilt = 0.6, 0.42
     cyaw, syaw, ctilt, stilt = math.cos(yaw), math.sin(yaw), math.cos(tilt), math.sin(tilt)

@@ -56,10 +56,10 @@ _CHANNELS = ("omega", "delta", "phi", "omega_r", "omega0")
 class ControlField:
     """A synthesized drive, sampled on a time grid.
 
-    Between the samples the drive is its channel table (``_coefficients``, read through
-    ``_reader``): each channel's not-a-knot cubic spline, as scipy's ``CubicSpline``
-    builds it. It is built at first use and ``fastest_scale`` computed once; so do not
-    change a field's arrays in place. Channels may be any array_like of numbers.
+    Between the samples the drive is its channel table (``_coefficients``, one read-only
+    array whose rows ``_reader`` reads): each channel's not-a-knot cubic spline, as scipy's
+    ``CubicSpline`` builds it. It is built at first use and ``fastest_scale`` computed
+    once; so do not change a field's arrays in place. Channels may be any array_like.
 
     Attributes
     ----------
@@ -93,16 +93,17 @@ class ControlField:
                                                    float, self.t.shape))
 
     @cached_property
-    def _coefficients(self) -> tuple[list, bytes]:
-        """The knots as a list of floats, and one flat buffer of 20 doubles per interval:
-        (c0, c1, c2, c3) of each channel in ``_CHANNELS`` order, c0 s^3 + c1 s^2 + c2 s + c3
-        in s = t - t_i, the Hermite cubic of the ends' values and ``_spline_slopes``."""
-        y = np.column_stack([getattr(self, name) for name in _CHANNELS])
-        h, s = np.diff(self.t)[:, None], _spline_slopes(self.t, y)
-        m = np.diff(y, axis=0) / h
-        c = (s[:-1] + s[1:] - 2 * m) / h
-        return self.t.tolist(), np.stack((c / h, (m - s[:-1]) / h - c, s[:-1], y[:-1]),
-                                         axis=-1).tobytes()
+    def _coefficients(self) -> np.ndarray:
+        """The channel table, one read-only array of shape (4, 5, n - 1): (c0, c1, c2, c3) of
+        each channel in ``_CHANNELS`` order on each interval, c0 s^3 + c1 s^2 + c2 s + c3 in
+        s = t - t_i, the Hermite cubic of the ends' values and ``_spline_slopes``."""
+        y = np.stack([getattr(self, name) for name in _CHANNELS])
+        h, s = np.diff(self.t), _spline_slopes(self.t, y.T).T
+        m = np.diff(y) / h
+        c = (s[:, :-1] + s[:, 1:] - 2 * m) / h
+        table = np.stack((c / h, (m - s[:, :-1]) / h - c, s[:, :-1], y[:, :-1]))
+        table.flags.writeable = False  # cached and shared: every reader copies its rows
+        return table
 
     def _reader(self, names):
         """values(times): the two or three channels ``names``, a tuple in ``_CHANNELS``
@@ -111,9 +112,8 @@ class ControlField:
         pieces, in that order: scipy's evaluation, the same float for float."""
         if names != tuple(n for n in _CHANNELS if n in names) or len(names) not in (2, 3):
             raise ValueError(f"read two or three of {_CHANNELS}, in that order, not {names}")
-        table = np.frombuffer(self._coefficients[1]).reshape(-1, 5, 4)
-        # (c0, c1, c2, c3), each one row per channel over the intervals
-        coef = table[:, [_CHANNELS.index(n) for n in names]].transpose(2, 1, 0).copy()
+        # (c0 .. c3) x channels x intervals, C-contiguous, or np.take copies it at every read
+        coef = self._coefficients.take([_CHANNELS.index(n) for n in names], axis=1)
         knots, inner = self.t, self.t[1:-1]  # a time past either end is in an end piece
 
         def values(times):

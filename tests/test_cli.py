@@ -14,6 +14,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from blochpulse import (
@@ -26,7 +27,7 @@ from blochpulse import (
     save_scenario,
     scenario_to_dict,
 )
-from blochpulse import cli
+from blochpulse import cli, dynamics
 from blochpulse.cli import main
 
 _ROOT = Path(__file__).resolve().parents[1]
@@ -197,6 +198,17 @@ def test_window_past_the_carrier_pole_exits_3(tmp_path, capsys, span):
     t_first = float(re.search(r"t = (\S+) ps", err).group(1))
     assert -span <= t_first <= span
     assert "Warning" not in out + err and not caught
+
+
+def test_infinite_field_exits_3_at_its_first_node(mini_config, capsys, monkeypatch):
+    # a design field that is infinite from t = 0 on: the run stops at the first node of
+    # the failing step where the field is not finite, not at that step's start
+    monkeypatch.setattr(dynamics, "_design_field", lambda field: lambda times: (
+        0.0, 0.0, np.where(times < 0.0, 0.0, np.inf)))
+    assert main(["verify", "--config", str(mini_config)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: non-finite") and len(err.splitlines()) == 1
+    assert 0.0 <= float(re.search(r"t = (\S+) ps", err).group(1)) < 1.0
 
 
 def test_open_window_past_the_integrator_exits_3(tmp_path, capsys):

@@ -14,6 +14,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline, PPoly
 
@@ -52,9 +54,8 @@ def _constant_field(t, omega=0.0, delta=0.0, phi=0.0, omega_r=0.0, omega0=0.0):
 
 
 def _table(field):
-    """The field's channel table as a scipy ``PPoly``, an oracle that reads its buffer."""
-    knots, coef = field._coefficients
-    return PPoly(np.frombuffer(coef).reshape(-1, 5, 4).transpose(2, 0, 1), knots)
+    """The field's channel table as a scipy ``PPoly``, an oracle that reads its array."""
+    return PPoly(field._coefficients.transpose(0, 2, 1), field.t)
 
 
 def _random_density(rng):
@@ -234,6 +235,30 @@ def test_field_reads_are_bit_identical_to_the_channel_table(make):
         want = [_FLOAT_FIELDS[name](*row) for row in old_rows]
         got = np.column_stack(np.broadcast_arrays(*field_at(field)(times)))
         assert got.dtype == np.float64 and got.shape == (times.size, 3)
+        # == on the bytes, so that -0.0 against 0.0 fails too
+        assert got.tobytes() == np.array(want).tobytes(), name
+
+
+_VALUE = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=39), st.floats(-1e3, 1e3),
+       st.data())
+def test_field_reads_match_the_channel_table_on_any_grid(steps, start, data):
+    # uneven grids of 2 to 40 knots, which include the slopes' line and parabola cases,
+    # with random channels, read inside the window and past both ends
+    t = start + np.cumsum([0.0, *steps])
+    channels = data.draw(st.lists(st.lists(_VALUE, min_size=t.size, max_size=t.size),
+                                  min_size=5, max_size=5))
+    field = ControlField(t, *channels)
+    inside = data.draw(st.lists(st.floats(t[0], t[-1]), min_size=1, max_size=20))
+    times = np.array([t[0] - 1.0, t[0] - SPAN_SLACK, *inside, t[-1] + SPAN_SLACK, t[-1] + 1.0])
+    rows = _table(field)(times).tolist()
+    for name, field_at in (("lab", dynamics._lab_field), ("carrier", dynamics._carrier_field),
+                           ("rwa", dynamics._rwa_field), ("design", dynamics._design_field)):
+        want = [_FLOAT_FIELDS[name](*row) for row in rows]
+        got = np.column_stack(np.broadcast_arrays(*field_at(field)(times)))
         # == on the bytes, so that -0.0 against 0.0 fails too
         assert got.tobytes() == np.array(want).tobytes(), name
 

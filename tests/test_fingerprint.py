@@ -37,6 +37,8 @@ def test_two_dumps_of_the_same_code_do_not_differ(tmp_path):
                 "preset/fig3/field_csv", "preset/fig1_L3/field_csv",
                 "svg/fig1_L3/pulse", "svg/fig3/populations", "svg/fig3/bloch3d"} <= keys
         assert [str(dump[f"sweep/{i:04d}/verdict"]) for i in range(6)].count("realizable") >= 1
+        # the table in scipy PPoly's layout: (c0 .. c3) x fig1_L3's 1200 intervals x channels
+        assert dump["preset/fig1_L3/field/table"].shape == (4, 1200, 5)
         # a changed array, a dropped one
         arrays = {k: dump[k] for k in keys if k != "preset/fig3/csv"}
     arrays["preset/fig3/v"] = arrays["preset/fig3/v"] * (1.0 + 1e-15)

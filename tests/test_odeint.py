@@ -304,6 +304,17 @@ def test_bloch_field_pole_underflows_the_step_size():
     assert err.t_first == pytest.approx(pole, abs=1e-6)
 
 
+def test_bloch_field_pole_on_a_plan_node_is_reported_there():
+    # the pole t = 1 is an edge of the first plan's 100 equal steps, where the field read
+    # is infinite: the step that ends there fails at that node, not at its own start
+    def field(times):
+        with np.errstate(divide="ignore"):
+            return 0.0, 0.0, 1.0 / (1.0 - times)
+
+    err = _bloch_error(field)
+    assert "non-finite" in str(err) and err.t_first == 1.0
+
+
 def test_bloch_non_finite_field_stops_at_the_first_step():
     err = _bloch_error(lambda times: (np.nan, 0.0, 0.0))
     assert "non-finite" in str(err) and err.t_first == 0.0

@@ -137,6 +137,22 @@ def test_bloch_chart_rejects_bad_arrays_by_name(tmp_path, bloch, name):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("bloch", [[[1e300, 0.0, 0.0]], [[0.0, 0.0, 1.0], [1.2, 0.0, 0.0]]])
+def test_bloch_chart_rejects_rows_past_the_axes(tmp_path, bloch):
+    # the axes reach norm 1.1; a row far past them would print a coordinate hundreds of
+    # characters long
+    path = tmp_path / "chart.svg"
+    with pytest.raises(ValidationError, match=f"bloch row {len(bloch) - 1} lies outside"):
+        svgplot.bloch_chart(str(path), "t", bloch)
+    assert not path.exists()
+
+
+def test_bloch_chart_draws_a_row_just_past_the_sphere(tmp_path):
+    path = tmp_path / "chart.svg"
+    svgplot.bloch_chart(str(path), "t", [[0.0, 0.0, 1.0], [1.0 + 1e-6, 0.0, 0.0]])
+    assert len(re.findall(r"<polyline", path.read_text())) == 2
+
+
 def test_m4_keeps_the_extremes_of_every_column_in_index_order():
     rng = np.random.default_rng(3)
     for n, columns in ((1, 1), (2, 1), (500, 40), (12001, 552)):

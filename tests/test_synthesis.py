@@ -156,8 +156,7 @@ def test_spline_slopes_and_channel_table_match_scipy(inputs):
         assert np.all(np.abs(got - slopes[:, cols]) <= slope_tol[cols])
     got = synthesis._spline_slopes(t, y[:, 0])  # one column as a 1-D array
     assert got.shape == t.shape and np.all(np.abs(got - slopes[:, 0]) <= slope_tol[0])
-    knots, coef = ControlField(t, *y.T)._coefficients
-    table = PPoly(np.frombuffer(coef).reshape(-1, 5, 4).transpose(2, 0, 1), knots)
+    table = PPoly(ControlField(t, *y.T)._coefficients.transpose(0, 2, 1), t)
     assert table.c.shape == ref.c.shape and np.array_equal(table.x, t)
     h_pow = np.diff(t)[:, None] ** np.arange(3, -1, -1)[:, None, None]
     term_scale = np.max(np.abs(ref.c) * h_pow, axis=(0, 1))
@@ -257,13 +256,24 @@ def test_control_field_takes_array_like_channels():
     field = synthesize_pulse(_SPEC, Rates(), 5e-3, np.linspace(-120.0, 120.0, 61))
     arrays = [getattr(field, name) for name in ("t", *synthesis._CHANNELS)]
     from_lists = ControlField(*(a.tolist() for a in arrays))
-    assert from_lists._coefficients == field._coefficients  # knots and table bytes alike
+    assert from_lists._coefficients.tobytes() == field._coefficients.tobytes()
     # float64 arrays pass through as the same objects
     assert all(getattr(ControlField(*arrays), name) is a
                for name, a in zip(synthesis._CHANNELS, arrays[1:]))
     t = arrays[0]
     with pytest.raises(ValidationError, match=r"^ControlField\.phi must be numeric"):
         ControlField(t, *arrays[1:3], ["a"] * t.size, *arrays[4:])
+
+
+def test_channel_table_is_one_read_only_array():
+    t = np.array([0.0, 0.5, 2.0, 2.25, 4.0])
+    field = ControlField(t, t, 2.0 * t, 3.0 * t ** 2, 4.0 * t, 5.0 * t ** 3)
+    table = field._coefficients
+    assert type(table) is np.ndarray and table.dtype == np.float64
+    assert table.shape == (4, 5, t.size - 1)
+    # every picture of the field shares the cached table, so a write would change later reads
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0, 0] = 1.0
 
 
 def test_table_reader_takes_channels_in_table_order_only():
