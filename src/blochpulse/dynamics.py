@@ -20,10 +20,9 @@ a Bloch vector, and one propagator integrates it with the batched Bloch
 controller of ``odeint`` and stores r; density matrices are derived from r on
 demand. Every picture of one field shares its channel table and its
 ``fastest_scale``, which caps step sizes so carrier oscillations stay resolved.
-A picture's field takes an array of times, once per pass of the controller: the
-table's reader (``ControlField._reader``) evaluates the picture's channels from
-their rows of the one table, and the picture holds only its numpy formula for
-b(t) in those values. Times in ps, angular frequencies in rad/ps.
+Once per pass of the controller, the table's one reader (``ControlField._reader``)
+evaluates all five channels at an array of times, and a picture is only its numpy
+formula for b(t) in those values. Times in ps, angular frequencies in rad/ps.
 """
 
 from __future__ import annotations
@@ -83,32 +82,30 @@ class SimResult:
         return np.stack([0.5 * (1.0 + w), 0.5 * (1.0 - w)], axis=1)
 
 
-# Fields b(t) with H = b . sigma / 2. Each takes the ControlField and returns
-# field(times), (bx, by, bz) at the 1-D array ``times``, from the values of the
-# channels it uses, which the field's table reader gives in table order.
+# Fields b(t) with H = b . sigma / 2, each a formula of the five channels in table order.
 
-def _reading(names, formula):
-    """A picture's field: ``formula`` of the channels ``names`` of a ControlField."""
-    def field_at(field):
-        values = field._reader(names)
-        return lambda times: formula(*values(times))
-    return field_at
+def _lab_field(omega, delta, phi, omega_r, omega0):
+    return 2.0 * omega_r * np.cos(phi), 0.0, omega0
 
 
-_lab_field = _reading(("phi", "omega_r", "omega0"),
-                      lambda phi, omega_r, omega0: (2.0 * omega_r * np.cos(phi), 0.0, omega0))
-_carrier_field = _reading(("delta", "phi", "omega_r"), lambda delta, phi, omega_r: (
-    omega_r * (1.0 + np.cos(2.0 * phi)), -omega_r * np.sin(2.0 * phi), -delta))
-_rwa_field = _reading(("delta", "omega_r"), lambda delta, omega_r: (omega_r, 0.0, -delta))
-_design_field = _reading(("omega", "delta"), lambda omega, delta: (omega, 0.0, -delta))
+def _carrier_field(omega, delta, phi, omega_r, omega0):
+    return omega_r * (1.0 + np.cos(2.0 * phi)), -omega_r * np.sin(2.0 * phi), -delta
+
+
+def _rwa_field(omega, delta, phi, omega_r, omega0):
+    return omega_r, 0.0, -delta
+
+
+def _design_field(omega, delta, phi, omega_r, omega0):
+    return omega, 0.0, -delta
 
 
 def _propagate(picture: str, field: ControlField, field_at, rates: Rates,
                r0, grid, rtol: float, atol: float) -> SimResult:
     """Integrate dr/dt = b x r - (G, G, Gamma_1) r + (0, 0, -2 Gamma) on ``grid``.
 
-    ``field_at(field)`` gives b(times) from the channel values of ``field``'s table reader;
-    the Bloch controller reads it once per pass. ``r0`` is the Bloch vector at ``grid[0]``.
+    ``field_at`` is b in the five channel values of ``field``'s table reader, which the
+    Bloch controller reads once per pass. ``r0`` is the Bloch vector at ``grid[0]``.
     """
     r0 = _checked_bloch(r0)  # the Bloch controller rejects any shape but (3,)
     t = validate_grid(grid)
@@ -120,8 +117,9 @@ def _propagate(picture: str, field: ControlField, field_at, rates: Rates,
 
     span, scale = t[-1] - t[0], field.fastest_scale
     max_step = min(PHASE_PER_STEP / scale, span / 8.0) if scale > 0.0 else span / 8.0
-    bloch, stats = integrate_bloch(field_at(field), decay, (t[0], t[-1]), r0, t,
-                                   rtol=rtol, atol=atol, max_step=max_step)
+    values = field._reader()
+    bloch, stats = integrate_bloch(lambda times: field_at(*values(times)), decay,
+                                   (t[0], t[-1]), r0, t, rtol=rtol, atol=atol, max_step=max_step)
     return SimResult(picture=picture, t=t, bloch=bloch, stats=stats)
 
 

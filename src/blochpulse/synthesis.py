@@ -102,25 +102,21 @@ class ControlField:
         m = np.diff(y) / h
         c = (s[:, :-1] + s[:, 1:] - 2 * m) / h
         table = np.stack((c / h, (m - s[:, :-1]) / h - c, s[:, :-1], y[:, :-1]))
-        table.flags.writeable = False  # cached and shared: every reader copies its rows
+        table.flags.writeable = False  # cached and shared by every picture's reader
         return table
 
-    def _reader(self, names):
-        """values(times): the two or three channels ``names``, a tuple in ``_CHANNELS``
-        order, at the 1-D float array ``times``, as one row per channel. Each value is
-        0.0 + c3 + c2 s + c1 s^2 + c0 s^3 with s^3 = s^2 s, s past the end knots for the end
-        pieces, in that order: scipy's evaluation, the same float for float."""
-        if names != tuple(n for n in _CHANNELS if n in names) or len(names) not in (2, 3):
-            raise ValueError(f"read two or three of {_CHANNELS}, in that order, not {names}")
-        # (c0 .. c3) x channels x intervals, C-contiguous, or np.take copies it at every read
-        coef = self._coefficients.take([_CHANNELS.index(n) for n in names], axis=1)
+    def _reader(self):
+        """values(times): all five channels, in ``_CHANNELS`` order, at the 1-D float array
+        ``times``, as one (5, m) array. Each value is 0.0 + c3 + c2 s + c1 s^2 + c0 s^3 with
+        s^3 = s^2 s, s past the end knots for the end pieces, in that order: scipy's
+        evaluation, the same float for float."""
+        c0, c1, c2, c3 = self._coefficients  # C-contiguous (5, n - 1) planes: np.take reads them
         knots, inner = self.t, self.t[1:-1]  # a time past either end is in an end piece
 
         def values(times):
             i = np.searchsorted(inner, times, side="right")
             s = times - knots[i]
             s2 = s * s
-            c0, c1, c2, c3 = coef  # np.take is faster than c[:, i]; gathered one at a time
             return (0.0 + np.take(c3, i, axis=1) + np.take(c2, i, axis=1) * s
                     + np.take(c1, i, axis=1) * s2 + np.take(c0, i, axis=1) * (s2 * s))
         return values

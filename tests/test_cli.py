@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from blochpulse import (
+    ControlField,
     Rates,
     ScenarioConfig,
     Transfer,
@@ -27,7 +28,7 @@ from blochpulse import (
     save_scenario,
     scenario_to_dict,
 )
-from blochpulse import cli, dynamics
+from blochpulse import cli
 from blochpulse.cli import main
 
 _ROOT = Path(__file__).resolve().parents[1]
@@ -203,8 +204,11 @@ def test_window_past_the_carrier_pole_exits_3(tmp_path, capsys, span):
 def test_infinite_field_exits_3_at_its_first_node(mini_config, capsys, monkeypatch):
     # a design field that is infinite from t = 0 on: the run stops at the first node of
     # the failing step where the field is not finite, not at that step's start
-    monkeypatch.setattr(dynamics, "_design_field", lambda field: lambda times: (
-        0.0, 0.0, np.where(times < 0.0, 0.0, np.inf)))
+    def values(times):
+        rows = np.zeros((5, times.size))
+        rows[1] = np.where(times < 0.0, 0.0, np.inf)  # delta, and the design field's bz is -delta
+        return rows
+    monkeypatch.setattr(ControlField, "_reader", lambda field: values)
     assert main(["verify", "--config", str(mini_config)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: non-finite") and len(err.splitlines()) == 1

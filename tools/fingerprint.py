@@ -59,15 +59,6 @@ def _field_arrays(prefix: str, field) -> dict:
             for name in ("t", "omega", "delta", "phi", "omega_r", "omega0")}
 
 
-def _table(coefficients) -> np.ndarray:
-    """A field's channel table in scipy PPoly's layout (4, intervals, 5), from either form
-    of ``ControlField._coefficients``: the array (4, 5, intervals), or the (knots, flat
-    buffer of 20 doubles per interval) pair of older source trees."""
-    if isinstance(coefficients, tuple):
-        return np.frombuffer(coefficients[1]).reshape(-1, 5, 4).transpose(2, 0, 1)
-    return coefficients.transpose(0, 2, 1)
-
-
 def dump(path: Path, presets, candidates: int, src: Path) -> int:
     bp, workloads = _import(src)
     out = {}
@@ -78,7 +69,8 @@ def dump(path: Path, presets, candidates: int, src: Path) -> int:
         out.update({f"{p}/samples/{k}": getattr(s, k) for k in ("t", "u", "w", "du", "dw")})
         out[f"{p}/v"] = run.v
         out.update(_field_arrays(f"{p}/field", run.field))
-        out[f"{p}/field/table"] = _table(run.field._coefficients)
+        # the channel table (4, 5, intervals) in scipy PPoly's layout (4, intervals, 5)
+        out[f"{p}/field/table"] = run.field._coefficients.transpose(0, 2, 1)
         out[f"{p}/field/fastest_scale"] = np.asarray(run.field.fastest_scale)
         for pic, res in run.results.items():
             out[f"{p}/{pic}/bloch"] = res.bloch
