@@ -2,8 +2,8 @@
 
 Two step controllers share one tableau, error norm, input check and dense output:
 
-  * a sequential controller for dy/dt = rhs(t, y) on flat real or complex state
-    vectors (``integrate_adaptive``), one step at a time, the reference for the other;
+  * a sequential controller for dy/dt = rhs(t, y) on a flat real state vector
+    (``integrate_adaptive``), one ``_dp5_step`` at a time, the reference for the other;
   * a batched controller for the affine Bloch equation
     dr/dt = b(t) x r - (G, G, Gamma_1) r + (0, 0, pump) (``integrate_bloch``), which
     every simulation picture runs. A DP5 step of an affine equation is an affine map
@@ -19,7 +19,6 @@ solution on the caller grid through the quartic dense interpolant. Times are in 
 
 from __future__ import annotations
 
-import contextvars
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -96,27 +95,24 @@ class IntegrationStats:
     max_error_ratio: float = 0.0  # largest accepted local error, in tolerance units
 
 
-def _numpy_kernel(rhs, rtol: float, atol: float):
-    """step(t, h, y, k1) -> (new y, k7, stages K (7 x n), error ratio): one DP5 step of
-    dy/dt = rhs(t, y), the error ratio its RMS local error in tolerance units."""
+def _dp5_step(rhs, t, h, y, k1, rtol: float, atol: float):
+    """One DP5 step of dy/dt = rhs(t, y) from (t, y) with slope k1: (new y, k7, stages K
+    (7 x n), error ratio), the error ratio its RMS local error in tolerance units.
 
-    def step(t, h, y, k1):
-        # A huge step may overflow the step's own arithmetic; the controller reports
-        # the non-finite ratio, so numpy need not warn. The rhs runs in the caller's
-        # context, under the caller's numpy error state.
-        caller = contextvars.copy_context()
-        k = np.empty((7, y.size), dtype=y.dtype)
-        k[0] = k1
+    A huge step may overflow the step's own arithmetic; the controller reports the
+    non-finite ratio, so numpy need not warn there. ``rhs`` runs outside that silence,
+    under the caller's numpy error state."""
+    k = np.empty((7, y.size))
+    k[0] = k1
+    for i in range(1, 7):
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(1, 7):
-                k[i] = caller.run(rhs, t + _C[i] * h, y + h * (_A[i] @ k[:i]))
-            y_new = y + h * (_B @ k)
-            err = h * (_E @ k)
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-            ratio = float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
-        return y_new, k[6], k, ratio
-
-    return step
+            t_i, y_i = t + _C[i] * h, y + h * (_A[i] @ k[:i])
+        k[i] = rhs(t_i, y_i)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y_new = y + h * (_B @ k)
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        ratio = float(np.sqrt(np.mean((h * (_E @ k) / scale) ** 2)))
+    return y_new, k[6], k, ratio
 
 
 def _checked(t_span, y0, t_eval, rtol, atol, max_step):
@@ -124,8 +120,7 @@ def _checked(t_span, y0, t_eval, rtol, atol, max_step):
     t0, t1 = _finite(t_span, "t_span", float, (2,)).tolist()
     if t1 <= t0:
         raise ValidationError(f"integration span must have t1 > t0, got ({t0}, {t1})")
-    y = np.atleast_1d(_finite(y0, "initial state", complex))
-    y = y.copy() if np.iscomplexobj(y0) or y.imag.any() else y.real.copy()  # real stays real
+    y = np.atleast_1d(_finite(y0, "initial state", float)).copy()
     if y.ndim != 1 or y.size == 0:
         raise ValidationError("initial state must be a non-empty 1-D vector")
     teval = _numeric(t_eval, "t_eval", float)
@@ -164,7 +159,7 @@ def integrate_adaptive(
     t_span : (float, float)
         Integration window (t0, t1) with t1 > t0, in ps.
     y0 : array_like
-        Initial state, a non-empty 1-D vector. Real or complex, and finite.
+        Initial state, a non-empty 1-D vector of finite real numbers.
     t_eval : array_like
         Non-decreasing sample times inside ``t_span``. The solution at these
         points comes from the dense interpolant, not from forcing steps.
@@ -188,7 +183,6 @@ def integrate_adaptive(
         right-hand side yields a non-finite error estimate.
     """
     t0, t1, y, teval, rtol, atol, max_step = _checked(t_span, y0, t_eval, rtol, atol, max_step)
-    attempt = _numpy_kernel(rhs, rtol, atol)
     stats = IntegrationStats(rhs_evals=1)
     state, k1 = y, rhs(t0, y)
     steps = []  # (t, h, state, stages) of every accepted step
@@ -204,7 +198,7 @@ def integrate_adaptive(
             raise _failure(_UNDERFLOW, t)
         h = min(h, t1 - t)
 
-        new_state, k7, stages, ratio = attempt(t, h, state, k1)
+        new_state, k7, stages, ratio = _dp5_step(rhs, t, h, state, k1, rtol, atol)
         stats.rhs_evals += 6
         if not math.isfinite(ratio):
             raise _failure(_NON_FINITE, t)
@@ -368,7 +362,7 @@ def _dense_output(teval, t0, y0, y_end, ts, hs, ys, coef) -> np.ndarray:
     theta = np.clip((teval[lo:hi] - ts[j]) / hs[j], 0.0, 1.0)
     # (c1 .. c4) gathered per sample along the last axis, so each product runs over the samples
     c1, c2, c3, c4 = np.take(np.swapaxes(coef, 1, 2), j, axis=2)
-    out = np.empty((teval.size, y0.size), dtype=y0.dtype)
+    out = np.empty((teval.size, y0.size))
     out[:lo], out[hi:] = y0, y_end
     out[lo:hi] = (ys.T[:, j] + theta * (c1 + theta * (c2 + theta * (c3 + theta * c4)))).T
     return out
@@ -396,8 +390,8 @@ def integrate_bloch(
     finite. ``decay`` is (G, Gamma_1, pump) and ``r0`` a real 3-vector.
     """
     t0, t1, r, teval, rtol, atol, max_step = _checked(t_span, r0, t_eval, rtol, atol, max_step)
-    if r.shape != (3,) or r.dtype != float:
-        raise ValidationError(f"integrate_bloch takes a real 3-vector, not {r.shape} {r.dtype}")
+    if r.shape != (3,):
+        raise ValidationError(f"integrate_bloch takes a 3-vector, not shape {r.shape}")
     stats = IntegrationStats()
     t, h, s, coef = _bloch_controller(field, decay, t0, t1, r, rtol, atol, max_step, stats)
     return _dense_output(teval, t0, r, s[-1], t, h, s[:-1], coef), stats

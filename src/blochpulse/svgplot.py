@@ -39,12 +39,10 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min(s * mag for s in (1.0, 2.0, 2.5, 5.0, 10.0) if s * mag >= raw)
     first = math.ceil(lo / step) * step
-    out = []
-    val = first
-    while val <= hi + 1e-9 * max(abs(hi), 1.0):
-        out.append(0.0 if abs(val) < 1e-12 * step else val)
-        val += step
-    return out or [lo]
+    # counted, with a slack that is a share of the step: far from zero, a step below
+    # the spacing of the floats must not stall a running sum, nor the slack add ticks
+    ticks = [first + i * step for i in range(math.floor((hi - first) / step + 1e-9) + 1)]
+    return [0.0 if abs(val) < 1e-12 * step else val for val in ticks] or [lo]
 
 
 def _range(arrays, names) -> tuple[float, float]:
@@ -52,8 +50,8 @@ def _range(arrays, names) -> tuple[float, float]:
     arrays that hold its ends when it is wider than the float range."""
     lows, highs = [float(np.min(a)) for a in arrays], [float(np.max(a)) for a in arrays]
     lo, hi = min(lows), max(highs)
-    if hi - lo < 1e-300:
-        lo, hi = lo - 1.0, hi + 1.0
+    if hi - lo < 1e-300:  # widened by enough to survive rounding far from zero
+        lo, hi = lo - max(1.0, 1e-6 * abs(lo)), hi + max(1.0, 1e-6 * abs(hi))
     pad = 0.04 * (hi - lo)
     if not math.isfinite((hi + pad) - (lo - pad)):
         ends = dict.fromkeys((names[lows.index(lo)], names[highs.index(hi)]))
@@ -136,6 +134,7 @@ def _polyline(xs, ys, color: str, dash: str | None = None, width: float = 1.6) -
 
 def _text(x: float, y: float, s: str, size: int = 12, anchor: str = "middle",
           color: str = "#24292f") -> str:
+    s = s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")  # as XML text
     return (f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="Helvetica,Arial,sans-serif" '
             f'font-size="{size}" text-anchor="{anchor}" fill="{color}">{s}</text>')
 

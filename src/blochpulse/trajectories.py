@@ -274,10 +274,8 @@ def _consistent_s(samples: TrajectorySamples, rates: Rates, s0: float) -> np.nda
         u, w, du, dw = samples.spec.components((t[k:k + hk.size] + hk * nodes).ravel())
         q = -2.0 * ((du + g_t * u) * u + (dw + 2.0 * gam_th * (1.0 + w + 2.0 * occ * w)) * w)
         weights = np.exp(-2.0 * g_t * hk * (1.0 - nodes)) * node_w
-        terms = weights * q.reshape(nodes.size, -1)
-        # node by node in order at any chunk width: np.sum adds row by row across two or
-        # more columns, but pairs up the nodes of a single column
-        forced[k:k + cols] = terms.sum(axis=0) if terms.shape[1] > 1 else np.cumsum(terms)[-1]
+        # node by node at any chunk width, so that the chunks cannot change s
+        forced[k:k + cols] = np.cumsum(weights * q.reshape(nodes.size, -1), axis=0)[-1]
     return _affine_scan(s0, np.exp(-2.0 * g_t * h), forced * (0.5 / panels * h))
 
 

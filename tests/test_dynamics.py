@@ -284,9 +284,8 @@ def test_bloch_kernel_matches_per_call_rhs(monkeypatch):
         *_, y_end, ts, hs, ys, _ = calls[-1]
         assert ts.size == res.stats.accepted, name
         rhs = _per_call_rhs(field, _FLOAT_FIELDS[name], rates)
-        step = odeint._numpy_kernel(rhs, RTOL, ATOL)
         for tt, h, y, end in zip(ts, hs, ys, np.append(ys[1:], [y_end], axis=0)):
-            y_new, _, _, ratio = step(tt, h, y, rhs(tt, y))
+            y_new, _, _, ratio = odeint._dp5_step(rhs, tt, h, y, rhs(tt, y), RTOL, ATOL)
             assert np.max(np.abs(y_new - end)) < 1e-14, name
             assert ratio <= 1.0 + 1e-9, name
         ref, _ = _per_call_reference(field, _FLOAT_FIELDS[name], rates, r0, t)

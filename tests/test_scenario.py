@@ -11,6 +11,7 @@ import copy
 import dataclasses
 import json
 import math
+import re
 import sys
 import tempfile
 import xml.etree.ElementTree as ET
@@ -536,6 +537,35 @@ def test_population_curves_carry_the_requested_picture_name(tmp_path):
                "populations", path)
     text = path.read_text()
     assert "P_e interaction" in text and "P_g interaction" in text
+
+
+_TITLES = {"pulse": "synthesized drive", "populations": "populations", "bloch3d": "Bloch trajectory"}
+
+
+def test_svg_exports_escape_the_scenario_name(mini_run, tmp_path):
+    # a scenario name may hold any printable character but / and \
+    name = "a&b <c>"
+    run = dataclasses.replace(mini_run, config=dataclasses.replace(mini_run.config, name=name))
+    for kind, title in _TITLES.items():
+        path = tmp_path / f"{kind}.svg"
+        export_svg(run, kind, path)
+        texts = [el.text for el in ET.parse(path).getroot().iter("{http://www.w3.org/2000/svg}text")]
+        assert f"{name}: {title}" in texts, kind
+
+
+def test_svg_exports_far_from_zero_keep_their_tick_count(tmp_path):
+    # 400 ps at 1e15 ps: the axis has as many ticks as the preset's, not thousands
+    cfg = preset("fig1_L3")
+    far = dataclasses.replace(cfg, window=Window(1e15, 1e15 + 400.0, 101),
+                              transition=TransitionSpec.constant(1e-4))
+    near_run, far_run = run_scenario(cfg), run_scenario(far)
+    for kind in _TITLES:
+        counts = []
+        for label, run in (("near", near_run), ("far", far_run)):
+            path = tmp_path / f"{label}.{kind}.svg"
+            export_svg(run, kind, path)
+            counts.append(len(re.findall("<text", path.read_text())))
+        assert counts[1] <= counts[0], kind
 
 
 def test_svg_unknown_kind_rejected(mini_run, tmp_path):

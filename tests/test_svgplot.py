@@ -4,11 +4,12 @@ Every coordinate is printed "%.2f" (``_fmt``). The per-point loops the charts
 used before stay here as references: the bulk point formatter ``_points`` must
 equal ``_fmt`` on every value, and the Bloch-sphere chart, which keeps every
 point, must equal the loop's bytes as written by the charts' one writer,
-``_write``. The two-lexsort M4 stays as the reference of the sort-free one.
+``_write``. The two-lexsort M4 stays as the reference of the one-sort one.
 """
 
 import math
 import re
+import threading
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -170,6 +171,40 @@ def test_m4_keeps_the_extremes_of_every_column_in_index_order():
             assert kept[0] == members[0] and kept[-1] == members[-1]
             assert y[kept].min() == y[members].min()
             assert y[kept].max() == y[members].max()
+
+
+def test_line_chart_ticks_stay_on_a_narrow_axis_far_from_zero(tmp_path):
+    # a step of 2.5 at 1e15: a slack scaled by |hi| would add 400,000 tick labels
+    x = np.linspace(0.0, 1.0, 50)
+    path = tmp_path / "chart.svg"
+    svgplot.line_chart(str(path), "t", "x", "y", x, [("y", 1e15 + 8.0 * x, False)])
+    assert path.stat().st_size < 10_000
+    ET.parse(path)
+
+
+@pytest.mark.parametrize("x, y", [
+    (np.linspace(0.0, 1.0, 9), np.full(9, 1e16)),
+    (np.linspace(0.0, 1.0, 9), np.full(9, 1e300)),
+    ([1e17], [0.5]),
+], ids=["flat-1e16", "flat-1e300", "one-x-at-1e17"])
+def test_line_chart_draws_flat_ranges_far_from_zero(tmp_path, x, y):
+    # a flat range widened by +-1 would round back to a point there
+    path = tmp_path / "chart.svg"
+    svgplot.line_chart(str(path), "t", "x", "y", x, [("y", y, False)])
+    ET.parse(path)
+
+
+def test_line_chart_ticks_end_where_the_step_is_below_the_float_spacing(tmp_path):
+    # a tick step of 5 at 1e17, where the floats are 16 apart, so that a running sum of
+    # steps never passes the axis end; the chart runs in a thread, so that a stall fails
+    x = np.linspace(0.0, 1.0, 9)
+    path = tmp_path / "chart.svg"
+    chart = threading.Thread(target=svgplot.line_chart, daemon=True,
+                             args=(str(path), "t", "x", "y", x, [("y", 1e17 + 16.0 * x, False)]))
+    chart.start()
+    chart.join(timeout=30.0)
+    assert not chart.is_alive()
+    assert len(re.findall("<text", path.read_text())) <= 16
 
 
 def _polyline_points(path):

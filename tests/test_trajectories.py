@@ -253,10 +253,12 @@ def test_open_completion_memory_is_bounded_by_its_chunks():
 def test_open_completion_chunks_do_not_change_s(monkeypatch, chunk):
     cfg = preset("fig3")
     samples = eval_components(cfg.trajectory, cfg.window.grid())
-    rates = Rates(dephasing=30.0, thermal=1e-3, occupancy=0.2)  # 96k panels in 6 chunks
-    s = trajectories._consistent_s(samples, rates, 0.5)
+    # 96k panels in 6 chunks, and fig3's own rates: 1 panel of 4 nodes per interval
+    cases = [Rates(dephasing=30.0, thermal=1e-3, occupancy=0.2), cfg.rates]
+    want = [trajectories._consistent_s(samples, rates, 0.5) for rates in cases]
     monkeypatch.setattr(trajectories, "_CHUNK_NODES", chunk)
-    assert np.array_equal(trajectories._consistent_s(samples, rates, 0.5), s)
+    for rates, s in zip(cases, want):
+        assert np.array_equal(trajectories._consistent_s(samples, rates, 0.5), s)
 
 
 def _sequential_recurrence(s0, a, b, number=float):
