@@ -341,7 +341,7 @@ def _rated(r0, step, err, rtol: float, atol: float):
     s = _prefix_states(r0, step)
     e = (err[..., :3] @ s[:-1, :, None])[..., 0] + err[..., 3]
     scale = atol + rtol * np.maximum(np.abs(s[:-1]), np.abs(s[1:]))
-    return s, np.sqrt(np.mean((e / scale) ** 2, axis=1))
+    return s, np.sqrt(np.add.reduce((e / scale) ** 2, axis=1) / 3)
 
 
 def _dense_output(teval, t0, y0, y_end, ts, hs, ys, coef) -> np.ndarray:

@@ -13,6 +13,7 @@ Conventions, used everywhere in this package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -159,7 +160,7 @@ def _checked_bloch(r) -> np.ndarray:
     r = _finite(r, "Bloch vectors", float)
     if r.ndim == 0 or r.shape[-1] != 3:
         raise ValidationError(f"Bloch vectors must have shape (..., 3), got {r.shape}")
-    norm = float(np.max(np.linalg.norm(r, axis=-1), initial=0.0))
+    norm = float(np.max(np.sqrt(np.add.reduce(r * r, axis=-1)), initial=0.0))
     if norm > 1.0 + BLOCH_NORM_SLACK:
         raise ValidationError(f"Bloch vector length {norm:.12f} exceeds 1")
     return r
@@ -168,8 +169,17 @@ def _checked_bloch(r) -> np.ndarray:
 def _onto_sphere(r: np.ndarray) -> np.ndarray:
     """A prescribed Bloch vector, scaled back onto the sphere when roundoff puts
     it just outside; returned unchanged otherwise."""
-    norm = np.linalg.norm(r)
+    norm = np.sqrt(np.add.reduce(r * r, axis=-1))
     return r / norm if norm > 1.0 else r
+
+
+def _bloch_fidelity(r: np.ndarray, s: np.ndarray) -> float:
+    """``fidelity`` of the states with Bloch vectors ``r`` and ``s``, in closed form:
+    F = (1 + r.s + sqrt(max((1 - |r|^2) (1 - |s|^2), 0))) / 2, clipped to [0, 1]."""
+    (ru, rv, rw), (su, sv, sw) = r.tolist(), s.tolist()  # floats: a 3-vector is too short for numpy
+    mixed = (1.0 - (ru * ru + rv * rv + rw * rw)) * (1.0 - (su * su + sv * sv + sw * sw))
+    f = 0.5 * (1.0 + (ru * su + rv * sv + rw * sw) + math.sqrt(max(mixed, 0.0)))
+    return min(max(f, 0.0), 1.0)
 
 
 def density_from_bloch(r) -> np.ndarray:

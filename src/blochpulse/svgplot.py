@@ -1,7 +1,8 @@
 """Minimal deterministic SVG charts.
 
 Hand-rolled so identical inputs produce identical bytes: no timestamps, no
-generated ids, and one number format, "%.2f", for every coordinate. A
+generated ids, and one number format, "%.2f", for every coordinate (tick
+labels take the fewest digits that tell neighbours apart). A
 polyline's points are written by numpy into byte slots, digits from a small
 table, and only non-finite values, |v| >= 1e5 and possible ties go through
 "%.2f" itself. Line charts keep the M4 points of each pixel column, found
@@ -43,6 +44,16 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     # the spacing of the floats must not stall a running sum, nor the slack add ticks
     ticks = [first + i * step for i in range(math.floor((hi - first) / step + 1e-9) + 1)]
     return [0.0 if abs(val) < 1e-12 * step else val for val in ticks] or [lo]
+
+
+def _labels(ticks: list[float]) -> list[str]:
+    """The ticks printed with the fewest significant digits, from 6 to 17, at which
+    neighbouring labels differ: far from zero, six digits print a narrow axis as one value."""
+    for digits in range(6, 18):
+        labels = [f"{val:.{digits}g}" for val in ticks]
+        if all(a != b for a, b in zip(labels, labels[1:])):
+            break
+    return labels
 
 
 def _range(arrays, names) -> tuple[float, float]:
@@ -192,14 +203,15 @@ def line_chart(path: str, title: str, xlabel: str, ylabel: str, x, series) -> No
 
     el = [f'<rect x="{_fmt(left)}" y="{_fmt(top)}" width="{_fmt(right - left)}" '
           f'height="{_fmt(bottom - top)}" fill="none" stroke="#57606a"/>']
-    for tx in _ticks(x_lo, x_hi):
+    x_ticks, y_ticks = _ticks(x_lo, x_hi), _ticks(y_lo, y_hi)
+    for tx, label in zip(x_ticks, _labels(x_ticks)):
         el.append(f'<line x1="{_fmt(sx(tx))}" y1="{_fmt(bottom)}" x2="{_fmt(sx(tx))}" '
                   f'y2="{_fmt(bottom + 5)}" stroke="#57606a"/>')
-        el.append(_text(sx(tx), bottom + 18, f"{tx:.6g}", 11))
-    for ty in _ticks(y_lo, y_hi):
+        el.append(_text(sx(tx), bottom + 18, label, 11))
+    for ty, label in zip(y_ticks, _labels(y_ticks)):
         el.append(f'<line x1="{_fmt(left - 5)}" y1="{_fmt(sy(ty))}" x2="{_fmt(left)}" '
                   f'y2="{_fmt(sy(ty))}" stroke="#57606a"/>')
-        el.append(_text(left - 9, sy(ty) + 4, f"{ty:.6g}", 11, anchor="end"))
+        el.append(_text(left - 9, sy(ty) + 4, label, 11, anchor="end"))
     for i, ((label, _, dashed), y) in enumerate(zip(series, ys)):
         screen_y = sy(y)
         keep = _m4(column, screen_y)

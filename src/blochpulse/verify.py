@@ -20,8 +20,8 @@ import numpy as np
 from .dynamics import SimResult, dissipator_action, integrate_interaction
 from .errors import ValidationError
 from .rates import Rates
-from .states import (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, _density, _finite, _onto_sphere,
-                     _scalar, bloch_from_density, density_from_bloch, fidelity)
+from .states import (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, _bloch_fidelity, _finite,
+                     _onto_sphere, _scalar, bloch_from_density)
 from .synthesis import ControlField
 
 __all__ = [
@@ -80,21 +80,17 @@ def tracking_error(result: SimResult, u, v, w) -> TrackingReport:
     """
     u, v, w = (_finite(x, name, float, result.t.shape) for x, name in zip((u, v, w), "uvw"))
     bloch = result.bloch
-    du = np.abs(bloch[:, 0] - u)
-    dv = np.abs(bloch[:, 1] - v)
-    dw = np.abs(bloch[:, 2] - w)
-    worst = np.maximum(du, np.maximum(dv, dw))
-    i_worst = int(np.argmax(worst))
-    target = density_from_bloch(_onto_sphere(np.array([u[-1], v[-1], w[-1]])))
+    du, dv, dw = (np.abs(bloch[:, k] - x) for k, x in enumerate((u, v, w)))
+    i_worst = int(np.argmax(np.maximum(du, np.maximum(dv, dw))))
+    # sum / n is np.mean's own arithmetic, without its per-call overhead
+    rms_u, rms_v, rms_w = (float(np.sqrt(np.add.reduce(d * d) / d.size)) for d in (du, dv, dw))
     return TrackingReport(
         picture=result.picture,
         sup_u=float(du.max()), sup_v=float(dv.max()), sup_w=float(dw.max()),
-        rms_u=float(np.sqrt(np.mean(du**2))),
-        rms_v=float(np.sqrt(np.mean(dv**2))),
-        rms_w=float(np.sqrt(np.mean(dw**2))),
+        rms_u=rms_u, rms_v=rms_v, rms_w=rms_w,
         t_worst=float(result.t[i_worst]),
         # unchecked: a loosely integrated run may end just outside the ball
-        fidelity_final=fidelity(_density(result.bloch[-1]), target),
+        fidelity_final=_bloch_fidelity(bloch[-1], _onto_sphere(np.array([u[-1], v[-1], w[-1]]))),
     )
 
 

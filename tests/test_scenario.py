@@ -406,6 +406,19 @@ def test_open_scenario_integrates_its_evolution_once(monkeypatch):
                           run.results["interaction"].bloch)
 
 
+def test_run_path_takes_no_density_matrix_or_linalg_detour(monkeypatch):
+    # tracking and the final-state fidelity are closed forms of Bloch vectors; a det or
+    # norm call while a preset runs means a density-matrix or np.linalg detour came back
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.linalg called on the run path")
+
+    for name in ("det", "norm"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    for name in preset_names():
+        run = run_scenario(preset(name))
+        assert list(run.reports) == list(run.config.pictures), name
+
+
 def test_every_report_carries_the_requested_picture_name():
     # an open scenario's "interaction" shares the effective-Bloch SimResult, which is
     # labelled "effective-bloch"; its report still names the picture the config asked for
@@ -566,6 +579,20 @@ def test_svg_exports_far_from_zero_keep_their_tick_count(tmp_path):
             export_svg(run, kind, path)
             counts.append(len(re.findall("<text", path.read_text())))
         assert counts[1] <= counts[0], kind
+
+
+def test_svg_exports_far_from_zero_label_their_ticks_apart(tmp_path):
+    # at six digits, the time ticks 1e15, 1e15 + 200 and 1e15 + 400 all print as "1e+15"
+    far = dataclasses.replace(preset("fig1_L3"), window=Window(1e15, 1e15 + 400.0, 101),
+                              transition=TransitionSpec.constant(1e-4))
+    run = run_scenario(far)
+    for kind in ("pulse", "populations"):
+        path = tmp_path / f"{kind}.svg"
+        export_svg(run, kind, path)
+        root = ET.parse(path).getroot()
+        x_labels = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")
+                    if el.get("y") == "450.00"]  # the x axis's labels, 18 px below the plot box
+        assert len(x_labels) >= 2 and len(set(x_labels)) == len(x_labels), (kind, x_labels)
 
 
 def test_svg_unknown_kind_rejected(mini_run, tmp_path):

@@ -8,6 +8,8 @@ states F = |<a|b>|^2, D = sqrt(1 - F).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blochpulse import (
     ControlField,
@@ -35,7 +37,7 @@ from blochpulse import (
     validate_density,
     validate_grid,
 )
-from blochpulse.states import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z
+from blochpulse.states import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, _bloch_fidelity, _density
 
 
 def random_bloch(rng, nmax=1.0):
@@ -95,6 +97,30 @@ def test_trace_distance_extremes():
     down = density_from_bloch([0.0, 0.0, -1.0])
     assert trace_distance(up, down) == pytest.approx(1.0, abs=1e-12)
     assert trace_distance(up, up) == pytest.approx(0.0, abs=1e-15)
+
+
+_DIRECTION = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda d: sum(x * x for x in d) > 1e-6)
+
+
+def _unit(direction):
+    d = np.array(direction)
+    return d / np.sqrt(d @ d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DIRECTION, _DIRECTION, st.floats(0.0, 1.0 - 1e-6), st.floats(0.0, 1.0 - 1e-6))
+def test_bloch_fidelity_matches_fidelity_of_the_density_matrices(a, b, len_a, len_b):
+    # inside the ball by 1e-6; nearer the sphere, both forms lose digits to det's cancellation
+    r, s = len_a * _unit(a), len_b * _unit(b)
+    assert _bloch_fidelity(r, s) == pytest.approx(fidelity(_density(r), _density(s)), abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_DIRECTION)
+def test_bloch_fidelity_of_identical_and_antipodal_pure_states(direction):
+    r = _unit(direction)
+    assert _bloch_fidelity(r, r) == pytest.approx(1.0, abs=1e-12)
+    assert _bloch_fidelity(r, -r) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_pure_state_fidelity_trace_distance_relation():

@@ -179,7 +179,10 @@ def test_line_chart_ticks_stay_on_a_narrow_axis_far_from_zero(tmp_path):
     path = tmp_path / "chart.svg"
     svgplot.line_chart(str(path), "t", "x", "y", x, [("y", 1e15 + 8.0 * x, False)])
     assert path.stat().st_size < 10_000
-    ET.parse(path)
+    # and at six digits, every y tick would print as "1e+15"
+    y_labels = [el.text for el in ET.parse(path).getroot().iter("{http://www.w3.org/2000/svg}text")
+                if el.get("text-anchor") == "end"]
+    assert len(y_labels) >= 2 and len(set(y_labels)) == len(y_labels), y_labels
 
 
 @pytest.mark.parametrize("x, y", [

@@ -62,6 +62,32 @@ def test_tracking_error_perfect_match():
     assert report.fidelity_final == pytest.approx(1.0, abs=1e-12)
 
 
+def _reference_tracking(t, bloch, prescribed):
+    """sup, rms and the first time of the worst deviation, as plain numpy gives them."""
+    d = [np.abs(bloch[:, k] - prescribed[k]) for k in range(3)]
+    worst = np.maximum(d[0], np.maximum(d[1], d[2]))
+    first = next(i for i, x in enumerate(worst) if x == worst.max())
+    return ([x.max() for x in d], [np.sqrt(np.mean(x ** 2)) for x in d], t[first])
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("levels", [None, 4], ids=["random", "ties"])
+def test_tracking_error_is_bit_identical_to_plain_numpy(seed, levels):
+    # with few levels, many samples tie for the worst deviation, and the first one wins
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 3000))
+    values = rng.uniform(-1.0, 1.0, (2, n, 3))
+    if levels:
+        values = np.round(values * levels) / levels
+    bloch, prescribed = values
+    t = np.sort(rng.uniform(0.0, 100.0, n))
+    report = tracking_error(SimResult("test", t, bloch), *prescribed.T)
+    sups, rmss, t_worst = _reference_tracking(t, bloch, prescribed.T)
+    assert [report.sup_u, report.sup_v, report.sup_w] == sups
+    assert [report.rms_u, report.rms_v, report.rms_w] == rmss
+    assert report.t_worst == t_worst
+
+
 def test_tracking_error_rejects_mismatched_shapes():
     res = _result_from_bloch([(0.0, 0.0, 1.0), (0.0, 0.0, 1.0)])
     with pytest.raises(ValidationError):
