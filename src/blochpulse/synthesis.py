@@ -271,21 +271,15 @@ def rabi_from_phase(omega, phi, times) -> np.ndarray:
     return omega / denom
 
 
-def synthesize_pulse(
-    spec: TrajectorySpec,
-    rates: Rates,
-    omega0,
-    grid,
-    *,
-    phase_zero: float | str = "center",
-) -> ControlField:
+def synthesize_pulse(spec: TrajectorySpec, rates: Rates, omega0, grid) -> ControlField:
     """Reverse-engineer the drive that steers the system along ``spec``.
 
     Pipeline: evaluate the trajectory, complete v (purity closure for a
     closed system, consistency integration when rates are present), invert
-    the Bloch equations for Omega and Delta, accumulate the carrier phase,
-    and form the physical envelope. Fails at the first time v drops below
-    ``V_MIN`` or the carrier factor below ``DENOM_MIN``.
+    the Bloch equations for Omega and Delta, accumulate the carrier phase
+    from phi = 0 at the window midpoint, and form the physical envelope.
+    Fails at the first time v drops below ``V_MIN`` or the carrier factor
+    below ``DENOM_MIN``.
 
     Parameters
     ----------
@@ -297,19 +291,15 @@ def synthesize_pulse(
         Transition angular frequency (rad/ps), scalar or per-sample.
     grid : array_like
         Strictly increasing sample times (ps).
-    phase_zero : "center" | "start" | float
-        Gauge point for the carrier phase. "center" (default) zeroes phi at
-        the window midpoint, which halves the phase excursion and doubles the
-        realizable window compared to anchoring at the start.
 
     Returns
     -------
     ControlField
     """
-    return _synthesize(spec, rates, omega0, grid, phase_zero=phase_zero)[2]
+    return _synthesize(spec, rates, omega0, grid)[2]
 
 
-def _synthesize(spec, rates, omega0, grid, *, phase_zero="center"):
+def _synthesize(spec, rates, omega0, grid):
     """``synthesize_pulse``, also returning the trajectory samples and the v it
     completed: (samples, v, field)."""
     samples = eval_components(spec, grid)
@@ -319,11 +309,9 @@ def _synthesize(spec, rates, omega0, grid, *, phase_zero="center"):
     else:
         v = solve_consistent_v_open(samples, rates)
     omega, delta = _omega_delta(samples.u, samples.w, samples.du, samples.dw, v, rates)
-    named = {"center": 0.5 * (t[0] + t[-1]), "start": t[0]}
-    zero_time = named[phase_zero] if isinstance(phase_zero, str) and phase_zero in named \
-        else _scalar(phase_zero, "phase_zero")
     omega0 = _per_sample_omega0(omega0, t)
-    phi = phase_from_detuning(omega0, delta, t, zero_time=zero_time, _grid_checked=True)
+    phi = phase_from_detuning(omega0, delta, t, zero_time=0.5 * (t[0] + t[-1]),
+                              _grid_checked=True)
     field = ControlField(t, omega, delta, phi, rabi_from_phase(omega, phi, t), omega0,
                          _grid_checked=True)
     return samples, v, field

@@ -273,9 +273,13 @@ def _consistent_s(samples: TrajectorySamples, rates: Rates, s0: float) -> np.nda
         hk = h[k:k + cols]
         u, w, du, dw = samples.spec.components((t[k:k + hk.size] + hk * nodes).ravel())
         q = -2.0 * ((du + g_t * u) * u + (dw + 2.0 * gam_th * (1.0 + w + 2.0 * occ * w)) * w)
-        weights = np.exp(-2.0 * g_t * hk * (1.0 - nodes)) * node_w
-        # node by node at any chunk width, so that the chunks cannot change s
-        forced[k:k + cols] = np.cumsum(weights * q.reshape(nodes.size, -1), axis=0)[-1]
+        terms = np.exp(-2.0 * g_t * hk * (1.0 - nodes)) * node_w * q.reshape(nodes.size, -1)
+        # a fixed pairwise tree of node rows, an odd last row carried, adds every column alike
+        # at any chunk width, so chunks cannot change s (numpy's sum pairs one column otherwise)
+        while (n := terms.shape[0]) > 1:
+            pairs = terms[0:n - 1:2] + terms[1::2]
+            terms = np.concatenate((pairs, terms[-1:])) if n % 2 else pairs
+        forced[k:k + cols] = terms[0]
     return _affine_scan(s0, np.exp(-2.0 * g_t * h), forced * (0.5 / panels * h))
 
 

@@ -53,9 +53,10 @@ class TrackingReport:
         return max(self.sup_u, self.sup_v, self.sup_w)
 
     def summary(self) -> str:
+        digits = min(max(6, len(f"{abs(self.t_worst):.0f}")), 17)  # to whole ps, if need be
         return (
             f"[{self.picture}] sup |du| {self.sup_u:.3e}, |dv| {self.sup_v:.3e}, "
-            f"|dw| {self.sup_w:.3e} (worst at t = {self.t_worst:.6g} ps); "
+            f"|dw| {self.sup_w:.3e} (worst at t = {self.t_worst:.{digits}g} ps); "
             f"rms {self.rms_u:.3e} / {self.rms_v:.3e} / {self.rms_w:.3e}; "
             f"final-state fidelity {self.fidelity_final:.9f}"
         )

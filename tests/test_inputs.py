@@ -72,7 +72,7 @@ _ENTRY_POINTS = {
     "ScenarioConfig": (partial(ScenarioConfig, "junk", _SPEC, Rates(), TransitionSpec(5e-3, 5e-3),
                                Window(-20.0, 20.0, 11)), dict(rtol=1e-10, atol=1e-12)),
     "synthesize_pulse": (partial(synthesize_pulse, _SPEC, Rates()),
-                         dict(omega0=5e-3, grid=_GRID, phase_zero=0.0)),
+                         dict(omega0=5e-3, grid=_GRID)),
     "synthesize_pulse-open": (partial(synthesize_pulse, _SPEC, Rates(dephasing=1e-3)),
                               dict(omega0=np.full(11, 5e-3), grid=_GRID)),
     "phase_from_detuning": (phase_from_detuning,
@@ -151,8 +151,6 @@ def test_junk_numbers_raise_only_package_errors(call, junk):
     # an int too long to print, named by its type
     pytest.param("Transfer", "peak_width", 10**5000, "Transfer.peak_width", id="Transfer-huge"),
     pytest.param("preset", "name", 10**5000, "preset name", id="preset-huge"),
-    # a numeric string is not a time
-    ("synthesize_pulse", "phase_zero", "-120", "phase_zero"),
 ])
 def test_junk_number_errors_name_the_argument(entry, arg, junk, name):
     with pytest.raises(ValidationError, match=re.escape(name)):

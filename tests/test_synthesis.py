@@ -318,29 +318,18 @@ _SPEC = Transfer(inversion_start=-0.5, inversion_stop=0.5, switch_rate=0.01,
                  coherence_peak=0.4, peak_width=100.0)
 
 
-def test_synthesize_gauge_shift_is_constant():
+@pytest.mark.parametrize("rates", [Rates(), Rates(dephasing=1e-3, thermal=1e-4)],
+                         ids=["closed", "open"])
+@pytest.mark.parametrize("samples", [241, 240], ids=["midpoint-knot", "midpoint-between"])
+def test_synthesis_zeroes_the_phase_at_the_window_midpoint(rates, samples):
+    t = np.linspace(-100.0, 140.0, samples)
+    field = synthesize_pulse(_SPEC, rates, 5e-3, t)
+    phi = phase_from_detuning(5e-3, field.delta, t, zero_time=0.5 * (t[0] + t[-1]))
+    assert np.array_equal(field.phi, phi)
+
+
+def test_synthesize_rejects_bad_omega0():
     grid = np.linspace(-120.0, 120.0, 241)
-    centered = synthesize_pulse(_SPEC, Rates(), 5e-3, grid)
-    anchored = synthesize_pulse(_SPEC, Rates(), 5e-3, grid, phase_zero="start")
-    shift = anchored.phi - centered.phi
-    assert np.ptp(shift) < 1e-10
-    assert shift[0] != 0.0
-    assert np.max(np.abs(anchored.omega - centered.omega)) == 0.0
-    assert np.max(np.abs(anchored.delta - centered.delta)) == 0.0
-
-
-def test_synthesize_numeric_gauge_point():
-    grid = np.linspace(-120.0, 120.0, 241)
-    field = synthesize_pulse(_SPEC, Rates(), 5e-3, grid, phase_zero=-120.0)
-    assert field.phi[0] == pytest.approx(0.0, abs=1e-14)
-
-
-def test_synthesize_rejects_bad_gauge_point_and_omega0():
-    grid = np.linspace(-120.0, 120.0, 241)
-    for kwargs in ({"phase_zero": "middle"}, {"phase_zero": [0.0]},
-                   {"phase_zero": 500.0}, {"phase_zero": np.nan}):
-        with pytest.raises(ValidationError):
-            synthesize_pulse(_SPEC, Rates(), 5e-3, grid, **kwargs)
     for omega0 in (np.full(5, 5e-3), "fast", [5e-3, "fast"]):
         with pytest.raises(ValidationError, match="omega0"):
             synthesize_pulse(_SPEC, Rates(), omega0, grid)

@@ -6,6 +6,8 @@ closed-form rate expressions over seeded random rate triples; both sides are
 exact arithmetic, so the tolerance is machine-level.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,17 @@ def test_tracking_error_is_bit_identical_to_plain_numpy(seed, levels):
     assert [report.sup_u, report.sup_v, report.sup_w] == sups
     assert [report.rms_u, report.rms_v, report.rms_w] == rmss
     assert report.t_worst == t_worst
+
+
+def test_summary_names_a_far_worst_time_to_the_picosecond():
+    res = SimResult("far", np.array([1e15, 1e15 + 316.0]), np.array([[0.0, 0.0, 1.0]] * 2))
+    report = tracking_error(res, np.zeros(2), np.zeros(2), np.array([1.0, 0.5]))
+    assert report.t_worst == 1e15 + 316.0
+    assert "(worst at t = 1000000000000316 ps)" in report.summary()
+    # at preset scale the time prints as %.6g does
+    for t_worst in (0.0, -1528.123456789, 99999.4, 3.14159e-3):
+        near = dataclasses.replace(report, t_worst=t_worst)
+        assert f"(worst at t = {t_worst:.6g} ps)" in near.summary()
 
 
 def test_tracking_error_rejects_mismatched_shapes():
