@@ -63,6 +63,7 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _MAX_STEPS = 1_000_000
 _FLOOR = 16.0 * np.finfo(float).eps
+_FIRST_STEPS = 100  # both controllers' first step is at most span / _FIRST_STEPS
 
 # default relative and absolute local-error tolerances of every propagator
 RTOL = 1e-10
@@ -71,9 +72,9 @@ ATOL = 1e-12
 SPAN_SLACK = 1e-12
 
 
-def _step_floor(t: float) -> float:
-    """Smallest step the integrator takes at time ``t``; below it, it gives up."""
-    return _FLOOR * max(abs(t), 1.0)
+def _step_floor(t):
+    """Smallest step the integrator takes at time(s) ``t``; below it, it gives up."""
+    return _FLOOR * np.maximum(np.abs(t), 1.0)
 
 
 _UNDERFLOW, _NON_FINITE, _BUDGET = (
@@ -186,8 +187,7 @@ def integrate_adaptive(
     stats = IntegrationStats(rhs_evals=1)
     state, k1 = y, rhs(t0, y)
     steps = []  # (t, h, state, stages) of every accepted step
-    span = t1 - t0
-    h = min(max_step, span / 100.0, span)
+    h = min(max_step, (t1 - t0) / _FIRST_STEPS)
     t = t0
     grow_cap = _MAX_FACTOR
 
@@ -279,7 +279,7 @@ def _bloch_controller(field, decay, t0, t1, r0, rtol, atol, max_step, stats):
     shrinks it by; passes repeat until no step is rejected. Only the first step that
     fails can raise: later steps start from states that will still change.
     """
-    span, h0 = t1 - t0, min(max_step, (t1 - t0) / 100.0)
+    span, h0 = t1 - t0, min(max_step, (t1 - t0) / _FIRST_STEPS)
     if h0 < _step_floor(t0):
         raise _failure(_UNDERFLOW, t0)
     if span / h0 > _MAX_STEPS:  # before the plan is allocated
@@ -310,8 +310,7 @@ def _bloch_controller(field, decay, t0, t1, r0, rtol, atol, max_step, stats):
                 break
             # as many equal parts as the sequential rule shrinks the step by, 2 to 5
             parts = np.ceil(1.0 / np.maximum(_SAFETY * ratio[bad] ** -0.2, _MIN_FACTOR))
-            stuck = ~np.isfinite(ratio[bad]) | (h[bad] / parts < _FLOOR
-                                                * np.maximum(np.abs(t[bad]), 1.0))
+            stuck = ~np.isfinite(ratio[bad]) | (h[bad] / parts < _step_floor(t[bad]))
         first = np.argmax(bad)
         if stuck[0] and np.isfinite(ratio[first]):
             raise _failure(_UNDERFLOW, t[first])

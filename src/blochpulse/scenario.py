@@ -60,7 +60,7 @@ from .dynamics import (  # noqa: F401
     integrate_lindblad,
 )
 from .errors import ValidationError
-from .odeint import ATOL, RTOL, _step_floor
+from .odeint import _FIRST_STEPS, ATOL, RTOL, _step_floor
 from .rates import Rates
 from .states import _check_fields, _onto_sphere, _scalar, _show, validate_grid
 from .synthesis import ControlField, _synthesize, synthesize_pulse  # noqa: F401
@@ -165,10 +165,11 @@ class Window:
         # the trajectories and splines square times; this also keeps stop - start finite
         if not math.isfinite(bound * bound):
             raise ValidationError("window bound squared overflows a float")
-        spacing = (self.stop - self.start) / (self.samples - 1)
-        floor = _step_floor(bound)
-        if spacing < floor:
-            raise ValidationError(f"window sample spacing {spacing:g} ps is below the "
+        steps = max(self.samples - 1, _FIRST_STEPS)  # the integrators' first step: span / 100
+        step, floor = (self.stop - self.start) / steps, _step_floor(bound)
+        if step < floor:
+            what = "sample spacing" if steps == self.samples - 1 else "first integrator step"
+            raise ValidationError(f"window {what} {step:g} ps is below the "
                                   f"integrator's step floor {floor:g} ps")
 
     def grid(self) -> np.ndarray:
@@ -377,75 +378,55 @@ def save_scenario(cfg: ScenarioConfig, path) -> None:
 # ---------------------------------------------------------------------------
 # bundled presets
 
-_CLOSED = Rates()
-_FIG1_WINDOW = Window(-120.0, 120.0, 1201)
-_FIG1_RAMP = TransitionSpec.ramp(1e-3, 15e-3)  # 1 -> 15 GHz across the window
-_CLOSED_PICTURES = ("effective-bloch", "interaction", "lab")
-
-
-def _fig1_line(tag: str, inv_start: float, inv_stop: float, peak: float) -> ScenarioConfig:
+def _fig1_line(tag: str, inv_start: float, inv_stop: float, peak: float,
+               **ripple: float) -> ScenarioConfig:
+    """A transfer of the fig1 set; fig2's is fig1_L3's with a ripple on the inversion."""
+    family = Oscillatory if ripple else Transfer
     return ScenarioConfig(
         name=tag,
-        trajectory=Transfer(inversion_start=inv_start, inversion_stop=inv_stop,
-                            switch_rate=0.01, coherence_peak=peak, peak_width=100.0),
-        rates=_CLOSED,
-        transition=_FIG1_RAMP,
-        window=_FIG1_WINDOW,
-        pictures=_CLOSED_PICTURES,
+        trajectory=family(inversion_start=inv_start, inversion_stop=inv_stop,
+                          switch_rate=0.01, coherence_peak=peak, peak_width=100.0, **ripple),
+        rates=Rates(),
+        transition=TransitionSpec.ramp(1e-3, 15e-3),  # 1 -> 15 GHz across the window
+        window=Window(-120.0, 120.0, 1201),
+        pictures=PICTURES,
     )
 
 
-def _build_presets() -> dict[str, ScenarioConfig]:
-    presets = {
-        "fig1_L1": _fig1_line("fig1_L1", -0.10, 0.10, 0.1),
-        "fig1_L2": _fig1_line("fig1_L2", -0.25, 0.25, 0.2),
-        "fig1_L3": _fig1_line("fig1_L3", -0.50, 0.50, 0.4),
-        "fig1_L4": _fig1_line("fig1_L4", -0.75, 0.75, 0.6),
-        "fig1_L5": _fig1_line("fig1_L5", -1.00, 1.00, 0.8),
-        "fig2": ScenarioConfig(
-            name="fig2",
-            trajectory=Oscillatory(inversion_start=-0.5, inversion_stop=0.5,
-                                   switch_rate=0.01, coherence_peak=0.4, peak_width=100.0,
-                                   ripple_amplitude=0.03, ripple_frequency=0.08),
-            rates=_CLOSED,
-            transition=_FIG1_RAMP,
-            window=_FIG1_WINDOW,
-            pictures=_CLOSED_PICTURES,
-        ),
-        "fig3": ScenarioConfig(
-            name="fig3",
-            trajectory=Transfer(inversion_start=-1.0, inversion_stop=0.0,
-                                switch_rate=0.02, coherence_peak=0.2, peak_width=60.0),
-            rates=Rates(dephasing=1e-3, thermal=1e-4, occupancy=0.0),
-            transition=TransitionSpec.constant(5e-3),
-            window=Window(-200.0, 200.0, 1201),
-            pictures=("effective-bloch", "interaction"),
-        ),
-        "fig4": ScenarioConfig(
-            name="fig4",
-            trajectory=RabiDecay(inversion_amplitude=0.98, decay_curvature=5e-8,
-                                 inversion_frequency=math.pi * 1e-3, chirp_rate=2e-6,
-                                 coherence_amplitude=0.3, coherence_frequency=math.pi * 1e-3),
-            rates=_CLOSED,
-            transition=TransitionSpec.constant(1e-4),
-            window=Window(0.0, 6000.0, 3001),
-            pictures=_CLOSED_PICTURES,
-        ),
-    }
-    return presets
-
-
-_PRESETS = _build_presets()
-
-_PRESET_NOTES = {
-    "fig1_L1": "gentle population transfer -0.1 -> 0.1, ramped transition frequency",
-    "fig1_L2": "population transfer -0.25 -> 0.25, ramped transition frequency",
-    "fig1_L3": "population transfer -0.5 -> 0.5, ramped transition frequency",
-    "fig1_L4": "population transfer -0.75 -> 0.75, ramped transition frequency",
-    "fig1_L5": "full inversion -1 -> 1, strongest drive of the transfer set",
-    "fig2": "transfer with a cosine ripple on the inversion",
-    "fig3": "open-system transfer to the equal-population state under dephasing and decay",
-    "fig4": "chirped, decaying inversion oscillation in the ultra-strong regime",
+# name -> (one-line note, scenario), in ``preset list`` order
+_PRESETS = {
+    "fig1_L1": ("gentle population transfer -0.1 -> 0.1, ramped transition frequency",
+                _fig1_line("fig1_L1", -0.10, 0.10, 0.1)),
+    "fig1_L2": ("population transfer -0.25 -> 0.25, ramped transition frequency",
+                _fig1_line("fig1_L2", -0.25, 0.25, 0.2)),
+    "fig1_L3": ("population transfer -0.5 -> 0.5, ramped transition frequency",
+                _fig1_line("fig1_L3", -0.50, 0.50, 0.4)),
+    "fig1_L4": ("population transfer -0.75 -> 0.75, ramped transition frequency",
+                _fig1_line("fig1_L4", -0.75, 0.75, 0.6)),
+    "fig1_L5": ("full inversion -1 -> 1, strongest drive of the transfer set",
+                _fig1_line("fig1_L5", -1.00, 1.00, 0.8)),
+    "fig2": ("transfer with a cosine ripple on the inversion",
+             _fig1_line("fig2", -0.50, 0.50, 0.4, ripple_amplitude=0.03, ripple_frequency=0.08)),
+    "fig3": ("open-system transfer to the equal-population state under dephasing and decay",
+             ScenarioConfig(
+                 name="fig3",
+                 trajectory=Transfer(inversion_start=-1.0, inversion_stop=0.0,
+                                     switch_rate=0.02, coherence_peak=0.2, peak_width=60.0),
+                 rates=Rates(dephasing=1e-3, thermal=1e-4, occupancy=0.0),
+                 transition=TransitionSpec.constant(5e-3),
+                 window=Window(-200.0, 200.0, 1201),
+                 pictures=("effective-bloch", "interaction"),
+             )),
+    "fig4": ("chirped, decaying inversion oscillation in the ultra-strong regime", ScenarioConfig(
+        name="fig4",
+        trajectory=RabiDecay(inversion_amplitude=0.98, decay_curvature=5e-8,
+                             inversion_frequency=math.pi * 1e-3, chirp_rate=2e-6,
+                             coherence_amplitude=0.3, coherence_frequency=math.pi * 1e-3),
+        rates=Rates(),
+        transition=TransitionSpec.constant(1e-4),
+        window=Window(0.0, 6000.0, 3001),
+        pictures=PICTURES,
+    )),
 }
 
 
@@ -459,13 +440,13 @@ def preset(name: str) -> ScenarioConfig:
     if not isinstance(name, str) or name not in _PRESETS:
         raise ValidationError(
             f"unknown preset name {_show(name)}; available: {', '.join(_PRESETS)}")
-    return _PRESETS[name]
+    return _PRESETS[name][1]
 
 
 def preset_note(name: str) -> str:
     """One-line description of a bundled scenario."""
     preset(name)
-    return _PRESET_NOTES[name]
+    return _PRESETS[name][0]
 
 
 # ---------------------------------------------------------------------------

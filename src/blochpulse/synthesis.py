@@ -26,11 +26,12 @@ from scipy.linalg.lapack import dgtsv
 
 from .errors import (CarrierSingularityError, NumericalError, SingularPrescriptionError,
                      ValidationError)
-from .rates import Rates, transverse_rate
+from .rates import Rates
 from .states import _finite, _numeric, _scalar, validate_grid
 from .trajectories import (
     V_MIN,
     TrajectorySpec,
+    _inverted_numerators,
     complete_v_closed,
     eval_components,
     solve_consistent_v_open,
@@ -158,10 +159,8 @@ def _omega_delta(u, w, du, dw, v, rates: Rates) -> tuple[np.ndarray, np.ndarray]
     """``omega_delta_from_components`` on finite arrays of one shape, as synthesis has."""
     if (v < V_MIN).any():
         raise SingularPrescriptionError(f"transverse component below {V_MIN:g}; pulse undefined")
-    g_t = transverse_rate(rates)
-    omega = (dw + 2.0 * rates.thermal * (1.0 + w + 2.0 * rates.occupancy * w)) / v
-    delta = (g_t * u + du) / v
-    return omega, delta
+    omega_v, delta_v = _inverted_numerators(u, w, du, dw, rates)
+    return omega_v / v, delta_v / v
 
 
 def phase_from_detuning(omega0, delta, grid, *, zero_time: float | None = None,

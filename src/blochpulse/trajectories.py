@@ -266,13 +266,13 @@ def _consistent_s(samples: TrajectorySamples, rates: Rates, s0: float) -> np.nda
     # node-major: one row per node (in units of h), the intervals along each row
     nodes = ((np.arange(panels)[:, None] + 0.5 * (1.0 + _GL_X)) / panels).reshape(-1, 1)
     node_w = np.tile(_GL_W, panels)[:, None]
-    gam_th, occ = rates.thermal, rates.occupancy
     forced = np.empty(h.size)
     cols = max(_CHUNK_NODES // nodes.size, 1)  # intervals per chunk
     for k in range(0, h.size, cols):
         hk = h[k:k + cols]
         u, w, du, dw = samples.spec.components((t[k:k + hk.size] + hk * nodes).ravel())
-        q = -2.0 * ((du + g_t * u) * u + (dw + 2.0 * gam_th * (1.0 + w + 2.0 * occ * w)) * w)
+        omega_v, delta_v = _inverted_numerators(u, w, du, dw, rates)
+        q = -2.0 * (delta_v * u + omega_v * w)
         terms = np.exp(-2.0 * g_t * hk * (1.0 - nodes)) * node_w * q.reshape(nodes.size, -1)
         # a fixed pairwise tree of node rows, an odd last row carried, adds every column alike
         # at any chunk width, so chunks cannot change s (numpy's sum pairs one column otherwise)
@@ -281,6 +281,12 @@ def _consistent_s(samples: TrajectorySamples, rates: Rates, s0: float) -> np.nda
             terms = np.concatenate((pairs, terms[-1:])) if n % 2 else pairs
         forced[k:k + cols] = terms[0]
     return _affine_scan(s0, np.exp(-2.0 * g_t * h), forced * (0.5 / panels * h))
+
+
+def _inverted_numerators(u, w, du, dw, rates: Rates):
+    """(Omega v, Delta v): the damped Bloch equations solved for the drive, times v."""
+    return (dw + 2.0 * rates.thermal * (1.0 + w + 2.0 * rates.occupancy * w),
+            du + transverse_rate(rates) * u)
 
 
 def _affine_scan(s0: float, a: np.ndarray, b: np.ndarray, refine: bool = True) -> np.ndarray:

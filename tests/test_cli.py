@@ -68,10 +68,16 @@ def test_open_preset_labels_its_report_and_sanity_lines_alike(tmp_path, capsys):
 
 def test_preset_list(capsys):
     assert main(["preset", "list"]) == 0
-    out = capsys.readouterr().out
-    for name in ["fig1_L1", "fig1_L2", "fig1_L3", "fig1_L4", "fig1_L5",
-                 "fig2", "fig3", "fig4"]:
-        assert name in out
+    assert capsys.readouterr().out.splitlines() == [
+        "fig1_L1    gentle population transfer -0.1 -> 0.1, ramped transition frequency",
+        "fig1_L2    population transfer -0.25 -> 0.25, ramped transition frequency",
+        "fig1_L3    population transfer -0.5 -> 0.5, ramped transition frequency",
+        "fig1_L4    population transfer -0.75 -> 0.75, ramped transition frequency",
+        "fig1_L5    full inversion -1 -> 1, strongest drive of the transfer set",
+        "fig2       transfer with a cosine ripple on the inversion",
+        "fig3       open-system transfer to the equal-population state under dephasing and decay",
+        "fig4       chirped, decaying inversion oscillation in the ultra-strong regime",
+    ]
 
 
 def test_preset_run_writes_outputs(tmp_path, capsys):
@@ -166,12 +172,15 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("start, stop", [(-1e308, 1e308), (0.0, 1e-300), (-1e300, 1e300)])
-def test_window_the_integrator_cannot_resolve_exits_2(tmp_path, capsys, start, stop):
-    # the span or a bound squared overflows a float, or the sample spacing is
-    # below the step floor
+@pytest.mark.parametrize(
+    "start, stop, samples",
+    [(-1e308, 1e308, 201), (0.0, 1e-300, 201), (-1e300, 1e300, 201), (1e15, 1e15 + 300, 11)],
+    ids=["-1e+308-1e+308", "0.0-1e-300", "-1e+300-1e+300", "1e+15-1e+15+300-11"])
+def test_window_the_integrator_cannot_resolve_exits_2(tmp_path, capsys, start, stop, samples):
+    # the span or a bound squared overflows a float, or the sample spacing or the
+    # integrator's first step, span / 100, is below the step floor (3.55 ps at 1e15 ps)
     data = scenario_to_dict(_MINI)
-    data["window"].update(start=start, stop=stop)
+    data["window"].update(start=start, stop=stop, samples=samples)
     path = tmp_path / "window.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     with warnings.catch_warnings(record=True) as caught:

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blochpulse import scenario, synthesis
+from blochpulse import odeint, scenario, synthesis
 from blochpulse.errors import NumericalError
 
 from blochpulse import (
@@ -310,10 +310,30 @@ def test_window_validation():
         Window(-1e308, 1e308, 11)
     with pytest.raises(ValidationError, match="step floor"):  # spacing below the integrator's
         Window(0.0, 1e-300, 11)
+    # the spacing, 30 ps, clears the 3.55 ps floor, but the first step, span / 100, does not
+    with pytest.raises(ValidationError, match="first integrator step 3 ps is below"):
+        Window(1e15, 1e15 + 300, 11)
     for bound in (1e160, 1e300):  # the trajectories and splines square times
         with pytest.raises(ValidationError, match="squared overflows"):
             Window(-bound, bound, 11)
     assert Window(0.0, 10.0, 2).grid().tolist() == [0.0, 10.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(start=st.one_of(st.sampled_from([1e15, -1e15, 0.0]), st.floats(-1e15, 1e15)),
+       span_exp=st.floats(-3.0, 4.0), samples=st.integers(2, 200))
+@example(start=1e15, span_exp=1.0, samples=2)  # its first step, 0.1 ps, is below 3.55 ps
+@example(start=1e15, span_exp=math.log10(356.0), samples=11)  # just above the floor
+def test_every_valid_window_is_one_the_integrator_can_start_on(start, span_exp, samples):
+    try:
+        window = Window(start, start + 10.0**span_exp, samples)
+    except ValidationError:
+        return
+    t = window.grid()
+    span = window.stop - window.start
+    r, _ = odeint.integrate_bloch(lambda times: (0.0, 0.0, 0.0), (0.0, 0.0, 0.0),
+                                  (t[0], t[-1]), [0.0, 0.0, 1.0], t, max_step=span / 8)
+    assert (r == [0.0, 0.0, 1.0]).all()
 
 
 _MINI = ScenarioConfig(
