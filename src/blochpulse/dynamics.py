@@ -21,8 +21,12 @@ controller of ``odeint`` and stores r; density matrices are derived from r on
 demand. Every picture of one field shares its channel table and its
 ``fastest_scale``, which caps step sizes so carrier oscillations stay resolved.
 Once per pass of the controller, the table's one reader (``ControlField._reader``)
-evaluates all five channels at an array of times, and a picture is only its numpy
-formula for b(t) in those values. Times in ps, angular frequencies in rad/ps.
+evaluates all five channels at each picture's new step nodes, and a picture is only
+its numpy formula for b(t) in those values. The propagator takes all pictures of
+one field at once and the controller advances their step plans in lock-step passes,
+padding the shorter plans with zero-length steps whose map is exactly [I | 0]; each
+public integrator is a run of one picture, and every picture's result is the same
+as alone. Times in ps, angular frequencies in rad/ps.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .odeint import ATOL, RTOL, SPAN_SLACK, IntegrationStats, integrate_bloch
+from .odeint import ATOL, RTOL, SPAN_SLACK, IntegrationStats, _integrate_pictures
 from .rates import Rates, inversion_decay_rate, transverse_rate
 from .states import (SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, _checked_bloch, _density, _finite,
                      _show, validate_grid)
@@ -100,14 +104,22 @@ def _design_field(omega, delta, phi, omega_r, omega0):
     return omega, 0.0, -delta
 
 
-def _propagate(picture: str, field: ControlField, field_at, rates: Rates,
-               r0, grid, rtol: float, atol: float) -> SimResult:
-    """Integrate dr/dt = b x r - (G, G, Gamma_1) r + (0, 0, -2 Gamma) on ``grid``.
+# each picture's field, by the picture's name
+_FIELDS = {"lab": _lab_field, "interaction": _carrier_field, "interaction-rwa": _rwa_field,
+           "lindblad": _carrier_field, "effective-bloch": _design_field}
 
-    ``field_at`` is b in the five channel values of ``field``'s table reader, which the
-    Bloch controller reads once per pass. ``r0`` is the Bloch vector at ``grid[0]``.
+
+def _propagate(field: ControlField, rates: Rates, starts: dict, grid,
+               rtol: float, atol: float) -> dict[str, SimResult]:
+    """Integrate dr/dt = b x r - (G, G, Gamma_1) r + (0, 0, -2 Gamma) on ``grid`` in each
+    picture that ``starts`` names, from its Bloch vector at ``grid[0]``.
+
+    One lock-step run of the Bloch controller advances every picture's step plan; once
+    a pass, ``field``'s table reader gives each picture the channel values at its new
+    nodes, and the picture's b is its formula in them. Each result, and each failure,
+    is the same as the picture's alone; the first picture in ``starts`` that fails raises.
     """
-    r0 = _checked_bloch(r0)  # the Bloch controller rejects any shape but (3,)
+    r0 = np.concatenate([_checked_bloch(r) for r in starts.values()])
     t = validate_grid(grid)
     t0, t1 = field.t[0], field.t[-1]
     if t[0] < t0 - SPAN_SLACK or t[-1] > t1 + SPAN_SLACK:
@@ -118,9 +130,11 @@ def _propagate(picture: str, field: ControlField, field_at, rates: Rates,
     span, scale = t[-1] - t[0], field.fastest_scale
     max_step = min(PHASE_PER_STEP / scale, span / 8.0) if scale > 0.0 else span / 8.0
     values = field._reader()
-    bloch, stats = integrate_bloch(lambda times: field_at(*values(times)), decay,
-                                   (t[0], t[-1]), r0, t, rtol=rtol, atol=atol, max_step=max_step)
-    return SimResult(picture=picture, t=t, bloch=bloch, stats=stats)
+    fields = [lambda times, at=_FIELDS[name]: at(*values(times)) for name in starts]
+    runs = _integrate_pictures(fields, decay, (t[0], t[-1]), r0, t,
+                               rtol=rtol, atol=atol, max_step=max_step)
+    return {name: SimResult(picture=name, t=t, bloch=bloch, stats=stats)
+            for name, (bloch, stats) in zip(starts, runs)}
 
 
 def dissipator_action(rho: np.ndarray, rates: Rates) -> np.ndarray:
@@ -149,7 +163,7 @@ def integrate_lab(field: ControlField, r0, grid, *,
     Bloch vector is taken as already expressed in the lab frame; use
     ``frame_transform`` to move a co-rotating state there first.
     """
-    return _propagate("lab", field, _lab_field, Rates(), r0, grid, rtol, atol)
+    return _propagate(field, Rates(), {"lab": r0}, grid, rtol, atol)["lab"]
 
 
 def integrate_interaction(field: ControlField, r0, grid, *, rtol: float = RTOL,
@@ -162,9 +176,8 @@ def integrate_interaction(field: ControlField, r0, grid, *, rtol: float = RTOL,
     rotating-wave approximation of this drive. ``r0`` is the initial Bloch
     vector in the co-rotating frame.
     """
-    if rwa:
-        return _propagate("interaction-rwa", field, _rwa_field, Rates(), r0, grid, rtol, atol)
-    return _propagate("interaction", field, _carrier_field, Rates(), r0, grid, rtol, atol)
+    picture = "interaction-rwa" if rwa else "interaction"
+    return _propagate(field, Rates(), {picture: r0}, grid, rtol, atol)[picture]
 
 
 def integrate_lindblad(field: ControlField, rates: Rates, r0, grid, *,
@@ -177,7 +190,7 @@ def integrate_lindblad(field: ControlField, rates: Rates, r0, grid, *,
     inverted, the master equation is the damped component equations, which
     ``integrate_bloch_effective`` integrates.
     """
-    return _propagate("lindblad", field, _carrier_field, rates, r0, grid, rtol, atol)
+    return _propagate(field, rates, {"lindblad": r0}, grid, rtol, atol)["lindblad"]
 
 
 def integrate_bloch_effective(field: ControlField, rates: Rates, r0, grid, *,
@@ -191,7 +204,7 @@ def integrate_bloch_effective(field: ControlField, rates: Rates, r0, grid, *,
     with G the transverse rate. This is the model the synthesis inverts, so
     tracking error here isolates numerical error alone.
     """
-    return _propagate("effective-bloch", field, _design_field, rates, r0, grid, rtol, atol)
+    return _propagate(field, rates, {"effective-bloch": r0}, grid, rtol, atol)["effective-bloch"]
 
 
 def frame_transform(states, phi, direction: str = "to_interaction") -> np.ndarray:

@@ -10,7 +10,10 @@ Two step controllers share one tableau, error norm, input check and dense output
     r -> M r + c that depends only on b at the step's nodes, so each pass reads the
     field once, at the nodes of every new step, builds every new step's maps in numpy
     and composes all maps by a prefix scan. Rejected steps split; passes repeat until
-    no step is rejected.
+    no step is rejected. It advances one step plan per picture of a field in lock-step
+    passes, each plan padded to the longest by zero-length steps whose map is exactly
+    [I | 0], so a run of several pictures takes as many passes as its slowest picture,
+    and each picture's result is bit for bit the same as alone.
 
 Each controller checks the step budget, step-size underflow and non-finite error
 estimates and records its accepted steps; one vectorised pass then emits the
@@ -19,6 +22,7 @@ solution on the caller grid through the quartic dense interpolant. Times are in 
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -254,30 +258,42 @@ def _stage_maps(b, h, gen):
 
 
 def _prefix_states(r0, maps) -> np.ndarray:
-    """s_0 = r0 and s_j+1 = M_j s_j + c_j for maps[j] = [M_j | c_j], by a work-efficient
-    scan (Blelloch 1990): compose the maps in pairs, [M | c] o [M' | c'] = [M M' | M c' + c],
-    take every second state from the pairs' states, and step once to the states between."""
-    s = np.empty((len(maps) + 1, 3))
-    s[0] = r0
-    if len(maps) > 1:
-        first, second = maps[:-1:2], maps[1::2]
+    """s_0 = r0 and s_j+1 = M_j s_j + c_j for maps[..., j, :, :] = [M_j | c_j], over any
+    leading axes, by a work-efficient scan (Blelloch 1990): compose the maps in pairs,
+    [M | c] o [M' | c'] = [M M' | M c' + c], take every second state from the pairs'
+    states, and step once to the states between. s_j takes the same arithmetic on the maps
+    before j alone, however many maps follow them."""
+    s = np.empty(maps.shape[:-3] + (maps.shape[-3] + 1, 3))
+    s[..., 0, :] = r0
+    if maps.shape[-3] > 1:
+        first, second = maps[..., :-1:2, :, :], maps[..., 1::2, :, :]
         pairs = second[..., :3] @ first
         pairs[..., 3] += second[..., 3]
-        s[::2] = _prefix_states(r0, pairs)
-    s[1::2] = (maps[::2, :, :3] @ s[:-1:2, :, None])[..., 0] + maps[::2, :, 3]
+        s[..., ::2, :] = _prefix_states(r0, pairs)
+    s[..., 1::2, :] = ((maps[..., ::2, :, :3] @ s[..., :-1:2, :, None])[..., 0]
+                       + maps[..., ::2, :, 3])
     return s
 
 
-def _bloch_controller(field, decay, t0, t1, r0, rtol, atol, max_step, stats):
-    """DP5 on every step at once: the accepted plan's steps, their start states and
-    their dense-output coefficients, (t, h, states (n + 1, 3), h K^T P (4, n, 3)).
+def _bloch_controller(fields, decay, t0, t1, r0, rtol, atol, max_step, stats):
+    """DP5 on every step of one step plan per picture at once, the plans in lock-step: for
+    each picture, its accepted plan's steps, their start states and their dense-output
+    coefficients, (t, h, states (n + 1, 3), h K^T P (4, n, 3)).
 
-    The span starts as an equal partition at the sequential controller's first step. A
-    pass reads the field once, at every new step's six nodes, builds the new steps'
-    stage maps, composes the step maps by a scan for every start state, and rates every
-    step. Each rejected step splits into equal parts, as many as the sequential rule
-    shrinks it by; passes repeat until no step is rejected. Only the first step that
-    fails can raise: later steps start from states that will still change.
+    Picture p has the field ``fields[p]``, the start state ``r0[p]`` and the counters
+    ``stats[p]``; all share the window, the decay, the tolerances and ``max_step``. Every
+    plan starts as the same equal partition at the sequential controller's first step. A
+    pass reads each picture's field once, at the six nodes of each of its new steps,
+    builds the stage maps of all new steps, composes every plan's step maps by one scan
+    along a picture axis, and rates every step. The plans are padded to one length by
+    zero-length steps at t1 whose step map is exactly [I | 0] and whose error map is
+    zero, so each picture's scan pairs its own maps as it would alone: its plan, states
+    and counters do not depend on the other pictures. Each rejected step splits into
+    equal parts, as many as the sequential rule shrinks it by; a plan is done when no
+    step of it is rejected. Only a plan's first step that fails can raise: later steps
+    start from states that will still change. A failing picture stops refining, as do
+    the pictures after it, while those before it go on; the first failing picture in
+    order raises, as it would alone.
     """
     span, h0 = t1 - t0, min(max_step, (t1 - t0) / _FIRST_STEPS)
     if h0 < _step_floor(t0):
@@ -286,61 +302,105 @@ def _bloch_controller(field, decay, t0, t1, r0, rtol, atol, max_step, stats):
         raise _failure(_BUDGET, t0)
     (g_t, g_1, pump), gen = decay, _CROSS.copy()
     gen[3, [0, 1, 2, 2], [0, 1, 2, 3]] = -g_t, -g_t, -g_1, pump
-    edges = np.linspace(t0, t1, math.ceil(span / h0) + 1)  # where the steps start and end
-    new = np.arange(edges.size - 1)  # the steps whose maps are not built yet
-    rate = dense = source = None  # h sum_i _W[:, i] K_i of each step: step, error; c1 .. c4
-    attempted = new.size
-    while True:
-        t, h = edges[:-1], edges[1:] - edges[:-1]
-        b = np.ones((6 * new.size, 4))  # (b, 1) at the six nodes t + c h of each new step
-        b[:, 0], b[:, 1], b[:, 2] = field((t[new, None] + _C[:6] * h[new, None]).ravel())
-        # after the read, and one array at a time, so that the peaks do not add: each step of
-        # the new plan takes the maps of the step it is or came from; a new step builds its own
-        rate = np.empty((2, t.size, 3, 4)) if source is None else np.take(rate, source, axis=1)
-        dense = np.empty((4, t.size, 3, 4)) if source is None else np.take(dense, source, axis=1)
+    n = math.ceil(span / h0)
+    edges = [np.linspace(t0, t1, n + 1)] * len(fields)  # where each plan's steps start and end
+    new = [np.arange(n)] * len(fields)  # the steps whose maps are not built yet
+    source = [None] * len(fields)  # the step that each step of a plan is or came from
+    dense = [None] * len(fields)  # each step's (c1 .. c4) maps h K^T P, (4, n, 3, 4)
+    attempted, plans, failure = [n] * len(fields), [None] * len(fields), None
+    active, row, step, err = list(range(len(fields))), {}, None, None  # the plans still refining
+    while active:
+        t, h = [edges[p][:-1] for p in active], [edges[p][1:] - edges[p][:-1] for p in active]
+        cut = list(itertools.accumulate((new[p].size for p in active), initial=0))
+        b = np.ones((6 * cut[-1], 4))  # (b, 1) at the six nodes t + c h of each new step
+        for i, p in enumerate(active):
+            rows = b[6 * cut[i]:6 * cut[i + 1]]
+            rows[:, 0], rows[:, 1], rows[:, 2] = fields[p](
+                (t[i][new[p], None] + _C[:6] * h[i][new[p], None]).ravel())
+        hs = np.concatenate([h[i][new[p]] for i, p in enumerate(active)])
+        # After the read, and one array at a time, so that the peaks do not add, each step of
+        # a new plan takes the maps of the step it is or came from; a new step builds its own.
+        # Plan i's step and error maps are row i of one array each, padded as above.
+        size = max(ti.size for ti in t)
+        step_of, err_of = np.empty((len(active), size, 3, 4)), np.empty((len(active), size, 3, 4))
+        for i, p in enumerate(active):
+            if source[p] is not None:  # mode "clip": the indices are valid, so take needs no buffer
+                for old, out in ((step, step_of), (err, err_of)):
+                    np.take(old[row[p]], source[p], axis=0, out=out[i, :t[i].size], mode="clip")
+            step_of[i, t[i].size:], err_of[i, t[i].size:] = _ONE, 0.0
+            dense[p] = (np.empty((4, t[i].size, 3, 4)) if source[p] is None
+                        else np.take(dense[p], source[p], axis=1))
+        step, err, row = step_of, err_of, {p: i for i, p in enumerate(active)}
         with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, new.size, _CHUNK):
-                part = new[lo:lo + _CHUNK]
-                k = _stage_maps(b[6 * lo:6 * (lo + _CHUNK)].reshape(-1, 6, 4), h[part], gen)
-                maps = (_W @ k.reshape(7, -1)).reshape(6, -1, 3, 4)
-                rate[:, part], dense[:, part] = maps[:2], maps[2:]
-            s, ratio = _rated(r0, rate[0] + _ONE, rate[1], rtol, atol)
-            bad = ~(ratio <= 1.0)  # also NaN
+            for lo in range(0, hs.size, _CHUNK):
+                k = _stage_maps(b[6 * lo:6 * (lo + _CHUNK)].reshape(-1, 6, 4), hs[lo:lo + _CHUNK],
+                                gen)
+                maps = (_W @ k.reshape(7, -1)).reshape(6, -1, 3, 4)  # step, error; c1 .. c4
+                maps[0] += _ONE
+                for i, p in enumerate(active):  # plan i's new steps in this chunk
+                    first, last = max(cut[i], lo), min(cut[i + 1], lo + _CHUNK)
+                    if first < last:
+                        part = new[p][first - cut[i]:last - cut[i]]
+                        here = slice(first - lo, last - lo)
+                        step[i, part], err[i, part] = maps[0, here], maps[1, here]
+                        dense[p][:, part] = maps[2:, here]
+            s, ratio = _rated(r0[active], step, err, rtol, atol)
+        for i, p in enumerate(list(active)):
+            if p not in active:  # after a failing plan
+                continue
+            ti, hi, si, ri = t[i], h[i], s[i, :t[i].size + 1], ratio[i, :t[i].size]
+            bad = ~(ri <= 1.0)  # also NaN
             if not bad.any():
-                break
-            # as many equal parts as the sequential rule shrinks the step by, 2 to 5
-            parts = np.ceil(1.0 / np.maximum(_SAFETY * ratio[bad] ** -0.2, _MIN_FACTOR))
-            stuck = ~np.isfinite(ratio[bad]) | (h[bad] / parts < _step_floor(t[bad]))
-        first = np.argmax(bad)
-        if stuck[0] and np.isfinite(ratio[first]):
-            raise _failure(_UNDERFLOW, t[first])
-        if stuck[0]:  # at the step's first node where the field is not finite, else its start
-            nodes = t[first] + _C[:6] * h[first]
-            ok = np.isfinite(np.broadcast_arrays(nodes, *field(nodes))[1:]).all(axis=0)
-            raise _failure(_NON_FINITE, np.append(nodes[~ok], t[first])[0])
-        count = np.ones(t.size, dtype=int)
-        count[bad] = np.where(stuck, 1, parts)
-        split = count > 1
-        attempted += int(count[split].sum())
-        if attempted > _MAX_STEPS:
-            raise _failure(_BUDGET, t[np.argmax(split)])
-        stats.rejected += int(split.sum())
-        # each part starts a whole number of part sizes into its step
-        offset = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-        edges = np.append(np.repeat(t, count) + np.repeat(h / count, count) * offset, t1)
-        source, new = np.repeat(np.arange(t.size), count), np.flatnonzero(np.repeat(split, count))
-    stats.accepted, stats.rhs_evals = t.size, 1 + 6 * attempted
-    stats.max_error_ratio = float(ratio.max())
-    return t, h, s, (dense[..., :3] @ s[:-1, :, None])[..., 0] + dense[..., 3]
+                stats[p].accepted, stats[p].rhs_evals = ti.size, 1 + 6 * attempted[p]
+                stats[p].max_error_ratio = float(ri.max())
+                coef = (dense[p][..., :3] @ si[:-1, :, None])[..., 0] + dense[p][..., 3]
+                plans[p], dense[p] = (ti, hi, si, coef), None
+                active.remove(p)
+                continue
+            with np.errstate(over="ignore", invalid="ignore"):
+                # as many equal parts as the sequential rule shrinks the step by, 2 to 5
+                parts = np.ceil(1.0 / np.maximum(_SAFETY * ri[bad] ** -0.2, _MIN_FACTOR))
+                stuck = ~np.isfinite(ri[bad]) | (hi[bad] / parts < _step_floor(ti[bad]))
+            count = np.ones(ti.size, dtype=int)
+            count[bad] = np.where(stuck, 1, parts)
+            split = count > 1
+            attempted[p] += int(count[split].sum())
+            if stuck[0] or attempted[p] > _MAX_STEPS:
+                first = np.argmax(bad)
+                error = (_stuck(fields[p], ti[first], hi[first], ri[first]) if stuck[0]
+                         else _failure(_BUDGET, ti[np.argmax(split)]))
+                # the pictures after p stop too, so a later failure is an earlier picture's
+                failure, active = error, [q for q in active if q < p]
+                continue
+            stats[p].rejected += int(split.sum())
+            # each part starts a whole number of part sizes into its step
+            offset = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+            edges[p] = np.append(np.repeat(ti, count) + np.repeat(hi / count, count) * offset, t1)
+            source[p] = np.repeat(np.arange(ti.size), count)
+            new[p] = np.flatnonzero(np.repeat(split, count))
+    if failure is not None:
+        raise failure
+    return plans
+
+
+def _stuck(field, t, h, ratio) -> IntegrationError:
+    """The failure of the step (t, h) that cannot split: step-size underflow at its start
+    if its error is finite, else a non-finite error at its first node where the field is
+    not finite, or at its start."""
+    if np.isfinite(ratio):
+        return _failure(_UNDERFLOW, t)
+    nodes = t + _C[:6] * h
+    ok = np.isfinite(np.broadcast_arrays(nodes, *field(nodes))[1:]).all(axis=0)
+    return _failure(_NON_FINITE, np.append(nodes[~ok], t)[0])
 
 
 def _rated(r0, step, err, rtol: float, atol: float):
-    """The states s (n + 1, 3) that the ``step`` maps give from r0, and each step's RMS
-    local error in tolerance units, from its ``err`` map."""
+    """The states s (..., n + 1, 3) that the ``step`` maps (..., n, 3, 4) give from r0,
+    and each step's RMS local error in tolerance units, from its ``err`` map."""
     s = _prefix_states(r0, step)
-    e = (err[..., :3] @ s[:-1, :, None])[..., 0] + err[..., 3]
-    scale = atol + rtol * np.maximum(np.abs(s[:-1]), np.abs(s[1:]))
-    return s, np.sqrt(np.add.reduce((e / scale) ** 2, axis=1) / 3)
+    e = (err[..., :3] @ s[..., :-1, :, None])[..., 0] + err[..., 3]
+    scale = atol + rtol * np.maximum(np.abs(s[..., :-1, :]), np.abs(s[..., 1:, :]))
+    return s, np.sqrt(np.add.reduce((e / scale) ** 2, axis=-1) / 3)
 
 
 def _dense_output(teval, t0, y0, y_end, ts, hs, ys, coef) -> np.ndarray:
@@ -388,9 +448,21 @@ def integrate_bloch(
     step whose error is not finite, which fails at the first node where b is not
     finite. ``decay`` is (G, Gamma_1, pump) and ``r0`` a real 3-vector.
     """
+    return _integrate_pictures((field,), decay, t_span, r0, t_eval,
+                               rtol=rtol, atol=atol, max_step=max_step)[0]
+
+
+def _integrate_pictures(fields, decay, t_span, r0, t_eval, *, rtol: float, atol: float,
+                        max_step: float) -> list[tuple[np.ndarray, IntegrationStats]]:
+    """``integrate_bloch`` for several pictures at once, in lock-step (see
+    ``_bloch_controller``): picture p has the field ``fields[p]`` and the start state
+    ``r0[3 p:3 p + 3]``. Returns each picture's (r, stats), bit for bit as
+    ``integrate_bloch`` gives them alone, and raises what the first picture that fails
+    raises alone."""
     t0, t1, r, teval, rtol, atol, max_step = _checked(t_span, r0, t_eval, rtol, atol, max_step)
-    if r.shape != (3,):
+    if r.shape != (3 * len(fields),):
         raise ValidationError(f"integrate_bloch takes a 3-vector, not shape {r.shape}")
-    stats = IntegrationStats()
-    t, h, s, coef = _bloch_controller(field, decay, t0, t1, r, rtol, atol, max_step, stats)
-    return _dense_output(teval, t0, r, s[-1], t, h, s[:-1], coef), stats
+    r, stats = r.reshape(-1, 3), [IntegrationStats() for _ in fields]
+    plans = _bloch_controller(fields, decay, t0, t1, r, rtol, atol, max_step, stats)
+    return [(_dense_output(teval, t0, r[p], s[-1], t, h, s[:-1], coef), stats[p])
+            for p, (t, h, s, coef) in enumerate(plans)]

@@ -42,7 +42,8 @@ class Rates:
             val = _scalar(getattr(self, name), f"rate '{name}'")
             if val < 0.0:
                 raise ValidationError(f"rate '{name}' must be >= 0, got {val}")
-            object.__setattr__(self, name, val)
+            # + 0.0 turns -0.0 into 0.0, so every closed Rates damps as Rates() does, bit for bit
+            object.__setattr__(self, name, val + 0.0)
 
     @property
     def closed(self) -> bool:

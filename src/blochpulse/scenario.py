@@ -49,11 +49,12 @@ from pathlib import Path
 
 import numpy as np
 
-# integrate_lindblad, synthesize_pulse, eval_components, complete_v_closed and
-# solve_consistent_v_open are unused here but stay importable from this module:
-# the benchmark tracer in perfbench/ wraps them by name.
+# the four integrators, tracking_error, synthesize_pulse, eval_components,
+# complete_v_closed and solve_consistent_v_open are unused here but stay importable from
+# this module: the benchmark tracer in perfbench/ wraps them by name.
 from .dynamics import (  # noqa: F401
     SimResult,
+    _propagate,
     integrate_bloch_effective,
     integrate_interaction,
     integrate_lab,
@@ -74,7 +75,7 @@ from .trajectories import (  # noqa: F401
     eval_components,
     solve_consistent_v_open,
 )
-from .verify import TrackingReport, tracking_error
+from .verify import TrackingReport, _tracking, tracking_error  # noqa: F401
 from . import svgplot
 
 __all__ = [
@@ -481,24 +482,19 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
     samples, v, field = _synthesize(cfg.trajectory, cfg.rates, cfg.transition.values(grid), grid)
     r0 = _onto_sphere(np.array([samples.u[0], v[0], samples.w[0]]))
 
-    results: dict[str, SimResult] = {}
+    # the picture that runs each requested one: an open scenario's interaction picture is
+    # its effective-Bloch evolution, integrated once for both
+    runs = {pic: "effective-bloch" if pic == "interaction" and not cfg.rates.closed else pic
+            for pic in cfg.pictures}
+    starts = {name: _to_corotating(r0, -field.phi[0]) if name == "lab" else r0
+              for name in runs.values()}
+    sims = _propagate(field, cfg.rates, starts, grid, cfg.rtol, cfg.atol) if starts else {}
+    results: dict[str, SimResult] = {pic: sims[name] for pic, name in runs.items()}
     reports: dict[str, TrackingReport] = {}
-    effective = None  # an open scenario's interaction picture shares this evolution
-    for pic in cfg.pictures:
-        if pic == "effective-bloch" or (pic == "interaction" and not cfg.rates.closed):
-            if effective is None:
-                effective = integrate_bloch_effective(field, cfg.rates, r0, grid,
-                                                      rtol=cfg.rtol, atol=cfg.atol)
-            res = effective
-        elif pic == "interaction":
-            res = integrate_interaction(field, r0, grid, rtol=cfg.rtol, atol=cfg.atol)
-        else:  # "lab", closed only (enforced by the config)
-            res = integrate_lab(field, _to_corotating(r0, -field.phi[0]), grid,
-                                rtol=cfg.rtol, atol=cfg.atol)
-        results[pic] = res
-        # each report carries the requested picture's name, whichever integrator ran it
+    for pic, res in results.items():
+        # each report carries the requested picture's name, whichever picture ran it
         bloch = _to_corotating(res.bloch, field.phi) if pic == "lab" else res.bloch
-        reports[pic] = tracking_error(SimResult(pic, res.t, bloch), samples.u, v, samples.w)
+        reports[pic] = _tracking(pic, res.t, bloch, samples.u, v, samples.w)
 
     return ScenarioRun(config=cfg, grid=grid, samples=samples, v=v, field=field,
                        results=results, reports=reports)

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SimResult, dissipator_action, integrate_interaction
+from .dynamics import SimResult, _propagate, dissipator_action
 from .errors import ValidationError
+from .odeint import ATOL, RTOL
 from .rates import Rates
 from .states import (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, _bloch_fidelity, _finite,
                      _onto_sphere, _scalar, bloch_from_density)
@@ -80,16 +81,20 @@ def tracking_error(result: SimResult, u, v, w) -> TrackingReport:
         endpoint.
     """
     u, v, w = (_finite(x, name, float, result.t.shape) for x, name in zip((u, v, w), "uvw"))
-    bloch = result.bloch
+    return _tracking(result.picture, result.t, result.bloch, u, v, w)
+
+
+def _tracking(picture: str, t, bloch, u, v, w) -> TrackingReport:
+    """``tracking_error``'s report, of finite float u, v and w on the grid ``t``, unchecked."""
     du, dv, dw = (np.abs(bloch[:, k] - x) for k, x in enumerate((u, v, w)))
     i_worst = int(np.argmax(np.maximum(du, np.maximum(dv, dw))))
     # sum / n is np.mean's own arithmetic, without its per-call overhead
     rms_u, rms_v, rms_w = (float(np.sqrt(np.add.reduce(d * d) / d.size)) for d in (du, dv, dw))
     return TrackingReport(
-        picture=result.picture,
+        picture=picture,
         sup_u=float(du.max()), sup_v=float(dv.max()), sup_w=float(dw.max()),
         rms_u=rms_u, rms_v=rms_v, rms_w=rms_w,
-        t_worst=float(result.t[i_worst]),
+        t_worst=float(t[i_worst]),
         # unchecked: a loosely integrated run may end just outside the ball
         fidelity_final=_bloch_fidelity(bloch[-1], _onto_sphere(np.array([u[-1], v[-1], w[-1]]))),
     )
@@ -108,10 +113,10 @@ def rwa_deviation(field: ControlField, r0, grid, *, scale: float = 1.0) -> float
     scale = _scalar(scale, "scale")
     if scale <= 0.0:
         raise ValidationError("scale must be > 0")
-    scaled = field.scaled(scale)
-    full = integrate_interaction(scaled, r0, grid, rwa=False)
-    rwa = integrate_interaction(scaled, r0, grid, rwa=True)
-    return float(0.5 * np.max(np.linalg.norm(full.bloch - rwa.bloch, axis=1)))
+    runs = _propagate(field.scaled(scale), Rates(), {"interaction": r0, "interaction-rwa": r0},
+                      grid, RTOL, ATOL)
+    full, rwa = runs["interaction"].bloch, runs["interaction-rwa"].bloch
+    return float(0.5 * np.max(np.linalg.norm(full - rwa, axis=1)))
 
 
 @dataclass(frozen=True)

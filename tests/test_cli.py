@@ -224,6 +224,30 @@ def test_infinite_field_exits_3_at_its_first_node(mini_config, capsys, monkeypat
     assert 0.0 <= float(re.search(r"t = (\S+) ps", err).group(1)) < 1.0
 
 
+def test_a_lab_field_infinite_from_zero_exits_3_with_the_lab_failure(tmp_path, capsys,
+                                                                    monkeypatch):
+    # omega0 feeds only the lab field, the last of fig1_L3's three pictures, which run in
+    # one batch: the other two finish, and the one line is the lab picture's own failure,
+    # as when each picture ran alone
+    real = ControlField._reader
+
+    def reader(field):
+        values = real(field)
+
+        def broken(times):
+            out = values(times)
+            out[4] = np.where(times > 0.0, np.inf, out[4])
+            return out
+        return broken
+
+    monkeypatch.setattr(ControlField, "_reader", reader)
+    path = tmp_path / "fig1_L3.json"
+    save_scenario(preset("fig1_L3"), path)
+    assert main(["verify", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err == "numerical failure: non-finite local error estimate at t = 0.48 ps\n"
+
+
 def test_open_window_past_the_integrator_exits_3(tmp_path, capsys):
     # the open v-completion would need more quadrature panels than the step budget
     # allows; the run stops at the first sample, with a time and without a numpy warning

@@ -10,21 +10,27 @@ right-hand side it replaced, and each whole run checked against the generic
 integrator.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline, PPoly
 
 from blochpulse import (
     ControlField,
+    IntegrationError,
+    NumericalError,
     Rates,
+    ScenarioConfig,
     SimResult,
     Transfer,
+    TransitionSpec,
     ValidationError,
+    Window,
     bloch_from_density,
     complete_v_closed,
     density_from_bloch,
@@ -37,13 +43,17 @@ from blochpulse import (
     integrate_lab,
     integrate_lindblad,
     preset,
+    preset_names,
+    run_scenario,
+    rwa_deviation,
     synthesize_pulse,
 )
-from blochpulse import dynamics, odeint
+from blochpulse import dynamics, odeint, scenario, verify
 from blochpulse.dynamics import PHASE_PER_STEP
 from blochpulse.odeint import ATOL, RTOL, SPAN_SLACK
 from blochpulse.rates import inversion_decay_rate, transverse_rate
-from blochpulse.states import SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Z
+from blochpulse.scenario import PICTURES
+from blochpulse.states import SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Z, _onto_sphere
 
 
 def _constant_field(t, omega=0.0, delta=0.0, phi=0.0, omega_r=0.0, omega0=0.0):
@@ -393,3 +403,114 @@ def test_derived_views_never_validate():
     assert res.states.shape == (2, 2, 2)
     assert np.max(np.abs(bloch_from_density(res.states) - bloch)) < 1e-15
     assert res.populations[0, 0] > 1.0
+
+
+# Every picture of one field runs in one lock-step batch of the Bloch controller; each
+# picture's result and failure must be bit for bit what its public integrator gives alone.
+
+def _alone(run, pictures):
+    """``run``'s pictures integrated one by one by the public integrators, in order, as
+    ``run_scenario`` ran them before it batched them."""
+    cfg, field, grid = run.config, run.field, run.grid
+    r0 = _onto_sphere(np.array([x[0] for x in run.prescribed]))
+    tol = dict(rtol=cfg.rtol, atol=cfg.atol)
+    out = {}
+    for pic in pictures:
+        if pic == "effective-bloch" or not cfg.rates.closed:
+            out[pic] = integrate_bloch_effective(field, cfg.rates, r0, grid, **tol)
+        elif pic == "interaction":
+            out[pic] = integrate_interaction(field, r0, grid, **tol)
+        else:
+            out[pic] = integrate_lab(field, scenario._to_corotating(r0, -field.phi[0]), grid, **tol)
+    return out
+
+
+def _assert_same(batched: dict, alone: dict):
+    assert list(batched) == list(alone)
+    for pic, res in alone.items():
+        assert batched[pic].bloch.tobytes() == res.bloch.tobytes(), pic
+        assert batched[pic].stats == res.stats, pic
+
+
+@pytest.mark.parametrize("name", [n for n in preset_names() if preset(n).rates.closed])
+def test_a_closed_preset_runs_every_picture_as_alone(name, monkeypatch):
+    run = run_scenario(preset(name))
+    _assert_same(run.results, _alone(run, run.config.pictures))
+    # rwa_deviation runs its two pictures in one batch too
+    runs = []
+
+    def spy(*args):
+        runs.append(dynamics._propagate(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(verify, "_propagate", spy)
+    r0 = run.results["effective-bloch"].bloch[0]
+    deviation = rwa_deviation(run.field, r0, run.grid)
+    full, rwa = (integrate_interaction(run.field.scaled(1.0), r0, run.grid, rwa=rwa)
+                 for rwa in (False, True))
+    _assert_same(runs[0], {"interaction": full, "interaction-rwa": rwa})
+    assert deviation == float(0.5 * np.max(np.linalg.norm(full.bloch - rwa.bloch, axis=1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=st.builds(Transfer, inversion_start=st.floats(-0.9, 0.9),
+                      inversion_stop=st.floats(-0.9, 0.9), switch_rate=st.floats(1e-3, 0.05),
+                      coherence_peak=st.floats(0.05, 0.4), peak_width=st.floats(10, 200),
+                      peak_time=st.floats(-50, 50)),
+       omega0=st.floats(2e-3, 0.02), samples=st.integers(21, 241),
+       pictures=st.permutations(PICTURES).flatmap(
+           lambda order: st.integers(1, len(order)).map(lambda k: tuple(order[:k]))))
+def test_any_pictures_in_any_order_run_as_alone(spec, omega0, samples, pictures):
+    cfg = ScenarioConfig(name="lockstep", trajectory=spec, rates=Rates(),
+                         transition=TransitionSpec.constant(omega0),
+                         window=Window(-100.0, 100.0, samples), pictures=pictures)
+    try:
+        synthesized = run_scenario(dataclasses.replace(cfg, pictures=()))
+    except NumericalError:
+        assume(False)
+    try:
+        alone, expected = _alone(synthesized, pictures), None
+    except NumericalError as exc:
+        expected = exc
+    if expected is None:
+        _assert_same(run_scenario(cfg).results, alone)
+    else:
+        with pytest.raises(type(expected)) as err:
+            run_scenario(cfg)
+        assert (str(err.value), err.value.t_first) == (str(expected), expected.t_first)
+
+
+def _break_reader(monkeypatch, rows):
+    """Make the table reader's channel ``row`` infinite after time ``start``, for each
+    (row, start) in ``rows``: rows 0 and 1 (Omega, Delta) feed the design field, 1 to 3
+    (Delta, phi, Omega_R) the carrier field, and 2 to 4 (phi, Omega_R, omega0) the lab's."""
+    real = ControlField._reader
+
+    def reader(field):
+        values = real(field)
+
+        def broken(times):
+            out = values(times)
+            for row, start in rows:
+                out[row] = np.where(times > start, np.inf, out[row])
+            return out
+        return broken
+
+    monkeypatch.setattr(ControlField, "_reader", reader)
+
+
+@pytest.mark.parametrize("rows", [
+    [(4, 0.0)],  # only the lab picture, the last, fails
+    [(4, 0.0), (0, 50.0)],  # the lab picture fails first in time; the design picture raises
+    [(0, 50.0), (3, -20.0)],  # the design picture fails after the carrier pictures
+    [(3, 60.0)],  # the two carrier pictures fail; the earlier raises
+])
+def test_a_batched_run_raises_as_its_first_failing_picture_alone(monkeypatch, rows):
+    run = run_scenario(preset("fig1_L3"))
+    _break_reader(monkeypatch, rows)
+    with pytest.raises(IntegrationError) as alone:
+        _alone(run, run.config.pictures)
+    with np.errstate(invalid="ignore"), pytest.raises(IntegrationError) as batched:
+        run_scenario(preset("fig1_L3"))
+    assert str(batched.value) == str(alone.value)
+    assert batched.value.t_first == alone.value.t_first

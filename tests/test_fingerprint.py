@@ -35,7 +35,9 @@ def test_two_dumps_of_the_same_code_do_not_differ(tmp_path):
                 "preset/fig1_L3/effective-bloch/stats/rhs_evals",
                 "preset/fig1_L3/effective-bloch/report/sup_w", "preset/fig3/csv",
                 "preset/fig3/field_csv", "preset/fig1_L3/field_csv",
-                "svg/fig1_L3/pulse", "svg/fig3/populations", "svg/fig3/bloch3d"} <= keys
+                "svg/fig1_L3/pulse", "svg/fig3/populations", "svg/fig3/bloch3d",
+                "preset/fig1_L3/rwa_deviation"} <= keys
+        assert "preset/fig3/rwa_deviation" not in keys  # recorded for closed presets only
         assert [str(dump[f"sweep/{i:04d}/verdict"]) for i in range(6)].count("realizable") >= 1
         # the table in scipy PPoly's layout: (c0 .. c3) x fig1_L3's 1200 intervals x channels
         assert dump["preset/fig1_L3/field/table"].shape == (4, 1200, 5)

@@ -407,21 +407,17 @@ def test_open_run_drive_comes_from_the_reported_v():
 
 def test_open_scenario_integrates_its_evolution_once(monkeypatch):
     # under the design coupling the master equation is the effective-Bloch evolution,
-    # so fig3's two pictures share one integration
+    # so fig3's two pictures share one integration: one run of one picture
     calls = []
+    real = scenario._propagate
 
-    def spy(name):
-        real = getattr(scenario, name)
+    def counted(field, rates, starts, *args):
+        calls.append(list(starts))
+        return real(field, rates, starts, *args)
 
-        def counted(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
-        return counted
-
-    for name in ("integrate_bloch_effective", "integrate_lindblad"):
-        monkeypatch.setattr(scenario, name, spy(name))
+    monkeypatch.setattr(scenario, "_propagate", counted)
     run = run_scenario(preset("fig3"))
-    assert calls == ["integrate_bloch_effective"]
+    assert calls == [["effective-bloch"]]
     assert np.array_equal(run.results["effective-bloch"].bloch,
                           run.results["interaction"].bloch)
 

@@ -9,7 +9,8 @@
     own pictures: the trajectory samples, v, the field's channels, its channel
     table and step scale, each picture's Bloch vectors, ``IntegrationStats``
     and ``TrackingReport``, the bytes of ``export_csv``, and as ``field_csv`` the
-    bytes of ``export_field_csv``; and, as ``svg/<preset>/<kind>``, the bytes of its
+    bytes of ``export_field_csv``; for a closed preset, ``rwa_deviation`` at scale 1
+    from the prescription's start; and, as ``svg/<preset>/<kind>``, the bytes of its
     three ``export_svg`` charts;
   * the first N candidates (default 360) that the benchmark's ``sweep`` workload
     draws (``perfbench/workloads.py``) from the seed ``SEED``, in the order of
@@ -78,6 +79,9 @@ def dump(path: Path, presets, candidates: int, src: Path) -> int:
                 out.update(_fields(f"{p}/{pic}/stats", res.stats))
         for pic, report in run.reports.items():
             out.update(_fields(f"{p}/{pic}/report", report))
+        if run.config.rates.closed:
+            start = np.array([x[0] for x in run.prescribed])
+            out[f"{p}/rwa_deviation"] = np.asarray(bp.rwa_deviation(run.field, start, run.grid))
         with tempfile.TemporaryDirectory() as tmp:
             bp.export_csv(run, Path(tmp) / "run.csv")
             out[f"{p}/csv"] = np.frombuffer((Path(tmp) / "run.csv").read_bytes(), np.uint8)
