@@ -22,7 +22,6 @@ from dataclasses import InitVar, dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .errors import (CarrierSingularityError, NumericalError, SingularPrescriptionError,
                      ValidationError)
@@ -212,6 +211,7 @@ def _spline_slopes(t: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Knot slopes of the not-a-knot cubic spline through (t, y), y of shape (n,) or (n, k):
     scipy's ``CubicSpline`` system, solved by the LAPACK ``gtsv`` call it makes, with its
     cases for two points (a line) and three (a parabola)."""
+    from scipy.linalg.lapack import dgtsv  # imported at first use: blochpulse loads no scipy
     h = np.diff(t)
     hr = h.reshape((-1,) + (1,) * (y.ndim - 1))
     m = np.diff(y, axis=0) / hr  # secant slopes

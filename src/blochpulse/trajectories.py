@@ -228,8 +228,9 @@ def solve_consistent_v_open(
     with q the second term, read from ``samples.spec`` at the quadrature nodes. Each
     interval splits into ceil(8 G max h) equal panels, so 2 G h <= 1/4 on each, of 4-point
     Gauss-Legendre quadrature; the nodes are evaluated a fixed-size chunk of intervals at a
-    time, and the recurrence runs as one log-depth scan over all intervals. Past the
-    integrator's step budget of panels, it raises ``IntegrationError`` at the first sample.
+    time, and the recurrence over all intervals is one LAPACK bidiagonal solve, which steps
+    it exactly as a sequential loop would. Past the integrator's step budget of panels, it
+    raises ``IntegrationError`` at the first sample.
     ``v0`` lies in [0, 1] and defaults to the closed-sphere completion at the first sample.
     With both rates zero this reproduces ``complete_v_closed`` since the right side reduces
     to d(1 - u^2 - w^2)/dt.
@@ -280,7 +281,7 @@ def _consistent_s(samples: TrajectorySamples, rates: Rates, s0: float) -> np.nda
             pairs = terms[0:n - 1:2] + terms[1::2]
             terms = np.concatenate((pairs, terms[-1:])) if n % 2 else pairs
         forced[k:k + cols] = terms[0]
-    return _affine_scan(s0, np.exp(-2.0 * g_t * h), forced * (0.5 / panels * h))
+    return _affine_recurrence(s0, np.exp(-2.0 * g_t * h), forced * (0.5 / panels * h))
 
 
 def _inverted_numerators(u, w, du, dw, rates: Rates):
@@ -289,15 +290,13 @@ def _inverted_numerators(u, w, du, dw, rates: Rates):
             du + transverse_rate(rates) * u)
 
 
-def _affine_scan(s0: float, a: np.ndarray, b: np.ndarray, refine: bool = True) -> np.ndarray:
-    """s_0 = s0 and s_{k+1} = a_k s_k + b_k, a_k in [0, 1], by a Hillis-Steele scan of the
-    maps (a, b) o (a', b') = (a a', a b' + b) after (0, s0); it never divides (Blelloch 1990).
-    The scan of the residual then corrects s to the accuracy of the sequential loop."""
-    p, s = np.concatenate(([0.0], a)), np.concatenate(([s0], b))
-    for d in (1 << k for k in range((s.size - 1).bit_length())):  # 1, 2, 4, ... < s.size
-        s[d:] += p[d:] * s[:-d]  # each element now composes the 2d maps that end at it
-        p[d:] *= p[:-d]
-    return s + _affine_scan(0.0, a, a * s[:-1] + b - s[1:], False) if refine else s
+def _affine_recurrence(s0: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """s_0 = s0 and s_{k+1} = a_k s_k + b_k, a_k in [0, 1], as one LAPACK ``gtsv`` solve of
+    the unit lower-bidiagonal system (dl = -a, d = 1, du = 0) on fresh arrays. With |a_k| <= 1
+    gtsv never pivots, and its forward elimination is the sequential loop, step for step."""
+    from scipy.linalg.lapack import dgtsv
+    return dgtsv(-a, np.ones(a.size + 1), np.zeros(a.size), np.concatenate(([s0], b)),
+                 True, True, True, True)[3]
 
 
 def _root_above_floor(s: np.ndarray, t: np.ndarray, what: str) -> np.ndarray:

@@ -1,5 +1,6 @@
 """The fingerprint tool (``tools/fingerprint.py``): a dump of the same code twice
-is bit-identical, and ``diff`` finds and reports a changed array.
+is bit-identical, and ``diff`` finds and reports a changed array, and sums the
+differences up in its last line.
 
 Each dump runs in a fresh process, as the tool is run from the command line.
 """
@@ -51,3 +52,7 @@ def test_two_dumps_of_the_same_code_do_not_differ(tmp_path):
                if line.startswith(("preset/fig3/v ", "preset/fig3/csv "))]
     assert changed[0][:2] == ["preset/fig3/csv", "only"]
     assert changed[1][:2] == ["preset/fig3/v", "no"] and 0.0 < float(changed[1][3]) < 1e-14
+    # the last line sums it up: the changed array by kind, and the largest float drift
+    assert proc.stdout.splitlines()[-1] == (
+        f"differ: 1 float, 0 integer, 0 non-numeric; largest float |d| {changed[1][2]} "
+        f"(preset/fig3/v); {len(keys)} arrays, 2 differ or are missing")

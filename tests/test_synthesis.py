@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline, PPoly
+from scipy.linalg import lapack
 
 import blochpulse
 from blochpulse import synthesis
@@ -175,7 +176,7 @@ def test_spline_slopes_report_a_failed_solve(monkeypatch):
     # LAPACK's info > 0 is a zero pivot at knot info - 1; on a strictly increasing grid it
     # cannot occur, so a stand-in solver reports it
     t = np.linspace(0.0, 5.0, 6)
-    monkeypatch.setattr(synthesis, "dgtsv", lambda dl, d, du, b, *overwrite: (dl, d, du, b, 3))
+    monkeypatch.setattr(lapack, "dgtsv", lambda dl, d, du, b, *overwrite: (dl, d, du, b, 3))
     with pytest.raises(NumericalError, match="gtsv info 3") as err:
         phase_from_detuning(1.0, np.zeros(6), t)
     assert err.value.t_first == t[2]

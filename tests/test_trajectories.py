@@ -10,8 +10,8 @@ completion's exact recurrence is checked against a DP5 completion (the
 per-call right-hand side on the exact components, run through the generic
 integrator) and against the same recurrence with the forcing read from the
 analytic components and integrated by a finer Gauss-Legendre rule. Its
-log-depth scan is checked against the sequential loop it replaced and, for
-accuracy, against exact rational arithmetic.
+LAPACK bidiagonal solve of the recurrence is checked against the sequential
+loop and, for accuracy, against exact rational arithmetic.
 """
 
 import dataclasses
@@ -262,8 +262,8 @@ def test_open_completion_chunks_do_not_change_s(monkeypatch, chunk):
 
 
 def _sequential_recurrence(s0, a, b, number=float):
-    """s_0 = s0, s_{k+1} = a_k s_k + b_k, one interval at a time: the loop the
-    completion ran before its scan. ``number=Fraction`` computes it exactly."""
+    """s_0 = s0, s_{k+1} = a_k s_k + b_k, one interval at a time, in Python.
+    ``number=Fraction`` computes it exactly."""
     s = [number(s0)]
     for ak, bk in zip(a.tolist(), b.tolist()):
         s.append(number(ak) * s[-1] + number(bk))
@@ -290,7 +290,7 @@ def _recurrences(draw):
 def test_affine_scan_matches_the_sequential_recurrence(recurrence):
     s0, a, b = recurrence
     a_in, b_in = a.copy(), b.copy()
-    s = trajectories._affine_scan(s0, a, b)
+    s = trajectories._affine_recurrence(s0, a, b)
     assert np.array_equal(a, a_in) and np.array_equal(b, b_in)  # inputs untouched
     want = _sequential_recurrence(s0, a, b)
     assert s.shape == want.shape and s[0] == s0
@@ -311,7 +311,7 @@ def test_affine_scan_is_as_accurate_as_the_sequential_loop(n):
     b = path[1:] - a * path[:-1]
     exact = _sequential_recurrence(1.0, a, b, Fraction)
     loop_error = np.max(np.abs(_sequential_recurrence(1.0, a, b) - exact))
-    assert np.max(np.abs(trajectories._affine_scan(1.0, a, b) - exact)) <= 2.0 * loop_error
+    assert np.max(np.abs(trajectories._affine_recurrence(1.0, a, b) - exact)) <= 2.0 * loop_error
 
 
 _TRANSFER = dict(inversion_start=st.floats(-1.0, -0.1), inversion_stop=st.floats(-0.2, 1.0),

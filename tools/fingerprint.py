@@ -21,8 +21,11 @@
 ``--src`` picks the blochpulse source tree (default: this checkout's ``src``),
 so one checkout's tool can fingerprint another checkout's code on the same
 inputs. ``diff`` prints, per array, whether the two are bit-identical and the
-largest absolute and relative difference, and exits 1 when any array differs
-or is present on one side only.
+largest absolute and relative difference, then one summary line: how many
+float, integer and non-numeric arrays differ (strings and the bytes of the
+exported files are non-numeric), and the largest absolute float difference
+with its array's name. It exits 1 when any array differs or is present on one
+side only.
 """
 
 from __future__ import annotations
@@ -113,7 +116,7 @@ def dump(path: Path, presets, candidates: int, src: Path) -> int:
 def diff(path_a: Path, path_b: Path) -> int:
     with np.load(path_a) as fa, np.load(path_b) as fb:
         a, b = dict(fa), dict(fb)
-    bad = 0
+    bad, differ, drift = 0, {"f": 0, "i": 0, "-": 0}, [(0.0, "-")]
     print(f"{'array':<48} {'identical':>9} {'max |d|':>10} {'max |d|/max |a|':>16}")
     for key in sorted(a.keys() | b.keys()):
         if key not in a or key not in b:
@@ -123,6 +126,9 @@ def diff(path_a: Path, path_b: Path) -> int:
         x, y = a[key], b[key]
         same = x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
         bad += not same
+        kind = x.dtype.kind  # A's; a file's bytes (uint8) are not numbers
+        if not same:
+            differ[kind if kind in "fi" else "-"] += 1
         if x.dtype.kind not in "fiu" or y.dtype.kind not in "fiu" or x.shape != y.shape:
             print(f"{key:<48} {'yes' if same else 'no':>9} {'-':>10} {'-':>16}")
             continue
@@ -131,8 +137,13 @@ def diff(path_a: Path, path_b: Path) -> int:
             d = float(np.max(np.abs(x - y), initial=0.0)) if not same else 0.0
             scale = float(np.max(np.abs(x), initial=0.0))
         rel = d / scale if scale > 0.0 else d
+        if kind == "f":
+            drift.append((d, key))
         print(f"{key:<48} {'yes' if same else 'no':>9} {d:>10.3g} {rel:>16.3g}")
-    print(f"{len(a.keys() | b.keys())} arrays, {bad} differ or are missing")
+    worst, worst_key = max(drift, key=lambda dk: np.inf if np.isnan(dk[0]) else dk[0])
+    print(f"differ: {differ['f']} float, {differ['i']} integer, {differ['-']} non-numeric; "
+          f"largest float |d| {worst:.3g} ({worst_key}); "
+          f"{len(a.keys() | b.keys())} arrays, {bad} differ or are missing")
     return 1 if bad else 0
 
 
