@@ -25,12 +25,11 @@ import numpy as np
 
 from .errors import (CarrierSingularityError, NumericalError, SingularPrescriptionError,
                      ValidationError)
-from .rates import Rates
+from .rates import Rates, transverse_rate
 from .states import _finite, _numeric, _scalar, validate_grid
 from .trajectories import (
     V_MIN,
     TrajectorySpec,
-    _inverted_numerators,
     complete_v_closed,
     eval_components,
     solve_consistent_v_open,
@@ -158,8 +157,9 @@ def _omega_delta(u, w, du, dw, v, rates: Rates) -> tuple[np.ndarray, np.ndarray]
     """``omega_delta_from_components`` on finite arrays of one shape, as synthesis has."""
     if (v < V_MIN).any():
         raise SingularPrescriptionError(f"transverse component below {V_MIN:g}; pulse undefined")
-    omega_v, delta_v = _inverted_numerators(u, w, du, dw, rates)
-    return omega_v / v, delta_v / v
+    # the damped Bloch equations solved for the drive: Omega v and Delta v
+    omega_v = dw + 2.0 * rates.thermal * (1.0 + w + 2.0 * rates.occupancy * w)
+    return omega_v / v, (du + transverse_rate(rates) * u) / v
 
 
 def phase_from_detuning(omega0, delta, grid, *, zero_time: float | None = None,

@@ -1,11 +1,12 @@
 """Prescribed Bloch trajectories: parametric families and v-completion.
 
 Each family prescribes the transverse-x and inversion components u(t), w(t)
-in closed form together with exact analytic time derivatives. The remaining
-component v is never prescribed: it is completed from purity (closed system)
-or integrated from a consistency equation (open system). Both completions
-fail with a ``SingularPrescriptionError`` at the first time v falls below the
-constant floor ``V_MIN``, since the drive divides by v. Times in ps,
+in closed form together with exact analytic time derivatives (``components``),
+and w alone (``inversion``). The remaining component v is never prescribed: it
+is completed from purity (closed system) or from the decay of |r|^2, which only
+w forces (open system). Both completions fail with a ``SingularPrescriptionError``
+at the first time v falls below the constant floor ``V_MIN``, since the drive
+divides by v, and with a ``NumericalError`` where v is not finite. Times in ps,
 frequencies in rad/ps.
 """
 
@@ -17,11 +18,12 @@ from typing import Union
 
 import numpy as np
 
-from .errors import IntegrationError, SingularPrescriptionError, ValidationError
+from .errors import (IntegrationError, NumericalError, SingularPrescriptionError,
+                     ValidationError)
 # integrate_adaptive is unused here but stays importable from this module: the
 # benchmark tracer in perfbench/ wraps it by name.
 from .odeint import _MAX_STEPS, integrate_adaptive  # noqa: F401
-from .rates import Rates, transverse_rate
+from .rates import Rates, inversion_decay_rate, transverse_rate
 from .states import BLOCH_NORM_SLACK, _check_fields, _scalar, validate_grid
 
 __all__ = [
@@ -80,13 +82,22 @@ class Transfer:
         if self.peak_width <= 0.0:
             raise ValidationError("peak_width must be > 0")
 
-    def components(self, t: np.ndarray):
+    def inversion(self, t: np.ndarray) -> np.ndarray:
+        """w(t) alone, bit for bit as ``components`` computes it."""
+        return self._inversion(t)[0]
+
+    def _inversion(self, t):
+        """(w, g): the inversion and its sigmoid."""
         with np.errstate(over="ignore"):  # far tails: exp overflows to inf, and g = 0 exactly
             g = 1.0 / (1.0 + np.exp(-self.switch_rate * t))
-        w = self.inversion_start * (1.0 - g) + self.inversion_stop * g
+        return self.inversion_start * (1.0 - g) + self.inversion_stop * g, g
+
+    def components(self, t: np.ndarray):
+        w, g = self._inversion(t)
         dw = (self.inversion_stop - self.inversion_start) * self.switch_rate * g * (1.0 - g)
         x = (t - self.peak_time) / self.peak_width
-        u = self.coherence_peak * np.exp(-0.5 * x**2)
+        with np.errstate(over="ignore"):  # far tails: x**2 overflows to inf, and u = 0 exactly
+            u = self.coherence_peak * np.exp(-0.5 * x**2)
         du = -u * x / self.peak_width
         return u, w, du, dw
 
@@ -107,9 +118,12 @@ class Oscillatory(Transfer):
         if self.ripple_frequency < 0.0:
             raise ValidationError("ripple_frequency must be >= 0")
 
+    def _inversion(self, t):
+        w, g = super()._inversion(t)
+        return w + self.ripple_amplitude * np.cos(self.ripple_frequency * t), g
+
     def components(self, t: np.ndarray):
         u, w, du, dw = super().components(t)
-        w = w + self.ripple_amplitude * np.cos(self.ripple_frequency * t)
         dw = dw - self.ripple_amplitude * self.ripple_frequency * np.sin(self.ripple_frequency * t)
         return u, w, du, dw
 
@@ -140,12 +154,24 @@ class RabiDecay:
         if self.decay_curvature < 0.0:
             raise ValidationError("decay_curvature must be >= 0")
 
+    def inversion(self, t: np.ndarray) -> np.ndarray:
+        """w(t) alone, bit for bit as ``components`` computes it."""
+        return self._inversion(t)[0]
+
+    def _inversion(self, t):
+        """(w, envelope, phase, cos(phase))."""
+        # far tails: t**2 overflows to inf, and the phase, so w and dw, to nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            phase = self.inversion_frequency * t + self.chirp_rate * t**2
+            env = self.inversion_amplitude * np.exp(-self.decay_curvature * t**2)
+            cos = np.cos(phase)
+            return env * cos, env, phase, cos
+
     def components(self, t: np.ndarray):
-        phase = self.inversion_frequency * t + self.chirp_rate * t**2
-        env = self.inversion_amplitude * np.exp(-self.decay_curvature * t**2)
-        w = env * np.cos(phase)
-        dw = env * (-2.0 * self.decay_curvature * t * np.cos(phase)
-                    - (self.inversion_frequency + 2.0 * self.chirp_rate * t) * np.sin(phase))
+        w, env, phase, cos = self._inversion(t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            dw = env * (-2.0 * self.decay_curvature * t * cos
+                        - (self.inversion_frequency + 2.0 * self.chirp_rate * t) * np.sin(phase))
         u = self.coherence_amplitude * np.sin(self.coherence_frequency * t)
         du = self.coherence_amplitude * self.coherence_frequency * np.cos(self.coherence_frequency * t)
         return u, w, du, dw
@@ -216,24 +242,30 @@ def solve_consistent_v_open(
 ) -> np.ndarray:
     """Transverse-y component consistent with the damped Bloch dynamics.
 
-    With u and w prescribed, the damped dynamics fixes s = v^2 through
+    The drive only rotates the Bloch vector, so its squared length R = |r|^2 obeys
 
-        ds/dt = -2 G s - 2 [ (du + G u) u + (dw + 2 Gamma (1 + w + 2 n w)) w ]
+        dR/dt = -2 G R + q(w),    q(w) = ((2 G - 2 Gamma_1) w - 4 Gamma) w
 
-    where G is the transverse rate, from s(t0) = v0^2. The equation is linear
-    with constant G, so s follows the exact recurrence over each sample interval
+    with G the transverse rate, Gamma_1 the inversion decay rate and Gamma the thermal
+    rate: no drive and no u. From R(t0) = r0 = v0^2 + u^2 + w^2,
 
-        s_{k+1} = exp(-2 G h_k) s_k + int_{t_k}^{t_{k+1}} exp(-2 G (t_{k+1} - tau)) q(tau) dtau
+        R(t) = r0 exp(-2 G (t - t0)) + p(t),
 
-    with q the second term, read from ``samples.spec`` at the quadrature nodes. Each
-    interval splits into ceil(8 G max h) equal panels, so 2 G h <= 1/4 on each, of 4-point
-    Gauss-Legendre quadrature; the nodes are evaluated a fixed-size chunk of intervals at a
-    time, and the recurrence over all intervals is one LAPACK bidiagonal solve, which steps
-    it exactly as a sequential loop would. Past the integrator's step budget of panels, it
-    raises ``IntegrationError`` at the first sample.
+    where p(t0) = 0 and p follows the exact recurrence over each sample interval
+
+        p_{k+1} = exp(-2 G h_k) p_k + int_{t_k}^{t_{k+1}} exp(-2 G (t_{k+1} - tau)) q(w(tau)) dtau
+
+    with w read from ``samples.spec.inversion`` at the quadrature nodes, and
+    s = v^2 = R - u^2 - w^2 at the samples. Each interval splits into
+    ceil(8 G max h) equal panels, so 2 G h <= 1/4 on each, of 4-point Gauss-Legendre
+    quadrature; the nodes are evaluated a fixed-size chunk of intervals at a time, and the
+    recurrence over all intervals is one LAPACK bidiagonal solve, which steps it exactly as
+    a sequential loop would. Past the integrator's step budget of panels, it raises
+    ``IntegrationError`` at the first sample; where w is not finite, ``NumericalError`` at
+    the first sample after it.
     ``v0`` lies in [0, 1] and defaults to the closed-sphere completion at the first sample.
-    With both rates zero this reproduces ``complete_v_closed`` since the right side reduces
-    to d(1 - u^2 - w^2)/dt.
+    With both rates zero p stays 0, and this is ``complete_v_closed`` up to the rounding of
+    r0 = 1.
 
     Returns the positive root v(t) on the sample grid.
     """
@@ -267,27 +299,29 @@ def _consistent_s(samples: TrajectorySamples, rates: Rates, s0: float) -> np.nda
     # node-major: one row per node (in units of h), the intervals along each row
     nodes = ((np.arange(panels)[:, None] + 0.5 * (1.0 + _GL_X)) / panels).reshape(-1, 1)
     node_w = np.tile(_GL_W, panels)[:, None]
+    w_coef, w_const = 2.0 * g_t - 2.0 * inversion_decay_rate(rates), -4.0 * rates.thermal
     forced = np.empty(h.size)
     cols = max(_CHUNK_NODES // nodes.size, 1)  # intervals per chunk
     for k in range(0, h.size, cols):
         hk = h[k:k + cols]
-        u, w, du, dw = samples.spec.components((t[k:k + hk.size] + hk * nodes).ravel())
-        omega_v, delta_v = _inverted_numerators(u, w, du, dw, rates)
-        q = -2.0 * (delta_v * u + omega_v * w)
-        terms = np.exp(-2.0 * g_t * hk * (1.0 - nodes)) * node_w * q.reshape(nodes.size, -1)
+        w = samples.spec.inversion((t[k:k + hk.size] + hk * nodes).ravel())
+        terms = (np.exp(-2.0 * g_t * hk * (1.0 - nodes)) * node_w
+                 * ((w_coef * w + w_const) * w).reshape(nodes.size, -1))
         # a fixed pairwise tree of node rows, an odd last row carried, adds every column alike
         # at any chunk width, so chunks cannot change s (numpy's sum pairs one column otherwise)
         while (n := terms.shape[0]) > 1:
             pairs = terms[0:n - 1:2] + terms[1::2]
             terms = np.concatenate((pairs, terms[-1:])) if n % 2 else pairs
         forced[k:k + cols] = terms[0]
-    return _affine_recurrence(s0, np.exp(-2.0 * g_t * h), forced * (0.5 / panels * h))
-
-
-def _inverted_numerators(u, w, du, dw, rates: Rates):
-    """(Omega v, Delta v): the damped Bloch equations solved for the drive, times v."""
-    return (dw + 2.0 * rates.thermal * (1.0 + w + 2.0 * rates.occupancy * w),
-            du + transverse_rate(rates) * u)
+    # |r|^2 = r0 exp(-2 G (t - t0)) + p, with p from 0 forced by w alone. p is nan from the
+    # first forcing that is not finite on; solved with it, gtsv would carry the nan back.
+    forced = forced * (0.5 / panels * h)
+    bad = ~np.isfinite(forced)
+    p = _affine_recurrence(0.0, np.exp(-2.0 * g_t * h), np.where(bad, 0.0, forced))
+    if bad.any():
+        p[1 + np.argmax(bad):] = np.nan
+    r0 = s0 + samples.u[0] ** 2 + samples.w[0] ** 2
+    return r0 * np.exp(-2.0 * g_t * (t - t[0])) + p - samples.u**2 - samples.w**2
 
 
 def _affine_recurrence(s0: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -300,13 +334,16 @@ def _affine_recurrence(s0: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _root_above_floor(s: np.ndarray, t: np.ndarray, what: str) -> np.ndarray:
-    """v = sqrt(s), negative s read as 0; SingularPrescriptionError at the first
-    time ``t`` where v is below ``V_MIN``."""
+    """v = sqrt(s), negative s read as 0. At the first time ``t`` where v is below
+    ``V_MIN`` or not finite: SingularPrescriptionError or NumericalError."""
     v = np.sqrt(np.clip(s, 0.0, None))
-    low = v < V_MIN
-    if low.any():
-        t_low = float(t[np.argmax(low)])
+    bad = ~np.isfinite(v) | (v < V_MIN)
+    if bad.any():
+        k = int(np.argmax(bad))
+        t_bad = float(t[k])
+        if not np.isfinite(v[k]):
+            raise NumericalError(f"{what} is not finite at t = {t_bad:.6g} ps", t_first=t_bad)
         raise SingularPrescriptionError(
-            f"{what} below {V_MIN:g} at t = {t_low:.6g} ps; the pulse is singular there",
-            t_first=t_low)
+            f"{what} below {V_MIN:g} at t = {t_bad:.6g} ps; the pulse is singular there",
+            t_first=t_bad)
     return v

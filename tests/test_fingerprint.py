@@ -39,7 +39,11 @@ def test_two_dumps_of_the_same_code_do_not_differ(tmp_path):
                 "svg/fig1_L3/pulse", "svg/fig3/populations", "svg/fig3/bloch3d",
                 "preset/fig1_L3/rwa_deviation"} <= keys
         assert "preset/fig3/rwa_deviation" not in keys  # recorded for closed presets only
-        assert [str(dump[f"sweep/{i:04d}/verdict"]) for i in range(6)].count("realizable") >= 1
+        verdicts = [str(dump[f"sweep/{i:04d}/verdict"]) for i in range(6)]
+        assert verdicts.count("realizable") >= 1
+        # a realizable candidate's completed v, on its field's grid
+        p = f"sweep/{verdicts.index('realizable'):04d}"
+        assert dump[f"{p}/v"].shape == dump[f"{p}/t"].shape and dump[f"{p}/v"].min() > 0.0
         # the table in scipy PPoly's layout: (c0 .. c3) x fig1_L3's 1200 intervals x channels
         assert dump["preset/fig1_L3/field/table"].shape == (4, 1200, 5)
         # a changed array, a dropped one

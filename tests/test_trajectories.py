@@ -5,7 +5,8 @@ random parameter draws); sphere geometry for the closed completion
 (u = 0.6, w = 0.48 gives v = 0.64 exactly); the open consistency equation has
 the closed-form fixed point s* = Gamma / (2 transverse) when u = 0 and
 w = -1/2 with a vacuum bath, i.e. v* = 1/2 when dephasing == thermal, and for
-any held u = 0, w it relaxes to its fixed point as one exponential. The open
+any held u = 0, w it relaxes to its fixed point as one exponential; for a held
+w and any u, |r|^2 = u^2 + v^2 + w^2 does, since only w forces it. The open
 completion's exact recurrence is checked against a DP5 completion (the
 per-call right-hand side on the exact components, run through the generic
 integrator) and against the same recurrence with the forcing read from the
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 
 from blochpulse import (
     IntegrationError,
+    NumericalError,
     Oscillatory,
     RabiDecay,
     Rates,
@@ -36,9 +38,10 @@ from blochpulse import (
     integrate_adaptive,
     preset,
     solve_consistent_v_open,
+    synthesize_pulse,
 )
 from blochpulse import trajectories
-from blochpulse.rates import transverse_rate
+from blochpulse.rates import inversion_decay_rate, transverse_rate
 from blochpulse.trajectories import V_MIN
 
 _RNG_DRAWS = 350  # per family; > 1000 derivative checks across the three
@@ -161,6 +164,26 @@ def test_open_completion_matches_exponential_relaxation():
     s_inf = -2.0 * rates.thermal * (1.0 + w + 2.0 * rates.occupancy * w) * w / g_t
     s = s_inf + (0.36 - s_inf) * np.exp(-2.0 * g_t * t)
     assert np.max(np.abs(v - np.sqrt(s))) < 1e-12
+
+
+def test_open_completion_keeps_the_squared_length_of_a_held_inversion():
+    # a held w and a Gaussian u bump: d|r|^2/dt = -2 G |r|^2 + (2 G - 2 Gamma_1) w^2 - 4 Gamma w
+    # has no drive and no u in it, so |r|^2 relaxes to its fixed point as one exponential
+    # whatever u does
+    rates = Rates(dephasing=1e-3, thermal=5e-4, occupancy=0.2)
+    w = -0.3
+    spec = Transfer(inversion_start=w, inversion_stop=w, switch_rate=0.01,
+                    coherence_peak=0.5, peak_width=30.0, peak_time=100.0)
+    t = np.linspace(0.0, 400.0, 801)
+    samples = eval_components(spec, t)
+    v = solve_consistent_v_open(samples, rates, v0=0.8)
+    g_t = transverse_rate(rates)
+    sigma_inf = ((2.0 * g_t - 2.0 * inversion_decay_rate(rates)) * w**2
+                 - 4.0 * rates.thermal * w) / (2.0 * g_t)
+    sigma_0 = 0.64 + samples.u[0] ** 2 + w**2
+    want = sigma_inf + (sigma_0 - sigma_inf) * np.exp(-2.0 * g_t * t)
+    assert np.ptp(samples.u) > 0.45  # the bump is there
+    assert np.max(np.abs(samples.u**2 + v**2 + samples.w**2 - want)) < 1e-13
 
 
 def _per_call_completion(samples, rates, s0):
@@ -357,6 +380,51 @@ def test_open_completion_agrees_with_the_per_call_completion(spec_window, dephas
         assert v.min() - V_MIN < 1e-8
     elif ref.min() >= V_MIN:  # only the quadrature dips below it
         assert ref.min() - V_MIN < 1e-8
+
+
+# far outside every window: Transfer's sigmoid exp overflows, RabiDecay's t**2 too
+_TIMES = st.one_of(st.floats(-3000.0, 3000.0), st.floats(-1e300, 1e300))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec_window=_OPEN_SPECS, times=st.lists(_TIMES, min_size=1, max_size=16))
+@example(spec_window=(Transfer(-0.5, 0.5, 0.01, 0.4, 100.0), (-150.0, 150.0, 601)),
+         times=[-1e5, -710.0 / 0.01, 0.0, 1e5])
+@example(spec_window=(RabiDecay(0.9, 1e-8, 3e-3, 1e-6, 0.3, 3e-3), (0.0, 1200.0, 801)),
+         times=[0.0, 1.2e154, 1.5e154, -3e154])
+def test_inversion_is_the_w_of_components(spec_window, times):
+    # no warning either: the test run turns every warning into an error
+    t = np.array(times)
+    assert np.array_equal(spec_window[0].inversion(t), spec_window[0].components(t)[1],
+                          equal_nan=True)
+
+
+def test_non_finite_trajectory_values_are_reported_at_their_first_time():
+    # t**2 overflows from about 1.34e154 ps on, so w is nan from the sample at 1.5e154 ps
+    spec = RabiDecay(0.9, 1e-8, 3e-3, 1e-6, 0.3, 3e-3)
+    t = np.linspace(0.0, 3e154, 11)
+    samples = eval_components(spec, t)
+    s = trajectories._consistent_s(samples, Rates(dephasing=1e-200), 0.5)
+    assert np.isfinite(s[:5]).all() and np.isnan(s[5:]).all()  # none carried back
+    first = trajectories._consistent_s(eval_components(spec, t[[0, 5]]), Rates(dephasing=1e-200),
+                                       0.5)  # the first forcing already is not finite
+    assert first[0] == pytest.approx(0.5) and np.isnan(first[1])
+    for rates in (Rates(dephasing=1e-200), Rates()):
+        with pytest.raises(NumericalError) as err:
+            synthesize_pulse(spec, rates, 1.0, t)
+        assert type(err.value) is NumericalError and err.value.t_first == 1.5e154
+
+
+@pytest.mark.parametrize("s, error, t_first", [
+    ([0.5, np.nan, 1e-14], NumericalError, 1.0),
+    ([0.5, np.inf, 0.5], NumericalError, 1.0),
+    ([0.5, 1e-14, np.nan], SingularPrescriptionError, 1.0),
+    ([0.5, 0.5, -np.inf], SingularPrescriptionError, 2.0),
+])
+def test_the_first_offending_sample_names_the_error(s, error, t_first):
+    with pytest.raises(NumericalError) as err:
+        trajectories._root_above_floor(np.array(s), np.arange(3.0), "v")
+    assert type(err.value) is error and err.value.t_first == t_first
 
 
 def test_open_completion_respects_v0():

@@ -16,7 +16,7 @@
     draws (``perfbench/workloads.py``) from the seed ``SEED``, in the order of
     one unshuffled block, each run through ``synthesize_pulse``: the
     verdict ("realizable" or the error's class), the error's ``t_first``, and a
-    realizable field's channels.
+    realizable candidate's completed v and field channels.
 
 ``--src`` picks the blochpulse source tree (default: this checkout's ``src``),
 so one checkout's tool can fingerprint another checkout's code on the same
@@ -100,13 +100,15 @@ def dump(path: Path, presets, candidates: int, src: Path) -> int:
         c = workloads.make_candidate(rng, *workloads.BLOCK[i % len(workloads.BLOCK)])
         grid = c.window.grid()
         p = f"sweep/{i:04d}"
-        try:
-            field = bp.synthesize_pulse(c.spec, c.rates, c.transition.values(grid), grid)
+        try:  # synthesize_pulse, which returns the field alone
+            _, v, field = bp.synthesis._synthesize(c.spec, c.rates, c.transition.values(grid),
+                                                   grid)
         except bp.NumericalError as exc:
             out[f"{p}/verdict"] = np.asarray(type(exc).__name__)
             out[f"{p}/t_first"] = np.asarray(np.nan if exc.t_first is None else exc.t_first)
         else:
             out[f"{p}/verdict"] = np.asarray("realizable")
+            out[f"{p}/v"] = v
             out.update(_field_arrays(p, field))
     np.savez(path, **out)
     print(f"{len(out)} arrays written to {path}")
