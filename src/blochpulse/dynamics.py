@@ -20,13 +20,16 @@ a Bloch vector, and one propagator integrates it with the batched Bloch
 controller of ``odeint`` and stores r; density matrices are derived from r on
 demand. Every picture of one field shares its channel table and its
 ``fastest_scale``, which caps step sizes so carrier oscillations stay resolved.
-Once per pass of the controller, the table's one reader (``ControlField._reader``)
-evaluates all five channels at each picture's new step nodes, and a picture is only
-its numpy formula for b(t) in those values. The propagator takes all pictures of
-one field at once and the controller advances their step plans in lock-step passes,
-padding the shorter plans with zero-length steps whose map is exactly [I | 0]; each
-public integrator is a run of one picture, and every picture's result is the same
-as alone. Times in ps, angular frequencies in rad/ps.
+A picture is only its numpy formula for b(t) in the channels it reads, which are
+contiguous rows of the table: (omega, delta) for the design field, (delta, phi,
+omega_r) for the carrier and rotating-wave fields, (phi, omega_r, omega0) for the
+lab's. Once per pass of the controller, the table's one reader
+(``ControlField._reader``) evaluates each picture's own rows, and no others, at its
+new step nodes. The propagator takes all pictures of one field at once and the
+controller advances their step plans in lock-step passes, padding the shorter plans
+with zero-length steps whose map is exactly the identity; without a thermal channel
+every map is 3 x 3. Each public integrator is a run of one picture, and every
+picture's result is the same as alone. Times in ps, angular frequencies in rad/ps.
 """
 
 from __future__ import annotations
@@ -86,27 +89,31 @@ class SimResult:
         return np.stack([0.5 * (1.0 + w), 0.5 * (1.0 - w)], axis=1)
 
 
-# Fields b(t) with H = b . sigma / 2, each a formula of the five channels in table order.
+# Fields b(t) with H = b . sigma / 2, each a formula of the channels it reads, in table order.
 
-def _lab_field(omega, delta, phi, omega_r, omega0):
+def _lab_field(phi, omega_r, omega0):
     return 2.0 * omega_r * np.cos(phi), 0.0, omega0
 
 
-def _carrier_field(omega, delta, phi, omega_r, omega0):
+def _carrier_field(delta, phi, omega_r):
     return omega_r * (1.0 + np.cos(2.0 * phi)), -omega_r * np.sin(2.0 * phi), -delta
 
 
-def _rwa_field(omega, delta, phi, omega_r, omega0):
+def _rwa_field(delta, phi, omega_r):
     return omega_r, 0.0, -delta
 
 
-def _design_field(omega, delta, phi, omega_r, omega0):
+def _design_field(omega, delta):
     return omega, 0.0, -delta
 
 
-# each picture's field, by the picture's name
-_FIELDS = {"lab": _lab_field, "interaction": _carrier_field, "interaction-rwa": _rwa_field,
-           "lindblad": _carrier_field, "effective-bloch": _design_field}
+# each picture's field formula and the rows of the channel table (omega, delta, phi, omega_r,
+# omega0) that it reads, by the picture's name
+_FIELDS = {"lab": (_lab_field, slice(2, 5)),
+           "interaction": (_carrier_field, slice(1, 4)),
+           "interaction-rwa": (_rwa_field, slice(1, 4)),
+           "lindblad": (_carrier_field, slice(1, 4)),
+           "effective-bloch": (_design_field, slice(0, 2))}
 
 
 def _propagate(field: ControlField, rates: Rates, starts: dict, grid,
@@ -115,8 +122,8 @@ def _propagate(field: ControlField, rates: Rates, starts: dict, grid,
     picture that ``starts`` names, from its Bloch vector at ``grid[0]``.
 
     One lock-step run of the Bloch controller advances every picture's step plan; once
-    a pass, ``field``'s table reader gives each picture the channel values at its new
-    nodes, and the picture's b is its formula in them. Each result, and each failure,
+    a pass, ``field``'s table reader gives each picture the values of its own channels at
+    its new nodes, and the picture's b is its formula in them. Each result, and each failure,
     is the same as the picture's alone; the first picture in ``starts`` that fails raises.
     """
     r0 = np.concatenate([_checked_bloch(r) for r in starts.values()])
@@ -129,8 +136,8 @@ def _propagate(field: ControlField, rates: Rates, starts: dict, grid,
 
     span, scale = t[-1] - t[0], field.fastest_scale
     max_step = min(PHASE_PER_STEP / scale, span / 8.0) if scale > 0.0 else span / 8.0
-    values = field._reader()
-    fields = [lambda times, at=_FIELDS[name]: at(*values(times)) for name in starts]
+    fields = [lambda times, at=at, values=field._reader(rows): at(*values(times))
+              for at, rows in (_FIELDS[name] for name in starts)]
     runs = _integrate_pictures(fields, decay, (t[0], t[-1]), r0, t,
                                rtol=rtol, atol=atol, max_step=max_step)
     return {name: SimResult(picture=name, t=t, bloch=bloch, stats=stats)

@@ -9,11 +9,14 @@ Two step controllers share one tableau, error norm, input check and dense output
     every simulation picture runs. A DP5 step of an affine equation is an affine map
     r -> M r + c that depends only on b at the step's nodes, so each pass reads the
     field once, at the nodes of every new step, builds every new step's maps in numpy
-    and composes all maps by a prefix scan. Rejected steps split; passes repeat until
-    no step is rejected. It advances one step plan per picture of a field in lock-step
-    passes, each plan padded to the longest by zero-length steps whose map is exactly
-    [I | 0], so a run of several pictures takes as many passes as its slowest picture,
-    and each picture's result is bit for bit the same as alone.
+    and composes all maps by a prefix scan. The maps are 3 x 4, [M | c], only when the
+    pump is not zero; without one (every closed run, whose pump is -0.0, and every run
+    without a thermal channel) c is zero and the same code carries 3 x 3 maps M.
+    Rejected steps split; passes repeat until no step is rejected. It advances one step
+    plan per picture of a field in lock-step passes, each plan padded to the longest by
+    zero-length steps whose map is exactly the identity, so a run of several pictures
+    takes as many passes as its slowest picture, and each picture's result is bit for
+    bit the same as alone.
 
 Each controller checks the step budget, step-size underflow and non-finite error
 estimates and records its accepted steps; one vectorised pass then emits the
@@ -231,47 +234,57 @@ def integrate_adaptive(
 # (b x r)_i = b_j _CROSS[j, i, k] r_k, and its last column, the pump's, is zero.
 _CROSS = np.pad(np.cross(np.eye(3)[:, None], np.eye(3)).transpose(0, 2, 1),
                 ((0, 1), (0, 0), (0, 1)))
-_ONE = np.eye(3, 4)  # the identity map [I | 0]
+_ONE = np.eye(3, 4)  # the identity map [I | 0]; a pump-free run's is its first 3 columns
 _W = np.vstack((_B, _E, _P.T))  # the stage weights of a step, its error and (c1 .. c4)
 _CHUNK = 256  # steps whose stage maps are built at once, which bounds the temporaries
 
 
 def _stage_maps(b, h, gen):
-    """DP5's seven stage maps times the step size, h K_i, shape (7, n, 3, 4), of n steps
+    """DP5's seven stage maps times the step size, h K_i, shape (7, n, 3, w), of n steps
     of sizes ``h`` (n,) for dr/dt = A r + p, from the field reads (b, 1), shape (n, 6, 4),
-    at each step's six nodes; [A | p] = (b, 1) @ ``gen``.
+    at each step's six nodes; [A | p] = (b, 1) @ ``gen``, of shape (4, 3, w). A pump-free
+    ``gen`` is 3 wide: it has no p, and every map it gives is 3 x 3.
 
     Stage i's slope is K_i [r; 1] for the step's start r. With [A_i | p_i] at its node
     and S_i = sum_j a_ij h K_j, its input is ([I | 0] + S_i) [r; 1], so
     h K_i = h [A_i | p_i] + h A_i S_i; stage 7 reads node 6 (first-same-as-last).
     """
-    n = len(b)
-    a = (np.swapaxes(b * h[:, None, None], 0, 1) @ gen.reshape(4, 12)).reshape(6, n, 3, 4)
-    k = np.empty((7, n, 3, 4))
+    n, w = len(b), gen.shape[-1]
+    a = (np.swapaxes(b * h[:, None, None], 0, 1) @ gen.reshape(4, 3 * w)).reshape(6, n, 3, w)
+    k = np.empty((7, n, 3, w))
     flat = k.reshape(7, -1)  # each stage's maps in one row, for the tableau's sums
     k[0] = a[0]
     for i in range(1, 7):
         node = a[min(i, 5)]
-        np.matmul(node[..., :3], (_A[i] @ flat[:i]).reshape(n, 3, 4), out=k[i])
+        np.matmul(node[..., :3], (_A[i] @ flat[:i]).reshape(n, 3, w), out=k[i])
         k[i] += node
     return k
 
 
+def _mapped(maps, s) -> np.ndarray:
+    """[M | c] [s; 1] = M s + c for maps (..., 3, 4) and states (..., 3); M s for
+    pump-free maps (..., 3, 3), which have no c."""
+    out = (maps[..., :3] @ s[..., None])[..., 0]
+    if maps.shape[-1] == 4:
+        out += maps[..., 3]
+    return out
+
+
 def _prefix_states(r0, maps) -> np.ndarray:
-    """s_0 = r0 and s_j+1 = M_j s_j + c_j for maps[..., j, :, :] = [M_j | c_j], over any
-    leading axes, by a work-efficient scan (Blelloch 1990): compose the maps in pairs,
-    [M | c] o [M' | c'] = [M M' | M c' + c], take every second state from the pairs'
-    states, and step once to the states between. s_j takes the same arithmetic on the maps
-    before j alone, however many maps follow them."""
+    """s_0 = r0 and s_j+1 = M_j s_j + c_j for maps[..., j, :, :] = [M_j | c_j], or M_j
+    alone if 3 wide, over any leading axes, by a work-efficient scan (Blelloch 1990):
+    compose the maps in pairs, [M | c] o [M' | c'] = [M M' | M c' + c], take every second
+    state from the pairs' states, and step once to the states between. s_j takes the same
+    arithmetic on the maps before j alone, however many maps follow them."""
     s = np.empty(maps.shape[:-3] + (maps.shape[-3] + 1, 3))
     s[..., 0, :] = r0
     if maps.shape[-3] > 1:
         first, second = maps[..., :-1:2, :, :], maps[..., 1::2, :, :]
         pairs = second[..., :3] @ first
-        pairs[..., 3] += second[..., 3]
+        if maps.shape[-1] == 4:
+            pairs[..., 3] += second[..., 3]
         s[..., ::2, :] = _prefix_states(r0, pairs)
-    s[..., 1::2, :] = ((maps[..., ::2, :, :3] @ s[..., :-1:2, :, None])[..., 0]
-                       + maps[..., ::2, :, 3])
+    s[..., 1::2, :] = _mapped(maps[..., ::2, :, :], s[..., :-1:2, :])
     return s
 
 
@@ -285,9 +298,10 @@ def _bloch_controller(fields, decay, t0, t1, r0, rtol, atol, max_step, stats):
     plan starts as the same equal partition at the sequential controller's first step. A
     pass reads each picture's field once, at the six nodes of each of its new steps,
     builds the stage maps of all new steps, composes every plan's step maps by one scan
-    along a picture axis, and rates every step. The plans are padded to one length by
-    zero-length steps at t1 whose step map is exactly [I | 0] and whose error map is
-    zero, so each picture's scan pairs its own maps as it would alone: its plan, states
+    along a picture axis, and rates every step. Every map is 3 x 4, [M | c], with a pump
+    in ``decay`` and 3 x 3 without one. The plans are padded to one length by zero-length
+    steps at t1 whose step map is exactly the identity, [I | 0] or I, and whose error map
+    is zero, so each picture's scan pairs its own maps as it would alone: its plan, states
     and counters do not depend on the other pictures. Each rejected step splits into
     equal parts, as many as the sequential rule shrinks it by; a plan is done when no
     step of it is rejected. Only a plan's first step that fails can raise: later steps
@@ -302,11 +316,13 @@ def _bloch_controller(fields, decay, t0, t1, r0, rtol, atol, max_step, stats):
         raise _failure(_BUDGET, t0)
     (g_t, g_1, pump), gen = decay, _CROSS.copy()
     gen[3, [0, 1, 2, 2], [0, 1, 2, 3]] = -g_t, -g_t, -g_1, pump
+    width = 4 if pump else 3  # a pump-free run's maps have no constant column
+    gen, one = np.ascontiguousarray(gen[..., :width]), _ONE[:, :width]
     n = math.ceil(span / h0)
     edges = [np.linspace(t0, t1, n + 1)] * len(fields)  # where each plan's steps start and end
     new = [np.arange(n)] * len(fields)  # the steps whose maps are not built yet
     source = [None] * len(fields)  # the step that each step of a plan is or came from
-    dense = [None] * len(fields)  # each step's (c1 .. c4) maps h K^T P, (4, n, 3, 4)
+    dense = [None] * len(fields)  # each step's (c1 .. c4) maps h K^T P, (4, n, 3, width)
     attempted, plans, failure = [n] * len(fields), [None] * len(fields), None
     active, row, step, err = list(range(len(fields))), {}, None, None  # the plans still refining
     while active:
@@ -322,21 +338,21 @@ def _bloch_controller(fields, decay, t0, t1, r0, rtol, atol, max_step, stats):
         # a new plan takes the maps of the step it is or came from; a new step builds its own.
         # Plan i's step and error maps are row i of one array each, padded as above.
         size = max(ti.size for ti in t)
-        step_of, err_of = np.empty((len(active), size, 3, 4)), np.empty((len(active), size, 3, 4))
+        step_of, err_of = (np.empty((len(active), size, 3, width)) for _ in range(2))
         for i, p in enumerate(active):
             if source[p] is not None:  # mode "clip": the indices are valid, so take needs no buffer
                 for old, out in ((step, step_of), (err, err_of)):
                     np.take(old[row[p]], source[p], axis=0, out=out[i, :t[i].size], mode="clip")
-            step_of[i, t[i].size:], err_of[i, t[i].size:] = _ONE, 0.0
-            dense[p] = (np.empty((4, t[i].size, 3, 4)) if source[p] is None
+            step_of[i, t[i].size:], err_of[i, t[i].size:] = one, 0.0
+            dense[p] = (np.empty((4, t[i].size, 3, width)) if source[p] is None
                         else np.take(dense[p], source[p], axis=1))
         step, err, row = step_of, err_of, {p: i for i, p in enumerate(active)}
         with np.errstate(over="ignore", invalid="ignore"):
             for lo in range(0, hs.size, _CHUNK):
                 k = _stage_maps(b[6 * lo:6 * (lo + _CHUNK)].reshape(-1, 6, 4), hs[lo:lo + _CHUNK],
                                 gen)
-                maps = (_W @ k.reshape(7, -1)).reshape(6, -1, 3, 4)  # step, error; c1 .. c4
-                maps[0] += _ONE
+                maps = (_W @ k.reshape(7, -1)).reshape(6, -1, 3, width)  # step, error; c1 .. c4
+                maps[0] += one
                 for i, p in enumerate(active):  # plan i's new steps in this chunk
                     first, last = max(cut[i], lo), min(cut[i + 1], lo + _CHUNK)
                     if first < last:
@@ -353,7 +369,7 @@ def _bloch_controller(fields, decay, t0, t1, r0, rtol, atol, max_step, stats):
             if not bad.any():
                 stats[p].accepted, stats[p].rhs_evals = ti.size, 1 + 6 * attempted[p]
                 stats[p].max_error_ratio = float(ri.max())
-                coef = (dense[p][..., :3] @ si[:-1, :, None])[..., 0] + dense[p][..., 3]
+                coef = _mapped(dense[p], si[:-1])
                 plans[p], dense[p] = (ti, hi, si, coef), None
                 active.remove(p)
                 continue
@@ -395,10 +411,10 @@ def _stuck(field, t, h, ratio) -> IntegrationError:
 
 
 def _rated(r0, step, err, rtol: float, atol: float):
-    """The states s (..., n + 1, 3) that the ``step`` maps (..., n, 3, 4) give from r0,
+    """The states s (..., n + 1, 3) that the ``step`` maps (..., n, 3, 3 or 4) give from r0,
     and each step's RMS local error in tolerance units, from its ``err`` map."""
     s = _prefix_states(r0, step)
-    e = (err[..., :3] @ s[..., :-1, :, None])[..., 0] + err[..., 3]
+    e = _mapped(err, s[..., :-1, :])
     scale = atol + rtol * np.maximum(np.abs(s[..., :-1, :]), np.abs(s[..., 1:, :]))
     return s, np.sqrt(np.add.reduce((e / scale) ** 2, axis=-1) / 3)
 

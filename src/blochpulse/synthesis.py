@@ -104,12 +104,14 @@ class ControlField:
         table.flags.writeable = False  # cached and shared by every picture's reader
         return table
 
-    def _reader(self):
-        """values(times): all five channels, in ``_CHANNELS`` order, at the 1-D float array
-        ``times``, as one (5, m) array. Each value is 0.0 + c3 + c2 s + c1 s^2 + c0 s^3 with
-        s^3 = s^2 s, s past the end knots for the end pieces, in that order: scipy's
-        evaluation, the same float for float."""
-        c0, c1, c2, c3 = self._coefficients  # C-contiguous (5, n - 1) planes: np.take reads them
+    def _reader(self, rows: slice = slice(None)):
+        """values(times): the channels of the table's contiguous ``rows`` (all five by
+        default), in ``_CHANNELS`` order, at the 1-D float array ``times``, as one (k, m)
+        array. Each value is 0.0 + c3 + c2 s + c1 s^2 + c0 s^3 with s^3 = s^2 s, s past the
+        end knots for the end pieces, in that order: scipy's evaluation, the same float for
+        float."""
+        # C-contiguous (k, n - 1) views of the table's planes: np.take reads them in place
+        c0, c1, c2, c3 = self._coefficients[:, rows]
         knots, inner = self.t, self.t[1:-1]  # a time past either end is in an end piece
 
         def values(times):
@@ -153,13 +155,24 @@ def omega_delta_from_components(u, w, du, dw, v, rates: Rates) -> tuple[np.ndarr
     return _omega_delta(u, w, du, dw, v, rates)
 
 
-def _omega_delta(u, w, du, dw, v, rates: Rates) -> tuple[np.ndarray, np.ndarray]:
-    """``omega_delta_from_components`` on finite arrays of one shape, as synthesis has."""
+def _omega_delta(u, w, du, dw, v, rates: Rates, t=None) -> tuple[np.ndarray, np.ndarray]:
+    """``omega_delta_from_components`` on arrays of one shape, as synthesis has them,
+    whose du and dw may not be finite. Raises ``NumericalError`` at the first sample where
+    Omega or Delta is not finite: at its time in ``t``, or by index if no times are given."""
     if (v < V_MIN).any():
         raise SingularPrescriptionError(f"transverse component below {V_MIN:g}; pulse undefined")
     # the damped Bloch equations solved for the drive: Omega v and Delta v
-    omega_v = dw + 2.0 * rates.thermal * (1.0 + w + 2.0 * rates.occupancy * w)
-    return omega_v / v, (du + transverse_rate(rates) * u) / v
+    with np.errstate(over="ignore", invalid="ignore"):  # flagged below
+        omega_v = dw + 2.0 * rates.thermal * (1.0 + w + 2.0 * rates.occupancy * w)
+        omega, delta = omega_v / v, (du + transverse_rate(rates) * u) / v
+    bad = ~(np.isfinite(omega) & np.isfinite(delta))
+    if bad.any():
+        k = int(np.argmax(bad))
+        if t is None:
+            raise NumericalError(f"Omega or Delta is not finite at sample {k}")
+        t_bad = float(t.flat[k])
+        raise NumericalError(f"Omega or Delta is not finite at t = {t_bad:.6g} ps", t_first=t_bad)
+    return omega, delta
 
 
 def phase_from_detuning(omega0, delta, grid, *, zero_time: float | None = None,
@@ -307,7 +320,7 @@ def _synthesize(spec, rates, omega0, grid):
         v = complete_v_closed(samples)
     else:
         v = solve_consistent_v_open(samples, rates)
-    omega, delta = _omega_delta(samples.u, samples.w, samples.du, samples.dw, v, rates)
+    omega, delta = _omega_delta(samples.u, samples.w, samples.du, samples.dw, v, rates, t)
     omega0 = _per_sample_omega0(omega0, t)
     phi = phase_from_detuning(omega0, delta, t, zero_time=0.5 * (t[0] + t[-1]),
                               _grid_checked=True)

@@ -13,6 +13,9 @@ are contractual, looser than the frozen unit-level oracles on purpose.
   07  the rotating-wave gap shrinks with drive amplitude and vanishes weakly
   08  simulated states stay physical and converge at second order in the grid
   09  exports are byte-deterministic, well-formed, and the suite stays fast
+
+Strict xfails at the end state the carrier gap of ROADMAP item 1: the
+carrier-resolved pictures do not yet realize the prescription.
 """
 
 import time
@@ -20,6 +23,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from blochpulse import (
     ControlField,
@@ -41,6 +45,7 @@ from blochpulse import (
     rwa_deviation,
     synthesize_pulse,
     trace_distance,
+    tracking_error,
     transverse_rate,
 )
 
@@ -199,3 +204,24 @@ def test_criterion_09_deterministic_exports_and_total_runtime(tmp_path):
         run_scenario(preset(name))
     elapsed = time.perf_counter() - t0
     assert elapsed <= 60.0, f"full preset suite took {elapsed:.1f} s, budget 60 s"
+
+
+# why the carrier-resolved pictures miss the prescription today
+_CARRIER_GAP = "synthesis drops the sigma_y term, -Omega_R sin(2 phi), of the co-rotating coupling"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=_CARRIER_GAP)
+@pytest.mark.parametrize("name", [name for name in preset_names() if preset(name).rates.closed])
+def test_carrier_pictures_realize_each_closed_preset(name):
+    run = run_scenario(replace(preset(name), pictures=("interaction", "lab")))
+    for picture in ("interaction", "lab"):
+        assert run.reports[picture].sup <= 1e-8, picture
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=_CARRIER_GAP)
+def test_carrier_resolved_master_equation_realizes_the_open_preset():
+    run = run_scenario(preset("fig3"))
+    s = run.samples
+    result = integrate_lindblad(run.field, run.config.rates, [s.u[0], run.v[0], s.w[0]],
+                                run.grid)
+    assert tracking_error(result, s.u, run.v, s.w).sup <= 1e-3

@@ -19,6 +19,7 @@ import pytest
 
 from blochpulse import (
     ControlField,
+    RabiDecay,
     Rates,
     ScenarioConfig,
     Transfer,
@@ -217,11 +218,24 @@ def test_infinite_field_exits_3_at_its_first_node(mini_config, capsys, monkeypat
         rows = np.zeros((5, times.size))
         rows[1] = np.where(times < 0.0, 0.0, np.inf)  # delta, and the design field's bz is -delta
         return rows
-    monkeypatch.setattr(ControlField, "_reader", lambda field: values)
+    monkeypatch.setattr(ControlField, "_reader",
+                        lambda field, rows=slice(None): lambda times: values(times)[rows])
     assert main(["verify", "--config", str(mini_config)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: non-finite") and len(err.splitlines()) == 1
     assert 0.0 <= float(re.search(r"t = (\S+) ps", err).group(1)) < 1.0
+
+
+def test_a_drive_that_overflows_exits_3_at_its_first_time(tmp_path, capsys):
+    # dw is NaN from t = 1e9 ps on while u and w stay finite; synthesis stops there
+    cfg = ScenarioConfig(name="overflow", trajectory=RabiDecay(0.5, 1e300, 1e-3, 0.0, 0.3, 1e-3),
+                         rates=Rates(), transition=TransitionSpec.constant(1.0),
+                         window=Window(0.0, 4e9, 5))
+    path = tmp_path / "overflow.json"
+    save_scenario(cfg, path)
+    assert main(["verify", "--config", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert err == "numerical failure: Omega or Delta is not finite at t = 1e+09 ps\n"
 
 
 def test_a_lab_field_infinite_from_zero_exits_3_with_the_lab_failure(tmp_path, capsys,
@@ -231,12 +245,14 @@ def test_a_lab_field_infinite_from_zero_exits_3_with_the_lab_failure(tmp_path, c
     # as when each picture ran alone
     real = ControlField._reader
 
-    def reader(field):
-        values = real(field)
+    def reader(field, rows=slice(None)):
+        values, table_rows = real(field, rows), range(5)[rows]
 
         def broken(times):
             out = values(times)
-            out[4] = np.where(times > 0.0, np.inf, out[4])
+            if 4 in table_rows:
+                k = table_rows.index(4)
+                out[k] = np.where(times > 0.0, np.inf, out[k])
             return out
         return broken
 

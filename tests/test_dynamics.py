@@ -202,6 +202,18 @@ _FLOAT_FIELDS = {
 }
 
 
+# the picture whose field formula each of _FLOAT_FIELDS replaced
+_PICTURE_OF = {"lab": "lab", "carrier": "interaction", "rwa": "interaction-rwa",
+               "design": "effective-bloch"}
+
+
+def _picture_field(field, name, times):
+    """The field b of ``_FLOAT_FIELDS[name]``'s picture at ``times``, as the propagator
+    reads it: its formula in its own rows of the channel table, one (bx, by, bz) row each."""
+    field_at, rows = dynamics._FIELDS[_PICTURE_OF[name]]
+    return np.column_stack(np.broadcast_arrays(*field_at(*field._reader(rows)(times))))
+
+
 def _per_call_rhs(field, field_at, rates):
     g_t, g_1, pump = transverse_rate(rates), inversion_decay_rate(rates), -2.0 * rates.thermal
     table = _table(field)
@@ -240,10 +252,9 @@ def test_field_reads_are_bit_identical_to_the_channel_table(make):
     table = _table(field)
     old_rows = table(times).tolist()
     assert 0.0 in times and np.signbit(table(0.0)).tolist() == [False] * 5
-    for name, field_at in (("lab", dynamics._lab_field), ("carrier", dynamics._carrier_field),
-                           ("rwa", dynamics._rwa_field), ("design", dynamics._design_field)):
+    for name in _FLOAT_FIELDS:
         want = [_FLOAT_FIELDS[name](*row) for row in old_rows]
-        got = np.column_stack(np.broadcast_arrays(*field_at(*field._reader()(times))))
+        got = _picture_field(field, name, times)
         assert got.dtype == np.float64 and got.shape == (times.size, 3)
         # == on the bytes, so that -0.0 against 0.0 fails too
         assert got.tobytes() == np.array(want).tobytes(), name
@@ -265,32 +276,52 @@ def test_field_reads_match_the_channel_table_on_any_grid(steps, start, data):
     inside = data.draw(st.lists(st.floats(t[0], t[-1]), min_size=1, max_size=20))
     times = np.array([t[0] - 1.0, t[0] - SPAN_SLACK, *inside, t[-1] + SPAN_SLACK, t[-1] + 1.0])
     rows = _table(field)(times).tolist()
-    for name, field_at in (("lab", dynamics._lab_field), ("carrier", dynamics._carrier_field),
-                           ("rwa", dynamics._rwa_field), ("design", dynamics._design_field)):
+    for name in _FLOAT_FIELDS:
         want = [_FLOAT_FIELDS[name](*row) for row in rows]
-        got = np.column_stack(np.broadcast_arrays(*field_at(*field._reader()(times))))
+        got = _picture_field(field, name, times)
         # == on the bytes, so that -0.0 against 0.0 fails too
         assert got.tobytes() == np.array(want).tobytes(), name
+
+
+@pytest.mark.parametrize("make", [_fig1_l3_field, _signed_zero_field])
+def test_each_picture_reads_the_same_bytes_as_its_rows_of_the_full_read(make):
+    t, field = make()
+    rng = np.random.default_rng(19)
+    times = np.concatenate([rng.uniform(t[0], t[-1], 200), t,
+                            [t[0] - SPAN_SLACK, t[-1] + SPAN_SLACK]])
+    full = field._reader()(times)
+    assert full.shape == (5, times.size)
+    for picture, (_, rows) in dynamics._FIELDS.items():
+        part = field._reader(rows)(times)
+        assert part.shape == full[rows].shape and part.shape[0] >= 2, picture
+        assert part.tobytes() == full[rows].tobytes(), picture
 
 
 def test_bloch_kernel_matches_per_call_rhs(monkeypatch):
     # every accepted step, replayed alone from the state the batched plan gives it,
     # ends where the plan's scan puts the next one and passes the error test
+    # the maps are 3 x 3 without a pump, dephasing-only included, and 3 x 4 with one
     t, field = _fig1_l3_field()
     open_rates = Rates(dephasing=2e-3, thermal=1e-3, occupancy=0.5)
+    dephasing = Rates(dephasing=2e-3)
     r0 = _start_state()
-    calls = []
-    emit = odeint._dense_output
+    calls, widths = [], []
+    emit, build = odeint._dense_output, odeint._stage_maps
     monkeypatch.setattr(odeint, "_dense_output", lambda *args: calls.append(args) or emit(*args))
+    monkeypatch.setattr(odeint, "_stage_maps",
+                        lambda b, h, gen: widths.append(gen.shape[-1]) or build(b, h, gen))
     cases = [
-        (lambda: integrate_lab(field, r0, t), "lab", Rates()),
-        (lambda: integrate_interaction(field, r0, t), "carrier", Rates()),
-        (lambda: integrate_interaction(field, r0, t, rwa=True), "rwa", Rates()),
-        (lambda: integrate_bloch_effective(field, open_rates, r0, t), "design", open_rates),
-        (lambda: integrate_lindblad(field, open_rates, r0, t), "carrier", open_rates),
+        (lambda: integrate_lab(field, r0, t), "lab", Rates(), 3),
+        (lambda: integrate_interaction(field, r0, t), "carrier", Rates(), 3),
+        (lambda: integrate_interaction(field, r0, t, rwa=True), "rwa", Rates(), 3),
+        (lambda: integrate_bloch_effective(field, open_rates, r0, t), "design", open_rates, 4),
+        (lambda: integrate_lindblad(field, open_rates, r0, t), "carrier", open_rates, 4),
+        (lambda: integrate_lindblad(field, dephasing, r0, t), "carrier", dephasing, 3),
     ]
-    for run, name, rates in cases:
+    for run, name, rates, width in cases:
+        widths.clear()
         res = run()
+        assert set(widths) == {width}, name
         *_, y_end, ts, hs, ys, _ = calls[-1]
         assert ts.size == res.stats.accepted, name
         rhs = _per_call_rhs(field, _FLOAT_FIELDS[name], rates)
@@ -483,16 +514,19 @@ def test_any_pictures_in_any_order_run_as_alone(spec, omega0, samples, pictures)
 def _break_reader(monkeypatch, rows):
     """Make the table reader's channel ``row`` infinite after time ``start``, for each
     (row, start) in ``rows``: rows 0 and 1 (Omega, Delta) feed the design field, 1 to 3
-    (Delta, phi, Omega_R) the carrier field, and 2 to 4 (phi, Omega_R, omega0) the lab's."""
+    (Delta, phi, Omega_R) the carrier field, and 2 to 4 (phi, Omega_R, omega0) the lab's.
+    A reader of a row range breaks the rows inside it."""
     real = ControlField._reader
 
-    def reader(field):
-        values = real(field)
+    def reader(field, read=slice(None)):
+        values, table_rows = real(field, read), range(5)[read]
 
         def broken(times):
             out = values(times)
             for row, start in rows:
-                out[row] = np.where(times > start, np.inf, out[row])
+                if row in table_rows:
+                    k = table_rows.index(row)
+                    out[k] = np.where(times > start, np.inf, out[k])
             return out
         return broken
 

@@ -18,11 +18,12 @@ from scipy.interpolate import CubicSpline, PPoly
 from scipy.linalg import lapack
 
 import blochpulse
-from blochpulse import synthesis
+from blochpulse import dynamics, synthesis
 from blochpulse import (
     CarrierSingularityError,
     ControlField,
     NumericalError,
+    RabiDecay,
     Rates,
     SingularPrescriptionError,
     Transfer,
@@ -64,6 +65,25 @@ def test_coupling_rejects_small_v():
     with pytest.raises(SingularPrescriptionError):
         omega_delta_from_components(
             _one(0.0), _one(0.0), _one(0.0), _one(0.1), _one(1e-9), Rates())
+
+
+def test_coupling_overflow_is_a_numerical_error():
+    # finite components whose quotient overflows: Omega = 1e308 / 0.5 at sample 1
+    with pytest.raises(NumericalError, match="not finite at sample 1$") as err:
+        omega_delta_from_components(np.zeros(2), np.zeros(2), np.zeros(2),
+                                    np.array([0.0, 1e308]), np.full(2, 0.5), Rates())
+    assert err.value.t_first is None
+
+
+@pytest.mark.parametrize("rates", [Rates(), Rates(dephasing=1e-12)])
+def test_a_non_finite_drive_fails_at_its_first_time(rates):
+    # from t = 1e9 ps on, exp(-decay_curvature t^2) is 0 and its slope's factor overflows,
+    # so dw = 0 * inf is NaN while u and w stay finite: Omega is not finite from there
+    spec = RabiDecay(0.5, 1e300, 1e-3, 0.0, 0.3, 1e-3)
+    with pytest.raises(NumericalError,
+                       match=r"^Omega or Delta is not finite at t = 1e\+09 ps$") as err:
+        synthesize_pulse(spec, rates, 1.0, np.linspace(0.0, 4e9, 5))
+    assert type(err.value) is NumericalError and err.value.t_first == 1e9
 
 
 def test_phase_vanishes_when_detuning_cancels_carrier():
@@ -293,13 +313,15 @@ def test_table_reader_copies_nothing():
     t = np.linspace(0.0, 1.0, 12001)
     field = ControlField(t, t, np.sin(t), t ** 2, np.cos(t), np.exp(t))
     field._coefficients  # built before the trace: the reader reads it, it copies none of it
-    tracemalloc.start()
-    try:
-        field._reader()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 1024  # one coefficient row of one channel alone is 96 KB
+    # the reader of all five rows, and each picture's reader of its own rows
+    for rows in [slice(None)] + [rows for _, rows in dynamics._FIELDS.values()]:
+        tracemalloc.start()
+        try:
+            field._reader(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, rows  # one coefficient row of one channel alone is 96 KB
 
 
 def test_control_field_scaled_and_peak_ratio():
