@@ -526,7 +526,9 @@ def _write_csv(path, header: str, columns) -> None:
 
     Each field is the bytes of Python's ``"%.17g" % value``. ``_csv_lines`` gets
     the 17 digits as round(|x| 10**(16 - k)) from an exact double-double product,
-    and leaves to ``"%.17g"`` the values it cannot round with certainty.
+    and leaves to ``"%.17g"`` the values it cannot round with certainty. It lays
+    each field out in a NUL-padded 32-byte slot of four 64-bit words, and one
+    ``bytes.translate`` drops the NULs of a whole block.
     """
     table = np.column_stack(columns) if columns else np.empty((0, 0))
     with open(path, "wb") as fh:
@@ -539,35 +541,58 @@ def _write_csv(path, header: str, columns) -> None:
 def _csv_tables() -> tuple:
     """Read-only tables of ``_csv_lines``, built at its first call."""
     # 10**q at q + 281 for q in [-281, 297]: hi is the double nearest 10**q, lo the double
-    # nearest 10**q - hi, and top + low = hi splits hi into halves of 26 bits (Dekker)
+    # nearest 10**q - hi, least the least double >= 10**q, and top + low = hi splits hi
+    # into halves of 26 bits (Dekker)
     hi, lo = [], []
     for q in range(-281, 298):
         num, den = (10 ** q, 1) if q >= 0 else (1, 10 ** -q)
         a, b = (num / den).as_integer_ratio()
         hi.append(num / den)
         lo.append((num * b - a * den) / (den * b))
-    hi = np.array(hi)
+    hi, lo = np.array(hi), np.array(lo)
+    least = np.where(lo > 0, np.nextafter(hi, np.inf), hi)
     split = 134217729.0 * hi  # 2**27 + 1
     top = split - (split - hi)
-    # four digits by value, first with the trailing zeros blank, then (at + 10000) in full
+
+    def words(chunks):  # little-endian, so a word's bytes are the same on any host
+        return np.frombuffer(b"".join(c.ljust(8, b"\0") for c in chunks), "<u8")
+
+    # four digits by value in a word's low half, first with the trailing zeros blank, then
+    # (at + 10000) in full; and the first digit in a word's top byte
     quads = [b"%04d" % v for v in range(10000)]
-    digits = np.array([q.rstrip(b"0") for q in quads] + quads, "S4").view(np.uint32)
-    # by layout: 0-17 digits before the point, or 17 + z for "0." and z - 1 zeros
-    keep = np.tril(np.full((22, 17), 255, np.uint8), -1) * (np.arange(22) < 18)[:, None]
-    lead = np.array([b""] * 18 + [b"0." + b"0" * z for z in range(4)], "S17").view(np.uint8)
-    suffix = np.array([b"e%+03d" % k for k in range(-330, 331)], "S5").view(np.uint8)
-    tables = (hi, top, hi - top, np.array(lo), digits, keep, lead.reshape(-1, 17),
-              suffix.reshape(-1, 5), 10 ** np.arange(18))
+    digits = words([q.rstrip(b"0") for q in quads] + quads)
+    first = words([b"\0" * 7 + b"%d" % v for v in range(10)])
+    # by k + 330 for k in [-330, 330], as %g lays out a field with k: the "0." lead of
+    # -4 <= k < 0 after the sign; masks of the `whole` digits before the point after the
+    # first one, in words 1 and 2; the point after them; and the exponent at word 3's byte 2
+    layouts = []
+    for k in range(-330, 331):
+        fixed = -4 <= k <= 16
+        whole = max(k, 0) if fixed else 0
+        point = b"" if fixed and k < 0 else b"\0" * whole + b"."
+        keep = b"\xff" * whole
+        layouts.append([b"\0" + (b"0." + b"0" * (-k - 1) if fixed and k < 0 else b""),
+                        keep[:8], keep[8:], point[:8], point[8:16],
+                        b"\0\0" + (b"" if fixed else b"e%+03d" % k)])
+    by_k = words(sum(zip(*layouts), ())).reshape(6, -1)
+    marks = words([b"0" * 8, b"-", b"\0" * 7 + b",", b"\0" * 7 + b"\n"])
+    tables = (hi, least, top, hi - top, lo, digits, first, by_k, marks)
     for table in tables:
         table.flags.writeable = False
     return tables
 
 
 def _csv_lines(block: np.ndarray) -> bytes:
-    """The rows of a 2-D float block as CSV lines of ``"%.17g"`` fields: each value gets a
-    row of NUL-padded slots (sign, digits before the point or "0.000", point, digits after
-    it, exponent, separator), and dropping the NULs joins them."""
-    hi, top, low, lo, digits, keep_first, lead, suffix, pow10 = _csv_tables()
+    """The rows of a 2-D float block as CSV lines of ``"%.17g"`` fields.
+
+    Each value gets a 32-byte slot of four little-endian 64-bit words, each word one
+    contiguous array over the block: word 0 holds the sign, the "0.000" lead and the first
+    digit; words 1 and 2 the other 16 digits, those before the point kept by a mask chosen
+    by k and those after it moved one byte later to leave room for the point; word 3 the
+    last of them, the exponent and the separator. Unused bytes are NUL, and one
+    ``bytes.translate`` drops them all.
+    """
+    hi, least, top, low, lo, digits, first, by_k, marks = _csv_tables()
     x = block.ravel()
     mag = np.abs(x)
     zero = mag == 0.0
@@ -575,9 +600,7 @@ def _csv_lines(block: np.ndarray) -> bytes:
     mag = np.where(fast & ~zero, mag, 1.0)
     # k = floor(log10 |x|): log10 may round across a power of ten, so compare exactly
     k = np.floor(np.log10(mag)).astype(np.int64)
-    h0, h1 = hi.take(k + 281), hi.take(k + 282)
-    k += (((mag > h1) | ((mag == h1) & (lo.take(k + 282) <= 0))).astype(np.int64)
-          - ((mag < h0) | ((mag == h0) & (lo.take(k + 281) > 0))))
+    k += (mag >= least.take(k + 282)).astype(np.int64) - (mag < least.take(k + 281))
     # |x| 10**(16 - k) = p + e in [1e16, 1e17) by Dekker's product with hi + lo: p > 2**53 is
     # an integer and e good to 1e-14, so round(p + e) is certain unless e is near a tie
     i = 297 - k
@@ -596,33 +619,38 @@ def _csv_lines(block: np.ndarray) -> bytes:
     k += carry
     n[zero] = 0
     # the 17 digits: one, then four groups of four, each written in full when a later
-    # group is non-zero and with its trailing zeros blank otherwise
-    first = n // 10 ** 8
-    last = n - first * 10 ** 8
-    g0, g2 = first // 10 ** 4, last // 10 ** 4
-    g1, g3 = first - g0 * 10 ** 4, last - g2 * 10 ** 4
+    # group is non-zero and with its trailing zeros blank otherwise; so the fraction is
+    # non-zero, and needs a point, exactly where a byte after the point is not NUL
+    head = n // 10 ** 8
+    tail = n - head * 10 ** 8
+    g0, g2 = head // 10 ** 4, tail // 10 ** 4
+    g1, g3 = head - g0 * 10 ** 4, tail - g2 * 10 ** 4
     g_top = g0 // 10 ** 4
-    d = np.empty((len(x), 17), np.uint8)
-    d[:, 0] = g_top + ord("0")
-    d[:, 1:] = digits.take(np.stack([g0 - g_top * 10 ** 4 + 10000 * ((g1 | last) != 0),
-                                     g1 + 10000 * (last != 0), g2 + 10000 * (g3 != 0), g3],
-                                    1)).view(np.uint8)
-    # %g: fixed notation for -4 <= k <= 16, else d.ddde+XX; a sign wherever the sign bit is
-    fixed = (k >= -4) & (k <= 16)
-    whole = np.where(fixed, np.maximum(k + 1, 0), 1)  # digits before the point
-    layout = np.where(fixed & (k < 0), 17 - k, whole)
-    keep = keep_first.take(layout, axis=0)
-    rows = np.zeros((len(x), 42), np.uint8)
-    rows[:, 0] = np.signbit(x) * np.uint8(ord("-"))
-    rows[:, 1:18] = ((d | ord("0")) & keep) | lead.take(layout, axis=0)
-    rows[:, 18] = ((whole > 0) & (n % pow10.take(17 - whole) != 0)) * np.uint8(ord("."))
-    rows[:, 19:36] = d & ~keep
-    rows[~fixed, 36:41] = suffix.take(k[~fixed] + 330, axis=0)
-    rows.reshape(block.shape + (42,))[:, :, 41] = [ord(",")] * (block.shape[1] - 1) + [ord("\n")]
+    # every word operation stays in uint64: numpy 1.x takes uint64 with int64 to float64
+    b8, b32, b56 = np.uint64(8), np.uint64(32), np.uint64(56)
+    w1 = digits.take(g0 - g_top * 10 ** 4 + 10000 * ((g1 | tail) != 0))
+    w1 |= digits.take(g1 + 10000 * (tail != 0)) << b32
+    w2 = digits.take(g2 + 10000 * (g3 != 0))
+    w2 |= digits.take(g3) << b32
+    lead, keep1, keep2, point1, point2, suffix = by_k
+    zeros, minus, comma, newline = marks
+    j = k + 330
+    keep1, keep2 = keep1.take(j), keep2.take(j)
+    frac1, frac2 = w1 & ~keep1, w2 & ~keep2
+    dot = (frac1 | frac2) != 0
+    slots = np.empty((len(x), 4), "<u8")
+    slots[:, 0] = lead.take(j) | first.take(g_top) | np.signbit(x) * minus
+    slots[:, 1] = ((w1 | zeros) & keep1) | (frac1 << b8) | point1.take(j) * dot
+    slots[:, 2] = ((w2 | zeros) & keep2) | (frac2 << b8) | (frac1 >> b56) | point2.take(j) * dot
+    ends = np.full(block.shape[1], comma)
+    ends[-1] = newline
+    last = (frac2 >> b56) | suffix.take(j)
+    slots.reshape(block.shape + (4,))[:, :, 3] = last.reshape(block.shape) | ends
     # non-finite values, |x| outside [1e-280, 1e280), and possible ties
-    for j in np.flatnonzero(~fast):
-        rows[j, :41] = np.frombuffer((b"%.17g" % x[j]).ljust(41, b"\0"), np.uint8)
-    return rows[rows != 0].tobytes()
+    fields = slots.view(np.uint8).reshape(len(x), 32)
+    for at in np.flatnonzero(~fast):
+        fields[at, :31] = np.frombuffer((b"%.17g" % x[at]).ljust(31, b"\0"), np.uint8)
+    return slots.tobytes().translate(None, b"\0")
 
 
 def export_csv(run: ScenarioRun, path) -> None:

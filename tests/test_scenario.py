@@ -510,6 +510,16 @@ _PATTERNS = st.one_of(st.integers(0, 2 ** 64 - 1), st.floats().map(_bits))
 @example(rows=[[_bits(5e-324), _bits(sys.float_info.max)]], block_rows=1)
 # doubles just below a power of ten whose 17 digits round up to it
 @example(rows=[[_bits(1e-14), _bits(1e98)], [_bits(-1e-79), _bits(1e220)]], block_rows=2)
+# the edges of a field's 32-byte slot: the longest fixed-notation field (k = -4) and the
+# longest fast-path exponent field
+@example(rows=[[_bits(-0.00012345678901234567), _bits(-1.2345678901234567e-100)]], block_rows=1)
+# k = 16: 17 digits before the point and no point
+@example(rows=[[_bits(12345678901234568.0)], [_bits(1e16 + 2)]], block_rows=2)
+# fractions that end inside a word
+@example(rows=[[_bits(1.0000000000000002), _bits(100.5), _bits(0.125)]], block_rows=1)
+@example(rows=[[_bits(-0.0), _bits(0.0)]], block_rows=1)
+# three-digit exponents of each sign
+@example(rows=[[_bits(1.5e123)], [_bits(1.5e-123)]], block_rows=1)
 def test_csv_fields_are_the_bytes_of_percent_17g(rows, block_rows):
     table = np.array(rows, dtype=np.uint64).view(np.float64)
     want = "a\n" + "".join(",".join("%.17g" % v for v in row) + "\n" for row in table.tolist())
