@@ -74,6 +74,13 @@ class ControlField:
         Physical drive envelope Omega_R (rad/ps).
     omega0 : ndarray
         Transition angular frequency along the window (rad/ps).
+
+    Raises
+    ------
+    ValidationError
+        If ``t`` is not a valid grid (``validate_grid``), or a channel is not finite numbers
+        of its shape. ``synthesize_pulse`` builds its field from arrays it checked as it
+        made them, and skips these checks.
     """
 
     t: np.ndarray
@@ -82,11 +89,12 @@ class ControlField:
     phi: np.ndarray
     omega_r: np.ndarray
     omega0: np.ndarray
-    _grid_checked: InitVar[bool] = False  # synthesis passes the grid it has validated
+    _checked: InitVar[bool] = False  # synthesis passes float arrays it checked as it made them
 
-    def __post_init__(self, _grid_checked):
-        if not _grid_checked:
-            object.__setattr__(self, "t", validate_grid(self.t))  # the checked float grid
+    def __post_init__(self, _checked):
+        if _checked:
+            return
+        object.__setattr__(self, "t", validate_grid(self.t))  # the checked float grid
         for name in _CHANNELS:
             object.__setattr__(self, name, _finite(getattr(self, name), f"ControlField.{name}",
                                                    float, self.t.shape))
@@ -97,7 +105,8 @@ class ControlField:
         each channel in ``_CHANNELS`` order on each interval, c0 s^3 + c1 s^2 + c2 s + c3 in
         s = t - t_i, the Hermite cubic of the ends' values and ``_spline_slopes``."""
         y = np.stack([getattr(self, name) for name in _CHANNELS])
-        h, s = np.diff(self.t), _spline_slopes(self.t, y.T).T
+        h = np.diff(self.t)
+        s = _spline_slopes(self.t, y.T, h).T
         m = np.diff(y) / h
         c = (s[:, :-1] + s[:, 1:] - 2 * m) / h
         table = np.stack((c / h, (m - s[:, :-1]) / h - c, s[:, :-1], y[:, :-1]))
@@ -152,15 +161,16 @@ def omega_delta_from_components(u, w, du, dw, v, rates: Rates) -> tuple[np.ndarr
     u, w, du, dw, v = map(_finite, (u, w, du, dw, v), ("u", "w", "du", "dw", "v"))
     if len(shapes := {x.shape for x in (u, w, du, dw, v)}) != 1:
         raise ValidationError(f"u, w, du, dw and v must share one shape, got {sorted(shapes)}")
+    if (v < V_MIN).any():
+        raise SingularPrescriptionError(f"transverse component below {V_MIN:g}; pulse undefined")
     return _omega_delta(u, w, du, dw, v, rates)
 
 
 def _omega_delta(u, w, du, dw, v, rates: Rates, t=None) -> tuple[np.ndarray, np.ndarray]:
-    """``omega_delta_from_components`` on arrays of one shape, as synthesis has them,
-    whose du and dw may not be finite. Raises ``NumericalError`` at the first sample where
-    Omega or Delta is not finite: at its time in ``t``, or by index if no times are given."""
-    if (v < V_MIN).any():
-        raise SingularPrescriptionError(f"transverse component below {V_MIN:g}; pulse undefined")
+    """``omega_delta_from_components`` on arrays of one shape, as synthesis has them: v at
+    or above ``V_MIN``, du and dw perhaps not finite. Raises ``NumericalError`` at the first
+    sample where Omega or Delta is not finite: at its time in ``t``, or by index if no times
+    are given."""
     # the damped Bloch equations solved for the drive: Omega v and Delta v
     with np.errstate(over="ignore", invalid="ignore"):  # flagged below
         omega_v = dw + 2.0 * rates.thermal * (1.0 + w + 2.0 * rates.occupancy * w)
@@ -176,7 +186,7 @@ def _omega_delta(u, w, du, dw, v, rates: Rates, t=None) -> tuple[np.ndarray, np.
 
 
 def phase_from_detuning(omega0, delta, grid, *, zero_time: float | None = None,
-                        _grid_checked: bool = False) -> np.ndarray:
+                        _checked: bool = False) -> np.ndarray:
     """Carrier phase phi(t) = integral of (omega0 + Delta) from the gauge point.
 
     The integrand is interpolated with the not-a-knot cubic spline and integrated
@@ -194,9 +204,10 @@ def phase_from_detuning(omega0, delta, grid, *, zero_time: float | None = None,
         Gauge point where phi vanishes. Defaults to the first sample. Any
         choice yields the same trajectory; it shifts which drive realizes it.
     """
-    t = grid if _grid_checked else validate_grid(grid)  # synthesis has checked both already
-    omega0 = omega0 if _grid_checked else _per_sample_omega0(omega0, t)
-    delta = _finite(delta, "delta", float, t.shape)
+    t = grid
+    if not _checked:  # synthesis has checked all three as it made them
+        t = validate_grid(grid)
+        omega0, delta = _per_sample_omega0(omega0, t), _finite(delta, "delta", float, t.shape)
     t0 = t[0] if zero_time is None else _scalar(zero_time, "zero_time")
     if not t[0] <= t0 <= t[-1]:
         raise ValidationError(f"zero_time {t0:g} outside the window [{t[0]:g}, {t[-1]:g}]")
@@ -210,7 +221,8 @@ def _spline_integral(t: np.ndarray, y: np.ndarray, t0: float) -> np.ndarray:
     and ``_spline_slopes``, whose integral is h (y_i + y_i+1) / 2 + h^2 (s_i - s_i+1) / 12
     (de Boor 1978, ch. IV).
     """
-    h, s = np.diff(t), _spline_slopes(t, y)
+    h = np.diff(t)
+    s = _spline_slopes(t, y, h)
     anti = np.concatenate(([0.0], np.cumsum(0.5 * h * (y[:-1] + y[1:])
                                             + h * h / 12.0 * (s[:-1] - s[1:]))))
     # t0 lies a fraction x into interval j, where the cubic is y_j + a x + c x^2 + e x^3
@@ -220,15 +232,15 @@ def _spline_integral(t: np.ndarray, y: np.ndarray, t0: float) -> np.ndarray:
     return anti - anti[j] - h[j] * x * (y[j] + x * (a / 2.0 + x * (c / 3.0 + x * e / 4.0)))
 
 
-def _spline_slopes(t: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Knot slopes of the not-a-knot cubic spline through (t, y), y of shape (n,) or (n, k):
-    scipy's ``CubicSpline`` system, solved by the LAPACK ``gtsv`` call it makes, with its
-    cases for two points (a line) and three (a parabola)."""
+def _spline_slopes(t: np.ndarray, y: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Knot slopes of the not-a-knot cubic spline through (t, y), y of shape (n,) or (n, k),
+    h = np.diff(t): scipy's ``CubicSpline`` system, solved by the LAPACK ``gtsv`` call it
+    makes, with its cases for two points (a line) and three (a parabola)."""
     from scipy.linalg.lapack import dgtsv  # imported at first use: blochpulse loads no scipy
-    h = np.diff(t)
     hr = h.reshape((-1,) + (1,) * (y.ndim - 1))
     m = np.diff(y, axis=0) / hr  # secant slopes
-    dl, d, du = np.append(h[1:], 0.0), np.zeros(t.size), np.append(0.0, h[:-1])  # diagonals
+    dl, du = np.concatenate((h[1:], [0.0])), np.concatenate(([0.0], h[:-1]))  # off-diagonals
+    d = np.zeros(t.size)
     b = np.empty(y.shape, order="F")  # the right side, in LAPACK's column order
     d[1:-1], b[1:-1] = 2.0 * (h[:-1] + h[1:]), 3.0 * (hr[1:] * m[:-1] + hr[:-1] * m[1:])
     if t.size == 2:
@@ -252,7 +264,7 @@ def _per_sample_omega0(omega0, t: np.ndarray) -> np.ndarray:
     omega0 = _finite(omega0, "omega0", float)
     if omega0.ndim > 1 or omega0.size not in (1, t.size):
         raise ValidationError(f"omega0 must be a number or {t.size} numbers, one per sample")
-    return np.broadcast_to(omega0, t.shape).copy()
+    return np.full(t.shape, omega0)
 
 
 def rabi_from_phase(omega, phi, times) -> np.ndarray:
@@ -264,6 +276,9 @@ def rabi_from_phase(omega, phi, times) -> np.ndarray:
         If the carrier factor dips below ``DENOM_MIN``, or is not finite,
         anywhere: the envelope would diverge and the prescription is not
         realizable as written. Its ``t_first`` is the first such time.
+    NumericalError
+        If Omega_R is not finite anywhere, as where a finite Omega overflows
+        on division. Its ``t_first`` is the first such time.
     ValidationError
         If ``omega``, ``phi`` and ``times`` differ in shape.
     """
@@ -271,6 +286,11 @@ def rabi_from_phase(omega, phi, times) -> np.ndarray:
     if not omega.shape == phi.shape == times.shape:
         raise ValidationError(f"omega, phi and times must share one shape, got {omega.shape}, "
                               f"{phi.shape} and {times.shape}")
+    return _rabi(omega, phi, times)
+
+
+def _rabi(omega, phi, times) -> np.ndarray:
+    """``rabi_from_phase`` on float arrays of one shape, as synthesis has them."""
     with np.errstate(invalid="ignore"):  # cos of an infinite phase is NaN, flagged below
         denom = 1.0 + np.cos(2.0 * phi)
     low = ~(denom >= DENOM_MIN)
@@ -280,7 +300,12 @@ def rabi_from_phase(omega, phi, times) -> np.ndarray:
             f"carrier factor 1 + cos(2 phi) below {DENOM_MIN:g} or not finite at "
             f"t = {t_low:.6g} ps; pulse envelope diverges (trajectory window too long "
             "for this transition frequency)", t_first=t_low)
-    return omega / denom
+    with np.errstate(over="ignore"):  # a finite Omega may overflow on division, flagged below
+        omega_r = omega / denom
+    if not (finite := np.isfinite(omega_r)).all():
+        t_bad = float(times.flat[np.argmin(finite)])
+        raise NumericalError(f"Omega_R is not finite at t = {t_bad:.6g} ps", t_first=t_bad)
+    return omega_r
 
 
 def synthesize_pulse(spec: TrajectorySpec, rates: Rates, omega0, grid) -> ControlField:
@@ -290,8 +315,7 @@ def synthesize_pulse(spec: TrajectorySpec, rates: Rates, omega0, grid) -> Contro
     closed system, consistency integration when rates are present), invert
     the Bloch equations for Omega and Delta, accumulate the carrier phase
     from phi = 0 at the window midpoint, and form the physical envelope.
-    Fails at the first time v drops below ``V_MIN`` or the carrier factor
-    below ``DENOM_MIN``.
+    Each step checks the array it makes, once.
 
     Parameters
     ----------
@@ -307,6 +331,19 @@ def synthesize_pulse(spec: TrajectorySpec, rates: Rates, omega0, grid) -> Contro
     Returns
     -------
     ControlField
+
+    Raises
+    ------
+    ValidationError
+        If the grid or ``omega0`` is invalid, or the prescription leaves the Bloch sphere.
+    SingularPrescriptionError
+        At the first time v drops below ``V_MIN``.
+    CarrierSingularityError
+        At the first time the carrier factor is below ``DENOM_MIN`` or not finite.
+    NumericalError
+        At the first time v, Omega, Delta or Omega_R is not finite.
+    IntegrationError
+        If the open v-completion's quadrature exceeds the step budget.
     """
     return _synthesize(spec, rates, omega0, grid)[2]
 
@@ -322,8 +359,6 @@ def _synthesize(spec, rates, omega0, grid):
         v = solve_consistent_v_open(samples, rates)
     omega, delta = _omega_delta(samples.u, samples.w, samples.du, samples.dw, v, rates, t)
     omega0 = _per_sample_omega0(omega0, t)
-    phi = phase_from_detuning(omega0, delta, t, zero_time=0.5 * (t[0] + t[-1]),
-                              _grid_checked=True)
-    field = ControlField(t, omega, delta, phi, rabi_from_phase(omega, phi, t), omega0,
-                         _grid_checked=True)
+    phi = phase_from_detuning(omega0, delta, t, zero_time=0.5 * (t[0] + t[-1]), _checked=True)
+    field = ControlField(t, omega, delta, phi, _rabi(omega, phi, t), omega0, _checked=True)
     return samples, v, field

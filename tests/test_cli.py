@@ -238,6 +238,18 @@ def test_a_drive_that_overflows_exits_3_at_its_first_time(tmp_path, capsys):
     assert err == "numerical failure: Omega or Delta is not finite at t = 1e+09 ps\n"
 
 
+def test_an_envelope_that_overflows_exits_3_at_its_first_time(tmp_path, capsys):
+    # Omega is finite, but Omega_R = Omega / (1 + cos(2 phi)) overflows at t = 2 ps alone
+    cfg = ScenarioConfig(name="envelope", trajectory=RabiDecay(0.5, 0.0, 1e307, 0.0, 0.3, 1e-3),
+                         rates=Rates(), transition=TransitionSpec.constant(1.5),
+                         window=Window(0.0, 2.0, 21))
+    path = tmp_path / "envelope.json"
+    save_scenario(cfg, path)
+    assert main(["verify", "--config", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert err == "numerical failure: Omega_R is not finite at t = 2 ps\n"
+
+
 def test_a_lab_field_infinite_from_zero_exits_3_with_the_lab_failure(tmp_path, capsys,
                                                                     monkeypatch):
     # omega0 feeds only the lab field, the last of fig1_L3's three pictures, which run in

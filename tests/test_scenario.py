@@ -365,9 +365,9 @@ def test_pictures_of_one_run_share_one_channel_table(monkeypatch):
     built = []
     slopes = synthesis._spline_slopes
 
-    def slopes_spy(t, y):
+    def slopes_spy(t, y, h):
         built.append(np.shape(y))
-        return slopes(t, y)
+        return slopes(t, y, h)
 
     monkeypatch.setattr(synthesis, "_spline_slopes", slopes_spy)
     run = run_scenario(dataclasses.replace(

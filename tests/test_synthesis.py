@@ -86,6 +86,19 @@ def test_a_non_finite_drive_fails_at_its_first_time(rates):
     assert type(err.value) is NumericalError and err.value.t_first == 1e9
 
 
+def test_an_envelope_that_overflows_is_a_numerical_error():
+    # Omega is finite everywhere, but at t = 2 ps the carrier factor 1 + cos(2 phi) is
+    # below 1, and Omega_R = Omega / (1 + cos(2 phi)) overflows there alone
+    spec = RabiDecay(0.5, 0.0, 1e307, 0.0, 0.3, 1e-3)
+    with pytest.raises(NumericalError, match=r"^Omega_R is not finite at t = 2 ps$") as err:
+        synthesize_pulse(spec, Rates(), 1.5, np.linspace(0.0, 2.0, 21))
+    assert type(err.value) is NumericalError and err.value.t_first == 2.0
+    # the public envelope has the same check: 1e308 / (1 + cos(2 pi / 3)) = 2e308
+    with pytest.raises(NumericalError, match=r"^Omega_R is not finite at t = 1.5 ps$") as err:
+        rabi_from_phase([0.4, 1e308], [0.0, np.pi / 3], [0.0, 1.5])
+    assert err.value.t_first == 1.5
+
+
 def test_phase_vanishes_when_detuning_cancels_carrier():
     t = np.linspace(0.0, 10.0, 101)
     phi = phase_from_detuning(0.7, np.full_like(t, -0.7), t)
@@ -174,10 +187,10 @@ def test_spline_slopes_and_channel_table_match_scipy(inputs):
     slopes = ref(t, 1)
     slope_tol = np.maximum(1e-9 * np.max(np.abs(slopes), axis=0), tiny)
     for cols in (slice(0, 1), slice(0, 2), slice(0, 5)):
-        got = synthesis._spline_slopes(t, y[:, cols])
+        got = synthesis._spline_slopes(t, y[:, cols], np.diff(t))
         assert got.shape == y[:, cols].shape
         assert np.all(np.abs(got - slopes[:, cols]) <= slope_tol[cols])
-    got = synthesis._spline_slopes(t, y[:, 0])  # one column as a 1-D array
+    got = synthesis._spline_slopes(t, y[:, 0], np.diff(t))  # one column as a 1-D array
     assert got.shape == t.shape and np.all(np.abs(got - slopes[:, 0]) <= slope_tol[0])
     table = PPoly(ControlField(t, *y.T)._coefficients.transpose(0, 2, 1), t)
     assert table.c.shape == ref.c.shape and np.array_equal(table.x, t)
@@ -383,6 +396,40 @@ def test_one_synthesis_validates_its_grid_and_omega0_once(monkeypatch, rates):
                         spy(blochpulse.synthesis._per_sample_omega0))
     synthesize_pulse(_SPEC, rates, 5e-3, np.linspace(-120.0, 120.0, 241))
     assert sorted(calls) == ["_per_sample_omega0", "validate_grid"]
+
+
+@pytest.mark.parametrize("rates", [Rates(), Rates(dephasing=1e-3, thermal=1e-4)])
+def test_one_synthesis_checks_only_omega0_again(monkeypatch, rates):
+    # every other array is checked where synthesis makes it, so no channel is re-checked
+    calls = []
+    for name in ("_finite", "_numeric"):
+        def spy(x, what, *args, _check=getattr(synthesis, name)):
+            calls.append(what)
+            return _check(x, what, *args)
+        monkeypatch.setattr(synthesis, name, spy)
+    synthesize_pulse(_SPEC, rates, 5e-3, np.linspace(-120.0, 120.0, 241))
+    assert calls == ["omega0"]
+
+
+@pytest.mark.parametrize("rates", [Rates(), Rates(dephasing=1e-3, thermal=1e-4)],
+                         ids=["closed", "open"])
+def test_synthesized_field_equals_the_field_built_through_the_public_checks(rates):
+    from blochpulse import complete_v_closed, eval_components, solve_consistent_v_open
+
+    t = np.linspace(-100.0, 140.0, 241)
+    omega0 = 5e-3 + 1e-6 * t
+    field = synthesize_pulse(_SPEC, rates, omega0, t)
+    samples = eval_components(_SPEC, t)
+    v = complete_v_closed(samples) if rates.closed else solve_consistent_v_open(samples, rates)
+    omega, delta = omega_delta_from_components(
+        samples.u, samples.w, samples.du, samples.dw, v, rates)
+    phi = phase_from_detuning(omega0, delta, t, zero_time=0.5 * (t[0] + t[-1]))
+    checked = ControlField(t, omega, delta, phi, rabi_from_phase(omega, phi, t), omega0)
+    for name in ("t", *synthesis._CHANNELS):
+        got, want = getattr(field, name), getattr(checked, name)
+        assert type(got) is np.ndarray and got.dtype == want.dtype == np.float64, name
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+    assert field._coefficients.tobytes() == checked._coefficients.tobytes()
 
 
 def test_synthesize_open_matches_manual_pipeline():
