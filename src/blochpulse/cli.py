@@ -89,10 +89,8 @@ def _print_sanity(run) -> None:
         line = f"[{pic}] Bloch-norm excess {max(np.sqrt(np.max(norm2)) - 1.0, 0.0):.2e}"
         if run.config.rates.closed:  # Tr(rho^2) - 1 = (|r|^2 - 1) / 2
             line += f", purity defect {np.max(np.abs(norm2 - 1.0)) / 2.0:.2e}"
-        if res.stats is not None:
-            line += (f"; steps {res.stats.accepted} (+{res.stats.rejected} rejected), "
-                     f"rhs evals {res.stats.rhs_evals}")
-        print(line)
+        print(f"{line}; steps {res.stats.accepted} (+{res.stats.rejected} rejected), "
+              f"rhs evals {res.stats.rhs_evals}")
 
 
 def _cmd_verify(args) -> int:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .odeint import ATOL, RTOL, SPAN_SLACK, IntegrationStats, _integrate_pictures
+from .odeint import ATOL, RTOL, SPAN_SLACK, IntegrationStats, integrate_bloch
 from .rates import Rates, inversion_decay_rate, transverse_rate
 from .states import (SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, _checked_bloch, _density, _finite,
                      _show, validate_grid)
@@ -138,8 +138,8 @@ def _propagate(field: ControlField, rates: Rates, starts: dict, grid,
     max_step = min(PHASE_PER_STEP / scale, span / 8.0) if scale > 0.0 else span / 8.0
     fields = [lambda times, at=at, values=field._reader(rows): at(*values(times))
               for at, rows in (_FIELDS[name] for name in starts)]
-    runs = _integrate_pictures(fields, decay, (t[0], t[-1]), r0, t,
-                               rtol=rtol, atol=atol, max_step=max_step)
+    runs = integrate_bloch(fields, decay, (t[0], t[-1]), r0, t,
+                           rtol=rtol, atol=atol, max_step=max_step)
     return {name: SimResult(picture=name, t=t, bloch=bloch, stats=stats)
             for name, (bloch, stats) in zip(starts, runs)}
 

@@ -5,18 +5,18 @@ Two step controllers share one tableau, error norm, input check and dense output
   * a sequential controller for dy/dt = rhs(t, y) on a flat real state vector
     (``integrate_adaptive``), one ``_dp5_step`` at a time, the reference for the other;
   * a batched controller for the affine Bloch equation
-    dr/dt = b(t) x r - (G, G, Gamma_1) r + (0, 0, pump) (``integrate_bloch``), which
-    every simulation picture runs. A DP5 step of an affine equation is an affine map
-    r -> M r + c that depends only on b at the step's nodes, so each pass reads the
-    field once, at the nodes of every new step, builds every new step's maps in numpy
-    and composes all maps by a prefix scan. The maps are 3 x 4, [M | c], only when the
-    pump is not zero; without one (every closed run, whose pump is -0.0, and every run
-    without a thermal channel) c is zero and the same code carries 3 x 3 maps M.
+    dr/dt = b(t) x r - (G, G, Gamma_1) r + (0, 0, pump), whose one entry,
+    ``integrate_bloch``, runs one field or several; every simulation picture runs it.
+    A DP5 step of an affine equation is an affine map r -> M r + c that depends only
+    on b at the step's nodes, so each pass reads the field once, at the nodes of every
+    new step, builds every new step's maps in numpy and composes all maps by a prefix
+    scan. The maps are 3 x 4, [M | c], only when the pump is not zero; without one
+    (every closed run, whose pump is -0.0, and every run without a thermal channel) c
+    is zero and the same code carries 3 x 3 maps M.
     Rejected steps split; passes repeat until no step is rejected. It advances one step
-    plan per picture of a field in lock-step passes, each plan padded to the longest by
-    zero-length steps whose map is exactly the identity, so a run of several pictures
-    takes as many passes as its slowest picture, and each picture's result is bit for
-    bit the same as alone.
+    plan per field in lock-step passes, each plan padded to the longest by zero-length
+    steps whose map is exactly the identity, so a run of several fields takes as many
+    passes as its slowest field, and each field's result is bit for bit the same as alone.
 
 Each controller checks the step budget, step-size underflow and non-finite error
 estimates and records its accepted steps; one vectorised pass then emits the
@@ -28,14 +28,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import IntegrationError, ValidationError
 from .states import _finite, _numeric
 
-__all__ = ["ATOL", "RTOL", "IntegrationStats", "integrate_adaptive", "integrate_bloch"]
+__all__ = ["IntegrationStats", "integrate_adaptive"]
 
 # Dormand-Prince 5(4) tableau (Dormand & Prince, J. Comput. Appl. Math. 6
 # (1980) 19). The scheme is first-same-as-last: stage 7 of an accepted step is
@@ -444,7 +444,7 @@ def _dense_output(teval, t0, y0, y_end, ts, hs, ys, coef) -> np.ndarray:
 
 
 def integrate_bloch(
-    field: Callable[[np.ndarray], tuple],
+    fields: Sequence[Callable[[np.ndarray], tuple]],
     decay: tuple[float, float, float],
     t_span: tuple[float, float],
     r0,
@@ -453,31 +453,23 @@ def integrate_bloch(
     rtol: float = RTOL,
     atol: float = ATOL,
     max_step: float = np.inf,
-) -> tuple[np.ndarray, IntegrationStats]:
-    """Integrate dr/dt = b(t) x r - (G, G, Gamma_1) r + (0, 0, pump) for a Bloch vector.
+) -> list[tuple[np.ndarray, IntegrationStats]]:
+    """Integrate dr/dt = b(t) x r - (G, G, Gamma_1) r + (0, 0, pump) for one Bloch vector
+    per field, every field in lock-step (see ``_bloch_controller``).
 
     The same tableau, error norm, tolerances, dense output, statistics and errors as
     ``integrate_adaptive`` with the equivalent right-hand side, on a step plan of its
-    own (see ``_bloch_controller``). ``field(times)`` takes a 1-D float array and
-    returns (bx, by, bz), each an array over the times or a float. It is called once
-    per pass, with the six nodes t + c h of every new step, and again with those of a
-    step whose error is not finite, which fails at the first node where b is not
-    finite. ``decay`` is (G, Gamma_1, pump) and ``r0`` a real 3-vector.
+    own. Each of ``fields`` takes a 1-D float array of times and returns (bx, by, bz),
+    each an array over the times or a float. It is called once per pass, with the six
+    nodes t + c h of every new step, and again with those of a step whose error is not
+    finite, which fails at the first node where b is not finite. ``decay`` is (G,
+    Gamma_1, pump), and ``r0`` holds one real 3-vector per field, flat: field p starts
+    from ``r0[3 p:3 p + 3]``. Returns each field's (r, stats), bit for bit as that field
+    gives them alone, and raises what the first field that fails raises alone.
     """
-    return _integrate_pictures((field,), decay, t_span, r0, t_eval,
-                               rtol=rtol, atol=atol, max_step=max_step)[0]
-
-
-def _integrate_pictures(fields, decay, t_span, r0, t_eval, *, rtol: float, atol: float,
-                        max_step: float) -> list[tuple[np.ndarray, IntegrationStats]]:
-    """``integrate_bloch`` for several pictures at once, in lock-step (see
-    ``_bloch_controller``): picture p has the field ``fields[p]`` and the start state
-    ``r0[3 p:3 p + 3]``. Returns each picture's (r, stats), bit for bit as
-    ``integrate_bloch`` gives them alone, and raises what the first picture that fails
-    raises alone."""
     t0, t1, r, teval, rtol, atol, max_step = _checked(t_span, r0, t_eval, rtol, atol, max_step)
     if r.shape != (3 * len(fields),):
-        raise ValidationError(f"integrate_bloch takes a 3-vector, not shape {r.shape}")
+        raise ValidationError(f"integrate_bloch takes a 3-vector per field, not shape {r.shape}")
     r, stats = r.reshape(-1, 3), [IntegrationStats() for _ in fields]
     plans = _bloch_controller(fields, decay, t0, t1, r, rtol, atol, max_step, stats)
     return [(_dense_output(teval, t0, r[p], s[-1], t, h, s[:-1], coef), stats[p])

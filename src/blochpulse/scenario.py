@@ -95,8 +95,6 @@ __all__ = [
     "export_field_csv",
     "export_svg",
     "export_all",
-    "PICTURES",
-    "SVG_KINDS",
 ]
 
 PICTURES = ("effective-bloch", "interaction", "lab")

@@ -21,12 +21,6 @@ import numpy as np
 from .errors import ValidationError
 
 __all__ = [
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
-    "SIGMA_PLUS",
-    "SIGMA_MINUS",
-    "IDENTITY",
     "validate_grid",
     "validate_density",
     "bloch_from_density",

@@ -27,16 +27,15 @@ __all__ = ["line_chart", "bloch_chart"]
 _W, _H = 640, 480
 _BOX = (64.0, 24.0, 616.0, 432.0)  # left, top, right, bottom of the plot area
 _COLORS = ("#1f6feb", "#d73a49", "#1a7f37", "#8250df", "#bf5af2", "#9a6700")
+_TICKS = 5  # ticks that an axis aims at
 
 
 def _fmt(x: float) -> str:
     return "%.2f" % x
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        return [lo]
-    raw = (hi - lo) / (n - 1)
+def _ticks(lo: float, hi: float) -> list[float]:
+    raw = (hi - lo) / (_TICKS - 1)
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min(s * mag for s in (1.0, 2.0, 2.5, 5.0, 10.0) if s * mag >= raw)
     first = math.ceil(lo / step) * step
@@ -143,11 +142,10 @@ def _polyline(xs, ys, color: str, dash: str | None = None, width: float = 1.6) -
             f'{extra} points="{pts}"/>')
 
 
-def _text(x: float, y: float, s: str, size: int = 12, anchor: str = "middle",
-          color: str = "#24292f") -> str:
+def _text(x: float, y: float, s: str, size: int = 12, anchor: str = "middle") -> str:
     s = s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")  # as XML text
     return (f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="Helvetica,Arial,sans-serif" '
-            f'font-size="{size}" text-anchor="{anchor}" fill="{color}">{s}</text>')
+            f'font-size="{size}" text-anchor="{anchor}" fill="#24292f">{s}</text>')
 
 
 def _write(path: str, elements: list[str]) -> None:

@@ -37,7 +37,6 @@ from .trajectories import (
 
 __all__ = [
     "ControlField",
-    "DENOM_MIN",
     "omega_delta_from_components",
     "phase_from_detuning",
     "rabi_from_phase",

@@ -30,12 +30,10 @@ __all__ = [
     "Transfer",
     "Oscillatory",
     "RabiDecay",
-    "TrajectorySpec",
     "TrajectorySamples",
     "eval_components",
     "complete_v_closed",
     "solve_consistent_v_open",
-    "V_MIN",
 ]
 
 # transverse floor below which synthesis is declared singular

@@ -316,6 +316,25 @@ def test_duplicate_pictures_exit_2(mini_config, capsys):
     assert "repeat" in err
 
 
+def test_pictures_that_name_no_picture_exit_2(mini_config, capsys):
+    assert main(["verify", "--config", str(mini_config), "--pictures", ","]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --pictures must name at least one picture\n"
+
+
+def test_open_start_off_the_sphere_exits_2(tmp_path, capsys):
+    # u = 0.5 and w = -0.982 at the first sample: the open completion has no v to start from
+    cfg = ScenarioConfig(name="off", trajectory=Transfer(-1.0, 0.0, 0.02, 0.5, 60.0,
+                                                         peak_time=-200.0),
+                         rates=Rates(dephasing=1e-3), transition=TransitionSpec.constant(0.05),
+                         window=Window(-200.0, 200.0, 401), pictures=("interaction",))
+    path = tmp_path / "off.json"
+    save_scenario(cfg, path)
+    assert main(["verify", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: initial point leaves the Bloch sphere\n"
+
+
 def test_carrier_singularity_exits_3(tmp_path, capsys):
     pole = ScenarioConfig(
         name="pole",

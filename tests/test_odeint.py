@@ -109,7 +109,7 @@ def test_input_validation(bad_kwargs):
     with pytest.raises(ValidationError):
         integrate_adaptive(lambda tt, y: -y, span, np.array([1.0]), teval, **kwargs)
     with pytest.raises(ValidationError):  # the Bloch controller passes the same checks
-        odeint.integrate_bloch(lambda times: (0.0, 0.0, 0.0), (1.0, 1.0, 0.0),
+        odeint.integrate_bloch((lambda times: (0.0, 0.0, 0.0),), (1.0, 1.0, 0.0),
                                span, np.array([0.0, 0.0, 1.0]), teval, **kwargs)
 
 
@@ -125,8 +125,8 @@ def test_bloch_kernel_precesses_about_a_constant_field():
         return omega, 0.0, delta
 
     t = np.linspace(0.0, 20.0, 201)
-    rs, stats = odeint.integrate_bloch(field, (0.0, 0.0, 0.0), (0.0, 20.0), r0, t,
-                                       rtol=1e-12, atol=1e-14)
+    [(rs, stats)] = odeint.integrate_bloch((field,), (0.0, 0.0, 0.0), (0.0, 20.0), r0, t,
+                                           rtol=1e-12, atol=1e-14)
     n = b / np.linalg.norm(b)
     theta = np.linalg.norm(b) * t[:, None]
     exact = (r0 * np.cos(theta) + np.cross(n, r0) * np.sin(theta)
@@ -151,8 +151,8 @@ def test_bloch_kernel_precesses_about_a_ramped_field():
     a, c = 0.7, 0.25
     r0 = np.array([0.6, 0.0, 0.8])
     t = np.linspace(0.0, 12.0, 241)
-    rs, _ = odeint.integrate_bloch(lambda times: (0.0, 0.0, a + c * times),
-                                   (0.0, 0.0, 0.0), (0.0, 12.0), r0, t, rtol=1e-12, atol=1e-14)
+    [(rs, _)] = odeint.integrate_bloch((lambda times: (0.0, 0.0, a + c * times),),
+                                       (0.0, 0.0, 0.0), (0.0, 12.0), r0, t, rtol=1e-12, atol=1e-14)
     theta = a * t + 0.5 * c * t**2
     exact = np.column_stack([0.6 * np.cos(theta), 0.6 * np.sin(theta), np.full(t.size, 0.8)])
     assert np.max(np.abs(rs - exact)) < 1e-9
@@ -185,8 +185,8 @@ def test_bloch_kernel_matches_the_generic_kernel(span, field, decay, r0):
 
     t = np.linspace(0.0, span, 37)
     ref, _ = integrate_adaptive(rhs, (0.0, span), np.array(r0), t, rtol=1e-11, atol=1e-13)
-    rs, _ = odeint.integrate_bloch(b, decay, (0.0, span),
-                                   np.array(r0), t, rtol=1e-11, atol=1e-13)
+    [(rs, _)] = odeint.integrate_bloch((b,), decay, (0.0, span),
+                                       np.array(r0), t, rtol=1e-11, atol=1e-13)
     assert np.max(np.abs(rs - ref)) < 1e-9 * max(1.0, np.max(np.abs(ref)))
 
 
@@ -279,7 +279,7 @@ def test_kernel_overflow_is_reported_without_a_warning():
 
 def _bloch_error(field, t_span=(0.0, 2.0), **kwargs):
     with pytest.raises(IntegrationError) as err:
-        odeint.integrate_bloch(field, (0.0, 0.0, 0.0), t_span, np.array([1.0, 0.0, 0.0]),
+        odeint.integrate_bloch((field,), (0.0, 0.0, 0.0), t_span, np.array([1.0, 0.0, 0.0]),
                                np.array(t_span), **kwargs)
     assert f"t = {err.value.t_first:.6g} ps" in str(err.value)
     return err.value
@@ -322,3 +322,45 @@ def test_bloch_step_budget_is_checked_before_the_plan_is_built():
     err = _bloch_error(lambda times: (1.0, 0.0, 0.0), (0.0, 2e6), max_step=1.0)
     assert "budget" in str(err) and err.t_first == 0.0
     assert time.perf_counter() - t0 < 0.1
+
+
+def test_sequential_step_budget_stops_at_the_start_of_the_step_past_it(monkeypatch):
+    steps = []
+    step = odeint._dp5_step
+
+    def spy(rhs, t, h, *args):
+        steps.append((t, h))
+        return step(rhs, t, h, *args)
+
+    monkeypatch.setattr(odeint, "_MAX_STEPS", 5)
+    monkeypatch.setattr(odeint, "_dp5_step", spy)
+    with pytest.raises(IntegrationError, match="^step budget exhausted at t = ") as err:
+        integrate_adaptive(lambda tt, y: -y, (0.0, 1.0), np.array([1.0]), np.array([0.0, 1.0]))
+    assert len(steps) == 5
+    t, h = steps[-1]
+    assert 0.0 < err.value.t_first == t + h < 1.0
+    assert str(err.value) == (f"step budget exhausted at t = {t + h:.6g} ps; "
+                              "tolerances may be unreachable")
+
+
+def test_bloch_first_step_below_the_step_floor_underflows_at_the_start():
+    # span / 100 = 3 ps, below the step floor 16 eps 1e15 = 3.55 ps
+    err = _bloch_error(lambda times: (0.0, 0.0, 0.0), (1e15, 1e15 + 300.0))
+    assert str(err) == "step size underflow at t = 1e+15 ps" and err.t_first == 1e15
+
+
+def test_bloch_step_budget_exhausted_by_the_first_splits(monkeypatch):
+    # the first plan's 100 equal steps fit a budget of 101; bz = 40 t^2 rejects every step
+    # from the fourth on, and the parts they split into pass the budget
+    monkeypatch.setattr(odeint, "_MAX_STEPS", 101)
+    err = _bloch_error(lambda times: (0.0, 0.0, 40.0 * times**2))
+    assert str(err) == "step budget exhausted at t = 0.06 ps; tolerances may be unreachable"
+    assert err.t_first == np.linspace(0.0, 2.0, 101)[3]
+
+
+@pytest.mark.parametrize("fields, r0", [(1, np.zeros(6)), (2, np.zeros(3)), (1, np.zeros(2))])
+def test_bloch_start_takes_one_3_vector_per_field(fields, r0):
+    with pytest.raises(ValidationError) as err:
+        odeint.integrate_bloch([lambda times: (0.0, 0.0, 0.0)] * fields, (0.0, 0.0, 0.0),
+                               (0.0, 1.0), r0, np.array([0.0, 1.0]))
+    assert str(err.value) == f"integrate_bloch takes a 3-vector per field, not shape {r0.shape}"

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blochpulse import odeint, scenario, synthesis
+from blochpulse import odeint, scenario, svgplot, synthesis
 from blochpulse.errors import NumericalError
 
 from blochpulse import (
@@ -197,6 +197,18 @@ def test_bad_scenario_dicts_rejected(mutate):
         scenario_from_dict(d)
 
 
+@pytest.mark.parametrize("d, message", [
+    ([], "scenario must be a JSON object"),
+    ("unit_case", "scenario must be a JSON object"),
+    ({k: v for k, v in _base_dict().items() if k != "window"},
+     "scenario: missing key 'window'"),
+])
+def test_a_scenario_that_is_not_an_object_or_has_no_window_is_rejected(d, message):
+    with pytest.raises(ValidationError) as err:
+        scenario_from_dict(d)
+    assert str(err.value) == message
+
+
 # JSON-like values: hostile scalars and containers half the time, arbitrary trees otherwise
 _JSON_VALUES = st.one_of(
     st.sampled_from([10**400, -10**400, 10**12, float("nan"), float("inf"), True, None, "",
@@ -331,8 +343,8 @@ def test_every_valid_window_is_one_the_integrator_can_start_on(start, span_exp, 
         return
     t = window.grid()
     span = window.stop - window.start
-    r, _ = odeint.integrate_bloch(lambda times: (0.0, 0.0, 0.0), (0.0, 0.0, 0.0),
-                                  (t[0], t[-1]), [0.0, 0.0, 1.0], t, max_step=span / 8)
+    [(r, _)] = odeint.integrate_bloch((lambda times: (0.0, 0.0, 0.0),), (0.0, 0.0, 0.0),
+                                      (t[0], t[-1]), [0.0, 0.0, 1.0], t, max_step=span / 8)
     assert (r == [0.0, 0.0, 1.0]).all()
 
 
@@ -633,6 +645,14 @@ def test_svg_exports_far_from_zero_label_their_ticks_apart(tmp_path):
         x_labels = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")
                     if el.get("y") == "450.00"]  # the x axis's labels, 18 px below the plot box
         assert len(x_labels) >= 2 and len(set(x_labels)) == len(x_labels), (kind, x_labels)
+
+
+def test_bloch_chart_without_pictures_draws_the_prescription(tmp_path):
+    run = run_scenario(dataclasses.replace(_MINI, pictures=()))
+    path, ref = tmp_path / "bare.svg", tmp_path / "ref.svg"
+    export_svg(run, "bloch3d", path)
+    svgplot.bloch_chart(str(ref), "mini: Bloch trajectory", np.stack(run.prescribed, axis=1))
+    assert path.read_bytes() == ref.read_bytes()
 
 
 def test_svg_unknown_kind_rejected(mini_run, tmp_path):

@@ -337,6 +337,13 @@ def test_table_reader_copies_nothing():
         assert peak < 64 * 1024, rows  # one coefficient row of one channel alone is 96 KB
 
 
+def test_peak_ratio_without_a_transition_frequency_is_infinite():
+    t = np.linspace(0.0, 1.0, 5)
+    field = ControlField(t=t, omega=np.ones(5), delta=np.zeros(5), phi=np.zeros(5),
+                         omega_r=np.full(5, 0.8), omega0=np.zeros(5))
+    assert field.rabi_peak_ratio() == np.inf
+
+
 def test_control_field_scaled_and_peak_ratio():
     t = np.linspace(0.0, 1.0, 5)
     field = ControlField(t=t, omega=np.ones(5), delta=np.full(5, 0.1),

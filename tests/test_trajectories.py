@@ -485,6 +485,21 @@ def test_eval_components_validates_grid():
         eval_components(spec, [3.0, 1.0])
 
 
+def test_eval_components_rejects_an_unknown_family():
+    with pytest.raises(ValidationError) as err:
+        eval_components(object(), np.linspace(0.0, 1.0, 3))
+    assert str(err.value) == "unknown trajectory family: object"
+
+
+def test_open_synthesis_rejects_a_first_point_off_the_sphere():
+    # u(-200) = 0.5 at the coherence peak and w(-200) = -0.982: off the sphere at the first sample
+    spec = Transfer(-1.0, 0.0, 0.02, 0.5, 60.0, peak_time=-200.0)
+    grid = np.linspace(-200.0, 200.0, 401)
+    with pytest.raises(ValidationError) as err:
+        synthesize_pulse(spec, Rates(dephasing=1e-3), np.full(grid.size, 0.05), grid)
+    assert str(err.value) == "initial point leaves the Bloch sphere"
+
+
 def test_oscillatory_is_a_transfer_with_a_keyword_only_ripple():
     kw = dict(inversion_start=-0.5, inversion_stop=0.5, switch_rate=0.01,
               coherence_peak=0.4, peak_width=100.0, peak_time=5.0)
