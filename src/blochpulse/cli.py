@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, _ps
 from .scenario import (
     PICTURES,
     ScenarioConfig,
@@ -62,7 +62,7 @@ def _cmd_synthesize(args) -> int:
     target = out_dir / f"{cfg.name}.field.csv"
     export_field_csv(field, target)
     denom_floor = float(np.min(1.0 + np.cos(2.0 * field.phi)))
-    print(f"{cfg.name}: synthesized {grid.size} samples on [{grid[0]:g}, {grid[-1]:g}] ps")
+    print(f"{cfg.name}: synthesized {grid.size} samples on [{_ps(grid[0])}, {_ps(grid[-1])}] ps")
     print(f"  peak drive / transition frequency: {field.rabi_peak_ratio():.4g}")
     print(f"  carrier-factor floor: {denom_floor:.4g}")
     print(f"  wrote {target}")

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _ps
 from .odeint import ATOL, RTOL, SPAN_SLACK, IntegrationStats, integrate_bloch
 from .rates import Rates, inversion_decay_rate, transverse_rate
 from .states import (SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, _checked_bloch, _density, _finite,
@@ -131,11 +131,12 @@ def _propagate(field: ControlField, rates: Rates, starts: dict, grid,
     t0, t1 = field.t[0], field.t[-1]
     if t[0] < t0 - SPAN_SLACK or t[-1] > t1 + SPAN_SLACK:
         raise ValidationError(
-            f"sample grid [{t[0]:g}, {t[-1]:g}] leaves the control window [{t0:g}, {t1:g}]")
+            f"sample grid [{_ps(t[0])}, {_ps(t[-1])}] leaves the control window "
+            f"[{_ps(t0)}, {_ps(t1)}]")
     decay = transverse_rate(rates), inversion_decay_rate(rates), -2.0 * rates.thermal
 
-    span, scale = t[-1] - t[0], field.fastest_scale
-    max_step = min(PHASE_PER_STEP / scale, span / 8.0) if scale > 0.0 else span / 8.0
+    scale = field.fastest_scale
+    max_step = PHASE_PER_STEP / scale if scale > 0.0 else np.inf
     fields = [lambda times, at=at, values=field._reader(rows): at(*values(times))
               for at, rows in (_FIELDS[name] for name in starts)]
     runs = integrate_bloch(fields, decay, (t[0], t[-1]), r0, t,

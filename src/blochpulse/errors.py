@@ -18,7 +18,12 @@ __all__ = [
 
 
 class BlochPulseError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package; ``t_first`` is the first
+    offending time in ps, when known."""
+
+    def __init__(self, message: str, t_first: float | None = None):
+        super().__init__(message)
+        self.t_first = t_first
 
 
 class ValidationError(BlochPulseError):
@@ -26,12 +31,7 @@ class ValidationError(BlochPulseError):
 
 
 class NumericalError(BlochPulseError):
-    """A computation failed at run time for numerical reasons, first at time
-    ``t_first`` (ps) when known."""
-
-    def __init__(self, message: str, t_first: float | None = None):
-        super().__init__(message)
-        self.t_first = t_first
+    """A computation failed at run time for numerical reasons."""
 
 
 class SingularPrescriptionError(NumericalError):
@@ -52,3 +52,16 @@ class CarrierSingularityError(NumericalError):
 
 class IntegrationError(NumericalError):
     """The adaptive integrator could not meet its tolerance contract."""
+
+
+def _ps(t: float) -> str:
+    """A time in ps to 6 significant digits, or to the whole ps if it has more, at most 17."""
+    return f"{t:.{min(max(6, len(f'{abs(t):.0f}')), 17)}g}"
+
+
+def _raise_first(bad, t, error: type[BlochPulseError], what: str, why: str = "") -> None:
+    """Raise ``error`` "{what} at t = ... ps{why}" at the first True of the mask ``bad``,
+    whose times are ``t`` of its shape, with that time as ``t_first``; else return."""
+    if bad.any():
+        t_bad = float(t.flat[bad.argmax()])
+        raise error(f"{what} at t = {_ps(t_bad)} ps{why}", t_first=t_bad)

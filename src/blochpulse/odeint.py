@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import IntegrationError, ValidationError
+from .errors import IntegrationError, ValidationError, _ps
 from .states import _finite, _numeric
 
 __all__ = ["IntegrationStats", "integrate_adaptive"]
@@ -85,12 +85,12 @@ def _step_floor(t):
 
 
 _UNDERFLOW, _NON_FINITE, _BUDGET = (
-    "step size underflow at t = {:.6g} ps", "non-finite local error estimate at t = {:.6g} ps",
-    "step budget exhausted at t = {:.6g} ps; tolerances may be unreachable")
+    "step size underflow at t = {} ps", "non-finite local error estimate at t = {} ps",
+    "step budget exhausted at t = {} ps; tolerances may be unreachable")
 
 
 def _failure(message: str, t: float) -> IntegrationError:
-    return IntegrationError(message.format(t), t_first=t)
+    return IntegrationError(message.format(_ps(t)), t_first=t)
 
 
 @dataclass

@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (CarrierSingularityError, NumericalError, SingularPrescriptionError,
-                     ValidationError)
+                     ValidationError, _ps, _raise_first)
 from .rates import Rates, transverse_rate
 from .states import _finite, _numeric, _scalar, validate_grid
 from .trajectories import (
@@ -175,12 +175,9 @@ def _omega_delta(u, w, du, dw, v, rates: Rates, t=None) -> tuple[np.ndarray, np.
         omega_v = dw + 2.0 * rates.thermal * (1.0 + w + 2.0 * rates.occupancy * w)
         omega, delta = omega_v / v, (du + transverse_rate(rates) * u) / v
     bad = ~(np.isfinite(omega) & np.isfinite(delta))
-    if bad.any():
-        k = int(np.argmax(bad))
-        if t is None:
-            raise NumericalError(f"Omega or Delta is not finite at sample {k}")
-        t_bad = float(t.flat[k])
-        raise NumericalError(f"Omega or Delta is not finite at t = {t_bad:.6g} ps", t_first=t_bad)
+    if t is None and bad.any():
+        raise NumericalError(f"Omega or Delta is not finite at sample {np.argmax(bad)}")
+    _raise_first(bad, t, NumericalError, "Omega or Delta is not finite")
     return omega, delta
 
 
@@ -209,7 +206,8 @@ def phase_from_detuning(omega0, delta, grid, *, zero_time: float | None = None,
         omega0, delta = _per_sample_omega0(omega0, t), _finite(delta, "delta", float, t.shape)
     t0 = t[0] if zero_time is None else _scalar(zero_time, "zero_time")
     if not t[0] <= t0 <= t[-1]:
-        raise ValidationError(f"zero_time {t0:g} outside the window [{t[0]:g}, {t[-1]:g}]")
+        raise ValidationError(
+            f"zero_time {_ps(t0)} outside the window [{_ps(t[0])}, {_ps(t[-1])}]")
     return _spline_integral(t, omega0 + delta, t0)
 
 
@@ -292,18 +290,13 @@ def _rabi(omega, phi, times) -> np.ndarray:
     """``rabi_from_phase`` on float arrays of one shape, as synthesis has them."""
     with np.errstate(invalid="ignore"):  # cos of an infinite phase is NaN, flagged below
         denom = 1.0 + np.cos(2.0 * phi)
-    low = ~(denom >= DENOM_MIN)
-    if low.any():
-        t_low = float(times.flat[np.argmax(low)])
-        raise CarrierSingularityError(
-            f"carrier factor 1 + cos(2 phi) below {DENOM_MIN:g} or not finite at "
-            f"t = {t_low:.6g} ps; pulse envelope diverges (trajectory window too long "
-            "for this transition frequency)", t_first=t_low)
+    _raise_first(~(denom >= DENOM_MIN), times, CarrierSingularityError,
+                 f"carrier factor 1 + cos(2 phi) below {DENOM_MIN:g} or not finite",
+                 "; pulse envelope diverges (trajectory window too long for this transition "
+                 "frequency)")
     with np.errstate(over="ignore"):  # a finite Omega may overflow on division, flagged below
         omega_r = omega / denom
-    if not (finite := np.isfinite(omega_r)).all():
-        t_bad = float(times.flat[np.argmin(finite)])
-        raise NumericalError(f"Omega_R is not finite at t = {t_bad:.6g} ps", t_first=t_bad)
+    _raise_first(~np.isfinite(omega_r), times, NumericalError, "Omega_R is not finite")
     return omega_r
 
 

@@ -19,7 +19,7 @@ from typing import Union
 import numpy as np
 
 from .errors import (IntegrationError, NumericalError, SingularPrescriptionError,
-                     ValidationError)
+                     ValidationError, _ps, _raise_first)
 # integrate_adaptive is unused here but stays importable from this module: the
 # benchmark tracer in perfbench/ wraps it by name.
 from .odeint import _MAX_STEPS, integrate_adaptive  # noqa: F401
@@ -223,12 +223,8 @@ def complete_v_closed(samples: TrajectorySamples) -> np.ndarray:
         If v drops below ``V_MIN`` anywhere on the grid.
     """
     s = 1.0 - samples.u**2 - samples.w**2
-    bad = s < -BLOCH_NORM_SLACK
-    if bad.any():
-        t_bad = samples.t[np.argmax(bad)]
-        raise ValidationError(
-            f"prescription leaves the Bloch sphere (u^2 + w^2 > 1) at t = {t_bad:.6g} ps"
-        )
+    _raise_first(s < -BLOCH_NORM_SLACK, samples.t, ValidationError,
+                 "prescription leaves the Bloch sphere (u^2 + w^2 > 1)")
     return _root_above_floor(s, samples.t, "transverse component")
 
 
@@ -293,7 +289,7 @@ def _consistent_s(samples: TrajectorySamples, rates: Rates, s0: float) -> np.nda
     if h.size * panels > _MAX_STEPS:
         raise IntegrationError(
             f"the v-completion's quadrature panels exceed the step budget (8 G h = {rate_h:.3g}) "
-            f"at t = {t[0]:.6g} ps", t_first=float(t[0]))
+            f"at t = {_ps(t[0])} ps", t_first=float(t[0]))
     # node-major: one row per node (in units of h), the intervals along each row
     nodes = ((np.arange(panels)[:, None] + 0.5 * (1.0 + _GL_X)) / panels).reshape(-1, 1)
     node_w = np.tile(_GL_W, panels)[:, None]
@@ -337,11 +333,8 @@ def _root_above_floor(s: np.ndarray, t: np.ndarray, what: str) -> np.ndarray:
     v = np.sqrt(np.clip(s, 0.0, None))
     bad = ~np.isfinite(v) | (v < V_MIN)
     if bad.any():
-        k = int(np.argmax(bad))
-        t_bad = float(t[k])
-        if not np.isfinite(v[k]):
-            raise NumericalError(f"{what} is not finite at t = {t_bad:.6g} ps", t_first=t_bad)
-        raise SingularPrescriptionError(
-            f"{what} below {V_MIN:g} at t = {t_bad:.6g} ps; the pulse is singular there",
-            t_first=t_bad)
+        if not np.isfinite(v[np.argmax(bad)]):
+            _raise_first(bad, t, NumericalError, f"{what} is not finite")
+        _raise_first(bad, t, SingularPrescriptionError, f"{what} below {V_MIN:g}",
+                     "; the pulse is singular there")
     return v

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import SimResult, _propagate, dissipator_action
-from .errors import ValidationError
+from .errors import ValidationError, _ps
 from .odeint import ATOL, RTOL
 from .rates import Rates
 from .states import (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, _bloch_fidelity, _finite,
@@ -54,10 +54,9 @@ class TrackingReport:
         return max(self.sup_u, self.sup_v, self.sup_w)
 
     def summary(self) -> str:
-        digits = min(max(6, len(f"{abs(self.t_worst):.0f}")), 17)  # to whole ps, if need be
         return (
             f"[{self.picture}] sup |du| {self.sup_u:.3e}, |dv| {self.sup_v:.3e}, "
-            f"|dw| {self.sup_w:.3e} (worst at t = {self.t_worst:.{digits}g} ps); "
+            f"|dw| {self.sup_w:.3e} (worst at t = {_ps(self.t_worst)} ps); "
             f"rms {self.rms_u:.3e} / {self.rms_v:.3e} / {self.rms_w:.3e}; "
             f"final-state fidelity {self.fidelity_final:.9f}"
         )

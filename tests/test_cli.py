@@ -6,6 +6,7 @@ singularity. Most tests call main() in-process; one subprocess test proves
 the declared console-script entry point dispatches at all.
 """
 
+import dataclasses
 import json
 import os
 import re
@@ -22,10 +23,12 @@ from blochpulse import (
     RabiDecay,
     Rates,
     ScenarioConfig,
+    SingularPrescriptionError,
     Transfer,
     TransitionSpec,
     Window,
     preset,
+    run_scenario,
     save_scenario,
     scenario_to_dict,
 )
@@ -235,7 +238,7 @@ def test_a_drive_that_overflows_exits_3_at_its_first_time(tmp_path, capsys):
     save_scenario(cfg, path)
     assert main(["verify", "--config", str(path)]) == 3
     out, err = capsys.readouterr()
-    assert err == "numerical failure: Omega or Delta is not finite at t = 1e+09 ps\n"
+    assert err == "numerical failure: Omega or Delta is not finite at t = 1000000000 ps\n"
 
 
 def test_an_envelope_that_overflows_exits_3_at_its_first_time(tmp_path, capsys):
@@ -248,6 +251,38 @@ def test_an_envelope_that_overflows_exits_3_at_its_first_time(tmp_path, capsys):
     assert main(["verify", "--config", str(path)]) == 3
     out, err = capsys.readouterr()
     assert err == "numerical failure: Omega_R is not finite at t = 2 ps\n"
+
+
+@pytest.mark.parametrize("rates, t_first", [(Rates(), "1000000000002000"),
+                                            (Rates(dephasing=1e-4), "1000000000001940")])
+def test_a_far_singular_prescription_exits_3_at_its_time_to_the_picosecond(
+        tmp_path, capsys, rates, t_first):
+    # u reaches 1, and v 0, at the coherence peak 1e15 + 2000 ps; with dephasing the
+    # consistent v falls below its floor 60 ps earlier. "%.6g" prints both times as 1e+15.
+    cfg = ScenarioConfig(name="far", trajectory=Transfer(0.0, 0.0, 1.0, 1.0, 100.0,
+                                                         peak_time=1e15 + 2000.0),
+                         rates=rates, transition=TransitionSpec.constant(1e-3),
+                         window=Window(1e15, 1e15 + 4000.0, 401))
+    path = tmp_path / "far.json"
+    save_scenario(cfg, path)
+    assert main(["verify", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and len(err.splitlines()) == 1
+    assert re.search(r" at t = (\S+) ps;", err).group(1) == t_first
+    with pytest.raises(SingularPrescriptionError) as caught:
+        run_scenario(cfg)
+    assert caught.value.t_first == float(t_first)
+
+
+def test_synthesize_names_a_far_window_to_the_picosecond(tmp_path, capsys):
+    cfg = dataclasses.replace(preset("fig1_L3"), window=Window(1e15, 1e15 + 400.0, 101),
+                              transition=TransitionSpec.constant(1e-4))
+    path = tmp_path / "far.json"
+    save_scenario(cfg, path)
+    assert main(["synthesize", "--config", str(path), "--out-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("fig1_L3: synthesized 101 samples on "
+                          "[1000000000000000, 1000000000000400] ps\n")
 
 
 def test_a_lab_field_infinite_from_zero_exits_3_with_the_lab_failure(tmp_path, capsys,

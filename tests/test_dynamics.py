@@ -74,6 +74,14 @@ def _random_density(rng):
     return rho / np.trace(rho).real
 
 
+def test_grid_off_a_far_control_window_names_its_times_to_the_picosecond():
+    t = 1e15 + np.linspace(0.0, 20.0, 5)
+    with pytest.raises(ValidationError) as err:
+        integrate_interaction(_constant_field(t), [0.0, 0.0, 1.0], t + 10.0)
+    assert str(err.value) == ("sample grid [1000000000000010, 1000000000000030] leaves the "
+                              "control window [1000000000000000, 1000000000000020]")
+
+
 def test_frame_round_trip_is_identity():
     rng = np.random.default_rng(41)
     states = np.stack([_random_density(rng) for _ in range(20)])

@@ -123,6 +123,17 @@ def test_complete_v_closed_off_sphere():
         complete_v_closed(samples)
 
 
+def test_complete_v_closed_off_sphere_reports_first_time():
+    # u^2 + w^2 is 0.875 at t = -2 ps and 1.138 at t = -1 ps
+    spec = Transfer(inversion_start=0.8, inversion_stop=0.8, switch_rate=0.01,
+                    coherence_peak=0.8, peak_width=2.0)
+    samples = eval_components(spec, np.linspace(-5.0, 5.0, 11))
+    with pytest.raises(ValidationError) as err:
+        complete_v_closed(samples)
+    assert str(err.value) == "prescription leaves the Bloch sphere (u^2 + w^2 > 1) at t = -1 ps"
+    assert err.value.t_first == -1.0
+
+
 def test_complete_v_closed_singular_reports_first_time():
     spec = Transfer(inversion_start=1.0, inversion_stop=1.0, switch_rate=0.01,
                     coherence_peak=0.0, peak_width=100.0)

@@ -25,6 +25,7 @@ from blochpulse import (
     tracking_error,
     transverse_rate,
 )
+from blochpulse.errors import _ps
 
 
 def _result_from_bloch(vectors, picture="test"):
@@ -99,6 +100,19 @@ def test_summary_names_a_far_worst_time_to_the_picosecond():
     for t_worst in (0.0, -1528.123456789, 99999.4, 3.14159e-3):
         near = dataclasses.replace(report, t_worst=t_worst)
         assert f"(worst at t = {t_worst:.6g} ps)" in near.summary()
+
+
+@pytest.mark.parametrize("t, text", [
+    (0.0, "0"), (-1528.123456789, "-1528.12"), (3.14159e-3, "0.00314159"),
+    (999999.4, "999999"), (999999.5, "999999.5"), (1e9, "1000000000"),
+    (1e15 + 316.0, "1000000000000316"), (-1e15, "-1000000000000000"),
+    (1e17 + 16.0, "1.0000000000000002e+17"), (np.inf, "inf")])
+def test_failure_times_print_as_the_summary_names_its_worst_time(t, text):
+    # 6 significant digits, or as many as the whole part has, at most 17
+    assert _ps(t) == text
+    res = SimResult("far", np.array([0.0, 1.0]), np.array([[0.0, 0.0, 1.0]] * 2))
+    report = tracking_error(res, np.zeros(2), np.zeros(2), np.array([1.0, 0.5]))
+    assert f"(worst at t = {text} ps)" in dataclasses.replace(report, t_worst=t).summary()
 
 
 def test_tracking_error_rejects_mismatched_shapes():
