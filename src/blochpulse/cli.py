@@ -169,7 +169,3 @@ def main(argv=None) -> int:
     except OSError as exc:  # unreadable config, unwritable output path
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

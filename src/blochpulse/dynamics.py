@@ -41,13 +41,11 @@ import numpy as np
 from .errors import ValidationError, _ps
 from .odeint import ATOL, RTOL, SPAN_SLACK, IntegrationStats, integrate_bloch
 from .rates import Rates, inversion_decay_rate, transverse_rate
-from .states import (SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, _checked_bloch, _density, _finite,
-                     _show, validate_grid)
+from .states import _checked_bloch, _density, _finite, _show, validate_grid
 from .synthesis import ControlField
 
 __all__ = [
     "SimResult",
-    "dissipator_action",
     "integrate_lab",
     "integrate_interaction",
     "integrate_lindblad",
@@ -57,9 +55,6 @@ __all__ = [
 
 # accepted phase advance per step at the fastest carrier scale, rad
 PHASE_PER_STEP = 0.1
-
-_PROJ_EE = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)  # sigma_+ sigma_-
-_PROJ_GG = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)  # sigma_- sigma_+
 
 
 @dataclass
@@ -143,24 +138,6 @@ def _propagate(field: ControlField, rates: Rates, starts: dict, grid,
                            rtol=rtol, atol=atol, max_step=max_step)
     return {name: SimResult(picture=name, t=t, bloch=bloch, stats=stats)
             for name, (bloch, stats) in zip(starts, runs)}
-
-
-def dissipator_action(rho: np.ndarray, rates: Rates) -> np.ndarray:
-    """Decoherence generator applied to a 2x2 density matrix.
-
-    Pure dephasing at rate ``dephasing`` plus a thermal channel at rate
-    ``thermal`` with mean occupation ``occupancy``: emission weight
-    (occupancy + 1), absorption weight occupancy. The propagators use the
-    closed-form constants in ``rates``; this is their independent reference.
-    """
-    rho = _finite(rho, "rho", complex, (2, 2))
-    occ = rates.occupancy
-    out = 0.5 * rates.dephasing * (SIGMA_Z @ rho @ SIGMA_Z - rho)
-    if rates.thermal != 0.0:
-        absorb = 2.0 * SIGMA_PLUS @ rho @ SIGMA_MINUS - _PROJ_GG @ rho - rho @ _PROJ_GG
-        emit = 2.0 * SIGMA_MINUS @ rho @ SIGMA_PLUS - _PROJ_EE @ rho - rho @ _PROJ_EE
-        out = out + rates.thermal * (occ * absorb + (occ + 1.0) * emit)
-    return out
 
 
 def integrate_lab(field: ControlField, r0, grid, *,

@@ -368,10 +368,11 @@ def load_scenario(path) -> ScenarioConfig:
 
 
 def save_scenario(cfg: ScenarioConfig, path) -> None:
-    """Write a scenario to a JSON file (stable key order, 2-space indent)."""
+    """Write a scenario to a JSON file (stable key order, 2-space indent). A scenario
+    that cannot be serialized raises before the file is opened, and leaves it untouched."""
+    text = json.dumps(scenario_to_dict(cfg), indent=2) + "\n"
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        json.dump(scenario_to_dict(cfg), fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------

@@ -31,13 +31,6 @@ __all__ = [
     "trace_distance",
 ]
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)   # |e><g|
-SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |g><e|
-IDENTITY = np.eye(2, dtype=complex)
-
 # Bloch vectors may exceed unit length by roundoff only.
 BLOCH_NORM_SLACK = 1e-9
 

@@ -1,14 +1,11 @@
-"""Verification: tracking error, rotating-wave deviation, generator oracle.
+"""Verification: tracking error and rotating-wave deviation.
 
-Three independent checks of a synthesized pulse:
+Two independent checks of a synthesized pulse:
   * tracking: how closely a simulated evolution follows the prescribed
     Bloch components, per component and overall;
   * rotating-wave deviation: the distance between the carrier-resolved
     evolution and its rotating-wave approximation, which must shrink as the
-    drive amplitude is scaled down;
-  * generator oracle: the damping constants extracted directly from the
-    decoherence generator by applying it to basis states, to compare against
-    the closed forms used by the synthesis.
+    drive amplitude is scaled down.
 """
 
 from __future__ import annotations
@@ -17,20 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SimResult, _propagate, dissipator_action
+from .dynamics import SimResult, _propagate
 from .errors import ValidationError, _ps
 from .odeint import ATOL, RTOL
 from .rates import Rates
-from .states import (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, _bloch_fidelity, _finite,
-                     _onto_sphere, _scalar, bloch_from_density)
+from .states import _bloch_fidelity, _finite, _onto_sphere, _scalar
 from .synthesis import ControlField
 
 __all__ = [
     "TrackingReport",
     "tracking_error",
     "rwa_deviation",
-    "GeneratorCoefficients",
-    "generator_oracle",
 ]
 
 
@@ -116,44 +110,3 @@ def rwa_deviation(field: ControlField, r0, grid, *, scale: float = 1.0) -> float
                       grid, RTOL, ATOL)
     full, rwa = runs["interaction"].bloch, runs["interaction-rwa"].bloch
     return float(0.5 * np.max(np.linalg.norm(full - rwa, axis=1)))
-
-
-@dataclass(frozen=True)
-class GeneratorCoefficients:
-    """Affine action of the decoherence generator on Bloch vectors.
-
-    dr/dt = matrix @ r + offset for the undriven system. The named fields
-    are the physically meaningful entries.
-    """
-
-    matrix: np.ndarray
-    offset: np.ndarray
-    transverse_decay: float
-    inversion_decay: float
-    inversion_pump: float
-    equilibrium_inversion: float
-
-
-def generator_oracle(rates: Rates) -> GeneratorCoefficients:
-    """Extract damping constants directly from the decoherence generator.
-
-    Applies the generator to the maximally mixed state and to the three
-    states (I + sigma_k) / 2, reads off Bloch vectors of the results, and
-    reconstructs the affine map dr/dt = M r + b. Independent of the closed
-    forms in ``rates``; use it to cross-check them.
-    """
-    basis = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-    offset = bloch_from_density(dissipator_action(0.5 * IDENTITY, rates))
-    matrix = np.empty((3, 3))
-    for j, sig in enumerate(basis):
-        col = bloch_from_density(dissipator_action(0.5 * (IDENTITY + sig), rates))
-        matrix[:, j] = col - offset
-    decay_w = -matrix[2, 2]
-    return GeneratorCoefficients(
-        matrix=matrix,
-        offset=offset,
-        transverse_decay=-0.5 * (matrix[0, 0] + matrix[1, 1]),
-        inversion_decay=decay_w,
-        inversion_pump=float(offset[2]),
-        equilibrium_inversion=float(offset[2] / decay_w) if decay_w != 0.0 else np.nan,
-    )

@@ -35,7 +35,6 @@ from blochpulse import (
     export_csv,
     export_svg,
     frame_transform,
-    generator_oracle,
     integrate_lindblad,
     inversion_decay_rate,
     preset,
@@ -48,6 +47,7 @@ from blochpulse import (
     tracking_error,
     transverse_rate,
 )
+from reference import generator_oracle
 
 _TRANSFER_SET = ["fig1_L1", "fig1_L2", "fig1_L3", "fig1_L4", "fig1_L5"]
 

@@ -176,6 +176,16 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key", [("trajectory", "family"), ("transition", "kind")])
+def test_a_section_without_its_discriminator_exits_2(tmp_path, capsys, section, key):
+    data = scenario_to_dict(_MINI)
+    del data[section][key]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["verify", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {section} must have a '{key}' key\n"
+
+
 @pytest.mark.parametrize(
     "start, stop, samples",
     [(-1e308, 1e308, 201), (0.0, 1e-300, 201), (-1e300, 1e300, 201), (1e15, 1e15 + 300, 11)],

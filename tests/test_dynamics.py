@@ -2,9 +2,9 @@
 
 Oracles: free precession and resonant Rabi flopping in closed form, an exact
 reduction with all rates off (the master equation collapses onto the
-co-rotating propagator), and an independent density-matrix reference: each
-picture's 2x2 Hamiltonian built from the Pauli matrices plus the matrix
-dissipator, integrated by scipy. Each accepted step of the batched Bloch
+co-rotating propagator), and the independent density-matrix reference of
+``reference``: each picture's 2x2 Hamiltonian built from the Pauli matrices plus
+the matrix dissipator, integrated by scipy. Each accepted step of the batched Bloch
 controller is also replayed through the generic step kernel with the per-call
 right-hand side it replaced, and each whole run checked against the generic
 integrator.
@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline, PPoly
 
 from blochpulse import (
@@ -34,7 +33,6 @@ from blochpulse import (
     bloch_from_density,
     complete_v_closed,
     density_from_bloch,
-    dissipator_action,
     eval_components,
     frame_transform,
     integrate_adaptive,
@@ -53,7 +51,9 @@ from blochpulse.dynamics import PHASE_PER_STEP
 from blochpulse.odeint import ATOL, RTOL, SPAN_SLACK
 from blochpulse.rates import inversion_decay_rate, transverse_rate
 from blochpulse.scenario import PICTURES
-from blochpulse.states import SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Z, _onto_sphere
+from blochpulse.states import _onto_sphere
+from reference import (SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Z, dissipator_action,
+                       master_equation_reference)
 
 
 def _constant_field(t, omega=0.0, delta=0.0, phi=0.0, omega_r=0.0, omega0=0.0):
@@ -153,19 +153,6 @@ def test_field_lindblad_without_rates_matches_interaction():
     assert np.array_equal(master.bloch, rotating.bloch)
 
 
-def _master_equation_reference(hamiltonian, rates, rho0, t):
-    """Bloch vectors from d rho/dt = -i [H, rho] + D(rho), solved by DOP853."""
-    def rhs(tt, y):
-        rho = y.reshape(2, 2)
-        h = hamiltonian(tt)
-        return (-1j * (h @ rho - rho @ h) + dissipator_action(rho, rates)).ravel()
-
-    sol = solve_ivp(rhs, (t[0], t[-1]), rho0.ravel().astype(complex), method="DOP853",
-                    t_eval=t, rtol=1e-12, atol=1e-14)
-    assert sol.success
-    return np.array([bloch_from_density(y.reshape(2, 2)) for y in sol.y.T])
-
-
 def _fig1_l3_field():
     cfg = preset("fig1_L3")
     t = cfg.window.grid()
@@ -195,7 +182,7 @@ def test_pictures_match_density_matrix_reference():
         (integrate_lindblad(field, open_rates, r0, t), open_rates, carrier),
     ]
     for res, rates, hamiltonian in cases:
-        ref = _master_equation_reference(hamiltonian, rates, density_from_bloch(r0), t)
+        ref = master_equation_reference(hamiltonian, rates, density_from_bloch(r0), t)
         assert np.max(np.abs(res.bloch - ref)) < 1e-8, res.picture
 
 

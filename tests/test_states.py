@@ -37,7 +37,8 @@ from blochpulse import (
     validate_density,
     validate_grid,
 )
-from blochpulse.states import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, _bloch_fidelity, _density
+from blochpulse.states import _bloch_fidelity, _density
+from reference import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 
 def random_bloch(rng, nmax=1.0):

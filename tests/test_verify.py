@@ -17,7 +17,6 @@ from blochpulse import (
     SimResult,
     ValidationError,
     equilibrium_inversion,
-    generator_oracle,
     inversion_decay_rate,
     integrate_interaction,
     rwa_deviation,
@@ -26,6 +25,7 @@ from blochpulse import (
     transverse_rate,
 )
 from blochpulse.errors import _ps
+from reference import generator_oracle
 
 
 def _result_from_bloch(vectors, picture="test"):
