@@ -45,7 +45,7 @@ def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
             raise ValidationError("--tol must lie in (0, 1)")
         changes["rtol"] = args.tol
         changes["atol"] = args.tol
-    if args.pictures:
+    if args.pictures is not None:
         requested = tuple(p.strip() for p in args.pictures.split(",") if p.strip())
         if not requested:
             raise ValidationError("--pictures must name at least one picture")

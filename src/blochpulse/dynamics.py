@@ -24,12 +24,11 @@ A picture is only its numpy formula for b(t) in the channels it reads, which are
 contiguous rows of the table: (omega, delta) for the design field, (delta, phi,
 omega_r) for the carrier and rotating-wave fields, (phi, omega_r, omega0) for the
 lab's. Once per pass of the controller, the table's one reader
-(``ControlField._reader``) evaluates each picture's own rows, and no others, at its
-new step nodes. The propagator takes all pictures of one field at once and the
-controller advances their step plans in lock-step passes, padding the shorter plans
-with zero-length steps whose map is exactly the identity; without a thermal channel
-every map is 3 x 3. Each public integrator is a run of one picture, and every
-picture's result is the same as alone. Times in ps, angular frequencies in rad/ps.
+(``ControlField._reader``) evaluates each picture's own rows, and no others, at the
+new step nodes. The propagator takes all pictures of one field at once, on one step
+plan that every picture accepts, and a run fails at its earliest failing step; without
+a thermal channel every map is 3 x 3. Each public integrator is a run of one picture.
+Times in ps, angular frequencies in rad/ps.
 """
 
 from __future__ import annotations
@@ -116,10 +115,11 @@ def _propagate(field: ControlField, rates: Rates, starts: dict, grid,
     """Integrate dr/dt = b x r - (G, G, Gamma_1) r + (0, 0, -2 Gamma) on ``grid`` in each
     picture that ``starts`` names, from its Bloch vector at ``grid[0]``.
 
-    One lock-step run of the Bloch controller advances every picture's step plan; once
+    One run of the Bloch controller advances every picture on one shared step plan; once
     a pass, ``field``'s table reader gives each picture the values of its own channels at
-    its new nodes, and the picture's b is its formula in them. Each result, and each failure,
-    is the same as the picture's alone; the first picture in ``starts`` that fails raises.
+    the new nodes, and the picture's b is its formula in them. A step is accepted when
+    every picture accepts it; the run raises at its earliest failing step, with the error
+    of the first picture in ``starts`` that fails there.
     """
     r0 = np.concatenate([_checked_bloch(r) for r in starts.values()])
     t = validate_grid(grid)

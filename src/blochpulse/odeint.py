@@ -13,10 +13,9 @@ Two step controllers share one tableau, error norm, input check and dense output
     scan. The maps are 3 x 4, [M | c], only when the pump is not zero; without one
     (every closed run, whose pump is -0.0, and every run without a thermal channel) c
     is zero and the same code carries 3 x 3 maps M.
-    Rejected steps split; passes repeat until no step is rejected. It advances one step
-    plan per field in lock-step passes, each plan padded to the longest by zero-length
-    steps whose map is exactly the identity, so a run of several fields takes as many
-    passes as its slowest field, and each field's result is bit for bit the same as alone.
+    Rejected steps split; passes repeat until no step is rejected. Several fields share
+    one step plan: a step is rejected when any field rejects it, and a run fails at its
+    earliest failing step.
 
 Each controller checks the step budget, step-size underflow and non-finite error
 estimates and records its accepted steps; one vectorised pass then emits the
@@ -25,7 +24,6 @@ solution on the caller grid through the quartic dense interpolant. Times are in 
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -289,25 +287,24 @@ def _prefix_states(r0, maps) -> np.ndarray:
 
 
 def _bloch_controller(fields, decay, t0, t1, r0, rtol, atol, max_step, stats):
-    """DP5 on every step of one step plan per picture at once, the plans in lock-step: for
-    each picture, its accepted plan's steps, their start states and their dense-output
-    coefficients, (t, h, states (n + 1, 3), h K^T P (4, n, 3)).
+    """DP5 on every step of one step plan for all pictures at once: the plan's accepted
+    steps, each picture's start states along a leading picture axis and their
+    dense-output coefficients, (t, h, states (P, n + 1, 3), h K^T P (4, P, n, 3)).
 
     Picture p has the field ``fields[p]``, the start state ``r0[p]`` and the counters
-    ``stats[p]``; all share the window, the decay, the tolerances and ``max_step``. Every
-    plan starts as the same equal partition at the sequential controller's first step. A
-    pass reads each picture's field once, at the six nodes of each of its new steps,
-    builds the stage maps of all new steps, composes every plan's step maps by one scan
-    along a picture axis, and rates every step. Every map is 3 x 4, [M | c], with a pump
-    in ``decay`` and 3 x 3 without one. The plans are padded to one length by zero-length
-    steps at t1 whose step map is exactly the identity, [I | 0] or I, and whose error map
-    is zero, so each picture's scan pairs its own maps as it would alone: its plan, states
-    and counters do not depend on the other pictures. Each rejected step splits into
-    equal parts, as many as the sequential rule shrinks it by; a plan is done when no
-    step of it is rejected. Only a plan's first step that fails can raise: later steps
-    start from states that will still change. A failing picture stops refining, as do
-    the pictures after it, while those before it go on; the first failing picture in
-    order raises, as it would alone.
+    ``stats[p]``; all share the window, the decay, the tolerances, ``max_step`` and the
+    plan, which starts as the equal partition at the sequential controller's first step.
+    A pass reads each picture's field once, at the six nodes of each new step, builds
+    the stage maps of all new steps of all pictures, composes every picture's step maps by
+    one scan over a leading picture axis, and rates every step. Every map is 3 x 4, [M | c],
+    with a pump in ``decay`` and 3 x 3 without one. A step's ratio is the largest of the
+    pictures' ratios, NaN if any is NaN: a step is rejected when any picture rejects it,
+    and splits into equal parts, as many as the sequential rule shrinks it by at that
+    ratio; the run is done when no step is rejected. A step that cannot split fails the run
+    only as the plan's first rejected step, as later ones start from states that will
+    still change: so the run fails at its earliest stuck step, with the failure of the
+    first picture whose error is not finite there, or else with a step-size underflow.
+    Every picture gets the plan's counters and its own largest accepted ratio.
     """
     span, h0 = t1 - t0, min(max_step, (t1 - t0) / _FIRST_STEPS)
     if h0 < _step_floor(t0):
@@ -318,85 +315,60 @@ def _bloch_controller(fields, decay, t0, t1, r0, rtol, atol, max_step, stats):
     gen[3, [0, 1, 2, 2], [0, 1, 2, 3]] = -g_t, -g_t, -g_1, pump
     width = 4 if pump else 3  # a pump-free run's maps have no constant column
     gen, one = np.ascontiguousarray(gen[..., :width]), _ONE[:, :width]
-    n = math.ceil(span / h0)
-    edges = [np.linspace(t0, t1, n + 1)] * len(fields)  # where each plan's steps start and end
-    new = [np.arange(n)] * len(fields)  # the steps whose maps are not built yet
-    source = [None] * len(fields)  # the step that each step of a plan is or came from
-    dense = [None] * len(fields)  # each step's (c1 .. c4) maps h K^T P, (4, n, 3, width)
-    attempted, plans, failure = [n] * len(fields), [None] * len(fields), None
-    active, row, step, err = list(range(len(fields))), {}, None, None  # the plans still refining
-    while active:
-        t, h = [edges[p][:-1] for p in active], [edges[p][1:] - edges[p][:-1] for p in active]
-        cut = list(itertools.accumulate((new[p].size for p in active), initial=0))
-        b = np.ones((6 * cut[-1], 4))  # (b, 1) at the six nodes t + c h of each new step
-        for i, p in enumerate(active):
-            rows = b[6 * cut[i]:6 * cut[i + 1]]
-            rows[:, 0], rows[:, 1], rows[:, 2] = fields[p](
-                (t[i][new[p], None] + _C[:6] * h[i][new[p], None]).ravel())
-        hs = np.concatenate([h[i][new[p]] for i, p in enumerate(active)])
-        # After the read, and one array at a time, so that the peaks do not add, each step of
-        # a new plan takes the maps of the step it is or came from; a new step builds its own.
-        # Plan i's step and error maps are row i of one array each, padded as above.
-        size = max(ti.size for ti in t)
-        step_of, err_of = (np.empty((len(active), size, 3, width)) for _ in range(2))
-        for i, p in enumerate(active):
-            if source[p] is not None:  # mode "clip": the indices are valid, so take needs no buffer
-                for old, out in ((step, step_of), (err, err_of)):
-                    np.take(old[row[p]], source[p], axis=0, out=out[i, :t[i].size], mode="clip")
-            step_of[i, t[i].size:], err_of[i, t[i].size:] = one, 0.0
-            dense[p] = (np.empty((4, t[i].size, 3, width)) if source[p] is None
-                        else np.take(dense[p], source[p], axis=1))
-        step, err, row = step_of, err_of, {p: i for i, p in enumerate(active)}
+    pictures, n = len(fields), math.ceil(span / h0)
+    edges = np.linspace(t0, t1, n + 1)  # where the plan's steps start and end
+    new = np.arange(n)  # the steps whose maps are not built yet
+    attempted, rejected = n, 0
+    step, err = (np.empty((pictures, n, 3, width)) for _ in range(2))  # each step's maps
+    dense = np.empty((4, pictures, n, 3, width))  # its (c1 .. c4) maps h K^T P
+    while True:
+        t, h = edges[:-1], np.diff(edges)
+        b = np.ones((pictures, 6 * new.size, 4))  # (b, 1) at the six nodes t + c h of each new step
+        nodes = (t[new, None] + _C[:6] * h[new, None]).ravel()
+        for p, field in enumerate(fields):
+            b[p, :, 0], b[p, :, 1], b[p, :, 2] = field(nodes)
+        # the new steps of all pictures, picture-major, and where each one's maps go
+        b, hs = b.reshape(-1, 6, 4), np.tile(h[new], pictures)
+        pic, at = np.repeat(np.arange(pictures), new.size), np.tile(new, pictures)
         with np.errstate(over="ignore", invalid="ignore"):
             for lo in range(0, hs.size, _CHUNK):
-                k = _stage_maps(b[6 * lo:6 * (lo + _CHUNK)].reshape(-1, 6, 4), hs[lo:lo + _CHUNK],
-                                gen)
+                here = slice(lo, lo + _CHUNK)
+                k = _stage_maps(b[here], hs[here], gen)
                 maps = (_W @ k.reshape(7, -1)).reshape(6, -1, 3, width)  # step, error; c1 .. c4
                 maps[0] += one
-                for i, p in enumerate(active):  # plan i's new steps in this chunk
-                    first, last = max(cut[i], lo), min(cut[i + 1], lo + _CHUNK)
-                    if first < last:
-                        part = new[p][first - cut[i]:last - cut[i]]
-                        here = slice(first - lo, last - lo)
-                        step[i, part], err[i, part] = maps[0, here], maps[1, here]
-                        dense[p][:, part] = maps[2:, here]
-            s, ratio = _rated(r0[active], step, err, rtol, atol)
-        for i, p in enumerate(list(active)):
-            if p not in active:  # after a failing plan
-                continue
-            ti, hi, si, ri = t[i], h[i], s[i, :t[i].size + 1], ratio[i, :t[i].size]
-            bad = ~(ri <= 1.0)  # also NaN
-            if not bad.any():
-                stats[p].accepted, stats[p].rhs_evals = ti.size, 1 + 6 * attempted[p]
-                stats[p].max_error_ratio = float(ri.max())
-                coef = _mapped(dense[p], si[:-1])
-                plans[p], dense[p] = (ti, hi, si, coef), None
-                active.remove(p)
-                continue
-            with np.errstate(over="ignore", invalid="ignore"):
-                # as many equal parts as the sequential rule shrinks the step by, 2 to 5
-                parts = np.ceil(1.0 / np.maximum(_SAFETY * ri[bad] ** -0.2, _MIN_FACTOR))
-                stuck = ~np.isfinite(ri[bad]) | (hi[bad] / parts < _step_floor(ti[bad]))
-            count = np.ones(ti.size, dtype=int)
-            count[bad] = np.where(stuck, 1, parts)
-            split = count > 1
-            attempted[p] += int(count[split].sum())
-            if stuck[0] or attempted[p] > _MAX_STEPS:
-                first = np.argmax(bad)
-                error = (_stuck(fields[p], ti[first], hi[first], ri[first]) if stuck[0]
-                         else _failure(_BUDGET, ti[np.argmax(split)]))
-                # the pictures after p stop too, so a later failure is an earlier picture's
-                failure, active = error, [q for q in active if q < p]
-                continue
-            stats[p].rejected += int(split.sum())
-            # each part starts a whole number of part sizes into its step
-            offset = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-            edges[p] = np.append(np.repeat(ti, count) + np.repeat(hi / count, count) * offset, t1)
-            source[p] = np.repeat(np.arange(ti.size), count)
-            new[p] = np.flatnonzero(np.repeat(split, count))
-    if failure is not None:
-        raise failure
-    return plans
+                step[pic[here], at[here]], err[pic[here], at[here]] = maps[0], maps[1]
+                dense[:, pic[here], at[here]] = maps[2:]
+            s, ratios = _rated(r0, step, err, rtol, atol)
+            ratio = ratios.max(axis=0)
+        bad = ~(ratio <= 1.0)  # also NaN
+        if not bad.any():
+            break
+        with np.errstate(over="ignore", invalid="ignore"):
+            # as many equal parts as the sequential rule shrinks the step by, 2 to 5
+            parts = np.ceil(1.0 / np.maximum(_SAFETY * ratio[bad] ** -0.2, _MIN_FACTOR))
+            stuck = ~np.isfinite(ratio[bad]) | (h[bad] / parts < _step_floor(t[bad]))
+        count = np.ones(n, dtype=int)
+        count[bad] = np.where(stuck, 1, parts)
+        split = count > 1
+        attempted += int(count[split].sum())
+        if stuck[0]:
+            first = np.argmax(bad)
+            p = np.argmax(~np.isfinite(ratios[:, first]))  # picture 0 if every one is finite
+            raise _stuck(fields[p], t[first], h[first], ratios[p, first])
+        if attempted > _MAX_STEPS:
+            raise _failure(_BUDGET, t[np.argmax(split)])
+        rejected += int(split.sum())
+        # each part starts a whole number of part sizes into its step
+        offset = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+        edges = np.append(np.repeat(t, count) + np.repeat(h / count, count) * offset, t1)
+        source = np.repeat(np.arange(n), count)  # the step that each new step is or came from
+        step, err = np.take(step, source, axis=1), np.take(err, source, axis=1)
+        dense = np.take(dense, source, axis=2)
+        new, n = np.flatnonzero(np.repeat(split, count)), source.size
+    for p, counters in enumerate(stats):
+        counters.accepted, counters.rejected, counters.rhs_evals = n, rejected, 1 + 6 * attempted
+        counters.max_error_ratio = float(ratios[p].max())
+    return t, h, s, _mapped(dense, s[:, :-1])
 
 
 def _stuck(field, t, h, ratio) -> IntegrationError:
@@ -455,22 +427,22 @@ def integrate_bloch(
     max_step: float = np.inf,
 ) -> list[tuple[np.ndarray, IntegrationStats]]:
     """Integrate dr/dt = b(t) x r - (G, G, Gamma_1) r + (0, 0, pump) for one Bloch vector
-    per field, every field in lock-step (see ``_bloch_controller``).
+    per field, every field on one shared step plan (see ``_bloch_controller``).
 
     The same tableau, error norm, tolerances, dense output, statistics and errors as
-    ``integrate_adaptive`` with the equivalent right-hand side, on a step plan of its
-    own. Each of ``fields`` takes a 1-D float array of times and returns (bx, by, bz),
-    each an array over the times or a float. It is called once per pass, with the six
-    nodes t + c h of every new step, and again with those of a step whose error is not
-    finite, which fails at the first node where b is not finite. ``decay`` is (G,
-    Gamma_1, pump), and ``r0`` holds one real 3-vector per field, flat: field p starts
-    from ``r0[3 p:3 p + 3]``. Returns each field's (r, stats), bit for bit as that field
-    gives them alone, and raises what the first field that fails raises alone.
+    ``integrate_adaptive`` with the equivalent right-hand side; a step is accepted when
+    every field accepts it. Each of ``fields`` takes a 1-D float array of times and
+    returns (bx, by, bz), each an array over the times or a float. It is called once per
+    pass, with the six nodes t + c h of every new step, and again with those of a step
+    whose error is not finite, which fails at the first node where b is not finite.
+    ``decay`` is (G, Gamma_1, pump), and ``r0`` holds one real 3-vector per field, flat:
+    field p starts from ``r0[3 p:3 p + 3]``. Returns each field's (r, stats); a failure
+    is that of the plan's earliest failing step.
     """
     t0, t1, r, teval, rtol, atol, max_step = _checked(t_span, r0, t_eval, rtol, atol, max_step)
     if r.shape != (3 * len(fields),):
         raise ValidationError(f"integrate_bloch takes a 3-vector per field, not shape {r.shape}")
     r, stats = r.reshape(-1, 3), [IntegrationStats() for _ in fields]
-    plans = _bloch_controller(fields, decay, t0, t1, r, rtol, atol, max_step, stats)
-    return [(_dense_output(teval, t0, r[p], s[-1], t, h, s[:-1], coef), stats[p])
-            for p, (t, h, s, coef) in enumerate(plans)]
+    t, h, s, coef = _bloch_controller(fields, decay, t0, t1, r, rtol, atol, max_step, stats)
+    return [(_dense_output(teval, t0, r[p], s[p, -1], t, h, s[p, :-1], coef[:, p]), stats[p])
+            for p in range(len(fields))]

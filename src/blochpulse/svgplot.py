@@ -112,7 +112,7 @@ def _points(xs, ys) -> str:
     # non-finite values, |v| >= 1e5 and possible ties: "%.2f" one value at a time
     slow = np.flatnonzero(~fast)
     data[slow, :-1] = np.frombuffer(b"%.2f".ljust(_ROW.itemsize - 1, b"\0"), np.uint8)
-    text = data[data != 0].tobytes().decode("ascii")
+    text = data.tobytes().translate(None, b"\0").decode("ascii")
     return text % tuple(v[slow].tolist()) if slow.size else text
 
 

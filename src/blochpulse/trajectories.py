@@ -41,6 +41,7 @@ V_MIN = 1e-6
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(4)  # 4-point Gauss-Legendre rule on [-1, 1]
 _CHUNK_NODES = 1 << 16  # quadrature nodes the open v-completion evaluates at once
+_OFF_SPHERE = "prescription leaves the Bloch sphere (u^2 + w^2 > 1)"  # both completions' error
 
 
 @dataclass(frozen=True)
@@ -223,8 +224,7 @@ def complete_v_closed(samples: TrajectorySamples) -> np.ndarray:
         If v drops below ``V_MIN`` anywhere on the grid.
     """
     s = 1.0 - samples.u**2 - samples.w**2
-    _raise_first(s < -BLOCH_NORM_SLACK, samples.t, ValidationError,
-                 "prescription leaves the Bloch sphere (u^2 + w^2 > 1)")
+    _raise_first(s < -BLOCH_NORM_SLACK, samples.t, ValidationError, _OFF_SPHERE)
     return _root_above_floor(s, samples.t, "transverse component")
 
 
@@ -265,8 +265,7 @@ def solve_consistent_v_open(
     """
     if v0 is None:
         s0 = 1.0 - samples.u[0] ** 2 - samples.w[0] ** 2
-        if s0 < -BLOCH_NORM_SLACK:
-            raise ValidationError("initial point leaves the Bloch sphere")
+        _raise_first(s0 < -BLOCH_NORM_SLACK, samples.t[0], ValidationError, _OFF_SPHERE)
         s0 = max(s0, 0.0)
     else:
         v0 = _scalar(v0, "v0")

@@ -297,9 +297,8 @@ def test_synthesize_names_a_far_window_to_the_picosecond(tmp_path, capsys):
 
 def test_a_lab_field_infinite_from_zero_exits_3_with_the_lab_failure(tmp_path, capsys,
                                                                     monkeypatch):
-    # omega0 feeds only the lab field, the last of fig1_L3's three pictures, which run in
-    # one batch: the other two finish, and the one line is the lab picture's own failure,
-    # as when each picture ran alone
+    # omega0 feeds only the lab field, the last of fig1_L3's three pictures, which share
+    # one step plan: the one line is the lab picture's own failure, as when it runs alone
     real = ControlField._reader
 
     def reader(field, rows=slice(None)):
@@ -362,9 +361,10 @@ def test_duplicate_pictures_exit_2(mini_config, capsys):
 
 
 def test_pictures_that_name_no_picture_exit_2(mini_config, capsys):
-    assert main(["verify", "--config", str(mini_config), "--pictures", ","]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err == "error: --pictures must name at least one picture\n"
+    for pictures in (",", ""):
+        assert main(["verify", "--config", str(mini_config), "--pictures", pictures]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: --pictures must name at least one picture\n"
 
 
 def test_open_start_off_the_sphere_exits_2(tmp_path, capsys):
@@ -377,7 +377,8 @@ def test_open_start_off_the_sphere_exits_2(tmp_path, capsys):
     save_scenario(cfg, path)
     assert main(["verify", "--config", str(path)]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err == "error: initial point leaves the Bloch sphere\n"
+    assert out == "" and err == \
+        "error: prescription leaves the Bloch sphere (u^2 + w^2 > 1) at t = -200 ps\n"
 
 
 def test_carrier_singularity_exits_3(tmp_path, capsys):

@@ -508,7 +508,9 @@ def test_open_synthesis_rejects_a_first_point_off_the_sphere():
     grid = np.linspace(-200.0, 200.0, 401)
     with pytest.raises(ValidationError) as err:
         synthesize_pulse(spec, Rates(dephasing=1e-3), np.full(grid.size, 0.05), grid)
-    assert str(err.value) == "initial point leaves the Bloch sphere"
+    assert str(err.value) == \
+        "prescription leaves the Bloch sphere (u^2 + w^2 > 1) at t = -200 ps"
+    assert err.value.t_first == -200.0
 
 
 def test_oscillatory_is_a_transfer_with_a_keyword_only_ripple():
